@@ -8,10 +8,7 @@ explicit caller-supplied flag, never detected by scanning entries.
 
 import numpy as np
 
-__all__ = ["as_matrix", "as_block", "require_square", "check_hermitian_flag"]
-
-#: pole value representing an infinite pole (a polynomial step)
-INF_POLE = np.inf
+__all__ = ["as_matrix", "as_block", "require_square"]
 
 
 def as_matrix(A, name="A"):
@@ -40,14 +37,6 @@ def require_square(A, name="A"):
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     return M
-
-
-def check_hermitian_flag(A, name="A"):
-    """Debug-level sanity check that a matrix declared Hermitian is one.
-
-    Only used inside tests and assertions; production paths trust the flag.
-    """
-    return np.allclose(A, A.conj().T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max()))
 
 
 def is_infinite_pole(xi):

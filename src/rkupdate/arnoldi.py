@@ -32,8 +32,7 @@ from ._validation import as_block, is_infinite_pole, require_square
 from .dense import qr_orthonormalize, shifted_factorize
 from .poles import PolePlan
 
-__all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis",
-           "rational_arnoldi_step"]
+__all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 
 
 class FactorizationCache:
@@ -51,13 +50,6 @@ class FactorizationCache:
             self._fac[key] = fac
         return fac
 
-    def solve(self, xi, Y):
-        return self.factorization(xi).solve(Y)
-
-    def solve_adjoint(self, xi, Y):
-        """Solve (A - xi I)* X = Y reusing the factorization of A - xi I."""
-        return self.factorization(xi).solve(Y, adjoint=True)
-
     def __len__(self):
         return len(self._fac)
 
@@ -70,7 +62,7 @@ class KrylovBasis:
     estimator of the updater relies on.
     """
 
-    def __init__(self, A, seed, *, adjoint=False, cache=None, operator_tag=None):
+    def __init__(self, A, seed, *, adjoint=False, cache=None):
         self._A = require_square(A)
         n = self._A.shape[0]
         self._seed = as_block(seed, n, "seed")
@@ -78,7 +70,6 @@ class KrylovBasis:
         self._A_H = self._A.conj().T if adjoint else None
         self.cache = cache if cache is not None else FactorizationCache(self._A)
         self.block_size = self._seed.shape[1]
-        self.operator_tag = operator_tag or ("A*" if adjoint else "A")
         self.basis = np.zeros((n, 0), dtype=complex)
         self.compression = np.zeros((0, 0), dtype=complex)
         self.poles_used = ()
@@ -102,8 +93,8 @@ class KrylovBasis:
     def _solve(self, xi, Y):
         # adjoint side works with Op = A*, pole xi: (A* - xi I) = (A - conj(xi) I)*
         if self._adjoint:
-            return self.cache.solve_adjoint(np.conj(xi), Y)
-        return self.cache.solve(xi, Y)
+            xi = np.conj(xi)
+        return self.cache.factorization(xi).solve(Y, adjoint=self._adjoint)
 
     def advance(self, xi):
         """Append one block for pole xi; returns self."""
@@ -145,11 +136,6 @@ class KrylovBasis:
         return self.basis.conj().T @ X
 
 
-def rational_arnoldi_step(state, xi):
-    """One step of the block rational Arnoldi process (functional alias)."""
-    return state.advance(xi)
-
-
 def _expand(plan, m):
     if isinstance(plan, PolePlan):
         if m is None:
@@ -161,16 +147,16 @@ def _expand(plan, m):
     return seq
 
 
-def build_basis(A, B, plan, m=None, cache=None, operator_tag="A"):
+def build_basis(A, B, plan, m=None, cache=None):
     """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U."""
     poles = _expand(plan, m)
-    basis = KrylovBasis(A, B, adjoint=False, cache=cache, operator_tag=operator_tag)
+    basis = KrylovBasis(A, B, adjoint=False, cache=cache)
     for xi in poles:
         basis.advance(xi)
     return basis
 
 
-def adjoint_basis(A, C, plan, m=None, cache=None, operator_tag="A*"):
+def adjoint_basis(A, C, plan, m=None, cache=None):
     """Orthonormal basis of conj(q_m)(A*)^{-1} K_m(A*, C).
 
     Takes the *same* pole plan as the primal side; poles are conjugated
@@ -178,7 +164,7 @@ def adjoint_basis(A, C, plan, m=None, cache=None, operator_tag="A*"):
     A - xi I through its adjoint.
     """
     poles = _expand(plan, m)
-    basis = KrylovBasis(A, C, adjoint=True, cache=cache, operator_tag=operator_tag)
+    basis = KrylovBasis(A, C, adjoint=True, cache=cache)
     for xi in poles:
         if is_infinite_pole(xi):
             basis.advance(np.inf)

@@ -67,15 +67,13 @@ def _rows_from_report(report, bounds=None, m_scale=1):
     """Rows (m, error_true, error_estimate, bound); the m column carries the
     subspace dimension, which is the step index times the block width."""
     iters = report.iterations
+    d_lag = iters - len(report.estimates)  # the first d steps have no estimate
     rows = []
     for m in range(1, iters + 1):
         e_true = None
         if report.true_errors:
             e_true = report.true_errors[m - 1] if m - 1 < len(report.true_errors) else None
-        est = None
-        d_lag = iters - len(report.estimates)
-        if report.estimates and m > d_lag:
-            est = report.estimates[m - 1 - d_lag]
+        est = report.estimates[m - 1 - d_lag] if m > d_lag else None
         bound = bounds[m - 1] if bounds is not None and m - 1 < len(bounds) else None
         rows.append((m * m_scale, e_true, est, bound))
     return rows
@@ -136,43 +134,46 @@ def _invsqrt_reference(lam, b):
     return F.astype(complex)
 
 
-def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
-    """Single repeated asymptotically optimal pole for the inverse square root."""
+def _invsqrt_instance(n, seed):
+    """The fig1/fig2 instance: eigenvalues, update vector, A, and the spectral
+    window of A and A + b b*."""
     lam, b = _logspace_instance(n, seed)
     A = np.diag(lam).astype(complex)
     lam_plus = np.linalg.eigvalsh(A.real + np.outer(b.real.ravel(), b.real.ravel()))
     window = SpectralWindow(float(min(lam[0], lam_plus[0])),
                             float(max(lam[-1], lam_plus[-1])))
-    pole, rate = markov_single_pole(window, (-np.inf, 0.0))
-    plan = PolePlan((pole,), repetition="cyclic")
+    return lam, b, A, window
+
+
+def _invsqrt_run(name, lam, b, A, window, plan, m_max, tol, d, **extras):
+    """The inverse square root update of a fig1/fig2 instance with its true
+    errors and the Hermitian Markov bound."""
     f = FunctionSpec.inv_sqrt()
     dense = _invsqrt_reference(lam, b)
     state, report = run_update(A, b, f=f, plan=plan, m_max=m_max, tol=tol, d=d,
                                J=np.array([[1.0]]), true_update=dense)
     bounds = markov_bound_hermitian(window, plan, f, report.iterations).values
     rows = _rows_from_report(report, bounds=bounds)
-    extras = dict(window=window, pole=pole, rate=rate, norm_update=norm2(dense),
-                  norm_fA=norm2(np.diag(lam ** -0.5)))
-    return ExperimentResult("fig1-invsqrt-single-pole", rows, report, extras)
+    return ExperimentResult(name, rows, report,
+                            dict(window=window, norm_update=norm2(dense), **extras))
+
+
+def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
+    """Single repeated asymptotically optimal pole for the inverse square root."""
+    lam, b, A, window = _invsqrt_instance(n, seed)
+    pole, rate = markov_single_pole(window, (-np.inf, 0.0))
+    plan = PolePlan((pole,), repetition="cyclic")
+    return _invsqrt_run("fig1-invsqrt-single-pole", lam, b, A, window, plan, m_max, tol, d,
+                        pole=pole, rate=rate, norm_fA=norm2(np.diag(lam ** -0.5)))
 
 
 def experiment_fig2(n=200, seed=6, m_max=60, tol=1e-12, d=2, num_poles=10):
     """Cyclically repeated quasi-optimal poles in Leja ordering."""
-    lam, b = _logspace_instance(n, seed)
-    A = np.diag(lam).astype(complex)
-    lam_plus = np.linalg.eigvalsh(A.real + np.outer(b.real.ravel(), b.real.ravel()))
-    window = SpectralWindow(float(min(lam[0], lam_plus[0])),
-                            float(max(lam[-1], lam_plus[-1])))
+    lam, b, A, window = _invsqrt_instance(n, seed)
     base = quasi_optimal_poles(window, (-np.inf, 0.0), num_poles)
     plan = PolePlan(base.poles, repetition="cyclic", ordering="leja")
-    f = FunctionSpec.inv_sqrt()
-    dense = _invsqrt_reference(lam, b)
-    state, report = run_update(A, b, f=f, plan=plan, m_max=m_max, tol=tol, d=d,
-                               J=np.array([[1.0]]), true_update=dense)
-    bounds = markov_bound_hermitian(window, plan, f, report.iterations).values
-    rows = _rows_from_report(report, bounds=bounds)
-    extras = dict(window=window, poles=plan.base_sequence(), norm_update=norm2(dense))
-    return ExperimentResult("fig2-invsqrt-quasiopt", rows, report, extras)
+    return _invsqrt_run("fig2-invsqrt-quasiopt", lam, b, A, window, plan, m_max, tol, d,
+                        poles=plan.base_sequence())
 
 
 def _sign_instance(n, seed):
@@ -264,6 +265,8 @@ def _parse_poles(spec, *, window=None, gap=None, m_max=None):
 
 def experiment_custom(args):
     """Update run on user-supplied Matrix Market matrices."""
+    if not (args.matrix_a and args.matrix_b):
+        raise ValueError("custom experiments need --matrix-a and --matrix-b")
     A = read_matrix(args.matrix_a)
     B = read_matrix(args.matrix_b)
     J = read_matrix(args.matrix_j) if args.matrix_j else None
@@ -288,43 +291,52 @@ def experiment_custom(args):
     rows = _rows_from_report(report)
     if report.iterations == 0:
         rows = [(0, 0.0 if dense is not None else None, 0.0, None)]
-    return ExperimentResult("custom", rows, report)
+    return [ExperimentResult("custom", rows, report)]
+
+
+def _figure_args(args):
+    """Keyword arguments of a figure experiment; without --seed the
+    experiment runs at its frozen default seed."""
+    kwargs = dict(n=args.n, m_max=args.m_max, tol=args.tol, d=args.d)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    return kwargs
+
+
+#: experiment -> (run, default m_max, default tol); run takes the parsed
+#: arguments and returns a list of results
+EXPERIMENTS = {
+    "fig1-invsqrt-single-pole":
+        (lambda args: [experiment_fig1(**_figure_args(args))], 160, 1e-12),
+    "fig2-invsqrt-quasiopt":
+        (lambda args: [experiment_fig2(**_figure_args(args))], 60, 1e-12),
+    "fig3-sign": (lambda args: experiment_fig3(**_figure_args(args)), 100, 1e-8),
+    "custom": (experiment_custom, 50, 1e-10),
+}
 
 
 def run_experiment(args):
-    """Dispatch an `update` subcommand invocation; returns exit status."""
-    frozen_seeds = {"fig1-invsqrt-single-pole": 1, "fig2-invsqrt-quasiopt": 6,
-                    "fig3-sign": 1, "custom": 1}
-    seed = args.seed if args.seed is not None else frozen_seeds[args.experiment]
-    common = dict(n=args.n, seed=seed, d=args.d)
-    if args.experiment == "fig1-invsqrt-single-pole":
-        res = experiment_fig1(m_max=args.m_max or 160,
-                              tol=args.tol if args.tol is not None else 1e-12, **common)
-        write_csv(args.out, res.rows)
-        print(res.summary())
-    elif args.experiment == "fig2-invsqrt-quasiopt":
-        res = experiment_fig2(m_max=args.m_max or 60,
-                              tol=args.tol if args.tol is not None else 1e-12, **common)
-        write_csv(args.out, res.rows)
-        print(res.summary())
-    elif args.experiment == "fig3-sign":
-        results = experiment_fig3(m_max=args.m_max or 100,
-                                  tol=args.tol if args.tol is not None else 1e-8, **common)
-        stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-        for res in results:
-            suffix = res.name.replace("fig3-sign", "")
-            write_csv(f"{stem}{suffix}.csv", res.rows)
-            print(f"{res.name}: {res.summary()}")
-    elif args.experiment == "custom":
-        if not (args.matrix_a and args.matrix_b):
-            raise ValueError("custom experiments need --matrix-a and --matrix-b")
-        if args.tol is None:
-            args.tol = 1e-10
-        res = experiment_custom(args)
-        write_csv(args.out, res.rows)
-        print(res.summary())
-    else:
+    """Dispatch an `update` subcommand invocation; returns exit status.
+
+    A single result is written to --out; several results go to one CSV
+    each, named after the --out stem and the variant."""
+    if args.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {args.experiment!r}")
+    run, m_max, tol = EXPERIMENTS[args.experiment]
+    if args.m_max is None:
+        args.m_max = m_max
+    if args.tol is None:
+        args.tol = tol
+    results = run(args)
+    if len(results) == 1:
+        write_csv(args.out, results[0].rows)
+        print(results[0].summary())
+        return 0
+    stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+    for res in results:
+        suffix = res.name.replace(args.experiment, "")
+        write_csv(f"{stem}{suffix}.csv", res.rows)
+        print(f"{res.name}: {res.summary()}")
     return 0
 
 
@@ -344,10 +356,7 @@ def run_sylvester(args):
     write_matrix(f"{stem}-right.mtx", result.right)
     with open(f"{stem}-residuals.csv", "w") as fh:
         fh.write("m,residual,estimate\n")
-        d_lag = report.iterations - len(report.estimates)
-        for m in range(1, report.iterations + 1):
-            res = report.true_errors[m - 1] if report.true_errors else None
-            est = report.estimates[m - 1 - d_lag] if m > d_lag else None
+        for m, res, est, _ in _rows_from_report(report):
             fh.write(f"{m},{_fmt(res)},{_fmt(est)}\n")
     print(report.summary())
     return 0
@@ -360,9 +369,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     up = sub.add_parser("update", help="run an update experiment")
-    up.add_argument("--experiment", required=True,
-                    choices=["fig1-invsqrt-single-pole", "fig2-invsqrt-quasiopt",
-                             "fig3-sign", "custom"])
+    up.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     up.add_argument("--n", type=int, default=200)
     up.add_argument("--seed", type=int, default=None,
                     help="instance seed (frozen per-experiment default if omitted)")
@@ -396,8 +403,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "update":
-            if args.experiment == "custom" and args.m_max is None:
-                args.m_max = 50
             return run_experiment(args)
         return run_sylvester(args)
     except (RKUpdateError, ValueError, OSError) as exc:

@@ -22,14 +22,12 @@ from .errors import (
 )
 
 __all__ = [
-    "TOL_ORTH", "TOL_SOLVE", "TOL_PIVOT", "TOL_DEFLATE", "TOL_AXIS", "COND_CAP",
+    "TOL_PIVOT", "TOL_DEFLATE", "TOL_AXIS", "COND_CAP",
     "qr_orthonormalize", "shifted_factorize", "ShiftedFactorization",
     "spectral_decompose", "SpectralDecomposition",
     "funm_small", "funm_block_triangular", "eval_rational_pf", "norm2",
 ]
 
-TOL_ORTH = 1e-12
-TOL_SOLVE = 1e-12
 TOL_PIVOT = 1e-14
 TOL_DEFLATE = 1e-12
 TOL_AXIS = 1e-12
@@ -210,12 +208,27 @@ def funm_small(A, f, hermitian=False):
     return np.linalg.solve(V.T, ((V * fw)).T).T
 
 
+def _coupling_block(A11, A12, A22, f):
+    """The (1,2) block of f([[A11, A12], [0, A22]]), from the assembled
+    matrix (partial fractions for rational kinds, spectral calculus
+    otherwise with the expm fallback)."""
+    if f.kind == "identity":
+        return A12.copy()
+    if norm2(A12) == 0.0:
+        return np.zeros_like(A12)
+    n1, n2 = A12.shape
+    Z = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    Z[:n1, :n1] = A11
+    Z[:n1, n1:] = A12
+    Z[n1:, n1:] = A22
+    return funm_small(Z, f, hermitian=False)[:n1, n1:]
+
+
 def funm_block_triangular(A11, A12, A22, f, hermitian11=False, hermitian22=False):
     """The three nonzero blocks of f([[A11, A12], [0, A22]]).
 
     The diagonal blocks are evaluated directly by :func:`funm_small`; the
-    coupling block comes from the assembled matrix (partial fractions for
-    rational kinds, spectral calculus otherwise with the expm fallback).
+    coupling block comes from the assembled matrix.
     """
     A11 = require_square(A11, "A11")
     A22 = require_square(A22, "A22")
@@ -225,13 +238,4 @@ def funm_block_triangular(A11, A12, A22, f, hermitian11=False, hermitian22=False
         raise ValueError(f"A12 must be {n1}x{n2}, got {A12.shape}")
     F11 = funm_small(A11, f, hermitian=hermitian11)
     F22 = funm_small(A22, f, hermitian=hermitian22)
-    if f.kind == "identity":
-        return F11, A12.copy(), F22
-    if norm2(A12) == 0.0:
-        return F11, np.zeros_like(A12), F22
-    Z = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    Z[:n1, :n1] = A11
-    Z[:n1, n1:] = A12
-    Z[n1:, n1:] = A22
-    F = funm_small(Z, f, hermitian=False)
-    return F11, F[:n1, n1:], F22
+    return F11, _coupling_block(A11, A12, A22, f), F22

@@ -60,15 +60,13 @@ def jacobi_sn_cn_dn(u, kappa):
 
 
 class EllipticParameters:
-    """Modulus with its complete integrals and function evaluators."""
+    """Modulus with its complete integral K and function evaluators."""
 
     def __init__(self, kappa):
         if not 0.0 <= kappa < 1.0:
             raise ValueError("modulus must lie in [0, 1)")
         self.modulus = float(kappa)
-        self.comodulus = float(np.sqrt((1.0 - kappa) * (1.0 + kappa)))
         self.K = complete_k(self.modulus)
-        self.K_prime = complete_k(self.comodulus) if self.comodulus < 1.0 else np.inf
 
     def sn(self, u):
         return jacobi_sn_cn_dn(u, self.modulus)[0]

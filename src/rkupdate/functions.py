@@ -391,11 +391,6 @@ class FunctionSpec:
             raise ValueError("partial fractions only defined for rational kinds")
         return partial_fractions(self.num, self.den)
 
-    def sup_abs_on_interval(self, a, b, samples=257):
-        """sup |f| on [a, b], sampled (exact at endpoints for monotone Markov kinds)."""
-        x = np.linspace(a, b, samples)
-        return float(np.abs(self.scalar(x)).max())
-
     def sup_abs_derivative_on_interval(self, a, b, samples=257):
         x = np.linspace(a, b, samples)
         return float(np.abs(self.derivative(x)).max())

@@ -22,12 +22,12 @@ import scipy.linalg as sla
 
 from ._validation import as_block, is_infinite_pole, require_square
 from .arnoldi import FactorizationCache, KrylovBasis
-from .dense import TOL_AXIS, funm_block_triangular, funm_small, norm2
+from .dense import TOL_AXIS, _coupling_block, funm_small, norm2
 from .errors import CompressedNotSolvable, IndefiniteSquareWindow, SpectraIntersect
 from .functions import FunctionSpec
 from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
-from .updater import UpdateReport, padded_difference_norm
+from .updater import _rational_krylov, padded_difference_norm
 
 __all__ = ["sign_update", "SignUpdateResult", "SylvesterProblem",
            "sylvester_dense", "sylvester_solve_krylov", "SylvesterResult"]
@@ -67,7 +67,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None, check_block=Fa
     estimate  ||A+D|| * ||dX|| + ||BJ|| * ||d(G^{-1/2} U*B)||  falls below
     tol.  Invertibility of A and A + D is verified at desk scale.  With
     ``check_block`` the half-size difference is cross-checked against the
-    full block-triangular evaluation each step.
+    block-triangular evaluation each step.
+
+    The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
+    m_max >= 1 and d >= 1, and a step whose compression hits a singularity
+    of the inverse square root is retried after one extra step (two
+    consecutive failures abort).
     """
     A = require_square(A)
     n = A.shape[0]
@@ -95,69 +100,53 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None, check_block=Fa
     norm_ApD = norm2(A + D)
     norm_BJ = norm2(B @ J)
     f = FunctionSpec.inv_sqrt()
+    basis = KrylovBasis(A2, W)
 
-    basis = KrylovBasis(A2, W, operator_tag="A^2")
-    X_hist = []
-    fvec_hist = []
-    estimates = []
-    true_errors = [] if true_update is not None else None
-    converged = False
-    m_done = 0
-
-    for m, xi in enumerate(poles, start=1):
-        basis.advance(xi)
-        m_done = m
+    def evaluate():
+        """(X, G^{-1/2} U*B) of the current basis."""
         G = 0.5 * (basis.compression + basis.compression.conj().T)
         wG = np.linalg.eigvalsh(G)
         if wG[0] <= 0.0:
             raise IndefiniteSquareWindow(
-                f"compression of A^2 lost positive definiteness at step {m}")
+                f"compression of A^2 lost positive definiteness at step {basis.steps}")
         UW = basis.block_product(W)
         E = UW @ M_core @ UW.conj().T
         E = 0.5 * (E + E.conj().T)
         wGE = np.linalg.eigvalsh(G + E)
         if wGE[0] <= 0.0:
             raise IndefiniteSquareWindow(
-                f"compression of (A+D)^2 lost positive definiteness at step {m}")
+                f"compression of (A+D)^2 lost positive definiteness at step {basis.steps}")
         F_plus = funm_small(G + E, f, hermitian=True)
         F_base = funm_small(G, f, hermitian=True)
         X = F_plus - F_base
         if check_block:
-            _, X_blk, _ = funm_block_triangular(G, E, G + E, f)
+            X_blk = _coupling_block(G, E, G + E, f)
             gap = norm2(X - X_blk) / max(norm2(X), 1e-300)
             if gap > 1e-10:
                 raise AssertionError(f"half-size and block-triangular paths differ: {gap:.2e}")
-        UB = basis.block_product(B)
-        fvec_small = F_base @ UB                     # G^{-1/2} (U* B)
-        X_hist.append(X)
-        fvec_hist.append(fvec_small)
+        return X, F_base @ basis.block_product(B)
 
-        if true_errors is not None:
-            U = basis.basis
-            upd = (A + D) @ (U @ X @ U.conj().T) + (B @ J) @ (U @ fvec_small).conj().T
-            true_errors.append(norm2(true_update - upd))
-        if m > d:
-            est = (norm_ApD * padded_difference_norm(X, X_hist[m - 1 - d])
-                   + norm_BJ * padded_difference_norm(fvec_small, fvec_hist[m - 1 - d]))
-            estimates.append(est)
-            if est <= tol:
-                converged = True
-                break
+    def estimate(new, old):
+        return (norm_ApD * padded_difference_norm(new[0], old[0])
+                + norm_BJ * padded_difference_norm(new[1], old[1]))
 
+    def true_error(new):
+        X, fvec_small = new
+        U = basis.basis
+        upd = (A + D) @ (U @ X @ U.conj().T) + (B @ J) @ (U @ fvec_small).conj().T
+        return norm2(true_update - upd)
+
+    history, report = _rational_krylov(
+        basis, basis, poles, evaluate, estimate, tol=tol, d=d,
+        error=true_error if true_update is not None else None)
+    X, fvec_small = history[-1]
     U = basis.basis
-    f_block = U @ fvec_hist[-1]
-    left = np.hstack([(A + D) @ (U @ X_hist[-1]), B @ J])
+    f_block = U @ fvec_small
+    left = np.hstack([(A + D) @ (U @ X), B @ J])
     right = np.hstack([U, f_block])
-    report = UpdateReport(
-        final_rank=left.shape[1],
-        iterations=m_done,
-        estimates=estimates,
-        true_errors=true_errors,
-        converged=converged,
-        poles=tuple(poles[:m_done]),
-    )
+    report.final_rank = left.shape[1]
     return SignUpdateResult(left=left, right=right, f_block=f_block,
-                            coupling=X_hist[-1], basis=basis), report
+                            coupling=X, basis=basis), report
 
 
 @dataclass(frozen=True)
@@ -223,56 +212,37 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1, compute_residuals=True):
     with the same pole plan, solves the compressed Sylvester equation
     G Z~ - Z~ H* + (U*B1)(V*C2)* = 0 each step, and stops on the relative
     change of padded Z~ iterates.  A dense residual history is recorded at
-    desk scale and the final residual is checked.
+    desk scale.  The step loop, with its need for m_max >= 1 and d >= 1,
+    is the one of :func:`rkupdate.updater.run_update`.
     """
     if not isinstance(plan, PolePlan):
         plan = PolePlan(tuple(plan))
     poles = plan.expand(m_max)
-    cache1 = FactorizationCache(prob.A1)
-    cache2 = FactorizationCache(prob.A2)
-    left = KrylovBasis(prob.A1, prob.B1, cache=cache1, operator_tag="A1")
-    right = KrylovBasis(prob.A2, prob.C2, adjoint=True, cache=cache2, operator_tag="A2*")
+    left = KrylovBasis(prob.A1, prob.B1, cache=FactorizationCache(prob.A1))
+    right = KrylovBasis(prob.A2, prob.C2, adjoint=True, cache=FactorizationCache(prob.A2))
 
-    n_small = max(prob.A1.shape[0], prob.A2.shape[0]) <= ORACLE_MAX_N
-    scale = norm2(prob.A1) + norm2(prob.A2)
-    Z_hist = []
-    estimates = []
-    residuals = []
-    converged = False
-    m_done = 0
-    for m, xi in enumerate(poles, start=1):
-        left.advance(xi)
-        right.advance(np.conj(xi) if not is_infinite_pole(xi) else np.inf)
-        m_done = m
-        G = left.compression
-        H = right.compression
+    def evaluate():
         UB = left.block_product(prob.B1)
         VC = right.block_product(prob.C2)
         try:
-            Z_small = sylvester_dense(G, H.conj().T, UB @ VC.conj().T)
+            return sylvester_dense(left.compression, right.compression.conj().T,
+                                   UB @ VC.conj().T)
         except SpectraIntersect as exc:
             raise CompressedNotSolvable(str(exc)) from exc
-        Z_hist.append(Z_small)
-        if compute_residuals and n_small:
-            Z = left.basis @ Z_small @ right.basis.conj().T
-            R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
-            residuals.append(norm2(R) / max(scale * norm2(Z_small), 1e-300))
-        if m > d:
-            est = padded_difference_norm(Z_small, Z_hist[m - 1 - d])
-            est /= max(norm2(Z_small), 1e-300)
-            estimates.append(est)
-            if est <= tol:
-                converged = True
-                break
 
-    report = UpdateReport(
-        final_rank=left.dimension,
-        iterations=m_done,
-        estimates=estimates,
-        true_errors=residuals if residuals else None,
-        converged=converged,
-        poles=tuple(poles[:m_done]),
-    )
-    result = SylvesterResult(left=left.basis, core=Z_hist[-1], right=right.basis,
-                             basis_left=left, basis_right=right, core_history=Z_hist)
+    def estimate(Z_small, Z_old):
+        return padded_difference_norm(Z_small, Z_old) / max(norm2(Z_small), 1e-300)
+
+    desk_scale = compute_residuals and max(prob.A1.shape[0], prob.A2.shape[0]) <= ORACLE_MAX_N
+    scale = norm2(prob.A1) + norm2(prob.A2) if desk_scale else None
+
+    def residual(Z_small):
+        Z = left.basis @ Z_small @ right.basis.conj().T
+        R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
+        return norm2(R) / max(scale * norm2(Z_small), 1e-300)
+
+    history, report = _rational_krylov(left, right, poles, evaluate, estimate, tol=tol, d=d,
+                                       error=residual if desk_scale else None)
+    result = SylvesterResult(left=left.basis, core=history[-1], right=right.basis,
+                             basis_left=left, basis_right=right, core_history=history)
     return result, report

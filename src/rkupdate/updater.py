@@ -9,15 +9,19 @@ padded coupling matrices of nested bases.
 In the Hermitian mode (A = A*, D = B J B*, conjugate-closed poles) the
 right basis aliases the left one and X_m(f) collapses to the difference of
 two small Hermitian matrix functions.
+
+The step loop is shared with the solvers of :mod:`rkupdate.signsylv`,
+which differ only in what they evaluate each step and how they weigh the
+difference of two iterates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_block, require_square
+from ._validation import as_block, is_infinite_pole, require_square
 from .arnoldi import FactorizationCache, KrylovBasis
-from .dense import _check_spectrum, funm_block_triangular, funm_small, norm2
+from .dense import _check_spectrum, _coupling_block, funm_small, norm2
 from .dpr1 import funm_diff_rank1
 from .errors import SingularityOnSpectrum
 from .poles import PolePlan
@@ -38,8 +42,7 @@ def project_update(left, right, B, C, f):
     VB = right.block_product(B)
     E12 = UB @ VC.conj().T
     M22 = right.compression.conj().T + VB @ VC.conj().T
-    _, X, _ = funm_block_triangular(left.compression, E12, M22, f)
-    return X
+    return _coupling_block(left.compression, E12, M22, f)
 
 
 def update_hermitian(left, B, J, f):
@@ -94,7 +97,6 @@ class UpdateState:
     coupling: np.ndarray
     coupling_history: list
     hermitian_mode: bool
-    estimate_history: list = None
 
     def materialize(self):
         """Dense U_m X_m V_m* (desk scale only)."""
@@ -107,6 +109,13 @@ class UpdateState:
 
 @dataclass
 class UpdateReport:
+    """Per-step record of a run.
+
+    ``estimates[k]`` is the estimate of step k + 1 + d (the first d steps
+    have none) and ``true_errors[k]`` the true error of step k + 1; a step
+    retried after a singularity of f records None in both.
+    """
+
     final_rank: int
     iterations: int
     estimates: list
@@ -116,9 +125,8 @@ class UpdateReport:
     poles: tuple = ()
 
     def summary(self):
-        final = self.estimates[-1] if self.estimates else float("nan")
-        if self.true_errors:
-            final = self.true_errors[-1]
+        known = [v for v in (self.true_errors or self.estimates) if v is not None]
+        final = known[-1] if known else float("nan")
         return (f"converged={str(self.converged).lower()} "
                 f"iterations={self.iterations} final_error={final:.16e}")
 
@@ -133,13 +141,73 @@ def estimate_error(state, d):
     return padded_difference_norm(hist[-1], hist[-1 - d])
 
 
+def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
+    """The step loop shared by every solver: one step per pole.
+
+    Each step appends a block for pole xi to ``left`` and, unless ``right``
+    is ``left``, a block for conj(xi) to ``right``; then ``evaluate()``
+    returns the step's small solution, ``error(new)`` (optional) its true
+    error or residual, and ``estimate(new, old)`` the difference between it
+    and the solution of d steps earlier.  The run stops once an estimate is
+    at most ``tol``.
+
+    When ``evaluate`` hits a singularity of f (transient Ritz values), the
+    step is recorded as a gap and the run goes on with one more step; two
+    consecutive failures, or a failure at the last pole, re-raise.
+
+    Returns (history of solutions with None at gaps, UpdateReport).
+    """
+    if not poles or d < 1:
+        raise ValueError("need m_max >= 1 and d >= 1")
+    history = []
+    estimates = []
+    errors = [] if error is not None else None
+    converged = False
+    failures = 0
+    for m, xi in enumerate(poles, start=1):
+        left.advance(xi)
+        if right is not left:
+            right.advance(xi if is_infinite_pole(xi) else np.conj(xi))
+        try:
+            new = evaluate()
+            failures = 0
+        except SingularityOnSpectrum:
+            failures += 1
+            if failures >= 2 or m == len(poles):
+                raise
+            new = None
+        history.append(new)
+        if errors is not None:
+            errors.append(None if new is None else error(new))
+        if m > d:
+            old = history[m - 1 - d]
+            est = None if new is None or old is None else estimate(new, old)
+            estimates.append(est)
+            if est is not None and est <= tol:
+                converged = True
+                break
+
+    known = [e for e in estimates if e is not None]
+    stagnation = (not converged and len(known) >= 3
+                  and known[-2] > 0.95 * known[-3] and known[-1] > 0.95 * known[-2])
+    report = UpdateReport(
+        final_rank=left.dimension,
+        iterations=len(history),
+        estimates=estimates,
+        true_errors=errors,
+        converged=converged,
+        stagnation_warning=stagnation,
+        poles=tuple(poles[:len(history)]),
+    )
+    return history, report
+
+
 def _zero_report(plan_poles):
     return UpdateReport(final_rank=0, iterations=0, estimates=[0.0],
                         true_errors=[], converged=True, poles=tuple(plan_poles))
 
 
-def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None,
-               true_update=None, keep_history=True):
+def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=None):
     """Grow the update approximation until the difference estimator drops
     below tol or m_max steps are reached.
 
@@ -151,8 +219,11 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None,
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d; it requires nested bases, which the growth by
     appended blocks guarantees.  Non-convergence is reported, not raised.
-    When the compressed problem hits a singularity of f (transient Ritz
-    values), the step is retried after one extra Arnoldi step; two
+    The step loop is the one :func:`rkupdate.signsylv.sign_update` and
+    :func:`rkupdate.signsylv.sylvester_solve_krylov` use, so the three share
+    their stopping rule, the need for m_max >= 1 and d >= 1, and the retry:
+    when the compressed problem hits a singularity of f (transient Ritz
+    values), the step is retried after one extra Arnoldi step, and two
     consecutive failures abort.
     """
     A = require_square(A)
@@ -171,8 +242,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None,
 
     if norm2(B) == 0.0 or (not hermitian_mode and norm2(C) == 0.0):
         left = KrylovBasis(A, np.zeros((n, 1)))
-        state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [],
-                            hermitian_mode, estimate_history=[0.0])
+        state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [], hermitian_mode)
         return state, _zero_report(())
 
     if not isinstance(plan, PolePlan):
@@ -184,64 +254,18 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None,
         raise ValueError("Hermitian mode requires a conjugate-closed pole plan")
 
     cache = FactorizationCache(A)
-    left = KrylovBasis(A, B, adjoint=False, cache=cache, operator_tag="A")
-    right = left if hermitian_mode else KrylovBasis(A, C, adjoint=True, cache=cache,
-                                                    operator_tag="A*")
+    left = KrylovBasis(A, B, adjoint=False, cache=cache)
+    right = left if hermitian_mode else KrylovBasis(A, C, adjoint=True, cache=cache)
 
-    history = []
-    estimates = []
-    true_errors = [] if true_update is not None else None
-    converged = False
-    sing_failures = 0
-    m_done = 0
+    def evaluate():
+        if hermitian_mode:
+            return update_hermitian(left, B, J, f)
+        return project_update(left, right, B, C, f)
 
-    for m, xi in enumerate(poles, start=1):
-        left.advance(xi)
-        if not hermitian_mode:
-            right.advance(np.conj(xi) if np.isfinite(complex(xi).real) else xi)
-        m_done = m
-        try:
-            if hermitian_mode:
-                X = update_hermitian(left, B, J, f)
-            else:
-                X = project_update(left, right, B, C, f)
-            sing_failures = 0
-        except SingularityOnSpectrum:
-            sing_failures += 1
-            if sing_failures >= 2 or m == m_max:
-                raise
-            history.append(None)
-            if true_errors is not None:
-                true_errors.append(float("nan"))
-            continue
-        history.append(X)
-        if true_errors is not None:
-            approx = left.basis @ X @ right.basis.conj().T
-            true_errors.append(norm2(true_update - approx))
-        if m > d and history[m - 1 - d] is not None:
-            est = padded_difference_norm(X, history[m - 1 - d])
-            estimates.append(est)
-            if est <= tol:
-                converged = True
-                break
+    def true_error(X):
+        return norm2(true_update - left.basis @ X @ right.basis.conj().T)
 
-    X_last = next((h for h in reversed(history) if h is not None),
-                  np.zeros((0, 0), dtype=complex))
-    stagnation = False
-    if len(estimates) >= 3:
-        e3, e2, e1 = estimates[-3], estimates[-2], estimates[-1]
-        if e2 > 0.95 * e3 and e1 > 0.95 * e2 and not converged:
-            stagnation = True
-    state = UpdateState(left, right, X_last,
-                        history if keep_history else [X_last], hermitian_mode,
-                        estimate_history=estimates)
-    report = UpdateReport(
-        final_rank=left.dimension,
-        iterations=m_done,
-        estimates=estimates,
-        true_errors=true_errors,
-        converged=converged,
-        stagnation_warning=stagnation,
-        poles=tuple(poles[:m_done]),
-    )
-    return state, report
+    history, report = _rational_krylov(
+        left, right, poles, evaluate, padded_difference_norm, tol=tol, d=d,
+        error=true_error if true_update is not None else None)
+    return UpdateState(left, right, history[-1], history, hermitian_mode), report

@@ -286,3 +286,22 @@ def test_sylvester_block_width_two(rng):
     Z = result.materialize()
     Z_ref = sylvester_dense(prob.A1, prob.A2, prob.B1 @ prob.C2.conj().T)
     assert norm2(Z - Z_ref) <= 1e-9 * norm2(Z_ref)
+
+
+@pytest.mark.parametrize("entry", ["run_update", "sign_update", "sylvester_solve_krylov"])
+def test_lag_zero_rejected(rng, entry):
+    # d = 0 would compare each iterate with itself and stop at once
+    A, B, _ = indefinite_instance(rng, 12)
+    prob = SylvesterProblem.create(np.diag([1.0, 2.0, 3.0]), np.diag([-1.0, -2.0]),
+                                   np.ones((3, 1)), np.ones((2, 1)))
+    plan = PolePlan((-5.0,), repetition="cyclic")
+    calls = {
+        "run_update": lambda: run_update(A, B, B, f=FunctionSpec.exp(), plan=[INF] * 4,
+                                         m_max=4, tol=1e-8, d=0),
+        "sign_update": lambda: sign_update(A, B, np.array([[1.0]]), plan,
+                                           m_max=4, tol=1e-8, d=0),
+        "sylvester_solve_krylov": lambda: sylvester_solve_krylov(prob, plan, m_max=2,
+                                                                 tol=1e-8, d=0),
+    }
+    with pytest.raises(ValueError, match="d >= 1"):
+        calls[entry]()

@@ -202,7 +202,7 @@ class TestEstimator:
         C = rand_complex(rng, 25, 1)
         f = FunctionSpec.exp()
         state, rep = run_update(A / norm2(A), B, C, f=f, plan=[-2.0, INF, -3.0],
-                                m_max=3, tol=0.0, d=1, keep_history=True)
+                                m_max=3, tol=0.0, d=1)
         X2, X3 = state.coupling_history[1], state.coupling_history[2]
         ub, vb = state.left, state.right
         dense2 = ub.basis[:, :2] @ X2 @ vb.basis[:, :2].conj().T
@@ -302,3 +302,52 @@ class TestRateExamples:
         state, rep = run_update(A, B, f=FunctionSpec.sign(), plan=plan,
                                 m_max=5, tol=0.0, d=2, J=np.array([[1.0]]))
         assert rep.iterations == 5
+
+
+def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
+    # a transient singularity at step 3 leaves a gap in the history; every
+    # later estimate must stay on the row of the step that produced it
+    import rkupdate.updater as updater
+    from rkupdate.cli import _fmt, _rows_from_report, write_csv
+    A, _ = random_hermitian(rng, 30, 0.5, 8.0)
+    B = 0.5 * rand_complex(rng, 30, 1)
+    dense = dense_update(A, B @ B.conj().T, FunctionSpec.inv_sqrt(), hermitian=True)
+    original = updater.update_hermitian
+    raised = []
+
+    def flaky(left, *args):
+        if left.steps == 3 and not raised:
+            raised.append(left.steps)
+            raise SingularityOnSpectrum("transient Ritz value")
+        return original(left, *args)
+
+    monkeypatch.setattr(updater, "update_hermitian", flaky)
+    d, m_max = 2, 8
+    state, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(),
+                            plan=PolePlan((-2.0,), repetition="cyclic"),
+                            m_max=m_max, tol=0.0, d=d, J=np.array([[1.0]]),
+                            true_update=dense)
+    hist = state.coupling_history
+    assert raised == [3] and rep.iterations == m_max and len(hist) == m_max
+    assert hist[2] is None and state.coupling is hist[-1]
+    assert [k for k, e in enumerate(rep.true_errors) if e is None] == [2]
+    assert len(rep.estimates) == m_max - d
+    for m in range(d + 1, m_max + 1):
+        est = rep.estimates[m - 1 - d]
+        if m in (3, 5):   # the retried step, and the step whose lag partner it is
+            assert est is None
+        else:
+            assert est == padded_difference_norm(hist[m - 1], hist[m - 1 - d])
+    assert not rep.stagnation_warning
+    assert "nan" not in rep.summary()
+
+    path = tmp_path / "retry.csv"
+    write_csv(path, _rows_from_report(rep))
+    text = path.read_text()
+    assert "nan" not in text
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, m_max + 1))
+    for m, (_, e_true, est, _) in enumerate(rows, start=1):
+        assert e_true == _fmt(rep.true_errors[m - 1])
+        assert est == _fmt(rep.estimates[m - 1 - d] if m > d else None)
+    assert rows[2][1] == "" and rows[2][2] == "" and rows[4][2] == ""
