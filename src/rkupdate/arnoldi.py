@@ -21,9 +21,12 @@ The pole-zero step drops the A multiplication because (A - 0)^{-1} A is the
 identity on the previous block; both rules generate the same subspace.
 Rank loss is a hard error (no deflation).
 
-Shifted factorizations are cached per pole value; one LU of A - xi I also
-serves the adjoint systems (A - xi I)* X = Y, so an adjoint-side build with
-the conjugated poles reuses the primal side's factorizations.
+The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
+per pole value; wherever a matrix ``A`` is taken, its cache may go instead,
+and bases built on one cache share its LUs.  One LU of A - xi I serves both
+sides, so an adjoint basis takes the primal poles: its step for pole xi
+solves with (A - xi I)*.  The solvers clear the caches of their bases when a
+run ends, so factorizations live for one run.
 """
 
 import numpy as np
@@ -36,7 +39,7 @@ __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 
 
 class FactorizationCache:
-    """Shifted LU factorizations of one operator, keyed by pole value."""
+    """An operator A and its shifted LU factorizations, keyed by pole value."""
 
     def __init__(self, A):
         self.A = require_square(A)
@@ -50,6 +53,10 @@ class FactorizationCache:
             self._fac[key] = fac
         return fac
 
+    def clear(self):
+        """Drop every factorization (they are rebuilt on demand)."""
+        self._fac.clear()
+
     def __len__(self):
         return len(self._fac)
 
@@ -57,18 +64,17 @@ class FactorizationCache:
 class KrylovBasis:
     """Orthonormal block basis with its compression, grown step by step.
 
-    The basis of step m-1 occupies the leading (m-1)*ell columns of the
-    step-m basis (bases grow strictly by appending), which the difference
+    ``A`` is a matrix or its cache; an ``adjoint`` basis is one of A*.  The
+    basis of step m-1 occupies the leading (m-1)*ell columns of the step-m
+    basis (bases grow strictly by appending), which the difference
     estimator of the updater relies on.
     """
 
-    def __init__(self, A, seed, *, adjoint=False, cache=None):
-        self._A = require_square(A)
-        n = self._A.shape[0]
+    def __init__(self, A, seed, *, adjoint=False):
+        self.cache = A if isinstance(A, FactorizationCache) else FactorizationCache(A)
+        n = self.n
         self._seed = as_block(seed, n, "seed")
         self._adjoint = bool(adjoint)
-        self._A_H = self._A.conj().T if adjoint else None
-        self.cache = cache if cache is not None else FactorizationCache(self._A)
         self.block_size = self._seed.shape[1]
         self.basis = np.zeros((n, 0), dtype=complex)
         self.compression = np.zeros((0, 0), dtype=complex)
@@ -77,7 +83,7 @@ class KrylovBasis:
 
     @property
     def n(self):
-        return self._A.shape[0]
+        return self.cache.A.shape[0]
 
     @property
     def steps(self):
@@ -88,12 +94,11 @@ class KrylovBasis:
         return self.basis.shape[1]
 
     def _matvec(self, X):
-        return (self._A_H if self._adjoint else self._A) @ X
+        A = self.cache.A
+        # A* X without forming the conjugate transpose of A
+        return (A.T @ X.conj()).conj() if self._adjoint else A @ X
 
     def _solve(self, xi, Y):
-        # adjoint side works with Op = A*, pole xi: (A* - xi I) = (A - conj(xi) I)*
-        if self._adjoint:
-            xi = np.conj(xi)
         return self.cache.factorization(xi).solve(Y, adjoint=self._adjoint)
 
     def advance(self, xi):
@@ -147,27 +152,21 @@ def _expand(plan, m):
     return seq
 
 
-def build_basis(A, B, plan, m=None, cache=None):
+def build_basis(A, B, plan, m=None):
     """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U."""
-    poles = _expand(plan, m)
-    basis = KrylovBasis(A, B, adjoint=False, cache=cache)
-    for xi in poles:
+    basis = KrylovBasis(A, B)
+    for xi in _expand(plan, m):
         basis.advance(xi)
     return basis
 
 
-def adjoint_basis(A, C, plan, m=None, cache=None):
+def adjoint_basis(A, C, plan, m=None):
     """Orthonormal basis of conj(q_m)(A*)^{-1} K_m(A*, C).
 
-    Takes the *same* pole plan as the primal side; poles are conjugated
-    internally, and each shifted solve reuses the primal factorization of
-    A - xi I through its adjoint.
+    Takes and records the *same* pole plan as the primal side; each shifted
+    solve reuses the primal LU of A - xi I through its adjoint.
     """
-    poles = _expand(plan, m)
-    basis = KrylovBasis(A, C, adjoint=True, cache=cache)
-    for xi in poles:
-        if is_infinite_pole(xi):
-            basis.advance(np.inf)
-        else:
-            basis.advance(np.conj(complex(xi)))
+    basis = KrylovBasis(A, C, adjoint=True)
+    for xi in _expand(plan, m):
+        basis.advance(xi)
     return basis

@@ -224,7 +224,7 @@ def _coupling_block(A11, A12, A22, f):
     return funm_small(Z, f, hermitian=False)[:n1, n1:]
 
 
-def funm_block_triangular(A11, A12, A22, f, hermitian11=False, hermitian22=False):
+def funm_block_triangular(A11, A12, A22, f):
     """The three nonzero blocks of f([[A11, A12], [0, A22]]).
 
     The diagonal blocks are evaluated directly by :func:`funm_small`; the
@@ -236,6 +236,6 @@ def funm_block_triangular(A11, A12, A22, f, hermitian11=False, hermitian22=False
     n1, n2 = A11.shape[0], A22.shape[0]
     if A12.shape != (n1, n2):
         raise ValueError(f"A12 must be {n1}x{n2}, got {A12.shape}")
-    F11 = funm_small(A11, f, hermitian=hermitian11)
-    F22 = funm_small(A22, f, hermitian=hermitian22)
+    F11 = funm_small(A11, f)
+    F22 = funm_small(A22, f)
     return F11, _coupling_block(A11, A12, A22, f), F22

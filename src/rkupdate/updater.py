@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_block, is_infinite_pole, require_square
+from ._validation import as_block, require_square
 from .arnoldi import FactorizationCache, KrylovBasis
 from .dense import _check_spectrum, _coupling_block, funm_small, norm2
 from .dpr1 import funm_diff_rank1
@@ -62,12 +62,14 @@ def update_hermitian(left, B, J, f):
         lam, Q = np.linalg.eigh(G)
         w = Q.conj().T @ UB[:, 0]
         scale = max(np.abs(G).max(initial=0.0), float(J[0, 0].real) * norm2(UB) ** 2)
+
+        def checked_f(z):
+            # the secular solver maps the base and the updated spectra
+            _check_spectrum(z, f.kind, scale, hermitian=True)
+            return f.scalar(z)
+
         try:
-            rho = J[0, 0].real
-            lam_new = np.linalg.eigvalsh(G + rho * np.outer(UB[:, 0], UB[:, 0].conj()))
-            _check_spectrum(lam + 0j, f.kind, scale, hermitian=True)
-            _check_spectrum(lam_new + 0j, f.kind, scale, hermitian=True)
-            core = funm_diff_rank1(lam, w, rho, f.scalar)
+            core = funm_diff_rank1(lam, w, J[0, 0].real, checked_f)
             return Q @ core @ Q.conj().T
         except ValueError:
             pass
@@ -145,7 +147,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     """The step loop shared by every solver: one step per pole.
 
     Each step appends a block for pole xi to ``left`` and, unless ``right``
-    is ``left``, a block for conj(xi) to ``right``; then ``evaluate()``
+    is ``left``, to ``right``; then ``evaluate()``
     returns the step's small solution, ``error(new)`` (optional) its true
     error or residual, and ``estimate(new, old)`` the difference between it
     and the solution of d steps earlier.  The run stops once an estimate is
@@ -153,7 +155,9 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
-    consecutive failures, or a failure at the last pole, re-raise.
+    consecutive failures, or a failure at the last pole, re-raise.  The
+    factorization caches of both bases are cleared when the run returns or
+    raises.
 
     Returns (history of solutions with None at gaps, UpdateReport).
     """
@@ -164,28 +168,32 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     errors = [] if error is not None else None
     converged = False
     failures = 0
-    for m, xi in enumerate(poles, start=1):
-        left.advance(xi)
-        if right is not left:
-            right.advance(xi if is_infinite_pole(xi) else np.conj(xi))
-        try:
-            new = evaluate()
-            failures = 0
-        except SingularityOnSpectrum:
-            failures += 1
-            if failures >= 2 or m == len(poles):
-                raise
-            new = None
-        history.append(new)
-        if errors is not None:
-            errors.append(None if new is None else error(new))
-        if m > d:
-            old = history[m - 1 - d]
-            est = None if new is None or old is None else estimate(new, old)
-            estimates.append(est)
-            if est is not None and est <= tol:
-                converged = True
-                break
+    try:
+        for m, xi in enumerate(poles, start=1):
+            left.advance(xi)
+            if right is not left:
+                right.advance(xi)
+            try:
+                new = evaluate()
+                failures = 0
+            except SingularityOnSpectrum:
+                failures += 1
+                if failures >= 2 or m == len(poles):
+                    raise
+                new = None
+            history.append(new)
+            if errors is not None:
+                errors.append(None if new is None else error(new))
+            if m > d:
+                old = history[m - 1 - d]
+                est = None if new is None or old is None else estimate(new, old)
+                estimates.append(est)
+                if est is not None and est <= tol:
+                    converged = True
+                    break
+    finally:
+        left.cache.clear()
+        right.cache.clear()
 
     known = [e for e in estimates if e is not None]
     stagnation = (not converged and len(known) >= 3
@@ -254,8 +262,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         raise ValueError("Hermitian mode requires a conjugate-closed pole plan")
 
     cache = FactorizationCache(A)
-    left = KrylovBasis(A, B, adjoint=False, cache=cache)
-    right = left if hermitian_mode else KrylovBasis(A, C, adjoint=True, cache=cache)
+    left = KrylovBasis(cache, B)
+    right = left if hermitian_mode else KrylovBasis(cache, C, adjoint=True)
 
     def evaluate():
         if hermitian_mode:

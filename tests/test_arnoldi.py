@@ -150,14 +150,15 @@ class TestAdjoint:
         vb = adjoint_basis(A, C, [xi])
         target = np.linalg.solve((A - xi * np.eye(18)).conj().T, C)
         assert max_principal_angle(vb.basis, target) <= 1e-12
+        assert vb.poles_used == (xi,)  # the primal pole, not its conjugate
 
     def test_cache_shared_between_sides(self, rng):
         A = rand_complex(rng, 20, 20)
         B = rand_complex(rng, 20, 1)
         C = rand_complex(rng, 20, 1)
         cache = FactorizationCache(A)
-        build_basis(A, B, [-1.0, -2.0, -1.0], cache=cache)
-        adjoint_basis(A, C, [-1.0, -2.0, -1.0], cache=cache)
+        build_basis(cache, B, [-1.0, -2.0, -1.0])
+        adjoint_basis(cache, C, [-1.0, -2.0, -1.0])
         assert len(cache) == 2  # one LU per distinct pole serves both sides
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rkupdate.dense import funm_small, norm2
+from rkupdate.dense import funm_block_triangular, funm_small, norm2
 from rkupdate.errors import CompressedNotSolvable, SpectraIntersect
 from rkupdate.functions import FunctionSpec
 from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles, zolotarev_sign_poles
@@ -75,11 +75,21 @@ class TestSignUpdate:
         assert rep.true_errors[-1] <= 1e-7
 
     def test_debug_block_path_agrees(self, rng):
+        # the half-size difference equals the coupling block of the
+        # block-triangular evaluation on the returned basis, at every step
         A, B, _ = indefinite_instance(rng, 24)
         J = np.array([[0.8]])
         plan = PolePlan(zolotarev_invsqrt_poles((5e-3, 1.5), 3).poles, repetition="cyclic")
-        # raises AssertionError if the half-size and 4m-block paths disagree
-        sign_update(A, B, J, plan, m_max=4, tol=0.0, d=1, check_block=True)
+        W = np.hstack([B, A @ B])
+        M_core = np.block([[J @ B.conj().T @ B @ J, J], [J, np.zeros_like(J)]])
+        for m_max in range(1, 5):
+            res, _ = sign_update(A, B, J, plan, m_max=m_max, tol=0.0, d=1)
+            U = res.basis.basis
+            G = 0.5 * (res.basis.compression + res.basis.compression.conj().T)
+            E = U.conj().T @ W @ M_core @ W.conj().T @ U
+            E = 0.5 * (E + E.conj().T)
+            _, X_blk, _ = funm_block_triangular(G, E, G + E, FunctionSpec.inv_sqrt())
+            assert norm2(res.coupling - X_blk) <= 1e-10 * norm2(res.coupling)
 
     def test_sign_idempotence_at_convergence(self, rng):
         A, B, _ = indefinite_instance(rng, 30)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from rkupdate.arnoldi import adjoint_basis, build_basis
+from rkupdate.arnoldi import KrylovBasis, adjoint_basis, build_basis
 from rkupdate.dense import norm2
 from rkupdate.errors import SingularityOnSpectrum
 from rkupdate.functions import FunctionSpec, PartialFractions, rational_from_partial_fractions
 from rkupdate.oracles import dense_update, sherman_morrison
-from rkupdate.poles import INF, PolePlan
+from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles
+from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
 from rkupdate.updater import (
+    _rational_krylov,
     estimate_error,
     padded_difference_norm,
     project_update,
@@ -351,3 +353,35 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
         assert e_true == _fmt(rep.true_errors[m - 1])
         assert est == _fmt(rep.estimates[m - 1 - d] if m > d else None)
     assert rows[2][1] == "" and rows[2][2] == "" and rows[4][2] == ""
+
+
+def test_runs_free_their_factorizations(rng):
+    # every basis a solver returns has an empty factorization cache, also
+    # when the run stops early on convergence or raises
+    n = 30
+    A, _ = random_hermitian(rng, n, 0.5, 4.0)
+    B = 0.05 * rand_complex(rng, n, 1)
+    C = 0.05 * rand_complex(rng, n, 1)
+    f = FunctionSpec.inv_sqrt()
+    plan = PolePlan((-1.0, -3.0), repetition="cyclic")
+    state, _ = run_update(A, B, C, f=f, plan=plan, m_max=6, tol=1e-6)
+    herm, _ = run_update(A, B, f=f, plan=plan, m_max=6, tol=1e-6, J=np.array([[1.0]]))
+    S = np.diag(np.r_[-np.linspace(1.0, 0.1, n // 2), np.linspace(0.1, 1.0, n // 2)])
+    sign, _ = sign_update(S, B, np.array([[1.0]]),
+                          PolePlan(zolotarev_invsqrt_poles((5e-3, 1.2), 3).poles,
+                                   repetition="cyclic"), m_max=6, tol=1e-8)
+    prob = SylvesterProblem.create(A, -A, B, C)
+    sylv, _ = sylvester_solve_krylov(prob, plan, m_max=6, tol=1e-8)
+    bases = [state.left, state.right, herm.left, sign.basis,
+             sylv.basis_left, sylv.basis_right]
+    assert all(basis.steps > 1 for basis in bases)
+    assert [len(basis.cache) for basis in bases] == [0] * len(bases)
+
+    def singular():
+        raise SingularityOnSpectrum("forced")
+
+    left = KrylovBasis(A, B)
+    with pytest.raises(SingularityOnSpectrum):
+        _rational_krylov(left, left, plan.expand(4), singular, padded_difference_norm,
+                         tol=0.0, d=1)
+    assert left.steps == 2 and len(left.cache) == 0
