@@ -7,6 +7,12 @@ rebuilding the weight vector a la Gu-Eisenstat gives eigenvalues with high
 relative accuracy and numerically orthogonal eigenvectors, far beyond what
 a general dense eigensolver delivers on badly graded spectra.
 
+The secular roots come from one bisection over all gaps at once, bit for
+bit the same as a scalar bisection per gap: each row keeps its own bracket
+and stops where the scalar loop would, and its secular sum is the same
+pairwise row sum.  The weight rebuild accumulates its logarithms in the
+scalar loop's order, so it is bitwise the same as well.
+
 The experiment instances (log-spaced diagonal plus positive rank-one) are
 exactly of this form; this module provides their reference decompositions.
 """
@@ -16,26 +22,6 @@ import numpy as np
 __all__ = ["eigh_dpr1", "funm_dpr1"]
 
 _BISECT_STEPS = 120
-
-
-def _secular_root_in_gap(delta, w2, rho, lo, hi):
-    """Root of 1 + rho * sum w2_k/(delta_k - mu) in (lo, hi), bisection.
-
-    delta are the gap-shifted diagonal entries; the function is increasing
-    between its poles, -inf at lo+, +inf at hi- (or +1 at infinity for the
-    last gap).
-    """
-    a, b = lo, hi
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        val = 1.0 + rho * np.sum(w2 / (delta - mid))
-        if val < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def eigh_dpr1(d, z, rho=1.0):
@@ -61,39 +47,50 @@ def eigh_dpr1(d, z, rho=1.0):
     rho_eff = rho * znorm**2
     w2 = w * w
 
-    # mu[i] = lam[i] - d[i] in the gap (d[i], d[i+1]); last gap (d[n-1], +rho_eff)
-    mu = np.empty(n)
-    for i in range(n):
-        delta = d - d[i]
-        hi = (d[i + 1] - d[i]) if i + 1 < n else rho_eff
-        mu[i] = _secular_root_in_gap(delta, w2, rho_eff, 0.0, hi)
-        if mu[i] == 0.0 or mu[i] == hi:
-            raise ValueError("secular root pinned at a gap endpoint; unresolvable")
+    # mu[i] = lam[i] - d[i] in the gap (d[i], d[i+1]); last gap (d[n-1], +rho_eff).
+    # Row i of delta holds the gap-shifted diagonal d - d[i]; the secular
+    # function of row i is increasing between its poles, -inf at 0+ and
+    # +inf at hi[i]- (+1 at infinity for the last gap).  Every gap bisects
+    # at once; a row freezes once its midpoint no longer splits its bracket.
+    delta = d[None, :] - d[:, None]
+    hi = np.append(np.diff(d), rho_eff)
+    a, b = np.zeros(n), hi.copy()
+    active = np.arange(n)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a[active] + b[active])
+        moving = (mid != a[active]) & (mid != b[active])
+        active, mid = active[moving], mid[moving]
+        if active.size == 0:
+            break
+        val = 1.0 + rho_eff * np.sum(w2 / (delta[active] - mid[:, None]), axis=1)
+        below = val < 0.0
+        a[active[below]] = mid[below]
+        b[active[~below]] = mid[~below]
+    mu = 0.5 * (a + b)
+    if np.any(mu == 0.0) or np.any(mu == hi):
+        raise ValueError("secular root pinned at a gap endpoint; unresolvable")
     lam = d + mu
 
     # Gu-Eisenstat: rebuild weights consistent with the computed roots,
     #   what_k^2 = prod_j (lam_j - d_k) / (rho * prod_{j != k} (d_j - d_k)),
     # then the classical eigenvector formula v_i ~ what_k/(d_k - lam_i)
     # gives numerically orthogonal vectors.
+    idx = np.arange(n)
     lam_minus_d = lam[:, None] - d[None, :]        # [i, k] = lam_i - d_k
-    for i in range(n):
-        lam_minus_d[i, i] = mu[i]
-        if i + 1 < n:
-            lam_minus_d[i, i + 1] = mu[i] - (d[i + 1] - d[i])
+    lam_minus_d[idx, idx] = mu
+    lam_minus_d[idx[:-1], idx[1:]] = mu[:-1] - hi[:-1]
     if np.any(lam_minus_d == 0.0):
         raise ValueError("an updated eigenvalue coincides with a diagonal entry")
-    what2 = np.empty(n)
-    for k in range(n):
-        num = lam_minus_d[:, k]
-        logsum = np.log(np.abs(num[k]))
-        sign = np.sign(num[k])
-        for j in range(n):
-            if j == k:
-                continue
-            t = num[j] / (d[j] - d[k])
-            sign *= np.sign(t)
-            logsum += np.log(np.abs(t))
-        what2[k] = sign * np.exp(logsum) / rho_eff
+    d_gaps = d[:, None] - d[None, :]               # [j, k] = d_j - d_k
+    d_gaps[idx, idx] = 1.0
+    t = lam_minus_d / d_gaps
+    t[idx, idx] = 1.0                              # j = k: adds log 1 = 0, times sign 1
+    # log|what_k^2| accumulates the j = k term first, then j = 0..n-1 in
+    # order; the sign is a product of +-1 and exact in any order.
+    logsum = np.add.accumulate(
+        np.vstack((np.log(np.abs(mu)), np.log(np.abs(t)))), axis=0)[-1]
+    sign = np.sign(mu) * np.prod(np.sign(t), axis=0)
+    what2 = sign * np.exp(logsum) / rho_eff
     if not np.all(np.isfinite(what2)):
         raise ValueError("weight reconstruction overflowed; secular path unusable")
     what = np.sign(w) * np.sqrt(np.maximum(what2, 0.0))

@@ -80,11 +80,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     if J.shape != (ell, ell):
         raise ValueError(f"J must be {ell}x{ell}")
     ApD = A + B @ J @ B.conj().T
+    w_ApD = np.linalg.eigvalsh(ApD)
     if n <= ORACLE_MAX_N:
-        for M, name in ((A, "A"), (ApD, "A + D")):
-            w = np.linalg.eigvalsh(M)
+        for w, name in ((np.linalg.eigvalsh(A), "A"), (w_ApD, "A + D")):
             if np.abs(w).min() < TOL_AXIS * max(np.abs(w).max(), 1e-300):
                 raise ValueError(f"{name} is numerically singular; sign undefined")
+    norm_ApD = float(np.abs(w_ApD).max())      # A + D is Hermitian
 
     if not isinstance(plan, PolePlan):
         plan = PolePlan(tuple(plan))
@@ -95,7 +96,6 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     W = np.hstack([B, A @ B])
     BtB = B.conj().T @ B
     M_core = np.block([[J @ BtB @ J, J], [J, np.zeros_like(J)]])
-    norm_ApD = norm2(ApD)
     norm_BJ = norm2(B @ J)
     f = FunctionSpec.inv_sqrt()
     basis = KrylovBasis(A2, W)

@@ -1,8 +1,87 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rkupdate.dense import norm2
-from rkupdate.dpr1 import eigh_dpr1, funm_diff_rank1, funm_dpr1
+from rkupdate.dpr1 import _BISECT_STEPS, eigh_dpr1, funm_diff_rank1, funm_dpr1
+
+
+def scalar_eigh_dpr1(d, z, rho):
+    """Reference: one scalar bisection per gap and a scalar weight rebuild.
+
+    This is the per-gap formulation :func:`eigh_dpr1` vectorizes; the two
+    must agree bit for bit.  Guards are left to the caller.
+    """
+    d = np.asarray(d, dtype=float)
+    z = np.asarray(z, dtype=float)
+    n = d.size
+    znorm = np.linalg.norm(z)
+    w = z / znorm
+    rho_eff = rho * znorm**2
+    w2 = w * w
+    mu = np.empty(n)
+    for i in range(n):
+        delta = d - d[i]
+        a, b = 0.0, (d[i + 1] - d[i]) if i + 1 < n else rho_eff
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            if 1.0 + rho_eff * np.sum(w2 / (delta - mid)) < 0.0:
+                a = mid
+            else:
+                b = mid
+        mu[i] = 0.5 * (a + b)
+    lam = d + mu
+    lam_minus_d = lam[:, None] - d[None, :]
+    for i in range(n):
+        lam_minus_d[i, i] = mu[i]
+        if i + 1 < n:
+            lam_minus_d[i, i + 1] = mu[i] - (d[i + 1] - d[i])
+    what2 = np.empty(n)
+    for k in range(n):
+        num = lam_minus_d[:, k]
+        logsum = np.log(np.abs(num[k]))
+        sign = np.sign(num[k])
+        for j in range(n):
+            if j == k:
+                continue
+            t = num[j] / (d[j] - d[k])
+            sign *= np.sign(t)
+            logsum += np.log(np.abs(t))
+        what2[k] = sign * np.exp(logsum) / rho_eff
+    what = np.sign(w) * np.sqrt(np.maximum(what2, 0.0))
+    V = -(what[None, :] / lam_minus_d).T
+    V /= np.linalg.norm(V, axis=0, keepdims=True)
+    return lam, V
+
+
+def _bitwise_cases():
+    """(id, d, z, rho): tiny orders, the figures' grading, random spectra."""
+    gen = np.random.default_rng(7)
+    cases = [("n1", np.array([0.3]), np.array([1.2]), 1.0),
+             ("n2", np.array([0.3, 2.0]), np.array([0.7, -1.1]), 0.5)]
+    for n in (3, 10, 25, 40, 60, 80):
+        cases.append((f"logspace-n{n}", np.logspace(-3, 3, n), gen.standard_normal(n), 1.0))
+    z = gen.standard_normal(40)
+    cases.append(("graded-rho1e-12", np.logspace(-8, 0, 40), z / np.linalg.norm(z), 1e-12))
+    for n in (5, 17, 33, 64, 89):
+        cases.append((f"random-n{n}", np.sort(gen.random(n) * 5 + 0.1),
+                      gen.standard_normal(n), 1.7))
+    for n in (12, 50):
+        cases.append((f"cubic-n{n}", np.sort(gen.random(n)) ** 3 + 1e-3,
+                      gen.standard_normal(n), 1e3))
+    return cases
+
+
+@pytest.mark.parametrize("case", _bitwise_cases(), ids=lambda case: case[0])
+def test_bitwise_equal_to_scalar_bisection(case):
+    _, d, z, rho = case
+    lam, V = eigh_dpr1(d, z, rho)
+    lam_ref, V_ref = scalar_eigh_dpr1(d, z, rho)
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(V, V_ref)
 
 
 def test_matches_general_eigensolver(rng):
@@ -73,3 +152,16 @@ def test_guards():
         eigh_dpr1([1.0, 2.0], [1.0, 1.0], rho=-1.0)      # negative rho
     with pytest.raises(ValueError):
         funm_diff_rank1([1.0, 1.0], [1.0, 1.0], 1.0, np.exp)
+    # w_0^2 underflows, so the first root sits on its gap's left end
+    with pytest.raises(ValueError, match="pinned at a gap endpoint"):
+        eigh_dpr1([1.0, 2.0], [1e-200, 1.0])
+
+
+def test_no_runtime_warnings():
+    # the rebuild divides by d_j - d_k, which is zero on the diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _, d, z, rho in _bitwise_cases():
+            eigh_dpr1(d, z, rho)
+        with pytest.raises(ValueError):
+            eigh_dpr1([1.0, 2.0], [1e-200, 1.0])
