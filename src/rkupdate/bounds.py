@@ -4,6 +4,11 @@ Blaschke-product convergence factors eta_m, Markov-function bounds for the
 Hermitian and non-Hermitian update, the polynomial-Krylov bound, the global
 perturbation bound, and the z*f(z) modification trick.  Everything here is
 scalar work on spectral windows; nothing touches large matrices.
+
+A bound at steps 1..m needs eta for every prefix of the pole sequence; one
+pass (:func:`_eta_prefixes`) maps each distinct pole once, samples the grid
+once and refines all prefixes together, with the same bits as searching each
+prefix on its own.
 """
 
 import math
@@ -143,14 +148,126 @@ def _expand_poles(plan, m):
     return seq
 
 
-def _log_inv_blaschke(x, finite_phis, mults, n_inf):
-    """log 1/|B(x)| for samples x (vector), grouped mapped poles."""
-    out = np.zeros_like(x, dtype=float)
-    for ph, mult in zip(finite_phis, mults):
-        out += mult * (np.log(np.abs(x - ph)) - np.log(np.abs(1.0 - x * np.conj(ph))))
-    if n_inf:
-        out -= n_inf * np.log(np.abs(x))
+def _grouped_log_inv_blaschke(terms, mult, n_inf, log_abs_x):
+    """log 1/|B(x)| from per-group terms: the multiples ``mult[g] * terms[g]``
+    added to zeros in group order, then ``n_inf * log|x|`` subtracted.
+
+    ``mult[g]`` and ``n_inf`` hold one count per column of ``terms[g]`` (or
+    one count for all).  A zero count is never multiplied, since a term may
+    be -inf and 0 * inf is NaN; it adds +0.0 instead, which changes no bit of
+    a sum that starts at +0.0.
+    """
+    out = np.zeros(terms.shape[1:])
+    for t, k in zip(terms, mult):
+        out += np.multiply(k, t, out=np.zeros_like(out), where=k > 0)
+    if log_abs_x is not None:
+        out -= np.multiply(n_inf, log_abs_x, out=np.zeros_like(out), where=n_inf > 0)
     return out
+
+
+def _eta_prefixes(poles, imap, support):
+    """eta of every prefix ``poles[:k]``, k = 1..m, in one pass.
+
+    The maximum of log 1/|B_k| is located on a Chebyshev-distributed sample
+    grid (override the density with the KU_NUM_SAMPLES_ETA environment
+    variable) and sharpened by golden-section refinement around the best
+    sample.  The distinct poles are mapped once and their log terms on the
+    grid computed once; each prefix's grid values are rebuilt from those
+    terms one row at a time, and the refinement runs for all prefixes at
+    once, each row stopping where its own search converges.  Every entry is
+    bit for bit the value the same search gives for that prefix alone.
+    """
+    alpha, beta = float(support[0]), float(support[1])
+    if not alpha < beta:
+        raise ValueError("support needs alpha < beta")
+    if not beta < imap.a:
+        raise SupportOverlapsSpectrum("support must lie strictly left of the window")
+
+    # group the finite poles in first-occurrence order; -1 marks infinity
+    group_of, index, phis = [], {}, []
+    for p in poles:
+        if is_infinite_pole(p):
+            group_of.append(-1)
+            continue
+        key = complex(p)
+        if key not in index:
+            ph = imap.phi(key)
+            if abs(ph) <= 1.0 + 1e-13:
+                raise PoleInsideDomain(f"pole {key} lies inside the spectral window")
+            index[key] = len(phis)
+            phis.append(ph)
+        group_of.append(index[key])
+    group_of = np.array(group_of, dtype=int)
+    # mult[g, k] and n_inf[k]: multiplicity of group g and count of infinite
+    # poles in poles[:k + 1]
+    mult = np.cumsum(group_of == np.arange(len(phis)).reshape(-1, 1), axis=1)
+    n_inf = np.cumsum(group_of == -1)
+
+    phi_beta = imap.phi(beta).real
+    nsamp = _num_eta_samples()
+    cheb = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nsamp)))  # [0, 1], clustered
+    if math.isinf(alpha):
+        # substitute x = phi(beta)/t, t in (0, 1]
+        grid = np.unique(np.clip(cheb, 1.0 / nsamp**2, 1.0))
+        def to_x(t):
+            return phi_beta / t
+    else:
+        phi_alpha = imap.phi(alpha).real
+        grid = np.unique(phi_alpha + (phi_beta - phi_alpha) * cheb)
+        def to_x(t):
+            return t
+    any_inf = bool(n_inf[-1])
+
+    def terms(x):
+        # one group at a time: temporaries stay the size of x
+        T = np.empty((len(phis), len(x)))
+        for g, ph in enumerate(phis):
+            T[g] = np.log(np.abs(x - ph)) - np.log(np.abs(1.0 - x * np.conj(ph)))
+        return T, (np.log(np.abs(x)) if any_inf else None)
+
+    def value(t, rows):
+        T, log_abs_x = terms(to_x(t))
+        return _grouped_log_inv_blaschke(T, mult[:, rows], n_inf[rows], log_abs_x)
+
+    m = len(group_of)
+    T_grid, log_abs_grid = terms(to_x(grid))
+    best = np.empty(m)
+    a = np.empty(m)
+    b = np.empty(m)
+    for k in range(m):
+        vals = _grouped_log_inv_blaschke(T_grid, mult[:, k:k + 1], n_inf[k:k + 1],
+                                         log_abs_grid)
+        i = int(np.argmax(vals))
+        best[k] = vals[i]
+        a[k] = grid[max(i - 1, 0)]
+        b[k] = grid[min(i + 1, len(grid) - 1)]
+
+    # golden-section refinement of each row's bracket around its best sample
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    rows = np.arange(m)
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc = value(c, rows)
+    fd = value(d, rows)
+    for _ in range(80):
+        if len(rows) == 0:
+            break
+        left = fc[rows] > fd[rows]
+        lr, rr = rows[left], rows[~left]
+        b[lr], d[lr], fd[lr] = d[lr], c[lr], fc[lr]
+        c[lr] = b[lr] - gr * (b[lr] - a[lr])
+        a[rr], c[rr], fc[rr] = c[rr], d[rr], fd[rr]
+        d[rr] = a[rr] + gr * (b[rr] - a[rr])
+        new = np.where(left, c[rows], d[rows])
+        f_new = value(new, rows)
+        fc[lr] = f_new[left]
+        fd[rr] = f_new[~left]
+        rows = rows[np.abs(b[rows] - a[rows]) > 1e-14 * np.maximum(1.0, np.abs(a[rows]))]
+    # max(grid value, fc, fd) with the builtin's order: a later value wins
+    # only when it is greater
+    best = np.where(fc > best, fc, best)
+    best = np.where(fd > best, fd, best)
+    return np.exp(best)
 
 
 def eta_blaschke(plan, imap, support, m=None):
@@ -159,72 +276,13 @@ def eta_blaschke(plan, imap, support, m=None):
     ``plan`` may be a PolePlan or an explicit pole sequence; ``imap`` the
     window's conformal map; ``support`` the (alpha, beta) interval of the
     Markov function.  Infinite poles contribute a factor 1/|x| each.  The
-    maximum is located on a Chebyshev-distributed sample grid (override the
-    density with the KU_NUM_SAMPLES_ETA environment variable) and sharpened
-    by golden-section refinement around the best sample.
+    maximum is searched as in :func:`_eta_prefixes`, which evaluates every
+    prefix of the sequence in one pass; this is its last entry.
     """
     poles = _expand_poles(plan, m)
     if len(poles) == 0:
         return 1.0
-    alpha, beta = float(support[0]), float(support[1])
-    if not alpha < beta:
-        raise ValueError("support needs alpha < beta")
-    if not beta < imap.a:
-        raise SupportOverlapsSpectrum("support must lie strictly left of the window")
-
-    groups = {}
-    for p in poles:
-        key = "inf" if is_infinite_pole(p) else complex(p)
-        groups[key] = groups.get(key, 0) + 1
-    n_inf = groups.pop("inf", 0)
-    finite_phis, mults = [], []
-    for p, mult in groups.items():
-        ph = imap.phi(p)
-        if abs(ph) <= 1.0 + 1e-13:
-            raise PoleInsideDomain(f"pole {p} lies inside the spectral window")
-        finite_phis.append(ph)
-        mults.append(mult)
-
-    phi_beta = imap.phi(beta).real
-    nsamp = _num_eta_samples()
-    cheb = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nsamp)))  # [0, 1], clustered
-    if math.isinf(alpha):
-        # substitute x = phi(beta)/t, t in (0, 1]
-        t = np.clip(cheb, 1.0 / nsamp**2, 1.0)
-        grid = np.unique(t)
-        def value(tt):
-            x = phi_beta / tt
-            return _log_inv_blaschke(np.asarray(x, dtype=float), finite_phis, mults, n_inf)
-    else:
-        phi_alpha = imap.phi(alpha).real
-        grid = np.unique(phi_alpha + (phi_beta - phi_alpha) * cheb)
-        def value(tt):
-            return _log_inv_blaschke(np.asarray(tt, dtype=float), finite_phis, mults, n_inf)
-
-    vals = value(grid)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    # golden-section refinement of the bracket around the best sample
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = float(lo), float(hi)
-    c_ = b_ - gr * (b_ - a_)
-    d_ = a_ + gr * (b_ - a_)
-    fc = float(value(np.array([c_]))[0])
-    fd = float(value(np.array([d_]))[0])
-    for _ in range(80):
-        if fc > fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - gr * (b_ - a_)
-            fc = float(value(np.array([c_]))[0])
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + gr * (b_ - a_)
-            fd = float(value(np.array([d_]))[0])
-        if abs(b_ - a_) <= 1e-14 * max(1.0, abs(a_)):
-            break
-    best = max(float(vals[k]), fc, fd)
-    return float(np.exp(best))
+    return float(_eta_prefixes(poles, imap, support)[-1])
 
 
 def _markov_sup(f, window):
@@ -254,7 +312,7 @@ def markov_bound_hermitian(window, plan, f, m):
     sup_f = _markov_sup(f, window)
     phi_beta = abs(imap.phi(support[1]))
     lead = 4.0 * 2.0 * sup_f / phi_beta
-    etas = np.array([eta_blaschke(poles[:k], imap, support) for k in range(1, m + 1)])
+    etas = _eta_prefixes(poles, imap, support)
     values = lead * etas
     rate = float(etas[-1] ** (1.0 / m))
     # reference point: free-pole rational approximation of exp on the
@@ -271,7 +329,7 @@ def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
     poles = _expand_poles(plan, m)
     imap = window.interval_map()
     fprime = float(abs(f.derivative(np.array([window.omega + 0j]))[0]))
-    etas = np.array([eta_blaschke(poles[:k], imap, support) for k in range(1, m + 1)])
+    etas = _eta_prefixes(poles, imap, support)
     if etas[-1] >= 1.0:
         raise EtaNotContracting(f"eta = {etas[-1]:.3e} >= 1; bound is void")
     with np.errstate(divide="ignore"):
@@ -354,7 +412,7 @@ def sign_update_bound(window_squared, plan, m, norm_A_plus_D, norm_BJ, norm_B, i
     imap = window_squared.interval_map()
     lead = (4.0 * norm_A_plus_D + 2.0 * norm_BJ * norm_B)
     markov_lead = 2.0 * _markov_sup(inv_sqrt, window_squared) / abs(imap.phi(support[1]))
-    etas = np.array([eta_blaschke(poles[:k], imap, support) for k in range(1, m + 1)])
+    etas = _eta_prefixes(poles, imap, support)
     values = lead * markov_lead * etas
     return BoundReport(values=values, rate=float(etas[-1] ** (1.0 / m)),
                        constants={"structure": lead, "markov": markov_lead})

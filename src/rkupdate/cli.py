@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import SpectralWindow, markov_bound_hermitian, sign_update_bound
-from .dense import norm2
+from .dense import norm2, norm2_hermitian
 from .dpr1 import funm_dpr1
 from .errors import RKUpdateError
 from .functions import FunctionSpec
@@ -155,7 +155,7 @@ def _invsqrt_run(name, lam, b, A, window, plan, m_max, tol, d, **extras):
     bounds = markov_bound_hermitian(window, plan, f, report.iterations).values
     rows = _rows_from_report(report, bounds=bounds)
     return ExperimentResult(name, rows, report,
-                            dict(window=window, norm_update=norm2(dense), **extras))
+                            dict(window=window, norm_update=norm2_hermitian(dense), **extras))
 
 
 def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
@@ -164,7 +164,7 @@ def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
     pole, rate = markov_single_pole(window, (-np.inf, 0.0))
     plan = PolePlan((pole,), repetition="cyclic")
     return _invsqrt_run("fig1-invsqrt-single-pole", lam, b, A, window, plan, m_max, tol, d,
-                        pole=pole, rate=rate, norm_fA=norm2(np.diag(lam ** -0.5)))
+                        pole=pole, rate=rate, norm_fA=float(np.max(lam ** -0.5)))
 
 
 def experiment_fig2(n=200, seed=6, m_max=60, tol=1e-12, d=2, num_poles=10):
@@ -207,7 +207,7 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2, degrees=(10, 2)):
                                  true_update=dense)
         D = (b @ J @ b.conj().T)
         bnd = sign_update_bound(window2, plan4, rep4.iterations,
-                                norm2(A + D), norm2(b @ J), norm2(b),
+                                norm2_hermitian(A + D), norm2(b @ J), norm2(b),
                                 FunctionSpec.inv_sqrt()).values
         results.append(ExperimentResult(
             f"fig3-sign-alg4-deg{degree}",

@@ -26,6 +26,7 @@ __all__ = [
     "qr_orthonormalize", "shifted_factorize", "ShiftedFactorization",
     "spectral_decompose", "SpectralDecomposition",
     "funm_small", "funm_block_triangular", "eval_rational_pf", "norm2",
+    "norm2_hermitian",
 ]
 
 TOL_PIVOT = 1e-14
@@ -41,6 +42,15 @@ def norm2(M):
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def norm2_hermitian(M):
+    """Spectral norm of a Hermitian matrix, max |eigenvalue|, without an SVD;
+    only the lower triangle is read.  Zero for empty matrices."""
+    M = np.asarray(M)
+    if M.size == 0:
+        return 0.0
+    return float(np.abs(np.linalg.eigvalsh(M)).max())
 
 
 def qr_orthonormalize(W, reference_norms=None, step=None):

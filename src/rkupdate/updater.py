@@ -21,7 +21,7 @@ import numpy as np
 
 from ._validation import as_block, require_square
 from .arnoldi import FactorizationCache, KrylovBasis
-from .dense import _check_spectrum, _coupling_block, funm_small, norm2
+from .dense import _check_spectrum, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import SingularityOnSpectrum
 from .poles import PolePlan
@@ -222,7 +222,9 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     Hermitian mode is selected by passing J (then D = B J B*, A must be
     Hermitian, and the pole plan must be closed under conjugation); the
     general mode takes C with D = B C*.  ``true_update`` (a dense reference
-    for f(A+D)-f(A)) enables per-step true-error tracking for experiments.
+    for f(A+D)-f(A)) enables per-step true-error tracking for experiments;
+    in the Hermitian mode the error is Hermitian and its norm is taken from
+    its eigenvalues (the lower triangle), not from an SVD.
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d; it requires nested bases, which the growth by
@@ -271,7 +273,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         return project_update(left, right, B, C, f)
 
     def true_error(X):
-        return norm2(true_update - left.basis @ X @ right.basis.conj().T)
+        E = true_update - left.basis @ X @ right.basis.conj().T
+        return norm2_hermitian(E) if hermitian_mode else norm2(E)
 
     history, report = _rational_krylov(
         left, right, poles, evaluate, padded_difference_norm, tol=tol, d=d,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import rkupdate.bounds as bounds
+from rkupdate._validation import is_infinite_pole
 from rkupdate.bounds import (
     SpectralWindow,
     eta_blaschke,
@@ -21,7 +23,13 @@ from rkupdate.errors import (
 )
 from rkupdate.functions import FunctionSpec
 from rkupdate.oracles import dense_update
-from rkupdate.poles import INF, PolePlan, markov_single_pole, quasi_optimal_poles
+from rkupdate.poles import (
+    INF,
+    PolePlan,
+    markov_single_pole,
+    quasi_optimal_poles,
+    zolotarev_invsqrt_poles,
+)
 from rkupdate.updater import run_update
 
 from conftest import rand_complex, random_hermitian
@@ -290,3 +298,171 @@ class TestEllipseWindow:
         rep_b = markov_bound_nonhermitian(w, plan, f, 8, norm2(B), norm2(C))
         for err, bnd in zip(rep.true_errors, rep_b.values):
             assert err <= bnd
+
+
+# ----------------------------------------------------------------------
+# the one-pass prefix evaluator, pinned bit for bit to the per-prefix search
+
+def scalar_eta(poles, imap, support):
+    """Test-only copy of the per-prefix eta search: sampled maximum of
+    log 1/|B| over the mapped support, then an 80-step golden section."""
+    if len(poles) == 0:
+        return 1.0
+    alpha, beta = float(support[0]), float(support[1])
+    groups = {}
+    for p in poles:
+        key = "inf" if is_infinite_pole(p) else complex(p)
+        groups[key] = groups.get(key, 0) + 1
+    n_inf = groups.pop("inf", 0)
+    finite_phis, mults = [], []
+    for p, mult in groups.items():
+        ph = imap.phi(p)
+        if abs(ph) <= 1.0 + 1e-13:
+            raise PoleInsideDomain(f"pole {p} lies inside the spectral window")
+        finite_phis.append(ph)
+        mults.append(mult)
+
+    def log_inv_blaschke(x):
+        out = np.zeros_like(x, dtype=float)
+        for ph, mult in zip(finite_phis, mults):
+            out += mult * (np.log(np.abs(x - ph)) - np.log(np.abs(1.0 - x * np.conj(ph))))
+        if n_inf:
+            out -= n_inf * np.log(np.abs(x))
+        return out
+
+    phi_beta = imap.phi(beta).real
+    nsamp = bounds._num_eta_samples()
+    cheb = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nsamp)))
+    if math.isinf(alpha):
+        grid = np.unique(np.clip(cheb, 1.0 / nsamp**2, 1.0))
+
+        def value(tt):
+            return log_inv_blaschke(np.asarray(phi_beta / tt, dtype=float))
+    else:
+        phi_alpha = imap.phi(alpha).real
+        grid = np.unique(phi_alpha + (phi_beta - phi_alpha) * cheb)
+
+        def value(tt):
+            return log_inv_blaschke(np.asarray(tt, dtype=float))
+
+    vals = value(grid)
+    k = int(np.argmax(vals))
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a_, b_ = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, len(grid) - 1)])
+    c_ = b_ - gr * (b_ - a_)
+    d_ = a_ + gr * (b_ - a_)
+    fc = float(value(np.array([c_]))[0])
+    fd = float(value(np.array([d_]))[0])
+    for _ in range(80):
+        if fc > fd:
+            b_, d_, fd = d_, c_, fc
+            c_ = b_ - gr * (b_ - a_)
+            fc = float(value(np.array([c_]))[0])
+        else:
+            a_, c_, fc = c_, d_, fd
+            d_ = a_ + gr * (b_ - a_)
+            fd = float(value(np.array([d_]))[0])
+        if abs(b_ - a_) <= 1e-14 * max(1.0, abs(a_)):
+            break
+    return float(np.exp(max(float(vals[k]), fc, fd)))
+
+
+def _finite_support_spec():
+    # a Markov-type function on the finite support (-3, -0.2); only its
+    # value and derivative at the window's left end enter the bounds
+    return FunctionSpec.custom(lambda z: 1.0 / (z + 5.0), lambda z: -1.0 / (z + 5.0) ** 2,
+                               support=(-3.0, -0.2))
+
+
+def _plan_families():
+    """(name, window, poles, f): the plan shapes the bounds meet."""
+    w1 = SpectralWindow(1e-3, 1.0078e4)
+    pole, _ = markov_single_pole(w1, NEG_AXIS)
+    w2 = SpectralWindow(1.0, 1e5)
+    leja = PolePlan(quasi_optimal_poles(w2, NEG_AXIS, 10).poles,
+                    repetition="cyclic", ordering="leja")
+    w_sq = SpectralWindow(1e-4, 1.0)
+    inv_sqrt = FunctionSpec.inv_sqrt()
+    families = [("single", w1, (pole,) * 80, inv_sqrt),
+                ("leja-quasi-optimal", w2, leja.expand(80), inv_sqrt)]
+    for degree in (10, 2):
+        zolo = PolePlan(zolotarev_invsqrt_poles((w_sq.lmin, w_sq.lmax), degree).poles,
+                        repetition="cyclic", ordering="leja")
+        families.append((f"zolotarev-{degree}", w_sq, zolo.expand(40), inv_sqrt))
+    families.append(("interleaved-infinite", SpectralWindow(0.5, 20.0),
+                     ((-3.0, INF, -0.7, INF, INF, -10.0, -3.0) * 6)[:40], inv_sqrt))
+    families.append(("finite-support", SpectralWindow(1.0, 50.0),
+                     ((-0.5, -2.0, INF, -0.5, -7.0) * 8)[:40], _finite_support_spec()))
+    return families
+
+
+FAMILIES = _plan_families()
+
+
+@pytest.fixture(params=[None, "128"], ids=["default-samples", "128-samples"])
+def eta_samples(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setenv("KU_NUM_SAMPLES_ETA", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name,window,poles,f", FAMILIES, ids=[fam[0] for fam in FAMILIES])
+def test_bounds_bitwise_equal_per_prefix_search(name, window, poles, f, eta_samples,
+                                                monkeypatch):
+    imap = window.interval_map()
+    support = f.markov_support
+    m = len(poles)
+    searched = {}   # prefix -> eta of its own search; every call below uses one window
+
+    def per_prefix(seq, imap_, support_):
+        assert support_ == support
+        for k in range(1, len(seq) + 1):
+            if seq[:k] not in searched:
+                searched[seq[:k]] = scalar_eta(seq[:k], imap_, support_)
+        return np.array([searched[seq[:k]] for k in range(1, len(seq) + 1)])
+
+    expect = per_prefix(poles, imap, support)
+    assert np.array_equal(bounds._eta_prefixes(poles, imap, support), expect)
+    for k in (1, 2, m // 2, m):
+        assert eta_blaschke(poles, imap, support, m=k) == expect[k - 1]
+        assert eta_blaschke(poles[:k], imap, support) == expect[k - 1]
+
+    def run_all():
+        with_inf = poles[:-1] + (INF,)
+        return [markov_bound_hermitian(window, poles, f, m).values,
+                markov_bound_nonhermitian(window, poles, f, m, 2.0, 3.0).values,
+                markov_modified_bound(window, with_inf, f, m).values,
+                sign_update_bound(window, poles, m, 2.0, 0.5, 1.0, f).values]
+
+    got = run_all()
+    # the same bounds with every prefix searched on its own
+    monkeypatch.setattr(bounds, "_eta_prefixes", per_prefix)
+    for values, ref in zip(got, run_all()):
+        assert np.array_equal(values, ref)
+
+
+def test_pole_inside_domain_named_at_first_bad_pole():
+    w = SpectralWindow(1.0, 2.0)
+    imap = w.interval_map()
+    poles = (-1.0, INF, -3.0, 1.5, -1.0, 1.2)
+    with pytest.raises(PoleInsideDomain) as ref:
+        for k in range(1, len(poles) + 1):
+            scalar_eta(poles[:k], imap, NEG_AXIS)
+    with pytest.raises(PoleInsideDomain) as got:
+        eta_blaschke(poles, imap, NEG_AXIS)
+    assert str(got.value) == str(ref.value) == "pole (1.5+0j) lies inside the spectral window"
+    with pytest.raises(PoleInsideDomain, match=r"pole \(1\.5\+0j\)"):
+        markov_bound_hermitian(w, poles[:4], FunctionSpec.inv_sqrt(), 4)
+
+
+def test_pole_on_the_grid_adds_no_nan():
+    # a pole at the support's left end maps onto the first grid sample, so
+    # its term there is -inf; prefixes without that pole must not add 0 * -inf
+    w = SpectralWindow(1.0, 50.0)
+    imap = w.interval_map()
+    support = (-3.0, -0.2)
+    poles = (-1.0, INF, -3.0, -1.0, -7.0)
+    with np.errstate(divide="ignore"):
+        expect = [scalar_eta(poles[:k], imap, support) for k in range(1, len(poles) + 1)]
+        got = bounds._eta_prefixes(poles, imap, support)
+    assert np.array_equal(got, expect)

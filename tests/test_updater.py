@@ -385,3 +385,30 @@ def test_runs_free_their_factorizations(rng):
         _rational_krylov(left, left, plan.expand(4), singular, padded_difference_norm,
                          tol=0.0, d=1)
     assert left.steps == 2 and len(left.cache) == 0
+
+
+def test_true_errors_hermitian_eigvalsh_general_norm2(rng):
+    # the Hermitian mode takes the norm of its Hermitian error from eigvalsh,
+    # which agrees with the SVD norm to rounding; the general mode keeps norm2
+    n = 40
+    A, _ = random_hermitian(rng, n, 0.5, 8.0)
+    B = 0.5 * rand_complex(rng, n, 1)
+    f = FunctionSpec.inv_sqrt()
+    plan = PolePlan((-2.0, -0.7), repetition="cyclic")
+    dense = dense_update(A, B @ B.conj().T, f, hermitian=True)
+    state, rep = run_update(A, B, f=f, plan=plan, m_max=8, tol=0.0, d=2,
+                            J=np.array([[1.0]]), true_update=dense)
+    assert rep.iterations == len(rep.true_errors) == len(state.coupling_history) == 8
+    for err, X in zip(rep.true_errors, state.coupling_history):
+        U = np.ascontiguousarray(state.left.basis[:, :X.shape[0]])
+        assert abs(err - norm2(dense - U @ X @ U.conj().T)) <= 1e-13 * norm2(dense)
+
+    C = 0.5 * rand_complex(rng, n, 1)
+    dense = dense_update(A, B @ C.conj().T, f)
+    state, rep = run_update(A, B, C, f=f, plan=plan, m_max=6, tol=0.0, d=2,
+                            true_update=dense)
+    assert len(rep.true_errors) == len(state.coupling_history) == 6
+    for err, X in zip(rep.true_errors, state.coupling_history):
+        U = np.ascontiguousarray(state.left.basis[:, :X.shape[0]])
+        V = np.ascontiguousarray(state.right.basis[:, :X.shape[1]])
+        assert err == norm2(dense - U @ X @ V.conj().T)
