@@ -1,27 +1,42 @@
 """Input validation helpers.
 
-Everything numerical in this package runs in complex double precision,
-even for real inputs (a single scalar type avoids dual code paths; several
-pole families are genuinely complex).  Hermitian structure is always an
-explicit caller-supplied flag, never detected by scanning entries.
+Vectors, blocks and small projected matrices are complex double precision,
+even for real inputs (a single scalar type for them avoids dual code paths;
+several pole families are genuinely complex).  The one exception is the
+large operator of the Krylov layer: :func:`as_operator` keeps a real dtype
+real, and the factorization cache stores a complex matrix with no nonzero
+imaginary entry as ``float64`` (one scan per cache), so products and LUs
+with a real A run in real arithmetic while the blocks stay complex.
+Hermitian structure is always an explicit caller-supplied flag, never
+detected by scanning entries.
 """
 
 import numpy as np
 
-__all__ = ["as_matrix", "as_block", "require_square"]
+__all__ = ["as_matrix", "as_block", "require_square", "as_operator"]
 
 
-def as_matrix(A, name="A"):
-    """Coerce to a 2-d complex128 array and verify all entries are finite."""
+def _as_2d(A, name, dtype):
     M = np.asarray(A)
     if M.ndim == 1:
         M = M[:, None]
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={M.ndim}")
-    M = np.ascontiguousarray(M, dtype=np.complex128)
+    M = np.ascontiguousarray(M, dtype=dtype)
     if not np.all(np.isfinite(M.view(np.float64))):
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+def _require_square_shape(M, name):
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    return M
+
+
+def as_matrix(A, name="A"):
+    """Coerce to a 2-d complex128 array and verify all entries are finite."""
+    return _as_2d(A, name, np.complex128)
 
 
 def as_block(B, n, name="B"):
@@ -33,10 +48,16 @@ def as_block(B, n, name="B"):
 
 
 def require_square(A, name="A"):
-    M = as_matrix(A, name=name)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
-    return M
+    return _require_square_shape(as_matrix(A, name=name), name)
+
+
+def as_operator(A, name="A"):
+    """Square finite operator in its own precision: C-contiguous float64
+    when A has a real (bool, integer or float) dtype, complex128 otherwise.
+    The dtype alone decides; no entry is scanned."""
+    real = np.asarray(A).dtype.kind in "biuf"
+    return _require_square_shape(
+        _as_2d(A, name, np.float64 if real else np.complex128), name)
 
 
 def is_infinite_pole(xi):

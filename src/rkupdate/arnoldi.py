@@ -19,7 +19,9 @@ Step rules (xi_j = pole of step j):
 
 The pole-zero step drops the A multiplication because (A - 0)^{-1} A is the
 identity on the previous block; both rules generate the same subspace.
-Rank loss is a hard error (no deflation).
+A U_{j-1} is never recomputed: the products A U of every block are kept
+for the compression, so each step makes one product with A.  Rank loss is
+a hard error (no deflation).
 
 The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
 per pole value; wherever a matrix ``A`` is taken, its cache may go instead,
@@ -27,11 +29,17 @@ and bases built on one cache share its LUs.  One LU of A - xi I serves both
 sides, so an adjoint basis takes the primal poles: its step for pole xi
 solves with (A - xi I)*.  The solvers clear the caches of their bases when a
 run ends, so factorizations live for one run.
+
+A cache stores a matrix with no nonzero imaginary entry as ``float64``
+(it scans A once); its products, and its LUs at real shifts, then run in
+real arithmetic on the ``float64`` view of the complex blocks, and its
+adjoint is its transpose.  The blocks, the basis and the compression stay
+complex, so there is one code path above the operator.
 """
 
 import numpy as np
 
-from ._validation import as_block, is_infinite_pole, require_square
+from ._validation import as_block, as_operator, is_infinite_pole
 from .dense import qr_orthonormalize, shifted_factorize
 from .poles import PolePlan
 
@@ -39,10 +47,17 @@ __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 
 
 class FactorizationCache:
-    """An operator A and its shifted LU factorizations, keyed by pole value."""
+    """An operator A and its shifted LU factorizations, keyed by pole value.
+
+    ``A`` is kept C-contiguous ``float64`` when none of its entries has a
+    nonzero imaginary part, and ``complex128`` otherwise.
+    """
 
     def __init__(self, A):
-        self.A = require_square(A)
+        A = as_operator(A)
+        if A.dtype == np.complex128 and not A.imag.any():
+            A = np.ascontiguousarray(A.real)
+        self.A = A
         self._fac = {}
 
     def factorization(self, xi):
@@ -95,6 +110,11 @@ class KrylovBasis:
 
     def _matvec(self, X):
         A = self.cache.A
+        if A.dtype == np.float64:
+            # never a mixed float64 @ complex128 product: numpy would cast
+            # all of A on every call
+            Xr = np.ascontiguousarray(X).view(np.float64)
+            return ((A.T if self._adjoint else A) @ Xr).view(complex)
         # A* X without forming the conjugate transpose of A
         return (A.T @ X.conj()).conj() if self._adjoint else A @ X
 
@@ -104,30 +124,29 @@ class KrylovBasis:
     def advance(self, xi):
         """Append one block for pole xi; returns self."""
         j = self.steps + 1
+        ell = self.block_size
+        # A U_{j-1} is the last block of _op_basis
         if is_infinite_pole(xi):
             xi = np.inf
-            if j == 1:
-                W = self._seed.copy()
-            else:
-                W = self._matvec(self.basis[:, -self.block_size:])
+            W = self._seed.copy() if j == 1 else self._op_basis[:, -ell:].copy()
         else:
             xi = complex(xi)
             if j == 1:
                 W = self._solve(xi, self._seed)
             elif xi == 0:
-                W = self._solve(xi, self.basis[:, -self.block_size:])
+                W = self._solve(xi, self.basis[:, -ell:])
             else:
-                W = self._solve(xi, self._matvec(self.basis[:, -self.block_size:]))
+                W = self._solve(xi, self._op_basis[:, -ell:])
         ref = np.linalg.norm(W, axis=0)
         if self.dimension:
-            W = W - self.basis @ (self.basis.conj().T @ W)
-            W = W - self.basis @ (self.basis.conj().T @ W)
+            W = W - self.basis @ self.block_product(W)
+            W = W - self.basis @ self.block_product(W)
         Q = qr_orthonormalize(W, reference_norms=ref, step=j)
         OpQ = self._matvec(Q)
         k = self.dimension
-        new = np.zeros((k + self.block_size, k + self.block_size), dtype=complex)
+        new = np.zeros((k + ell, k + ell), dtype=complex)
         new[:k, :k] = self.compression
-        new[:k, k:] = self.basis.conj().T @ OpQ
+        new[:k, k:] = self.block_product(OpQ)
         new[k:, :k] = Q.conj().T @ self._op_basis
         new[k:, k:] = Q.conj().T @ OpQ
         self.basis = np.hstack([self.basis, Q])
@@ -137,8 +156,13 @@ class KrylovBasis:
         return self
 
     def block_product(self, X):
-        """basis* X for a conforming tall block."""
-        return self.basis.conj().T @ X
+        """basis* X for a conforming tall block.
+
+        Formed as conj(basis^T conj(X)), which conjugates the narrow X and
+        the small result but never copies the basis, with the same bits as
+        conj(basis)^T X.
+        """
+        return (self.basis.T @ X.conj()).conj()
 
 
 def _expand(plan, m):

@@ -148,6 +148,13 @@ def _expand_poles(plan, m):
     return seq
 
 
+def _log_abs(z):
+    """log|z|, and -inf where z is 0 without evaluating log(0): a pole that
+    maps onto a sample (a support end point) makes its term -inf there."""
+    r = np.abs(z)
+    return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0.0)
+
+
 def _grouped_log_inv_blaschke(terms, mult, n_inf, log_abs_x):
     """log 1/|B(x)| from per-group terms: the multiples ``mult[g] * terms[g]``
     added to zeros in group order, then ``n_inf * log|x|`` subtracted.
@@ -222,8 +229,8 @@ def _eta_prefixes(poles, imap, support):
         # one group at a time: temporaries stay the size of x
         T = np.empty((len(phis), len(x)))
         for g, ph in enumerate(phis):
-            T[g] = np.log(np.abs(x - ph)) - np.log(np.abs(1.0 - x * np.conj(ph)))
-        return T, (np.log(np.abs(x)) if any_inf else None)
+            T[g] = _log_abs(x - ph) - _log_abs(1.0 - x * np.conj(ph))
+        return T, (_log_abs(x) if any_inf else None)
 
     def value(t, rows):
         T, log_abs_x = terms(to_x(t))

@@ -1,10 +1,13 @@
-"""Dense complex linear algebra kernels.
+"""Dense linear algebra kernels.
 
 Factorizations, orthonormalization, spectral decompositions and matrix
-functions of small matrices.  Everything is dense complex double precision;
-Hermitian structure is an explicit flag.  The heavy lifting is delegated to
-LAPACK through numpy/scipy; this module owns the contracts (tolerances,
-error conditions, fallbacks).
+functions of small matrices.  Everything is dense double precision.
+Blocks and small matrices are complex; a shifted factorization is real
+when its operator is ``float64`` and its shift real, and its solves then
+act on the ``float64`` view of the complex right-hand side.  Hermitian
+structure is an explicit flag.  The heavy lifting is delegated to LAPACK
+through numpy/scipy; this module owns the contracts (tolerances, error
+conditions, fallbacks).
 """
 
 import warnings
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._validation import as_matrix, require_square
+from ._validation import as_matrix, as_operator, require_square
 from .errors import (
     IllConditionedEigenbasis,
     RankDeficient,
@@ -88,6 +91,9 @@ class ShiftedFactorization:
 
     The same factorization serves both (A - shift I) X = Y and its adjoint
     (A - shift I)* X = Y, so pole-conjugate systems never need a second LU.
+    A real LU solves a complex Y as the real system of its ``float64``
+    view, whose columns hold the real and imaginary parts side by side;
+    its adjoint is its transpose.
     """
 
     shift: complex
@@ -96,20 +102,31 @@ class ShiftedFactorization:
 
     def solve(self, Y, adjoint=False):
         Y = np.asarray(Y, dtype=complex)
+        if self.lu[0].dtype == np.float64:
+            Yr = np.ascontiguousarray(Y if Y.ndim == 2 else Y[:, None]).view(np.float64)
+            X = sla.lu_solve(self.lu, Yr, trans=1 if adjoint else 0)
+            return np.ascontiguousarray(X).view(complex).reshape(Y.shape)
         return sla.lu_solve(self.lu, Y, trans=2 if adjoint else 0)
 
 
 def shifted_factorize(A, xi):
     """Factor A - xi*I; raises :class:`SingularShift` when xi is (numerically)
-    an eigenvalue."""
-    A = require_square(A)
+    an eigenvalue.
+
+    The LU is real when A has a real dtype and xi a zero imaginary part,
+    complex otherwise; A's dtype alone decides (no entry is scanned).
+    """
+    A = as_operator(A)
     xi = complex(xi)
-    n = A.shape[0]
-    M = A - xi * np.eye(n, dtype=complex)
+    real = A.dtype == np.float64 and xi.imag == 0.0
+    # one n x n buffer: A copied in LAPACK's column order, shifted on the
+    # diagonal and factored in place
+    M = np.array(A, dtype=np.float64 if real else complex, order="F")
+    M[np.diag_indices_from(M)] -= xi.real if real else xi
     scale = max(np.abs(A).max(), abs(xi), 1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(M, check_finite=False)
+        lu, piv = sla.lu_factor(M, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diagonal(lu))
     if pivots.min(initial=np.inf) < TOL_PIVOT * scale:
         raise SingularShift(f"shift {xi} is numerically an eigenvalue")

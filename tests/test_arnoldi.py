@@ -180,3 +180,77 @@ class TestBreakdown:
         B = rand_complex(rng, 3, 1)
         with pytest.raises(RankDeficient):
             build_basis(A, B, [INF, INF, INF, INF])
+
+
+def _complex_stored(A):
+    """A cache that keeps a real A in complex128, as every cache did before
+    real operators were stored real: the reference path."""
+    cache = FactorizationCache(A)
+    cache.A = np.asarray(A, dtype=complex)
+    return cache
+
+
+def _real_operators(rng, n):
+    tri = (2.5 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+           + 0.3 * np.diag(rng.standard_normal(n)))
+    dense = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+    return {"tridiagonal": tri, "dense": dense}
+
+
+class TestRealOperator:
+    def test_cache_stores_real_operator_real(self, rng):
+        R = rng.standard_normal((6, 6))
+        for A, dtype in ((R, np.float64), (R.astype(complex), np.float64),
+                         (R.astype(int), np.float64),
+                         (R + 1e-300j * np.eye(6), np.complex128),
+                         (rand_complex(rng, 6, 6), np.complex128)):
+            cache = FactorizationCache(A)
+            assert cache.A.dtype == dtype and cache.A.flags.c_contiguous
+            assert np.array_equal(cache.A, A)
+
+    def test_lu_type_follows_operator_and_shift(self, rng):
+        cache = FactorizationCache(rng.standard_normal((8, 8)) + 4.0 * np.eye(8))
+        assert cache.factorization(-1.0).lu[0].dtype == np.float64
+        assert cache.factorization(0.0).lu[0].dtype == np.float64
+        assert cache.factorization(-1.0 + 2.0j).lu[0].dtype == np.complex128
+        cache = FactorizationCache(rand_complex(rng, 8, 8))
+        assert cache.factorization(-1.0).lu[0].dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    def test_bases_agree_with_complex_storage(self, rng, kind):
+        n = 60
+        A = _real_operators(rng, n)[kind]
+        B = rand_complex(rng, n, 2)
+        C = rand_complex(rng, n, 2)
+        poles = [-1.0, INF, 0.0, -2.0 + 1.0j, -2.0 - 1.0j, 1.5, INF, -1.0, 0.0]
+        for build, seed in ((build_basis, B), (adjoint_basis, C)):
+            got = build(FactorizationCache(A), seed, poles)
+            ref = build(_complex_stored(A), seed, poles)
+            assert got.cache.A.dtype == np.float64 and ref.cache.A.dtype == np.complex128
+            for x, y in ((got.basis, ref.basis), (got.compression, ref.compression)):
+                assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+
+    def test_real_shift_on_real_eigenvalue(self):
+        # upper triangular with eigenvalue 2: A - 2I is exactly singular
+        A = np.array([[1.0, 5.0, 0.0], [0.0, 2.0, 3.0], [0.0, 0.0, 3.0]])
+        for cache in (FactorizationCache(A), FactorizationCache(A.astype(complex))):
+            assert cache.A.dtype == np.float64
+            with pytest.raises(SingularShift):
+                KrylovBasis(cache, np.ones((3, 1))).advance(2.0)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_one_product_with_a_per_step(self, rng, monkeypatch, adjoint):
+        calls = []
+        matvec = KrylovBasis._matvec
+
+        def counted(self, X):
+            calls.append(X.shape[1])
+            return matvec(self, X)
+
+        monkeypatch.setattr(KrylovBasis, "_matvec", counted)
+        A = _real_operators(rng, 40)["dense"]
+        poles = [INF, -1.0, INF, 0.0, -2.0 + 1.0j, -1.0, INF]
+        basis = KrylovBasis(A, rand_complex(rng, 40, 2), adjoint=adjoint)
+        for xi in poles:
+            basis.advance(xi)
+        assert calls == [2] * len(poles)

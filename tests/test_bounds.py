@@ -26,6 +26,7 @@ from rkupdate.oracles import dense_update
 from rkupdate.poles import (
     INF,
     PolePlan,
+    extended_plan,
     markov_single_pole,
     quasi_optimal_poles,
     zolotarev_invsqrt_poles,
@@ -466,3 +467,22 @@ def test_pole_on_the_grid_adds_no_nan():
         expect = [scalar_eta(poles[:k], imap, support) for k in range(1, len(poles) + 1)]
         got = bounds._eta_prefixes(poles, imap, support)
     assert np.array_equal(got, expect)
+
+
+def test_pole_at_support_end_takes_no_log_of_zero(monkeypatch):
+    # extended_plan's pole 0 is the right end of inv_sqrt's support (-inf, 0],
+    # so it maps onto the last grid sample; the bound must come out with no
+    # divide-by-zero warning (an error under this suite's warning filter)
+    # and with the bits of the per-prefix search
+    window = SpectralWindow(1e-2, 1e2)
+    f = FunctionSpec.inv_sqrt()
+    got = markov_bound_hermitian(window, extended_plan(6), f, 6).values
+    assert np.all(np.isfinite(got))
+
+    def per_prefix(seq, imap, support):
+        with np.errstate(divide="ignore"):
+            return np.array([scalar_eta(seq[:k], imap, support)
+                             for k in range(1, len(seq) + 1)])
+
+    monkeypatch.setattr(bounds, "_eta_prefixes", per_prefix)
+    assert np.array_equal(got, markov_bound_hermitian(window, extended_plan(6), f, 6).values)

@@ -74,6 +74,28 @@ class TestShiftedFactorize:
         M = (A - xi * np.eye(25)).conj().T
         assert norm2(M @ X - Y) <= 1e-12 * norm2(Y)
 
+    def test_real_operator_real_lu(self, rng):
+        A = rng.standard_normal((30, 30)) + 6.0 * np.eye(30)
+        assert shifted_factorize(A, -2.0).lu[0].dtype == np.float64
+        assert shifted_factorize(A, -2.0 + 1e-300j).lu[0].dtype == np.complex128
+        assert shifted_factorize(A.astype(complex), -2.0).lu[0].dtype == np.complex128
+
+    @pytest.mark.parametrize("shape", [(30, 3), (30, 1), (30,)])
+    def test_real_lu_solves_complex_blocks(self, rng, shape):
+        # a real LU solves the float64 view of a complex block; both sides
+        # agree with the complex LU of the same matrix
+        A = rng.standard_normal((30, 30)) + 6.0 * np.eye(30)
+        real = shifted_factorize(A, -2.0)
+        ref = shifted_factorize(A.astype(complex), -2.0)
+        Y = rand_complex(rng, *shape)
+        for adjoint in (False, True):
+            X = real.solve(Y, adjoint=adjoint)
+            Xref = ref.solve(Y, adjoint=adjoint)
+            assert X.shape == Y.shape and X.dtype == np.complex128
+            assert np.abs(X - Xref).max() <= 1e-13 * np.abs(Xref).max()
+        M = A + 2.0 * np.eye(30)
+        assert norm2(M.T @ real.solve(Y, adjoint=True) - Y) <= 1e-12 * norm2(Y)
+
 
 class TestSpectralDecompose:
     def test_hermitian_sorted_unitary(self):
