@@ -6,7 +6,9 @@ several pole families are genuinely complex).  The one exception is the
 large operator of the Krylov layer: :func:`as_operator` keeps a real dtype
 real, and the factorization cache stores a complex matrix with no nonzero
 imaginary entry as ``float64`` (one scan per cache), so products and LUs
-with a real A run in real arithmetic while the blocks stay complex.
+with a real A run in real arithmetic while the blocks stay complex.  The
+cache finds A's band structure once in the same way, and keeps a matrix
+with a narrow band in LAPACK band storage only.
 Hermitian structure is always an explicit caller-supplied flag, never
 detected by scanning entries.
 """

@@ -33,14 +33,18 @@ run ends, so factorizations live for one run.
 A cache stores a matrix with no nonzero imaginary entry as ``float64``
 (it scans A once); its products, and its LUs at real shifts, then run in
 real arithmetic on the ``float64`` view of the complex blocks, and its
-adjoint is its transpose.  The blocks, the basis and the compression stay
-complex, so there is one code path above the operator.
+adjoint is its transpose.  The cache then reads A's band once, as it reads
+its realness: a matrix whose band is narrow is kept in LAPACK band storage
+only, and its LUs (``?gbtrf``), solves (``?gbtrs``) and products (one
+diagonal at a time) cost O(n) per band row.  The blocks, the basis and the
+compression stay dense and complex, so there is one code path above the
+operator.
 """
 
 import numpy as np
 
 from ._validation import as_block, as_operator, is_infinite_pole
-from .dense import qr_orthonormalize, shifted_factorize
+from .dense import _Band, _banded, qr_orthonormalize, shifted_factorize
 from .poles import PolePlan
 
 __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
@@ -49,15 +53,16 @@ __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 class FactorizationCache:
     """An operator A and its shifted LU factorizations, keyed by pole value.
 
-    ``A`` is kept C-contiguous ``float64`` when none of its entries has a
-    nonzero imaginary part, and ``complex128`` otherwise.
+    ``A`` is kept ``float64`` when none of its entries has a nonzero
+    imaginary part, and ``complex128`` otherwise; in band storage when its
+    band is narrow, and as a C-contiguous array otherwise.
     """
 
     def __init__(self, A):
         A = as_operator(A)
         if A.dtype == np.complex128 and not A.imag.any():
             A = np.ascontiguousarray(A.real)
-        self.A = A
+        self.A = _banded(A)
         self._fac = {}
 
     def factorization(self, xi):
@@ -110,13 +115,20 @@ class KrylovBasis:
 
     def _matvec(self, X):
         A = self.cache.A
-        if A.dtype == np.float64:
-            # never a mixed float64 @ complex128 product: numpy would cast
-            # all of A on every call
-            Xr = np.ascontiguousarray(X).view(np.float64)
-            return ((A.T if self._adjoint else A) @ Xr).view(complex)
-        # A* X without forming the conjugate transpose of A
-        return (A.T @ X.conj()).conj() if self._adjoint else A @ X
+        real = A.dtype == np.float64
+        # a real A multiplies the float64 view of X, never a mixed
+        # float64 @ complex128 product: numpy would cast all of A every call
+        Z = np.ascontiguousarray(X).view(np.float64) if real else X
+        if isinstance(A, _Band):
+            Y = A.dot(Z, adjoint=self._adjoint)
+        elif not self._adjoint:
+            Y = A @ Z
+        elif real:
+            Y = A.T @ Z
+        else:
+            # A* X without forming the conjugate transpose of A
+            Y = (A.T @ X.conj()).conj()
+        return Y.view(complex) if real else Y
 
     def _solve(self, xi, Y):
         return self.cache.factorization(xi).solve(Y, adjoint=self._adjoint)

@@ -8,6 +8,7 @@ distinguish numerical breakdowns from invalid arguments.
 __all__ = [
     "RKUpdateError",
     "RankDeficient",
+    "NonFiniteResult",
     "SingularShift",
     "SingularityOnSpectrum",
     "IllConditionedEigenbasis",
@@ -31,8 +32,20 @@ class RankDeficient(RKUpdateError):
     """A block vector lost rank during orthogonalization (Krylov breakdown).
 
     Deflation is out of scope, so this is a hard error carrying the step
-    at which the breakdown occurred.
+    at which the breakdown occurred.  ``exhausted`` is True when every
+    column of the block lost rank, that is, when the block lies in the span
+    the basis already has.
     """
+
+    def __init__(self, msg, step=None, exhausted=False):
+        super().__init__(msg)
+        self.step = step
+        self.exhausted = exhausted
+
+
+class NonFiniteResult(RKUpdateError):
+    """The small projected problem of a step returned a non-finite entry
+    (f overflowed on the spectrum of the compression); carries the step."""
 
     def __init__(self, msg, step=None):
         super().__init__(msg)

@@ -23,7 +23,7 @@ from ._validation import as_block, require_square
 from .arnoldi import FactorizationCache, KrylovBasis
 from .dense import _check_spectrum, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
-from .errors import SingularityOnSpectrum
+from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from .poles import PolePlan
 
 __all__ = ["project_update", "update_hermitian", "run_update",
@@ -64,9 +64,12 @@ def update_hermitian(left, B, J, f):
         scale = max(np.abs(G).max(initial=0.0), float(J[0, 0].real) * norm2(UB) ** 2)
 
         def checked_f(z):
-            # the secular solver maps the base and the updated spectra
+            # the secular solver maps the base and the updated spectra; where
+            # the map is not finite it raises ValueError, and funm_small
+            # takes over
             _check_spectrum(z, f.kind, scale, hermitian=True)
-            return f.scalar(z)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return f.scalar(z)
 
         try:
             core = funm_diff_rank1(lam, w, J[0, 0].real, checked_f)
@@ -116,6 +119,8 @@ class UpdateReport:
     ``estimates[k]`` is the estimate of step k + 1 + d (the first d steps
     have none) and ``true_errors[k]`` the true error of step k + 1; a step
     retried after a singularity of f records None in both.
+    ``breakdown_step`` is the step whose basis lost rank when a one-basis
+    run ended on a lucky breakdown, and None otherwise.
     """
 
     final_rank: int
@@ -125,6 +130,7 @@ class UpdateReport:
     converged: bool = False
     stagnation_warning: bool = False
     poles: tuple = ()
+    breakdown_step: int = None
 
     def summary(self):
         known = [v for v in (self.true_errors or self.estimates) if v is not None]
@@ -155,9 +161,17 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
-    consecutive failures, or a failure at the last pole, re-raise.  The
-    factorization caches of both bases are cleared when the run returns or
-    raises.
+    consecutive failures, or a failure at the last pole, re-raise.  A
+    solution with a non-finite entry raises :class:`NonFiniteResult`
+    before any estimate is taken.  The factorization caches of both bases
+    are cleared when the run returns or raises.
+
+    A one-basis run (``right is left``) whose whole block at step k > 1
+    falls in the span of the basis (an ``exhausted`` :class:`RankDeficient`)
+    has hit an invariant subspace that contains the seed, so the solution
+    of step k - 1 is exact: the run ends there, converged, with
+    ``breakdown_step = k``.  Rank loss at step 1, of part of a block, after
+    a gap, or in a two-basis run re-raises.
 
     Returns (history of solutions with None at gaps, UpdateReport).
     """
@@ -167,10 +181,17 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     estimates = []
     errors = [] if error is not None else None
     converged = False
+    breakdown = None
     failures = 0
     try:
         for m, xi in enumerate(poles, start=1):
-            left.advance(xi)
+            try:
+                left.advance(xi)
+            except RankDeficient as exc:
+                if right is not left or m == 1 or not exc.exhausted or history[-1] is None:
+                    raise
+                converged, breakdown = True, m
+                break
             if right is not left:
                 right.advance(xi)
             try:
@@ -181,6 +202,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
                 if failures >= 2 or m == len(poles):
                     raise
                 new = None
+            if new is not None and not all(
+                    np.isfinite(a).all() for a in (new if isinstance(new, tuple) else (new,))):
+                raise NonFiniteResult(
+                    f"the small problem of step {m} has non-finite entries", step=m)
             history.append(new)
             if errors is not None:
                 errors.append(None if new is None else error(new))
@@ -206,6 +231,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
         converged=converged,
         stagnation_warning=stagnation,
         poles=tuple(poles[:len(history)]),
+        breakdown_step=breakdown,
     )
     return history, report
 

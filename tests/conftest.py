@@ -18,6 +18,24 @@ def random_hermitian(rng, n, lmin=None, lmax=None):
     return (Q * w) @ Q.conj().T, w
 
 
+#: (kl, ku) of the band shapes the band-storage tests cover
+BANDS = {"diagonal": (0, 0), "upper-bidiagonal": (0, 1), "lower-bidiagonal": (1, 0),
+         "tridiagonal": (1, 1), "pentadiagonal": (2, 2)}
+
+
+def band_matrix(rng, n, kl, ku, complex_entries=False):
+    """Random square matrix with kl sub- and ku superdiagonals, shifted so
+    that its spectrum keeps a distance from the poles the tests use
+    (0, -1, -1.5, -2 +- 1j, 2 + 1.5j, 40)."""
+    A = np.zeros((n, n), dtype=complex if complex_entries else float)
+    for k in range(-kl, ku + 1):
+        d = rng.standard_normal(n - abs(k))
+        if complex_entries:
+            d = d + 1j * rng.standard_normal(n - abs(k))
+        A += np.diag(d, k)
+    return A + (4.0 * (kl + ku + 1) + 2.0) * np.eye(n)
+
+
 def max_principal_angle(X, Y):
     ang = subspace_angles(np.asarray(X), np.asarray(Y))
     return float(ang.max()) if ang.size else 0.0

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
-from rkupdate.dense import norm2
+from rkupdate.dense import _Band, norm2
 from rkupdate.errors import RankDeficient, SingularShift
-from rkupdate.functions import PartialFractions
+from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.poles import INF, PolePlan, extended_plan
+from rkupdate.updater import run_update
 
-from conftest import max_principal_angle, rand_complex, random_hermitian
+from conftest import BANDS, band_matrix, max_principal_angle, rand_complex, random_hermitian
 
 
 class TestSeedRules:
@@ -254,3 +255,92 @@ class TestRealOperator:
         for xi in poles:
             basis.advance(xi)
         assert calls == [2] * len(poles)
+
+
+def _dense_stored(A):
+    """A cache that keeps A as a dense array in the dtype the cache chose,
+    as every cache did before band storage: the reference path."""
+    cache = FactorizationCache(A)
+    cache.A = np.asarray(A, dtype=cache.A.dtype)
+    return cache
+
+
+class TestBandOperator:
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_bases_agree_with_dense_storage(self, rng, kind, complex_entries):
+        n = 64
+        A = band_matrix(rng, n, *BANDS[kind], complex_entries)
+        B = rand_complex(rng, n, 2)
+        C = rand_complex(rng, n, 2)
+        poles = [-1.0, INF, 0.0, -2.0 + 1.0j, -2.0 - 1.0j, 40.0, INF, -1.0, 0.0]
+        for build, seed in ((build_basis, B), (adjoint_basis, C)):
+            got = build(FactorizationCache(A), seed, poles)
+            ref = build(_dense_stored(A), seed, poles)
+            assert isinstance(got.cache.A, _Band) and isinstance(ref.cache.A, np.ndarray)
+            assert got.cache.A.dtype == ref.cache.A.dtype
+            for x, y in ((got.basis, ref.basis), (got.compression, ref.compression)):
+                assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_diagonal_real_operator_keeps_its_bits(self, rng, cols, adjoint):
+        # every figure runs on a real diagonal A: its products and solves
+        # are the dense path's bits
+        A = np.diag(np.logspace(-2, 2, 60) * rng.choice([-1.0, 1.0], 60))
+        poles = [INF, -1.0, 0.0, INF, -0.5, -1.0]
+        got = KrylovBasis(FactorizationCache(A), rand_complex(rng, 60, cols), adjoint=adjoint)
+        ref = KrylovBasis(_dense_stored(A), got._seed, adjoint=adjoint)
+        assert isinstance(got.cache.A, _Band)
+        X = rand_complex(rng, 60, cols)
+        assert np.array_equal(got._matvec(X), ref._matvec(X))
+        for xi in poles:
+            got.advance(xi)
+            ref.advance(xi)
+        assert np.array_equal(got.basis, ref.basis)
+        assert np.array_equal(got.compression, ref.compression)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_one_product_with_a_per_step(self, rng, monkeypatch, adjoint, complex_entries):
+        calls = []
+        matvec = KrylovBasis._matvec
+
+        def counted(self, X):
+            calls.append(X.shape[1])
+            return matvec(self, X)
+
+        monkeypatch.setattr(KrylovBasis, "_matvec", counted)
+        A = band_matrix(rng, 40, 1, 1, complex_entries)
+        poles = [INF, -1.0, INF, 0.0, -2.0 + 1.0j, -1.0, INF]
+        basis = KrylovBasis(A, rand_complex(rng, 40, 2), adjoint=adjoint)
+        assert isinstance(basis.cache.A, _Band)
+        for xi in poles:
+            basis.advance(xi)
+        assert calls == [2] * len(poles)
+
+    def test_singular_shift_on_band_operator(self):
+        A = np.diag(np.arange(1.0, 41.0)) + np.diag(np.full(39, 0.5), 1)
+        cache = FactorizationCache(A)
+        assert isinstance(cache.A, _Band)
+        with pytest.raises(SingularShift):
+            KrylovBasis(cache, np.ones((40, 1))).advance(7.0)
+
+    def test_wide_and_small_operators_stay_dense(self, rng):
+        for A in (band_matrix(rng, 64, 3, 3, False), np.diag([1.0, 2.0, 3.0]),
+                  rand_complex(rng, 30, 30)):
+            cache = FactorizationCache(A)
+            assert isinstance(cache.A, np.ndarray) and cache.A.flags.c_contiguous
+
+    def test_runs_free_band_factorizations(self, rng):
+        n = 64
+        A = 2.5 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        B = 0.1 * rand_complex(rng, n, 1)
+        C = 0.1 * rand_complex(rng, n, 1)
+        plan = PolePlan((-1.0, -3.0), repetition="cyclic")
+        f = FunctionSpec.inv_sqrt()
+        general, _ = run_update(A, B, C, f=f, plan=plan, m_max=6, tol=1e-8)
+        herm, _ = run_update(A, B, f=f, plan=plan, m_max=6, tol=1e-8, J=np.array([[1.0]]))
+        for basis in (general.left, general.right, herm.left):
+            assert isinstance(basis.cache.A, _Band)
+            assert basis.steps > 1 and len(basis.cache) == 0

@@ -217,6 +217,18 @@ class TestExitSemantics:
         assert status == 0
         assert "converged=false" in capsys.readouterr().out
 
+    def test_basis_filling_the_space_exits_zero(self, tmp_path, capsys):
+        # at n = 100 the fig1 basis spans all of C^n before m_max: the run
+        # ends on its lucky breakdown, with every row finite
+        out = tmp_path / "fig1.csv"
+        status = main(["update", "--experiment", "fig1-invsqrt-single-pole",
+                       "--n", "100", "--tol", "0", "--out", str(out)])
+        assert status == 0
+        assert "converged=true iterations=100" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        assert len(lines) == 101 and "nan" not in out.read_text().lower()
+        assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",") if v)
+
     def test_cli_determinism_bitwise(self, tmp_path, rng, capsys):
         _write_custom_instance(tmp_path, rng)
         argsets = []

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from rkupdate.dense import (
+    _Band,
+    _banded,
     funm_block_triangular,
     funm_small,
     norm2,
@@ -18,7 +20,7 @@ from rkupdate.errors import (
 )
 from rkupdate.functions import FunctionSpec
 
-from conftest import rand_complex, random_hermitian
+from conftest import BANDS, band_matrix, rand_complex, random_hermitian
 
 
 class TestQR:
@@ -95,6 +97,92 @@ class TestShiftedFactorize:
             assert np.abs(X - Xref).max() <= 1e-13 * np.abs(Xref).max()
         M = A + 2.0 * np.eye(30)
         assert norm2(M.T @ real.solve(Y, adjoint=True) - Y) <= 1e-12 * norm2(Y)
+
+
+class TestBandStorage:
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_narrow_band_is_stored_banded(self, rng, kind, complex_entries):
+        kl, ku = BANDS[kind]
+        A = band_matrix(rng, 64, kl, ku, complex_entries)
+        band = _banded(A)
+        assert isinstance(band, _Band)
+        assert (band.kl, band.ku, band.shape, band.dtype) == (kl, ku, A.shape, A.dtype)
+        assert band.scale == np.abs(A).max()
+        for k in range(-kl, ku + 1):
+            assert np.array_equal(band.ab[ku - k, max(k, 0):64 + min(k, 0)], np.diagonal(A, k))
+
+    def test_wide_and_small_matrices_stay_dense(self, rng):
+        # 2 kl + ku + 1 = 10 rows of band LU exceed 64 // 8; below n = 8
+        # even a diagonal matrix stays dense
+        for A in (band_matrix(rng, 64, 3, 3), band_matrix(rng, 7, 0, 0),
+                  rng.standard_normal((40, 40))):
+            assert _banded(A) is A
+
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_band_lu_agrees_with_dense_lu(self, rng, kind, complex_entries):
+        A = band_matrix(rng, 64, *BANDS[kind], complex_entries)
+        band = _banded(A)
+        for xi in (-1.5, 0.0, 2.0 + 1.5j):
+            got = shifted_factorize(band, xi)
+            ref = shifted_factorize(A, xi)
+            assert got.band == BANDS[kind] and ref.band is None
+            assert got.lu[0].dtype == ref.lu[0].dtype
+            for shape in ((64, 3), (64, 1), (64,)):
+                Y = rand_complex(rng, *shape)
+                for adjoint in (False, True):
+                    X = got.solve(Y, adjoint=adjoint)
+                    Xref = ref.solve(Y, adjoint=adjoint)
+                    assert X.shape == Y.shape and X.dtype == np.complex128
+                    assert np.abs(X - Xref).max() <= 1e-13 * np.abs(Xref).max()
+
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_band_products_agree_with_dense(self, rng, kind, complex_entries):
+        A = band_matrix(rng, 64, *BANDS[kind], complex_entries)
+        band = _banded(A)
+        X = rng.standard_normal((64, 4)).astype(A.dtype)
+        if complex_entries:
+            X = X + 1j * rng.standard_normal((64, 4))
+        for adjoint, M in ((False, A), (True, A.conj().T)):
+            Y = band.dot(X, adjoint=adjoint)
+            assert np.abs(Y - M @ X).max() <= 1e-13 * np.abs(M @ X).max()
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4])
+    def test_diagonal_real_solves_keep_their_bits(self, rng, cols):
+        A = np.diag(np.logspace(-2, 2, 50) * rng.choice([-1.0, 1.0], 50))
+        band = _banded(A)
+        Y = rand_complex(rng, 50, cols)
+        for xi in (-1.0, 0.0, 0.37):
+            got, ref = shifted_factorize(band, xi), shifted_factorize(A, xi)
+            for adjoint in (False, True):
+                assert np.array_equal(got.solve(Y, adjoint=adjoint),
+                                      ref.solve(Y, adjoint=adjoint))
+
+    def test_diagonal_complex_lu_keeps_its_bits_for_one_column(self, rng):
+        A = np.diag(np.logspace(-2, 2, 50))
+        Y = rand_complex(rng, 50, 1)
+        got = shifted_factorize(_banded(A), 0.5 + 2.0j)
+        ref = shifted_factorize(A, 0.5 + 2.0j)
+        for adjoint in (False, True):
+            assert np.array_equal(got.solve(Y, adjoint=adjoint), ref.solve(Y, adjoint=adjoint))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "upper-bidiagonal", "tridiagonal"])
+    def test_exact_eigenvalue_shift(self, kind):
+        # a triangular band with an exact diagonal value 2.0, and a
+        # tridiagonal matrix with the exact eigenvalue 2 (2 - 2 cos(pi/2))
+        n = 63
+        kl, ku = BANDS[kind]
+        A = np.diag(np.arange(1.0, n + 1))
+        if kind == "upper-bidiagonal":
+            A += np.diag(np.full(n - 1, 0.5), 1)
+        if kind == "tridiagonal":
+            A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        band = _banded(A)
+        assert (band.kl, band.ku) == (kl, ku)
+        with pytest.raises(SingularShift):
+            shifted_factorize(band, 2.0)
 
 
 class TestSpectralDecompose:

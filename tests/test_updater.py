@@ -3,7 +3,7 @@ import pytest
 
 from rkupdate.arnoldi import KrylovBasis, adjoint_basis, build_basis
 from rkupdate.dense import norm2
-from rkupdate.errors import SingularityOnSpectrum
+from rkupdate.errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from rkupdate.functions import FunctionSpec, PartialFractions, rational_from_partial_fractions
 from rkupdate.oracles import dense_update, sherman_morrison
 from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles
@@ -412,3 +412,67 @@ def test_true_errors_hermitian_eigvalsh_general_norm2(rng):
         U = np.ascontiguousarray(state.left.basis[:, :X.shape[0]])
         V = np.ascontiguousarray(state.right.basis[:, :X.shape[1]])
         assert err == norm2(dense - U @ X @ V.conj().T)
+
+
+class TestLuckyBreakdown:
+    """A one-basis run whose whole next block lies in its basis has reached
+    an invariant subspace that contains the seed, and ends exact."""
+
+    @pytest.mark.parametrize("pole", [-1.0, INF])
+    def test_hermitian_run_ends_exact(self, pole):
+        A = np.diag([1.0] * 50 + [2.0] * 50)
+        b = np.ones((100, 1))
+        f = FunctionSpec.inv_sqrt()
+        state, report = run_update(A, b, f=f, plan=PolePlan((pole,), repetition="cyclic"),
+                                   m_max=10, tol=0.0, J=np.array([[1.0]]))
+        assert report.converged and report.breakdown_step == 3
+        assert report.iterations == 2 and len(report.poles) == 2
+        assert state.left.steps == 2 and len(state.left.cache) == 0
+        ref = dense_update(A, b @ b.T, f, hermitian=True)
+        assert norm2(state.materialize() - ref) <= 1e-12 * norm2(ref)
+
+    def test_sign_update_ends_exact(self):
+        lam = np.array([-1.0] * 50 + [2.0] * 50)
+        A = np.diag(lam)
+        B = np.full((100, 1), 0.1)
+        J = np.array([[1.0]])
+        plan = PolePlan(zolotarev_invsqrt_poles((0.5, 5.0), 4).poles, repetition="cyclic")
+        res, report = sign_update(A, B, J, plan, m_max=10, tol=0.0)
+        assert report.converged and report.breakdown_step == 2
+        w, V = np.linalg.eigh(A + B @ J @ B.T)
+        ref = (V * np.sign(w)) @ V.T - np.diag(np.sign(lam))
+        assert norm2(res.materialize() - ref) <= 1e-12 * norm2(ref)
+
+    def test_other_rank_losses_still_raise(self):
+        A = np.diag([1.0] * 50 + [2.0] * 50)
+        b = np.ones((100, 1))
+        f = FunctionSpec.inv_sqrt()
+        plan = PolePlan((-1.0,), repetition="cyclic")
+        # two bases
+        with pytest.raises(RankDeficient) as exc:
+            run_update(A, b, b, f=f, plan=plan, m_max=10, tol=0.0)
+        assert exc.value.step == 3
+        # part of a block: the squared operator has eigenvalues 1 and 4, but
+        # [B, A B] meets three eigenspaces of A
+        S = np.diag([-1.0] * 30 + [1.0] * 30 + [2.0] * 40)
+        zplan = PolePlan(zolotarev_invsqrt_poles((0.5, 5.0), 4).poles, repetition="cyclic")
+        with pytest.raises(RankDeficient) as exc:
+            sign_update(S, np.full((100, 1), 0.1), np.array([[1.0]]), zplan, m_max=10, tol=0.0)
+        assert exc.value.step == 2 and not exc.value.exhausted
+        # a run that never converges sets no breakdown step
+        _, report = run_update(A, b, f=f, plan=plan, m_max=2, tol=0.0, J=np.array([[1.0]]))
+        assert report.breakdown_step is None
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_non_finite_small_problem_is_a_typed_error(hermitian):
+    # exp of the Ritz values near 1e3 overflows; the step names itself
+    # instead of a warning or numpy's "SVD did not converge"
+    n = 200
+    A = np.diag(np.linspace(1.0, 1e3, n))
+    b = np.ones((n, 1)) / np.sqrt(n)
+    plan = PolePlan((INF,), repetition="cyclic")
+    kwargs = dict(J=np.array([[1.0]])) if hermitian else dict(C=np.linspace(1.0, 2.0, n) / 20)
+    with pytest.raises(NonFiniteResult) as exc:
+        run_update(A, b, f=FunctionSpec.exp(), plan=plan, m_max=20, tol=1e-12, **kwargs)
+    assert exc.value.step == 2
