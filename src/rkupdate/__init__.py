@@ -22,18 +22,16 @@ from .bounds import (
 )
 from .dense import (
     ShiftedFactorization,
-    SpectralDecomposition,
     funm_block_triangular,
     funm_small,
     norm2,
     qr_orthonormalize,
     shifted_factorize,
-    spectral_decompose,
 )
 from .errors import *  # noqa: F401,F403  (exception names)
 from .functions import FunctionSpec, PartialFractions, partial_fractions
 from .mmio import read_matrix, write_matrix
-from .oracles import HankelCoefficients, bvl_update, dense_update, rational_eval_pf, sherman_morrison
+from .oracles import HankelCoefficients, bvl_update, dense_update, sherman_morrison
 from .poles import (
     INF,
     EllipseMap,
@@ -58,7 +56,6 @@ from .signsylv import (
 from .updater import (
     UpdateReport,
     UpdateState,
-    estimate_error,
     project_update,
     run_update,
     update_hermitian,

@@ -12,7 +12,6 @@ prefix on its own.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +32,8 @@ __all__ = [
     "markov_modified_bound", "sign_update_bound",
 ]
 
-#: default sample count for the eta maximization (env-overridable)
-ETA_SAMPLES_ENV = "KU_NUM_SAMPLES_ETA"
-_ETA_SAMPLES_DEFAULT = 4096
+#: sample count of the grid on which the eta maximization starts
+_ETA_SAMPLES = 4096
 
 #: constant of the Crouzeix-Kressner Frechet-derivative bound
 _CK = (1.0 + math.sqrt(2.0)) ** 2
@@ -54,7 +52,6 @@ class SpectralWindow:
 
     lmin: float
     lmax: float
-    kind: str = "interval"
     half_height: float = 0.0
 
     def __post_init__(self):
@@ -62,18 +59,15 @@ class SpectralWindow:
             raise ValueError("window needs lmin <= lmax")
         if self.half_height < 0:
             raise ValueError("half_height must be nonnegative")
-        if self.half_height > 0 and self.kind == "interval":
-            object.__setattr__(self, "kind", "symmetric-convex-stub")
 
     @property
     def omega(self):
         return self.lmin
 
     @classmethod
-    def from_matrices(cls, A, A_plus, hermitian=True):
-        """Window [min of both smallest, max of both largest eigenvalues]."""
-        if not hermitian:
-            raise ValueError("construction from matrices is for the Hermitian case")
+    def from_matrices(cls, A, A_plus):
+        """Window [min of both smallest, max of both largest eigenvalues] of
+        two Hermitian matrices."""
         wa = np.linalg.eigvalsh(np.asarray(A, dtype=complex))
         wb = np.linalg.eigvalsh(np.asarray(A_plus, dtype=complex))
         return cls(float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1])))
@@ -127,17 +121,6 @@ class BoundReport:
         return float(self.values[-1])
 
 
-def _num_eta_samples():
-    raw = os.environ.get(ETA_SAMPLES_ENV, "")
-    try:
-        val = int(raw)
-        if val >= 8:
-            return val
-    except ValueError:
-        pass
-    return _ETA_SAMPLES_DEFAULT
-
-
 def _expand_poles(plan, m):
     if isinstance(plan, PolePlan):
         return plan.expand(m) if m is not None else plan.base_sequence()
@@ -176,9 +159,8 @@ def _eta_prefixes(poles, imap, support):
     """eta of every prefix ``poles[:k]``, k = 1..m, in one pass.
 
     The maximum of log 1/|B_k| is located on a Chebyshev-distributed sample
-    grid (override the density with the KU_NUM_SAMPLES_ETA environment
-    variable) and sharpened by golden-section refinement around the best
-    sample.  The distinct poles are mapped once and their log terms on the
+    grid of ``_ETA_SAMPLES`` points and sharpened by golden-section
+    refinement around the best sample.  The distinct poles are mapped once and their log terms on the
     grid computed once; each prefix's grid values are rebuilt from those
     terms one row at a time, and the refinement runs for all prefixes at
     once, each row stopping where its own search converges.  Every entry is
@@ -211,7 +193,7 @@ def _eta_prefixes(poles, imap, support):
     n_inf = np.cumsum(group_of == -1)
 
     phi_beta = imap.phi(beta).real
-    nsamp = _num_eta_samples()
+    nsamp = _ETA_SAMPLES
     cheb = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nsamp)))  # [0, 1], clustered
     if math.isinf(alpha):
         # substitute x = phi(beta)/t, t in (0, 1]

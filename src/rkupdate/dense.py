@@ -30,7 +30,6 @@ from .errors import (
 __all__ = [
     "TOL_PIVOT", "TOL_DEFLATE", "TOL_AXIS", "COND_CAP",
     "qr_orthonormalize", "shifted_factorize", "ShiftedFactorization",
-    "spectral_decompose", "SpectralDecomposition",
     "funm_small", "funm_block_triangular", "eval_rational_pf", "norm2",
     "norm2_hermitian",
 ]
@@ -230,33 +229,6 @@ def shifted_factorize(A, xi):
                                 band=(kl, ku) if band else None)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray
-    transform: np.ndarray
-    kind: str  # "hermitian-unitary" or "general-similarity"
-
-
-def spectral_decompose(A, hermitian=False):
-    """Eigendecomposition with the invariants the rest of the package relies on.
-
-    Hermitian path: real ascending eigenvalues, unitary transform.  General
-    path: similarity transform whose condition number must stay below
-    ``COND_CAP`` (otherwise :class:`IllConditionedEigenbasis`).
-    """
-    A = require_square(A)
-    if hermitian:
-        w, Q = np.linalg.eigh(A)
-        return SpectralDecomposition(w, Q, "hermitian-unitary")
-    w, V = np.linalg.eig(A)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise IllConditionedEigenbasis(
-            f"eigenvector condition {cond:.2e} exceeds cap {COND_CAP:.2e}"
-        )
-    return SpectralDecomposition(w, V, "general-similarity")
-
-
 def _check_spectrum(w, kind, scale, hermitian):
     """Domain checks for f on the spectrum; raises SingularityOnSpectrum."""
     tol = TOL_AXIS * max(scale, 1e-300)
@@ -303,8 +275,11 @@ def funm_small(A, f, hermitian=False):
     """f(A) for a small dense matrix via spectral decomposition.
 
     Rational kinds go through partial fractions (solves only).  The
-    exponential falls back to scaling-and-squaring when the eigenbasis is
-    too ill conditioned; other kinds raise in that case.
+    Hermitian path uses ``eigh`` (real eigenvalues, unitary transform); the
+    general path an eigenvector similarity whose condition number must stay
+    below ``COND_CAP``.  Beyond it the exponential falls back to
+    scaling-and-squaring and other kinds raise
+    :class:`IllConditionedEigenbasis`.
     """
     A = require_square(A)
     scale = np.abs(A).max(initial=0.0)
@@ -323,13 +298,14 @@ def funm_small(A, f, hermitian=False):
             if np.abs(fw.imag).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(fw).max()):
                 F = 0.5 * (F + F.conj().T)
         return F
-    try:
-        dec = spectral_decompose(A, hermitian=False)
-    except IllConditionedEigenbasis:
+    w, V = np.linalg.eig(A)
+    cond = np.linalg.cond(V)
+    if not np.isfinite(cond) or cond > COND_CAP:
         if f.kind == "exp":
             return sla.expm(A)
-        raise
-    w, V = dec.eigenvalues, dec.transform
+        raise IllConditionedEigenbasis(
+            f"eigenvector condition {cond:.2e} exceeds cap {COND_CAP:.2e}"
+        )
     _check_spectrum(w, f.kind, scale, hermitian=False)
     with np.errstate(over="ignore", invalid="ignore"):
         VF = V * f.scalar(w)

@@ -1,8 +1,8 @@
 """Matrix Market I/O for dense complex matrices.
 
 Thin wrappers over scipy.io that always hand back contiguous complex128
-arrays.  Both the array and coordinate formats are supported for reading
-and writing, with real or complex entries.
+arrays.  Files in the array and the coordinate format are read, with real
+or complex entries; matrices are written in the array format.
 """
 
 import numpy as np
@@ -22,19 +22,13 @@ def read_matrix(path):
     return as_matrix(np.asarray(M), name=str(path))
 
 
-def write_matrix(path, M, form="array", comment=""):
-    """Write a dense matrix in Matrix Market format.
+def write_matrix(path, M):
+    """Write a dense matrix in the Matrix Market array format.
 
-    ``form="array"`` writes the dense array format, ``form="coordinate"``
-    the sparse triplet format.  Complex data is written as complex; matrices
-    with exactly real entries are written as real for interoperability.
+    Complex data is written as complex; matrices with exactly real entries
+    are written as real for interoperability.
     """
     M = as_matrix(M, "M")
     if np.all(M.imag == 0.0):
         M = M.real.copy()
-    if form == "array":
-        scipy.io.mmwrite(path, M, comment=comment)
-    elif form == "coordinate":
-        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(M), comment=comment)
-    else:
-        raise ValueError(f"unknown Matrix Market form {form!r}")
+    scipy.io.mmwrite(path, M)

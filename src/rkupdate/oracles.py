@@ -1,9 +1,9 @@
 """Independent reference implementations used for testing and comparison.
 
-Dense brute-force updates, the classical and generalized (rational)
-Sherman-Morrison formulas, and partial-fraction rational evaluation.  These
-are deliberately different code paths from the Krylov machinery so they can
-serve as oracles; they are size-guarded so they cannot be misused at scale.
+Dense brute-force updates and the classical and generalized (rational)
+Sherman-Morrison formulas.  These are deliberately different code paths
+from the Krylov machinery so they can serve as oracles; they are
+size-guarded so they cannot be misused at scale.
 """
 
 import logging
@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import as_block, require_square
-from .dense import eval_rational_pf, funm_small
+from .dense import funm_small
 from .errors import DenominatorZero, MSingular
-from .functions import PartialFractions
 
 __all__ = ["dense_update", "sherman_morrison", "bvl_update",
-           "HankelCoefficients", "rational_eval_pf", "ORACLE_MAX_N"]
+           "HankelCoefficients", "ORACLE_MAX_N"]
 
 logger = logging.getLogger(__name__)
 
@@ -141,15 +140,3 @@ def bvl_update(A, b, c, coeffs):
     YH = Y_alpha.conj().T - np.linalg.solve(M, Y_beta.conj().T @ (rA + X @ Y_alpha.conj().T))
     return X, YH.conj().T
 
-
-def rational_eval_pf(A, poles, mults, residues, constant=0.0):
-    """constant*I + sum_s sum_{j<=mult_s} residues[s][j-1] (A - pole_s I)^{-j}."""
-    A = require_square(A)
-    _guard(A.shape[0])
-    pf = PartialFractions(
-        poly=(complex(constant),),
-        poles=tuple(complex(p) for p in poles),
-        mults=tuple(int(m) for m in mults),
-        coeffs=tuple(tuple(complex(r) for r in rs) for rs in residues),
-    )
-    return eval_rational_pf(A, pf)

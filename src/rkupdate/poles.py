@@ -4,7 +4,7 @@ Contains the single optimal pole for Markov functions, quasi-optimal
 (Zolotarev) pole sets built from Jacobi elliptic functions, Zolotarev poles
 for the matrix sign function and the inverse square root, the repeated pole
 for the exponential, the extended pattern {0, inf}, Leja ordering, and the
-plain-text serialization used by the CLI.
+parser of the plain-text pole files the CLI reads.
 """
 
 import cmath
@@ -77,10 +77,9 @@ class PolePlan:
             raise ValueError(f"plan has {len(base)} poles, {m} requested")
         return base[:m]
 
-    def conjugate_closed(self, m=None):
+    def conjugate_closed(self):
         """True when the multiset of finite poles is invariant under conjugation."""
-        seq = self.expand(m) if m is not None else self.base_sequence()
-        finite = [p for p in seq if not is_infinite_pole(p)]
+        finite = [p for p in self.base_sequence() if not is_infinite_pole(p)]
         pool = list(finite)
         for p in finite:
             q = complex(p).conjugate()
@@ -95,23 +94,11 @@ class PolePlan:
     def cyclic(self):
         return replace(self, repetition="cyclic")
 
-    def leja(self):
-        return replace(self, ordering="leja")
-
-    # -- plain-text serialization (one pole per line, `inf` for infinity) ----
-    def to_text(self):
-        lines = []
-        for p in self.poles:
-            if is_infinite_pole(p):
-                lines.append("inf")
-            elif p.imag == 0.0:
-                lines.append(repr(p.real))
-            else:
-                lines.append(f"{p.real!r}{p.imag:+}j")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text, repetition="as-given", ordering="as-given"):
+        """Parse a pole file: one pole per line (a Python complex literal, or
+        ``inf`` for infinity); blank lines and lines starting with ``#`` are
+        skipped."""
         poles = []
         for line in text.splitlines():
             line = line.strip()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_block, require_square
+from ._validation import as_block
 from .arnoldi import FactorizationCache, KrylovBasis
 from .dense import _check_spectrum, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
@@ -27,7 +27,7 @@ from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from .poles import PolePlan
 
 __all__ = ["project_update", "update_hermitian", "run_update",
-           "estimate_error", "padded_difference_norm",
+           "padded_difference_norm",
            "UpdateState", "UpdateReport"]
 
 
@@ -134,19 +134,9 @@ class UpdateReport:
 
     def summary(self):
         known = [v for v in (self.true_errors or self.estimates) if v is not None]
-        final = known[-1] if known else float("nan")
+        final = f"{known[-1]:.16e}" if known else "none"
         return (f"converged={str(self.converged).lower()} "
-                f"iterations={self.iterations} final_error={final:.16e}")
-
-
-def estimate_error(state, d):
-    """Difference estimator ||X_m - padded X_{m-d}|| from the stored history."""
-    hist = state.coupling_history
-    if len(hist) <= d:
-        raise ValueError(f"need at least {d + 1} stored couplings")
-    if hist[-1] is None or hist[-1 - d] is None:
-        raise ValueError("coupling history has a gap (singularity retry) at this lag")
-    return padded_difference_norm(hist[-1], hist[-1 - d])
+                f"iterations={self.iterations} final_error={final}")
 
 
 def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
@@ -262,8 +252,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     values), the step is retried after one extra Arnoldi step, and two
     consecutive failures abort.
     """
-    A = require_square(A)
-    n = A.shape[0]
+    cache = FactorizationCache(A)
+    n = cache.A.shape[0]
     B = as_block(B, n, "B")
     hermitian_mode = J is not None
     if hermitian_mode:
@@ -277,7 +267,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         raise ValueError("need m_max >= 1 and d >= 1")
 
     if norm2(B) == 0.0 or (not hermitian_mode and norm2(C) == 0.0):
-        left = KrylovBasis(A, np.zeros((n, 1)))
+        left = KrylovBasis(cache, np.zeros((n, 1)))
         state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [], hermitian_mode)
         return state, _zero_report(())
 
@@ -289,7 +279,6 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     if hermitian_mode and not plan.conjugate_closed():
         raise ValueError("Hermitian mode requires a conjugate-closed pole plan")
 
-    cache = FactorizationCache(A)
     left = KrylovBasis(cache, B)
     right = left if hermitian_mode else KrylovBasis(cache, C, adjoint=True)
 

@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from rkupdate.bounds import SpectralWindow, markov_bound_hermitian
-from rkupdate.cli import (
-    detect_superlinear_departure,
-    experiment_fig1,
-    experiment_fig2,
-    experiment_fig3,
-    fit_linear_rate,
-)
+from rkupdate.cli import experiment_fig1, experiment_fig2, experiment_fig3
 from rkupdate.dense import funm_block_triangular, funm_small, norm2
 from rkupdate.functions import (
     FunctionSpec,
@@ -30,6 +24,7 @@ from rkupdate.signsylv import SylvesterProblem, sylvester_dense, sylvester_solve
 from rkupdate.updater import padded_difference_norm, run_update
 
 from conftest import max_principal_angle, rand_complex, random_hermitian
+from curves import detect_superlinear_departure, fit_linear_rate
 
 
 def _report(num, name, ok, detail=""):

@@ -25,6 +25,7 @@ from rkupdate.functions import FunctionSpec
 from rkupdate.oracles import dense_update
 from rkupdate.poles import (
     INF,
+    EllipseMap,
     PolePlan,
     extended_plan,
     markov_single_pole,
@@ -96,7 +97,7 @@ class TestEta:
         w = SpectralWindow(1.0, 50.0)
         imap = w.interval_map()
         ref = eta_blaschke([-5.0, INF], imap, NEG_AXIS)
-        monkeypatch.setenv("KU_NUM_SAMPLES_ETA", "128")
+        monkeypatch.setattr(bounds, "_ETA_SAMPLES", 128)
         coarse = eta_blaschke([-5.0, INF], imap, NEG_AXIS)
         assert coarse == pytest.approx(ref, rel=1e-6)
 
@@ -256,8 +257,8 @@ def test_spectral_window_construction(rng):
 class TestEllipseWindow:
     def test_kind_and_map(self):
         w = SpectralWindow(1.0, 9.0, half_height=1.5)
-        assert w.kind == "symmetric-convex-stub"
         emap = w.interval_map()
+        assert isinstance(emap, EllipseMap)
         assert emap.a == pytest.approx(1.0)
         # real points left of the ellipse map outside the unit disk
         assert abs(emap.phi(0.0)) > 1.0
@@ -332,7 +333,7 @@ def scalar_eta(poles, imap, support):
         return out
 
     phi_beta = imap.phi(beta).real
-    nsamp = bounds._num_eta_samples()
+    nsamp = bounds._ETA_SAMPLES
     cheb = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, nsamp)))
     if math.isinf(alpha):
         grid = np.unique(np.clip(cheb, 1.0 / nsamp**2, 1.0))
@@ -400,10 +401,10 @@ def _plan_families():
 FAMILIES = _plan_families()
 
 
-@pytest.fixture(params=[None, "128"], ids=["default-samples", "128-samples"])
+@pytest.fixture(params=[None, 128], ids=["default-samples", "128-samples"])
 def eta_samples(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setenv("KU_NUM_SAMPLES_ETA", request.param)
+        monkeypatch.setattr(bounds, "_ETA_SAMPLES", request.param)
     return request.param
 
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from rkupdate.cli import (
-    CSV_HEADER,
-    detect_superlinear_departure,
-    experiment_fig2,
-    fit_linear_rate,
-    main,
-    write_csv,
-)
+from rkupdate.cli import CSV_HEADER, experiment_fig2, main, write_csv
 from rkupdate.mmio import read_matrix, write_matrix
 from rkupdate.rng import SplitMix64, normal_block
 
@@ -37,29 +30,6 @@ class TestRng:
         x = SplitMix64(42).normal(20000)
         assert abs(x.mean()) <= 0.05
         assert abs(x.std() - 1.0) <= 0.05
-
-
-class TestCurveDiagnostics:
-    def test_fit_linear_rate_exact_decay(self):
-        errs = 3.0 * 0.9**np.arange(1, 101)
-        rate = fit_linear_rate(errs, f_norm=3.0, m_cap=100)
-        assert rate == pytest.approx(0.9, rel=1e-12)
-
-    def test_fit_window_respects_cap(self):
-        errs = np.ones(50)
-        with pytest.raises(ValueError):
-            fit_linear_rate(errs, f_norm=1.0)
-
-    def test_detect_superlinear(self):
-        lin = 0.95**np.arange(1, 61)
-        sup = lin[-1] * 0.7**np.arange(1, 41)
-        errs = np.concatenate([lin, sup])
-        dep = detect_superlinear_departure(errs, 0.95)
-        assert 58 <= dep <= 72
-
-    def test_detect_none_when_linear(self):
-        errs = 0.9**np.arange(1, 81)
-        assert detect_superlinear_departure(errs, 0.9) is None
 
 
 class TestCSV:

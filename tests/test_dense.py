@@ -10,7 +10,6 @@ from rkupdate.dense import (
     norm2,
     qr_orthonormalize,
     shifted_factorize,
-    spectral_decompose,
 )
 from rkupdate.errors import (
     IllConditionedEigenbasis,
@@ -185,34 +184,42 @@ class TestBandStorage:
             shifted_factorize(band, 2.0)
 
 
+#: f(z) = z through the spectral path of funm_small (FunctionSpec.identity
+#: short-cuts it), and f(z) = z**2
+_Z = FunctionSpec.custom(lambda z: z, label="z")
+_Z2 = FunctionSpec.custom(lambda z: z**2, label="z^2")
+
+
 class TestSpectralDecompose:
+    """The eigendecompositions behind funm_small: eigh on the Hermitian
+    path, an eigenvector similarity with a condition cap otherwise."""
+
     def test_hermitian_sorted_unitary(self):
-        dec = spectral_decompose(np.diag([3.0, 1.0]), hermitian=True)
-        assert np.allclose(dec.eigenvalues, [1.0, 3.0])
-        assert dec.kind == "hermitian-unitary"
-        assert norm2(dec.transform.conj().T @ dec.transform - np.eye(2)) <= 1e-12
+        F = funm_small(np.diag([3.0, 1.0]), _Z2, hermitian=True)
+        assert np.allclose(F, np.diag([9.0, 1.0]), atol=1e-12)
+        one = FunctionSpec.custom(lambda z: np.ones_like(z), label="1")
+        assert norm2(funm_small(np.diag([3.0, 1.0]), one, hermitian=True) - np.eye(2)) <= 1e-12
 
     def test_rotation_generator(self):
-        dec = spectral_decompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert sorted(np.round(dec.eigenvalues.imag, 12)) == [-1.0, 1.0]
-        assert np.allclose(dec.eigenvalues.real, 0.0, atol=1e-12)
+        # eigenvalues +-i: the general path, with a unitary eigenbasis
+        F = funm_small(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                       FunctionSpec.custom(np.exp, label="exp"))
+        c, s = np.cos(1.0), np.sin(1.0)
+        assert np.allclose(F, [[c, s], [-s, c]], atol=1e-12)
 
     def test_hermitian_reconstruction(self, rng):
         A, _ = random_hermitian(rng, 40)
-        dec = spectral_decompose(A, hermitian=True)
-        R = (dec.transform * dec.eigenvalues) @ dec.transform.conj().T
-        assert norm2(A - R) <= 1e-11 * norm2(A)
+        assert norm2(funm_small(A, _Z, hermitian=True) - A) <= 1e-11 * norm2(A)
 
     def test_general_similarity_invariant(self, rng):
         A = rand_complex(rng, 15, 15)
-        dec = spectral_decompose(A)
-        assert norm2(A @ dec.transform - dec.transform * dec.eigenvalues) \
-            <= 1e-11 * norm2(A)
+        assert norm2(funm_small(A, _Z) - A) <= 1e-11 * norm2(A)
 
     def test_ill_conditioned_raises(self):
         J = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]])
         with pytest.raises(IllConditionedEigenbasis):
-            spectral_decompose(J)
+            funm_small(J, FunctionSpec.sqrt())
+        assert np.array_equal(funm_small(J, FunctionSpec.exp()), sla.expm(J.astype(complex)))
 
 
 class TestFunmSmall:
@@ -238,8 +245,8 @@ class TestFunmSmall:
     def test_hermitian_commutes_with_diagonalization(self, rng):
         A, w = random_hermitian(rng, 20, 0.5, 4.0)
         F = funm_small(A, FunctionSpec.inv_sqrt(), hermitian=True)
-        dec = spectral_decompose(A, hermitian=True)
-        F2 = (dec.transform * dec.eigenvalues**-0.5) @ dec.transform.conj().T
+        w, Q = np.linalg.eigh(A)
+        F2 = (Q * w**-0.5) @ Q.conj().T
         assert norm2(F - F2) <= 1e-11 * norm2(F)
 
     def test_exp_fallback_agrees(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rkupdate.dense import funm_block_triangular, funm_small, norm2
+from rkupdate.dense import eval_rational_pf, funm_block_triangular, funm_small, norm2
 from rkupdate.errors import DenominatorZero
 from rkupdate.functions import (
     FunctionSpec,
@@ -13,7 +13,6 @@ from rkupdate.oracles import (
     ORACLE_MAX_N,
     bvl_update,
     dense_update,
-    rational_eval_pf,
     sherman_morrison,
 )
 
@@ -121,24 +120,34 @@ class TestBVL:
 class TestRationalEvalPF:
     def test_constant_only(self, rng):
         A = rand_complex(rng, 7, 7)
-        out = rational_eval_pf(A, [], [], [], constant=2.5)
+        out = eval_rational_pf(A, PartialFractions((2.5,), (), (), ()))
         assert np.allclose(out, 2.5 * np.eye(7), atol=1e-15)
 
     def test_single_simple_pole(self, rng):
         A = rand_complex(rng, 9, 9)
         xi = 3.0 + 1.0j
-        out = rational_eval_pf(A, [xi], [1], [(2.0,)])
+        out = eval_rational_pf(A, PartialFractions((), (xi,), (1,), ((2.0,),)))
         expect = 2.0 * np.linalg.inv(A - xi * np.eye(9))
         assert norm2(out - expect) <= 1e-12 * norm2(expect)
 
     def test_diagonal_closed_form(self):
         d = np.array([0.5, 1.5, -2.0])
         A = np.diag(d)
-        poles, mults, residues, const = [4.0], [2], [(1.5, -0.5)], 0.7
-        out = rational_eval_pf(A, poles, mults, residues, const)
-        scalar = const + 1.5 / (d - 4.0) + (-0.5) / (d - 4.0) ** 2
+        out = eval_rational_pf(A, PartialFractions((0.7,), (4.0,), (2,), ((1.5, -0.5),)))
+        scalar = 0.7 + 1.5 / (d - 4.0) + (-0.5) / (d - 4.0) ** 2
         assert np.allclose(np.diag(out), scalar, rtol=1e-11)
         assert norm2(out - np.diag(np.diag(out))) <= 1e-12
+
+    def test_double_pole_and_polynomial_part(self, rng):
+        A = rand_complex(rng, 8, 8)
+        I = np.eye(8)
+        xi = -2.0 + 0.5j
+        pf = PartialFractions((0.3, -1.0, 0.5j), (xi,), (2,), ((1.0 - 1.0j, 0.25),))
+        R = np.linalg.solve(A - xi * I, I)
+        expect = 0.3 * I - A + 0.5j * (A @ A) + (1.0 - 1.0j) * R \
+            + 0.25 * np.linalg.solve(A - xi * I, R)
+        out = eval_rational_pf(A, pf)
+        assert norm2(out - expect) <= 1e-12 * norm2(expect)
 
 
 def test_cross_check_update_paths(rng):

@@ -35,12 +35,13 @@ class TestPolePlan:
         assert PolePlan((1j, 1j, -1j, -1j)).conjugate_closed()
         assert not PolePlan((1j, 1j, -1j)).conjugate_closed()
 
-    def test_serialization_round_trip(self):
-        plan = PolePlan((-3.5, INF, 1.25 + 0.5j, 1.25 - 0.5j))
-        text = plan.to_text()
-        assert "inf" in text.splitlines()
-        back = PolePlan.from_text(text)
-        assert back.poles == plan.poles
+    def test_from_text(self):
+        text = "# poles\n-3.5\n\ninf\n1.25+0.5j\n1.25-0.5j\n"
+        plan = PolePlan.from_text(text, repetition="cyclic")
+        assert plan.poles == (-3.5, INF, 1.25 + 0.5j, 1.25 - 0.5j)
+        assert plan.repetition == "cyclic"
+        with pytest.raises(ValueError):
+            PolePlan.from_text("# no poles\n\n")
 
     def test_leja_ordering_applied_before_repetition(self):
         plan = PolePlan((-1.0, -4.0, -2.0), repetition="cyclic", ordering="leja")

@@ -9,8 +9,8 @@ from rkupdate.oracles import dense_update, sherman_morrison
 from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles
 from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
 from rkupdate.updater import (
+    UpdateReport,
     _rational_krylov,
-    estimate_error,
     padded_difference_norm,
     project_update,
     run_update,
@@ -187,6 +187,32 @@ class TestRunUpdate:
         assert rep.final_rank == 3 * 2
         assert state.coupling.shape == (6, 6)
 
+    @pytest.mark.parametrize("n,shape", [(30, "dense"), (40, "tridiagonal")])
+    def test_real_operator_passed_as_complex_agrees_bitwise(self, rng, n, shape):
+        A = rng.standard_normal((n, n)) + 8.0 * np.eye(n)
+        if shape == "tridiagonal":
+            A = np.triu(np.tril(A, 1), -1)
+        B = rand_complex(rng, n, 2)
+        C = rand_complex(rng, n, 2)
+        (s1, r1), (s2, r2) = [
+            run_update(M, B, C, f=FunctionSpec.exp(), plan=[-2.0, INF, -3.0 + 1.0j],
+                       m_max=3, tol=0.0, d=1)
+            for M in (A, A.astype(complex))]
+        assert np.array_equal(s1.left.basis, s2.left.basis)
+        assert np.array_equal(s1.right.basis, s2.right.basis)
+        assert np.array_equal(s1.coupling, s2.coupling)
+        assert r1.estimates == r2.estimates
+
+    @pytest.mark.parametrize("A", [np.ones((4, 3)), np.diag([1.0, np.nan, 2.0, 3.0])],
+                             ids=["non-square", "non-finite"])
+    def test_rejects_invalid_operator(self, A):
+        b = np.ones((4, 1))
+        with pytest.raises(ValueError):
+            run_update(A, b, b, f=FunctionSpec.exp(), plan=[INF], m_max=1, tol=0.0)
+        with pytest.raises(ValueError):
+            run_update(A, b, f=FunctionSpec.exp(), plan=[INF], m_max=1, tol=0.0,
+                       J=np.array([[1.0]]))
+
 
 class TestEstimator:
     def test_stagnation_zero(self):
@@ -217,8 +243,8 @@ class TestEstimator:
         state, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(),
                                 plan=PolePlan((-2.0,), repetition="cyclic"),
                                 m_max=5, tol=0.0, d=2, J=np.array([[1.0]]))
-        est = estimate_error(state, 2)
-        assert est == pytest.approx(rep.estimates[-1])
+        hist = state.coupling_history
+        assert padded_difference_norm(hist[-1], hist[-3]) == rep.estimates[-1]
 
     def test_estimator_tracks_true_error(self, rng):
         A, _ = random_hermitian(rng, 40, 0.5, 8.0)
@@ -427,6 +453,8 @@ class TestLuckyBreakdown:
                                    m_max=10, tol=0.0, J=np.array([[1.0]]))
         assert report.converged and report.breakdown_step == 3
         assert report.iterations == 2 and len(report.poles) == 2
+        # no step had an estimate (d = 2) or a true error
+        assert report.summary() == "converged=true iterations=2 final_error=none"
         assert state.left.steps == 2 and len(state.left.cache) == 0
         ref = dense_update(A, b @ b.T, f, hermitian=True)
         assert norm2(state.materialize() - ref) <= 1e-12 * norm2(ref)
@@ -462,6 +490,18 @@ class TestLuckyBreakdown:
         # a run that never converges sets no breakdown step
         _, report = run_update(A, b, f=f, plan=plan, m_max=2, tol=0.0, J=np.array([[1.0]]))
         assert report.breakdown_step is None
+
+
+@pytest.mark.parametrize("estimates,true_errors,final", [
+    ([], None, "none"),
+    ([None], [None, None, None], "none"),
+    ([0.5, None], None, f"{0.5:.16e}"),
+    ([None], [0.25, None, 0.125], f"{0.125:.16e}"),
+])
+def test_summary_final_error(estimates, true_errors, final):
+    report = UpdateReport(final_rank=3, iterations=3, estimates=estimates,
+                          true_errors=true_errors)
+    assert report.summary() == f"converged=false iterations=3 final_error={final}"
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
