@@ -24,11 +24,17 @@ for the compression, so each step makes one product with A.  Rank loss is
 a hard error (no deflation).
 
 The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
-per pole value; wherever a matrix ``A`` is taken, its cache may go instead,
-and bases built on one cache share its LUs.  One LU of A - xi I serves both
-sides, so an adjoint basis takes the primal poles: its step for pole xi
-solves with (A - xi I)*.  The solvers clear the caches of their bases when a
-run ends, so factorizations live for one run.
+per pole value, and its product ``matvec(X, adjoint)``; a basis touches the
+operator only through these two.  Wherever a matrix ``A`` is taken, its
+cache may go instead, and bases built on one cache share its LUs.  One LU
+of A - xi I serves both sides, so an adjoint basis takes the primal poles:
+its step for pole xi solves with (A - xi I)*.  The solvers clear the caches
+of their bases when a run ends, so factorizations live for one run.
+
+The sign update's basis is one of A^2 for a Hermitian A, and its private
+cache (``_SquaredCache``) never forms A^2: its product is two products with
+A, and its pole xi = -s^2 takes one LU of A - i s I, whose adjoint solve
+followed by its solve applies (A^2 + s^2 I)^{-1}.
 
 A cache stores a matrix with no nonzero imaginary entry as ``float64``
 (it scans A once); its products, and its LUs at real shifts, then run in
@@ -69,9 +75,30 @@ class FactorizationCache:
         key = complex(xi)
         fac = self._fac.get(key)
         if fac is None:
-            fac = shifted_factorize(self.A, key)
+            fac = self._factor(key)
             self._fac[key] = fac
         return fac
+
+    def _factor(self, xi):
+        return shifted_factorize(self.A, xi)
+
+    def matvec(self, X, adjoint=False):
+        """A @ X, or A* @ X, for a complex block X."""
+        A = self.A
+        real = A.dtype == np.float64
+        # a real A multiplies the float64 view of X, never a mixed
+        # float64 @ complex128 product: numpy would cast all of A every call
+        Z = np.ascontiguousarray(X).view(np.float64) if real else X
+        if isinstance(A, _Band):
+            Y = A.dot(Z, adjoint=adjoint)
+        elif not adjoint:
+            Y = A @ Z
+        elif real:
+            Y = A.T @ Z
+        else:
+            # A* X without forming the conjugate transpose of A
+            Y = (A.T @ X.conj()).conj()
+        return Y.view(complex) if real else Y
 
     def clear(self):
         """Drop every factorization (they are rebuilt on demand)."""
@@ -79,6 +106,36 @@ class FactorizationCache:
 
     def __len__(self):
         return len(self._fac)
+
+
+class _SquaredCache(FactorizationCache):
+    """The square A^2 of a Hermitian operator A, which is never formed.
+
+    A product with A^2 is two products with A.  A pole xi = -s^2 <= 0 takes
+    one LU of A - i s I, since A^2 + s^2 I = (A - i s I)* (A - i s I); the
+    LUs are keyed by xi.  ``A`` is stored as a cache stores it, so a real
+    or band-stored A gets a complex band or dense LU at the shift i s.
+    """
+
+    #: the product with A itself
+    plain_matvec = FactorizationCache.matvec
+
+    def matvec(self, X, adjoint=False):
+        return self.plain_matvec(self.plain_matvec(X, adjoint), adjoint)
+
+    def _factor(self, xi):
+        return _SquaredFactorization(shifted_factorize(self.A, 1j * np.sqrt(-xi.real)))
+
+
+class _SquaredFactorization:
+    """(A^2 + s^2 I)^{-1} from the LU of A - i s I: a solve with its adjoint,
+    then a solve with it.  A^2 is Hermitian, so ``adjoint`` changes nothing."""
+
+    def __init__(self, fac):
+        self.fac = fac
+
+    def solve(self, Y, adjoint=False):
+        return self.fac.solve(self.fac.solve(Y, adjoint=True))
 
 
 class KrylovBasis:
@@ -114,21 +171,7 @@ class KrylovBasis:
         return self.basis.shape[1]
 
     def _matvec(self, X):
-        A = self.cache.A
-        real = A.dtype == np.float64
-        # a real A multiplies the float64 view of X, never a mixed
-        # float64 @ complex128 product: numpy would cast all of A every call
-        Z = np.ascontiguousarray(X).view(np.float64) if real else X
-        if isinstance(A, _Band):
-            Y = A.dot(Z, adjoint=self._adjoint)
-        elif not self._adjoint:
-            Y = A @ Z
-        elif real:
-            Y = A.T @ Z
-        else:
-            # A* X without forming the conjugate transpose of A
-            Y = (A.T @ X.conj()).conj()
-        return Y.view(complex) if real else Y
+        return self.cache.matvec(X, adjoint=self._adjoint)
 
     def _solve(self, xi, Y):
         return self.cache.factorization(xi).solve(Y, adjoint=self._adjoint)

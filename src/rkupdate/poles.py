@@ -95,7 +95,7 @@ class PolePlan:
         return replace(self, repetition="cyclic")
 
     @classmethod
-    def from_text(cls, text, repetition="as-given", ordering="as-given"):
+    def from_text(cls, text, repetition="as-given"):
         """Parse a pole file: one pole per line (a Python complex literal, or
         ``inf`` for infinity); blank lines and lines starting with ``#`` are
         skipped."""
@@ -110,7 +110,7 @@ class PolePlan:
                 poles.append(complex(line))
         if not poles:
             raise ValueError("no poles found in pole file")
-        return cls(tuple(poles), repetition=repetition, ordering=ordering)
+        return cls(tuple(poles), repetition=repetition)
 
 
 class IntervalMap:

@@ -9,6 +9,15 @@ whose poles live on the negative axis (or at infinity) because A^2 is
 positive definite.  The coupling block is evaluated through the Hermitian
 difference shortcut on matrices of half the block-triangular size.
 
+A^2 is never formed.  A product with A^2 is two products with A, and a pole
+xi = -s^2 takes one LU of A - i s I: for Hermitian A,
+A^2 + s^2 I = (A - i s I)* (A - i s I), so a solve with the adjoint of that
+LU followed by a solve with the LU itself applies (A^2 + s^2 I)^{-1}.  A
+real or band-stored A thus keeps its storage, and its LUs are complex at
+the shift i s.  The dense A + D is formed only at desk scale (n <=
+``ORACLE_MAX_N``, or when a true update is supplied); above it ||A + D||
+comes from ``eigsh`` on the product x -> A x + B J (B* x).
+
 The same projection applied to the block-diagonal sign embedding of a
 Sylvester equation A1 Z - Z A2 + B1 C2* = 0 reduces to a Galerkin method
 with two one-sided rational Krylov bases and a small dense Sylvester solve;
@@ -19,14 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._validation import as_block, is_infinite_pole, require_square
-from .arnoldi import KrylovBasis
+from ._validation import as_block, as_operator, is_infinite_pole, require_square
+from .arnoldi import KrylovBasis, _SquaredCache
 from .dense import TOL_AXIS, funm_small, norm2
 from .errors import CompressedNotSolvable, IndefiniteSquareWindow, SpectraIntersect
 from .functions import FunctionSpec
 from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
+from .rng import normal_block
 from .updater import _rational_krylov, padded_difference_norm
 
 __all__ = ["sign_update", "SignUpdateResult", "SylvesterProblem",
@@ -65,40 +76,60 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     inverse-square-root coupling through the Hermitian difference, forms the
     correction term U_m G_m^{-1/2} U_m* B, and stops when the combined
     estimate  ||A+D|| * ||dX|| + ||BJ|| * ||d(G^{-1/2} U*B)||  falls below
-    tol.  Invertibility of A and A + D is verified at desk scale.
+    tol.  Invertibility of A and A + D is verified at desk scale.  A enters
+    only through products and shifted LUs of A itself; A^2 is never formed.
 
     The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
     m_max >= 1 and d >= 1, and a step whose compression hits a singularity
     of the inverse square root is retried after one extra step (two
     consecutive failures abort).
     """
-    A = require_square(A)
-    n = A.shape[0]
+    cache = _SquaredCache(A)
+    n = cache.A.shape[0]
     B = as_block(B, n, "B")
     J = np.asarray(J, dtype=complex)
     ell = B.shape[1]
     if J.shape != (ell, ell):
         raise ValueError(f"J must be {ell}x{ell}")
-    ApD = A + B @ J @ B.conj().T
-    w_ApD = np.linalg.eigvalsh(ApD)
+    BJ = B @ J
+
+    def apply_ApD(X):
+        """(A + D) X, through products with A."""
+        X = np.asarray(X, dtype=complex).reshape(n, -1)
+        return cache.plain_matvec(X) + BJ @ (B.conj().T @ X)
+
+    if n <= ORACLE_MAX_N or true_update is not None:
+        # the desk checks and the true error take the dense A + D
+        A = as_operator(A)
+        ApD = A + BJ @ B.conj().T
     if n <= ORACLE_MAX_N:
+        w_ApD = np.linalg.eigvalsh(ApD)
         for w, name in ((np.linalg.eigvalsh(A), "A"), (w_ApD, "A + D")):
             if np.abs(w).min() < TOL_AXIS * max(np.abs(w).max(), 1e-300):
                 raise ValueError(f"{name} is numerically singular; sign undefined")
-    norm_ApD = float(np.abs(w_ApD).max())      # A + D is Hermitian
+        norm_ApD = float(np.abs(w_ApD).max())      # A + D is Hermitian
+    else:
+        ApD_op = LinearOperator((n, n), matvec=apply_ApD, dtype=complex)
+        # A seeded start vector keeps the run's bits fixed.  A Hermitian
+        # Ritz value errs by about the square of its residual, so the
+        # residual bound 1e-8 leaves the norm right to rounding level (to
+        # 4e-15 on the bench's sign instance at n = 700, with 201 products
+        # against 381 for a bound at machine precision).
+        w = eigsh(ApD_op, k=1, v0=normal_block(0, n)[:, 0], tol=1e-8,
+                  return_eigenvectors=False)
+        norm_ApD = abs(float(w[0]))
 
     if not isinstance(plan, PolePlan):
         plan = PolePlan(tuple(plan))
     poles = plan.expand(m_max)
     _validate_sign_plan(poles)
 
-    A2 = A @ A
-    W = np.hstack([B, A @ B])
+    W = np.hstack([B, cache.plain_matvec(B)])
     BtB = B.conj().T @ B
     M_core = np.block([[J @ BtB @ J, J], [J, np.zeros_like(J)]])
-    norm_BJ = norm2(B @ J)
+    norm_BJ = norm2(BJ)
     f = FunctionSpec.inv_sqrt()
-    basis = KrylovBasis(A2, W)
+    basis = KrylovBasis(cache, W)
 
     def evaluate():
         """(X, G^{-1/2} U*B) of the current basis."""
@@ -125,7 +156,7 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     def true_error(new):
         X, fvec_small = new
         U = basis.basis
-        upd = ApD @ (U @ X @ U.conj().T) + (B @ J) @ (U @ fvec_small).conj().T
+        upd = ApD @ (U @ X @ U.conj().T) + BJ @ (U @ fvec_small).conj().T
         return norm2(true_update - upd)
 
     history, report = _rational_krylov(
@@ -134,7 +165,7 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     X, fvec_small = history[-1]
     U = basis.basis
     f_block = U @ fvec_small
-    left = np.hstack([ApD @ (U @ X), B @ J])
+    left = np.hstack([apply_ApD(U @ X), BJ])
     right = np.hstack([U, f_block])
     report.final_rank = left.shape[1]
     return SignUpdateResult(left=left, right=right, f_block=f_block,
@@ -143,7 +174,10 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
 
 @dataclass(frozen=True)
 class SylvesterProblem:
-    """A1 Z - Z A2 + B1 C2* = 0 with W(A1), W(-A2) in the open right half-plane."""
+    """A1 Z - Z A2 + B1 C2* = 0 with W(A1), W(-A2) in the open right half-plane.
+
+    ``create`` keeps a real A1 or A2 in ``float64``, as a factorization
+    cache does."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -152,8 +186,8 @@ class SylvesterProblem:
 
     @classmethod
     def create(cls, A1, A2, B1, C2):
-        A1 = require_square(A1, "A1")
-        A2 = require_square(A2, "A2")
+        A1 = as_operator(A1, "A1")
+        A2 = as_operator(A2, "A2")
         B1 = as_block(B1, A1.shape[0], "B1")
         C2 = as_block(C2, A2.shape[0], "C2")
         if B1.shape[1] != C2.shape[1]:
@@ -169,17 +203,28 @@ class SylvesterProblem:
 def sylvester_dense(A1, A2, B1C2H):
     """Dense solve of A1 Z - Z A2 + B1C2H = 0 by Schur-form back-substitution.
 
-    Raises :class:`SpectraIntersect` when the coefficient spectra touch.
+    The steps, and the bits, of ``scipy.linalg.solve_sylvester(A1, -A2,
+    -B1C2H)``, whose Schur forms also give the spectra: the diagonals of
+    the Schur forms of A1 and of (-A2)* hold the eigenvalues of A1 and
+    minus the conjugate eigenvalues of A2.  Raises :class:`SpectraIntersect`
+    when the coefficient spectra touch.
     """
     A1 = require_square(A1, "A1")
     A2 = require_square(A2, "A2")
-    w1 = np.linalg.eigvals(A1)
-    w2 = np.linalg.eigvals(A2)
+    r, u = sla.schur(A1, output="real")
+    s, v = sla.schur((-A2).conj().T, output="real")
+    w1 = np.diagonal(r)
+    w2 = -np.diagonal(s).conj()
     sep = np.abs(w1[:, None] - w2[None, :]).min()
     scale = max(norm2(A1) + norm2(A2), 1e-300)
     if sep < 1e-12 * scale:
         raise SpectraIntersect(f"spectra separated by only {sep:.3e}")
-    return sla.solve_sylvester(A1, -A2, -np.asarray(B1C2H, dtype=complex))
+    f = u.conj().T @ -np.asarray(B1C2H, dtype=complex) @ v
+    trsyl, = sla.get_lapack_funcs(("trsyl",), (r, s, f))
+    y, factor, info = trsyl(r, s, f, tranb="C")
+    if info < 0:
+        raise ValueError(f"trsyl rejected argument {-info}")
+    return u @ (factor * y) @ v.conj().T
 
 
 @dataclass

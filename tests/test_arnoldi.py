@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
+import rkupdate.arnoldi as arnoldi
+from rkupdate.arnoldi import (
+    FactorizationCache,
+    KrylovBasis,
+    _SquaredCache,
+    adjoint_basis,
+    build_basis,
+)
 from rkupdate.dense import _Band, norm2
 from rkupdate.errors import RankDeficient, SingularShift
 from rkupdate.functions import FunctionSpec, PartialFractions
@@ -344,3 +351,55 @@ class TestBandOperator:
         for basis in (general.left, general.right, herm.left):
             assert isinstance(basis.cache.A, _Band)
             assert basis.steps > 1 and len(basis.cache) == 0
+
+
+def _hermitian_operators(rng, n):
+    """Hermitian operators whose spectra keep a distance from 0: dense
+    complex, and real tridiagonal and diagonal ones in band storage."""
+    dense, _ = random_hermitian(rng, n, 0.2, 3.0)
+    signs = rng.choice([-1.0, 1.0], n)
+    tri = np.diag(signs * rng.uniform(1.0, 3.0, n)) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    diag = np.diag(signs * np.logspace(-1, 1, n))
+    return {"dense": dense, "tridiagonal": tri, "diagonal": diag}
+
+
+class TestSquaredCache:
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "diagonal"])
+    def test_solves_and_products_of_the_square(self, rng, kind):
+        n = 40
+        A = _hermitian_operators(rng, n)[kind]
+        cache = _SquaredCache(A)
+        assert isinstance(cache.A, np.ndarray if kind == "dense" else _Band)
+        A2 = A @ A
+        for s in (0.1, 2.0):
+            fac = cache.factorization(-s * s)
+            for Y in (rand_complex(rng, n), rand_complex(rng, n, 3)):
+                ref = np.linalg.solve(A2 + s * s * np.eye(n), Y)
+                for adjoint in (False, True):
+                    got = fac.solve(Y, adjoint=adjoint)
+                    assert got.shape == Y.shape
+                    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        X = rand_complex(rng, n, 2)
+        for adjoint in (False, True):
+            ref = A @ A @ X
+            assert np.linalg.norm(cache.matvec(X, adjoint) - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(cache.plain_matvec(X), FactorizationCache(A).matvec(X))
+
+    def test_one_lu_of_the_shifted_operator_per_pole(self, rng, monkeypatch):
+        shifts = []
+        factorize = arnoldi.shifted_factorize
+
+        def recorded(A, xi):
+            shifts.append(xi)
+            return factorize(A, xi)
+
+        monkeypatch.setattr(arnoldi, "shifted_factorize", recorded)
+        A = _hermitian_operators(rng, 40)["tridiagonal"]
+        cache = _SquaredCache(A)
+        assert isinstance(cache.A, _Band)
+        basis = KrylovBasis(cache, rand_complex(rng, 40, 2))
+        for xi in (-0.25, INF, -4.0, -0.25, -4.0, INF):
+            basis.advance(xi)
+        assert shifts == [0.5j, 2.0j]
+        assert len(cache) == 2
+        assert cache.factorization(-4.0).fac.shift == 2.0j

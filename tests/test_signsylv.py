@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import rkupdate.signsylv as signsylv
 from rkupdate.dense import funm_block_triangular, funm_small, norm2
 from rkupdate.errors import CompressedNotSolvable, SpectraIntersect
 from rkupdate.functions import FunctionSpec
+from rkupdate.oracles import ORACLE_MAX_N
 from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles, zolotarev_sign_poles
 from rkupdate.signsylv import (
     SylvesterProblem,
@@ -73,6 +76,7 @@ class TestSignUpdate:
         res, rep = sign_update(A, B, J, plan, m_max=18, tol=1e-9, d=2,
                                true_update=dense)
         assert rep.true_errors[-1] <= 1e-7
+        assert res.basis.steps > 1 and len(res.basis.cache) == 0
 
     def test_debug_block_path_agrees(self, rng):
         # the half-size difference equals the coupling block of the
@@ -133,6 +137,67 @@ class TestSignUpdate:
                                        np.linalg.qr(qinv @ S2)[0]) <= 1e-10
 
 
+class TestSignUpdateAboveDeskScale:
+    """n = 600 > ORACLE_MAX_N: no dense A + D, its norm from eigsh."""
+
+    @staticmethod
+    def instance(rng, n=600):
+        # a Hermitian tridiagonal A with |eigenvalues| in [0.06, 1.04]
+        # (Gershgorin), and a rank-2 update of norm at most 8e-4
+        half = n // 2
+        d = np.concatenate([-np.linspace(1.0, 0.1, half), np.linspace(0.1, 1.0, n - half)])
+        e = 0.02 * np.exp(2j * np.pi * rng.random(n - 1))
+        A = np.diag(d) + np.diag(e, -1) + np.diag(e.conj(), 1)
+        B = 0.02 * rand_complex(rng, n, 2)
+        J = np.diag([1.0, -1.0])
+        plan = PolePlan(zolotarev_invsqrt_poles((3e-3, 1.1), 6).poles,
+                        repetition="cyclic", ordering="leja")
+        return A, B, J, plan
+
+    @pytest.fixture
+    def dense_eigensolvers_guarded(self, monkeypatch):
+        def guard(fn):
+            def guarded(a, *args, **kwargs):
+                assert np.shape(a)[-1] <= ORACLE_MAX_N, f"dense eigensolver on {np.shape(a)}"
+                return fn(a, *args, **kwargs)
+            return guarded
+
+        for module in (signsylv.np.linalg, signsylv.sla):
+            for name in ("eigvalsh", "eigh"):
+                monkeypatch.setattr(module, name, guard(getattr(module, name)))
+
+    def test_runs_are_bitwise_equal(self, rng, monkeypatch, dense_eigensolvers_guarded):
+        A, B, J, plan = self.instance(rng)
+        norms = []
+        eigsh = signsylv.eigsh
+
+        def recorded(*args, **kwargs):
+            w = eigsh(*args, **kwargs)
+            norms.append(float(np.abs(w).max()))
+            return w
+
+        monkeypatch.setattr(signsylv, "eigsh", recorded)
+        runs = [sign_update(A, B, J, plan, m_max=12, tol=1e-8) for _ in range(2)]
+        (first, rep1), (second, rep2) = runs
+        assert rep1.iterations > 2 and rep1.estimates == rep2.estimates
+        for x, y in ((first.left, second.left), (first.right, second.right)):
+            assert np.array_equal(x, y)
+        monkeypatch.undo()
+        ref = np.abs(np.linalg.eigvalsh(A + B @ J @ B.conj().T)).max()
+        assert norms[0] == norms[1]
+        assert abs(norms[0] - ref) <= 1e-12 * ref
+
+    def test_left_factor_applies_A_plus_D(self, rng, dense_eigensolvers_guarded):
+        # left = [(A + D) U X, B J] without the dense A + D
+        A, B, J, plan = self.instance(rng)
+        res, _ = sign_update(A, B, J, plan, m_max=4, tol=0.0)
+        UX = res.basis.basis @ res.coupling
+        ref = (A + B @ J @ B.conj().T) @ UX
+        k = UX.shape[1]
+        assert np.abs(res.left[:, :k] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(res.left[:, k:], B @ J)
+
+
 class TestSylvesterDense:
     def test_diagonal_closed_form(self):
         A1 = np.diag([1.0, 2.0])
@@ -159,6 +224,20 @@ class TestSylvesterDense:
         K = np.kron(np.eye(n2), A1) - np.kron(A2.T, np.eye(n1))
         z = np.linalg.solve(K, -B1C2.reshape(-1, order="F"))
         assert norm2(Z - z.reshape(n1, n2, order="F")) <= 1e-11 * norm2(Z)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (9, 1), (12, 5), (40, 40)])
+    def test_bits_of_scipy_solve_sylvester(self, rng, n1, n2):
+        A1 = rand_complex(rng, n1, n1) + 6 * np.eye(n1)
+        A2 = rand_complex(rng, n2, n2) - 6 * np.eye(n2)
+        C = rand_complex(rng, n1, n2)
+        assert np.array_equal(sylvester_dense(A1, A2, C), sla.solve_sylvester(A1, -A2, -C))
+        # real diagonal coefficients are solved as the complex matrices they
+        # are coerced to (scipy's real Schur path has other bits)
+        d1 = np.diag(rng.uniform(1.0, 3.0, n1))
+        d2 = np.diag(-rng.uniform(1.0, 3.0, n2))
+        R = rng.standard_normal((n1, n2))
+        ref = sla.solve_sylvester(d1.astype(complex), -d2.astype(complex), -R.astype(complex))
+        assert np.array_equal(sylvester_dense(d1, d2, R), ref)
 
     def test_spectra_intersect(self):
         with pytest.raises(SpectraIntersect):
@@ -238,6 +317,23 @@ class TestSylvesterKrylov:
                                 C2=np.ones((2, 1), dtype=complex))
         with pytest.raises(CompressedNotSolvable):
             sylvester_solve_krylov(prob, [INF, INF], m_max=2, tol=0.0, d=1)
+
+    def test_real_coefficients_stay_real(self, rng):
+        n = 12
+        A1 = rng.standard_normal((n, n)) / n + 4 * np.eye(n)
+        A2 = rng.standard_normal((n, n)) / n - 4 * np.eye(n)
+        B1 = rand_complex(rng, n, 1)
+        C2 = rand_complex(rng, n, 1)
+        real = SylvesterProblem.create(A1, A2, B1, C2)
+        cplx = SylvesterProblem.create(A1.astype(complex), A2.astype(complex), B1, C2)
+        assert real.A1.dtype == real.A2.dtype == np.float64
+        assert cplx.A1.dtype == np.complex128
+        plan = PolePlan((-3.0, -6.0), repetition="cyclic")
+        got, rep = sylvester_solve_krylov(real, plan, m_max=6, tol=0.0)
+        ref, rep_ref = sylvester_solve_krylov(cplx, plan, m_max=6, tol=0.0)
+        for x, y in ((got.left, ref.left), (got.core, ref.core), (got.right, ref.right)):
+            assert np.array_equal(x, y)
+        assert rep.estimates == rep_ref.estimates
 
     def test_stability_validation(self, rng):
         with pytest.raises(ValueError):
