@@ -7,6 +7,9 @@ large operator of the Krylov layer: :func:`as_operator` keeps a real dtype
 real, and the factorization cache stores a complex matrix with no nonzero
 imaginary entry as ``float64`` (one scan per cache), so products and LUs
 with a real A run in real arithmetic while the blocks stay complex.  The
+dense kernels apply the same rule to a small matrix they decompose: one
+with no nonzero imaginary entry goes to LAPACK as its ``float64`` real
+part, and the result is complex again.  The
 cache finds A's band structure once in the same way, and keeps a matrix
 with a narrow band in LAPACK band storage only.
 Hermitian structure is always an explicit caller-supplied flag, never

@@ -4,7 +4,11 @@ Factorizations, orthonormalization, spectral decompositions and matrix
 functions of small matrices.  Everything is double precision.  Blocks and
 small matrices are dense and complex; a shifted factorization is real
 when its operator is ``float64`` and its shift real, and its solves then
-act on the ``float64`` view of the complex right-hand side.  An operator
+act on the ``float64`` view of the complex right-hand side.  A small
+matrix with no nonzero imaginary entry is decomposed as its ``float64``
+real part (:func:`_real_if_real`: the ``eigh`` and ``eig`` of
+:func:`funm_small`, :func:`norm2`, :func:`norm2_hermitian`), which real
+data with real poles keep exactly; the results stay complex.  An operator
 whose band is narrow is held in LAPACK band storage (:func:`_banded`, run
 once per factorization cache, as the realness scan is), and its shifted
 LUs and products then cost O(n) per band row instead of the dense O(n^3)
@@ -41,12 +45,20 @@ TOL_AXIS = 1e-12
 COND_CAP = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
+def _real_if_real(M):
+    """M's ``float64`` real part when M is complex with no nonzero imaginary
+    entry (the factorization cache's realness rule), M itself otherwise."""
+    if np.iscomplexobj(M) and not M.imag.any():
+        return M.real
+    return M
+
+
 def norm2(M):
     """Spectral norm; zero for empty matrices."""
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(_real_if_real(M), 2))
 
 
 def norm2_hermitian(M):
@@ -55,7 +67,7 @@ def norm2_hermitian(M):
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
-    return float(np.abs(np.linalg.eigvalsh(M)).max())
+    return float(np.abs(np.linalg.eigvalsh(_real_if_real(M))).max())
 
 
 def qr_orthonormalize(W, reference_norms=None, step=None):
@@ -282,23 +294,29 @@ def funm_small(A, f, hermitian=False):
     :class:`IllConditionedEigenbasis`.
     """
     A = require_square(A)
-    scale = np.abs(A).max(initial=0.0)
     if f.kind == "identity":
         return A.copy()
     if f.kind in ("rational", "inverse"):
         return eval_rational_pf(A, f.partial_fractions())
+    scale = np.abs(A).max(initial=0.0)
+    Ar = _real_if_real(A)
     if hermitian:
-        w, Q = np.linalg.eigh(A)
+        w, Q = np.linalg.eigh(Ar)
         _check_spectrum(w + 0j, f.kind, scale, hermitian=True)
         # an f that overflows on the spectrum leaves non-finite entries,
-        # which the step loop reports as a typed error, not as warnings
+        # which the step loop reports as a typed error, not as warnings; an
+        # infinite f(w) keeps the complex product, whose NaNs (not the real
+        # product's infinities) a later difference takes without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             fw = f.scalar(w + 0j)
-            F = (Q * fw) @ Q.conj().T
+            if Q.dtype == np.float64 and np.isfinite(fw).all() and not fw.imag.any():
+                F = (Q * fw.real) @ Q.T
+            else:
+                F = (Q * fw) @ Q.conj().T
             if np.abs(fw.imag).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(fw).max()):
                 F = 0.5 * (F + F.conj().T)
-        return F
-    w, V = np.linalg.eig(A)
+        return F.astype(complex, copy=False)
+    w, V = np.linalg.eig(Ar)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > COND_CAP:
         if f.kind == "exp":
@@ -306,6 +324,7 @@ def funm_small(A, f, hermitian=False):
         raise IllConditionedEigenbasis(
             f"eigenvector condition {cond:.2e} exceeds cap {COND_CAP:.2e}"
         )
+    w = w.astype(complex, copy=False)
     _check_spectrum(w, f.kind, scale, hermitian=False)
     with np.errstate(over="ignore", invalid="ignore"):
         VF = V * f.scalar(w)

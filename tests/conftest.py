@@ -36,6 +36,17 @@ def band_matrix(rng, n, kl, ku, complex_entries=False):
     return A + (4.0 * (kl + ku + 1) + 2.0) * np.eye(n)
 
 
+def path_laplacian_update(n):
+    """Shifted path-graph Laplacian L + 1e-2 I, real, and the edge vectors
+    B of two new edges, for D = B (0.5 I) B*: a real Hermitian instance."""
+    A = 2.01 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    A[0, 0] = A[-1, -1] = 1.01
+    B = np.zeros((n, 2))
+    B[[1, n // 3], 0] = 1.0, -1.0
+    B[[n // 2, n - 2], 1] = 1.0, -1.0
+    return A, B, 0.5 * np.eye(2)
+
+
 def max_principal_angle(X, Y):
     ang = subspace_angles(np.asarray(X), np.asarray(Y))
     return float(ang.max()) if ang.size else 0.0

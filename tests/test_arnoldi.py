@@ -238,6 +238,21 @@ class TestRealOperator:
             for x, y in ((got.basis, ref.basis), (got.compression, ref.compression)):
                 assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    def test_real_data_keep_the_basis_real(self, rng, kind, adjoint):
+        # funm_small and norm2 decompose the small matrices of a run in real
+        # LAPACK only while real data leave no imaginary part in them
+        n = 60
+        cache = FactorizationCache(_real_operators(rng, n)[kind])
+        assert isinstance(cache.A, _Band) == (kind == "tridiagonal")
+        basis = KrylovBasis(cache, rng.standard_normal((n, 2)), adjoint=adjoint)
+        for xi in [-1.0, INF, 0.0, 1.5, INF, -1.0]:
+            basis.advance(xi)
+            assert not basis.basis.imag.any() and not basis.compression.imag.any()
+        basis.advance(-2.0 + 1.0j)
+        assert basis.basis.imag.any() and basis.compression.imag.any()
+
     def test_real_shift_on_real_eigenvalue(self):
         # upper triangular with eigenvalue 2: A - 2I is exactly singular
         A = np.array([[1.0, 5.0, 0.0], [0.0, 2.0, 3.0], [0.0, 0.0, 3.0]])
@@ -384,6 +399,16 @@ class TestSquaredCache:
             ref = A @ A @ X
             assert np.linalg.norm(cache.matvec(X, adjoint) - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.array_equal(cache.plain_matvec(X), FactorizationCache(A).matvec(X))
+
+    def test_complex_shifts_leave_real_data_complex(self, rng):
+        # the LU of A - i s I makes the basis of a real A complex, so the
+        # sign update's small problem keeps the complex kernels
+        A = _hermitian_operators(rng, 40)["tridiagonal"]
+        basis = KrylovBasis(_SquaredCache(A), rng.standard_normal((40, 2)))
+        basis.advance(INF)
+        assert not basis.basis.imag.any()
+        basis.advance(-0.25)
+        assert basis.basis.imag.any() and basis.compression.imag.any()
 
     def test_one_lu_of_the_shifted_operator_per_pole(self, rng, monkeypatch):
         shifts = []

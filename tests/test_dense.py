@@ -8,6 +8,7 @@ from rkupdate.dense import (
     funm_block_triangular,
     funm_small,
     norm2,
+    norm2_hermitian,
     qr_orthonormalize,
     shifted_factorize,
 )
@@ -18,8 +19,10 @@ from rkupdate.errors import (
     SingularShift,
 )
 from rkupdate.functions import FunctionSpec
+from rkupdate.poles import PolePlan
+from rkupdate.updater import run_update
 
-from conftest import BANDS, band_matrix, rand_complex, random_hermitian
+from conftest import BANDS, band_matrix, path_laplacian_update, rand_complex, random_hermitian
 
 
 class TestQR:
@@ -261,6 +264,100 @@ class TestFunmSmall:
     def test_inv_sqrt_indefinite_raises(self):
         with pytest.raises(SingularityOnSpectrum):
             funm_small(np.diag([-1.0, 1.0]), FunctionSpec.inv_sqrt(), hermitian=True)
+
+
+def _complex_funm(A, f, hermitian):
+    """funm_small's spectral paths in complex128 throughout: the reference
+    for the real kernels."""
+    A = np.asarray(A, dtype=complex)
+    if hermitian:
+        w, Q = np.linalg.eigh(A)
+        fw = f.scalar(w + 0j)
+        F = (Q * fw) @ Q.conj().T
+        if np.abs(fw.imag).max() <= 1e-14 * max(1.0, np.abs(fw).max()):
+            F = 0.5 * (F + F.conj().T)
+        return F
+    w, V = np.linalg.eig(A)
+    return np.linalg.solve(V.T, (V * f.scalar(w)).T).T
+
+
+def _real_matrices(rng, n=30):
+    """Real matrices for funm_small, each with the kinds it takes: a
+    symmetric positive definite and an indefinite one (Hermitian path),
+    one with complex-conjugate eigenvalue pairs and one with real
+    eigenvalues (general path)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spd = (Q * np.linspace(0.5, 4.0, n)) @ Q.T
+    w = np.r_[np.linspace(-2.0, -0.5, n // 2), np.linspace(0.5, 3.0, n - n // 2)]
+    indefinite = (Q * w) @ Q.T
+    pairs = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+    triangular = np.triu(rng.standard_normal((n, n)), 1) / n + np.diag(np.linspace(1.0, 2.0, n))
+    assert np.iscomplexobj(np.linalg.eigvals(pairs))
+    assert np.isrealobj(np.linalg.eigvals(triangular))
+    exp_iz = FunctionSpec.custom(lambda z: np.exp(1j * z), label="exp(iz)")
+    return [(spd, True, FunctionSpec.inv_sqrt()), (spd, True, FunctionSpec.exp()),
+            (spd, True, exp_iz), (indefinite, True, FunctionSpec.sign()),
+            (pairs, False, FunctionSpec.exp()), (pairs, False, FunctionSpec.inv_sqrt()),
+            (triangular, False, FunctionSpec.sqrt()), (triangular, False, exp_iz)]
+
+
+class TestRealKernels:
+    """A small matrix with no nonzero imaginary entry is decomposed in
+    float64; the results stay complex128."""
+
+    def test_real_input_matches_complex_path(self, rng):
+        for A, hermitian, f in _real_matrices(rng):
+            ref = _complex_funm(A, f, hermitian)
+            for M in (A, A.astype(complex)):
+                F = funm_small(M, f, hermitian=hermitian)
+                assert F.dtype == np.complex128
+                assert norm2(F - ref) <= 1e-13 * norm2(ref), (f.label, hermitian)
+
+    def test_one_imaginary_entry_keeps_the_complex_bits(self, rng):
+        for A, hermitian, f in _real_matrices(rng):
+            A = A.astype(complex)
+            # the Hermitian path reads the lower triangle only
+            A[0, -1] += 1e-3j
+            F = funm_small(A, f, hermitian=hermitian)
+            assert np.array_equal(F, _complex_funm(A, f, hermitian)), (f.label, hermitian)
+
+    @pytest.mark.parametrize("A, hermitian, f, error", [
+        (np.diag([1e-16, 1.0]), True, FunctionSpec.sign(), SingularityOnSpectrum),
+        (np.diag([-1.0, 1.0]), True, FunctionSpec.inv_sqrt(), SingularityOnSpectrum),
+        (np.array([[-1.0, 5.0], [0.0, 2.0]]), False, FunctionSpec.inv_sqrt(),
+         SingularityOnSpectrum),
+        (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-15]]), False, FunctionSpec.sqrt(),
+         IllConditionedEigenbasis),
+    ])
+    def test_same_typed_errors(self, A, hermitian, f, error):
+        for M in (A, A.astype(complex), A + 1e-300j * np.eye(2)):
+            with pytest.raises(error):
+                funm_small(M, f, hermitian=hermitian)
+
+    def test_norms_match_complex_path(self, rng):
+        for n in (1, 7, 40):
+            G = rng.standard_normal((n, n + 3))
+            H = G @ G.T - 2.0 * np.eye(n)
+            ref = np.linalg.norm(G.astype(complex), 2)
+            assert abs(norm2(G) - ref) <= 1e-15 * ref
+            assert abs(norm2(G.astype(complex)) - ref) <= 1e-15 * ref
+            ref = np.abs(np.linalg.eigvalsh(H.astype(complex))).max()
+            assert abs(norm2_hermitian(H.astype(complex)) - ref) <= 1e-15 * ref
+
+    def test_real_run_hands_eigh_float64(self, monkeypatch):
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def recorded(M, *args, **kwargs):
+            dtypes.append(np.asarray(M).dtype)
+            return eigh(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        A, B, J = path_laplacian_update(60)
+        _, report = run_update(A, B, J=J, f=FunctionSpec.inv_sqrt(),
+                               plan=PolePlan((-0.25,), repetition="cyclic"), m_max=6, tol=0.0)
+        assert report.iterations == 6
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 class TestFunmBlockTriangular:

@@ -17,7 +17,7 @@ from rkupdate.updater import (
     update_hermitian,
 )
 
-from conftest import rand_complex, random_hermitian
+from conftest import path_laplacian_update, rand_complex, random_hermitian
 
 
 def make_rational(poly, poles, mults, coeffs):
@@ -516,3 +516,14 @@ def test_non_finite_small_problem_is_a_typed_error(hermitian):
     with pytest.raises(NonFiniteResult) as exc:
         run_update(A, b, f=FunctionSpec.exp(), plan=plan, m_max=20, tol=1e-12, **kwargs)
     assert exc.value.step == 2
+
+
+def test_real_path_laplacian_keeps_the_coupling_real():
+    # on real data with a real pole the block eigh path's X has no
+    # imaginary part, so its funm_small calls run in real LAPACK
+    A, B, J = path_laplacian_update(120)
+    left = KrylovBasis(A, B)
+    for _ in range(8):
+        left.advance(-0.25)  # left of the spectrum [0.01, 4.01]
+        X = update_hermitian(left, B, J, FunctionSpec.inv_sqrt())
+        assert X.dtype == np.complex128 and not X.imag.any()
