@@ -18,7 +18,6 @@ __all__ = [
     "LastPoleNotInfinite",
     "SpectraIntersect",
     "CompressedNotSolvable",
-    "IndefiniteSquareWindow",
     "DenominatorZero",
     "MSingular",
 ]
@@ -88,10 +87,6 @@ class SpectraIntersect(RKUpdateError):
 
 class CompressedNotSolvable(RKUpdateError):
     """Compressed Sylvester spectra intersect numerically; signals degeneracy."""
-
-
-class IndefiniteSquareWindow(RKUpdateError):
-    """A compression of a squared Hermitian matrix lost positive definiteness."""
 
 
 class DenominatorZero(RKUpdateError):

@@ -6,17 +6,18 @@ as a rank-2l update of (A^2)^{-1/2} plus a correction term, projected onto
     U_m = basis of q_m(A^2)^{-1} K_m(A^2, [B, A B]),
 
 whose poles live on the negative axis (or at infinity) because A^2 is
-positive definite.  The coupling block is evaluated through the Hermitian
-difference shortcut on matrices of half the block-triangular size.
+positive definite.  Since (A + D)^2 = A^2 + W M W* with W = [B, AB], the
+coupling block is a Hermitian difference f(G + U*W M W*U) - f(G), taken
+from the small-problem function of :func:`rkupdate.updater.update_hermitian`.
 
 A^2 is never formed.  A product with A^2 is two products with A, and a pole
 xi = -s^2 takes one LU of A - i s I: for Hermitian A,
 A^2 + s^2 I = (A - i s I)* (A - i s I), so a solve with the adjoint of that
 LU followed by a solve with the LU itself applies (A^2 + s^2 I)^{-1}.  A
 real or band-stored A thus keeps its storage, and its LUs are complex at
-the shift i s.  The dense A + D is formed only at desk scale (n <=
-``ORACLE_MAX_N``, or when a true update is supplied); above it ||A + D||
-comes from ``eigsh`` on the product x -> A x + B J (B* x).
+the shift i s.  The dense A + D is formed only for the invertibility
+check at desk scale (n <= ``ORACLE_MAX_N``); above it ||A + D|| comes from
+``eigsh`` on the product x -> A x + B J (B* x).
 
 The same projection applied to the block-diagonal sign embedding of a
 Sylvester equation A1 Z - Z A2 + B1 C2* = 0 reduces to a Galerkin method
@@ -32,13 +33,13 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ._validation import as_block, as_operator, is_infinite_pole, require_square
 from .arnoldi import KrylovBasis, _SquaredCache
-from .dense import TOL_AXIS, funm_small, norm2
-from .errors import CompressedNotSolvable, IndefiniteSquareWindow, SpectraIntersect
+from .dense import TOL_AXIS, norm2
+from .errors import CompressedNotSolvable, SpectraIntersect
 from .functions import FunctionSpec
 from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
 from .rng import normal_block
-from .updater import _rational_krylov, padded_difference_norm
+from .updater import _hermitian_difference, _rational_krylov, padded_difference_norm
 
 __all__ = ["sign_update", "SignUpdateResult", "SylvesterProblem",
            "sylvester_dense", "sylvester_solve_krylov", "SylvesterResult"]
@@ -50,7 +51,6 @@ class SignUpdateResult:
 
     left: np.ndarray
     right: np.ndarray
-    f_block: np.ndarray          # approximation of (A^2)^{-1/2} B
     coupling: np.ndarray         # X_m for the inverse square root of A^2
     basis: KrylovBasis
 
@@ -72,17 +72,22 @@ def _validate_sign_plan(poles):
 def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     """Approximate sign(A + B J B*) - sign(A) for Hermitian A and J.
 
-    Builds the block basis for A^2 seeded with [B, AB], evaluates the
-    inverse-square-root coupling through the Hermitian difference, forms the
-    correction term U_m G_m^{-1/2} U_m* B, and stops when the combined
-    estimate  ||A+D|| * ||dX|| + ||BJ|| * ||d(G^{-1/2} U*B)||  falls below
-    tol.  Invertibility of A and A + D is verified at desk scale.  A enters
-    only through products and shifted LUs of A itself; A^2 is never formed.
+    Builds the block basis U for A^2 seeded with W = [B, AB].  Each step
+    passes G = U* A^2 U, U*W and the core M of (A + D)^2 = A^2 + W M W* to
+    the small-problem function of :func:`rkupdate.updater.update_hermitian`,
+    which returns the coupling X and f(G) for the inverse square root f.
+    The update is left @ right* with left = [(A + D) U X, B J] and
+    right = [U, U f(G) U*B], and a step's true error (when ``true_update``
+    is given) is measured on these same factors.  The run stops when
+    ||A+D|| * ||dX|| + ||BJ|| * ||d(f(G) U*B)|| falls below tol.
+    Invertibility of A and A + D is verified at desk scale.  A enters only
+    through products and shifted LUs of A itself; A^2 is never formed.
 
     The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
-    m_max >= 1 and d >= 1, and a step whose compression hits a singularity
-    of the inverse square root is retried after one extra step (two
-    consecutive failures abort).
+    m_max >= 1 and d >= 1, and a step whose compression of A^2 or (A + D)^2
+    is not numerically positive definite (a singularity of f) is retried
+    after one extra step; two consecutive failures raise
+    :class:`SingularityOnSpectrum`.
     """
     cache = _SquaredCache(A)
     n = cache.A.shape[0]
@@ -98,12 +103,10 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         X = np.asarray(X, dtype=complex).reshape(n, -1)
         return cache.plain_matvec(X) + BJ @ (B.conj().T @ X)
 
-    if n <= ORACLE_MAX_N or true_update is not None:
-        # the desk checks and the true error take the dense A + D
-        A = as_operator(A)
-        ApD = A + BJ @ B.conj().T
     if n <= ORACLE_MAX_N:
-        w_ApD = np.linalg.eigvalsh(ApD)
+        # the desk checks take the dense A + D
+        A = as_operator(A)
+        w_ApD = np.linalg.eigvalsh(A + BJ @ B.conj().T)
         for w, name in ((np.linalg.eigvalsh(A), "A"), (w_ApD, "A + D")):
             if np.abs(w).min() < TOL_AXIS * max(np.abs(w).max(), 1e-300):
                 raise ValueError(f"{name} is numerically singular; sign undefined")
@@ -132,44 +135,32 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     basis = KrylovBasis(cache, W)
 
     def evaluate():
-        """(X, G^{-1/2} U*B) of the current basis."""
+        """(X, f(G) U*B) of the current basis."""
         G = 0.5 * (basis.compression + basis.compression.conj().T)
-        wG = np.linalg.eigvalsh(G)
-        if wG[0] <= 0.0:
-            raise IndefiniteSquareWindow(
-                f"compression of A^2 lost positive definiteness at step {basis.steps}")
-        UW = basis.block_product(W)
-        E = UW @ M_core @ UW.conj().T
-        E = 0.5 * (E + E.conj().T)
-        wGE = np.linalg.eigvalsh(G + E)
-        if wGE[0] <= 0.0:
-            raise IndefiniteSquareWindow(
-                f"compression of (A+D)^2 lost positive definiteness at step {basis.steps}")
-        F_plus = funm_small(G + E, f, hermitian=True)
-        F_base = funm_small(G, f, hermitian=True)
-        return F_plus - F_base, F_base @ basis.block_product(B)
+        X, F_base = _hermitian_difference(G, basis.block_product(W), M_core, f)
+        return X, F_base @ basis.block_product(B)
+
+    def factors(new):
+        """([(A + D) U X, B J], [U, U f(G) U*B]) of a step's solution."""
+        X, fUB = new
+        U = basis.basis
+        return np.hstack([apply_ApD(U @ X), BJ]), np.hstack([U, U @ fUB])
 
     def estimate(new, old):
         return (norm_ApD * padded_difference_norm(new[0], old[0])
                 + norm_BJ * padded_difference_norm(new[1], old[1]))
 
     def true_error(new):
-        X, fvec_small = new
-        U = basis.basis
-        upd = ApD @ (U @ X @ U.conj().T) + BJ @ (U @ fvec_small).conj().T
-        return norm2(true_update - upd)
+        left, right = factors(new)
+        return norm2(true_update - left @ right.conj().T)
 
     history, report = _rational_krylov(
         basis, basis, poles, evaluate, estimate, tol=tol, d=d,
         error=true_error if true_update is not None else None)
-    X, fvec_small = history[-1]
-    U = basis.basis
-    f_block = U @ fvec_small
-    left = np.hstack([apply_ApD(U @ X), BJ])
-    right = np.hstack([U, f_block])
+    left, right = factors(history[-1])
     report.final_rank = left.shape[1]
-    return SignUpdateResult(left=left, right=right, f_block=f_block,
-                            coupling=X, basis=basis), report
+    return SignUpdateResult(left=left, right=right, coupling=history[-1][0],
+                            basis=basis), report
 
 
 @dataclass(frozen=True)
@@ -207,7 +198,8 @@ def sylvester_dense(A1, A2, B1C2H):
     -B1C2H)``, whose Schur forms also give the spectra: the diagonals of
     the Schur forms of A1 and of (-A2)* hold the eigenvalues of A1 and
     minus the conjugate eigenvalues of A2.  Raises :class:`SpectraIntersect`
-    when the coefficient spectra touch.
+    when the coefficient spectra are closer than 1e-12 (||A1||_F +
+    ||A2||_F).
     """
     A1 = require_square(A1, "A1")
     A2 = require_square(A2, "A2")
@@ -216,7 +208,8 @@ def sylvester_dense(A1, A2, B1C2H):
     w1 = np.diagonal(r)
     w2 = -np.diagonal(s).conj()
     sep = np.abs(w1[:, None] - w2[None, :]).min()
-    scale = max(norm2(A1) + norm2(A2), 1e-300)
+    # the Schur forms have the Frobenius norms of A1 and A2
+    scale = max(np.linalg.norm(r) + np.linalg.norm(s), 1e-300)
     if sep < 1e-12 * scale:
         raise SpectraIntersect(f"spectra separated by only {sep:.3e}")
     f = u.conj().T @ -np.asarray(B1C2H, dtype=complex) @ v

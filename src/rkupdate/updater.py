@@ -67,7 +67,7 @@ def update_hermitian(left, B, J, f):
             # the secular solver maps the base and the updated spectra; where
             # the map is not finite it raises ValueError, and funm_small
             # takes over
-            _check_spectrum(z, f.kind, scale, hermitian=True)
+            _check_spectrum(z, f.kind, scale)
             with np.errstate(over="ignore", invalid="ignore"):
                 return f.scalar(z)
 
@@ -76,11 +76,18 @@ def update_hermitian(left, B, J, f):
             return Q @ core @ Q.conj().T
         except ValueError:
             pass
+    return _hermitian_difference(G, UB, J, f)[0]
+
+
+def _hermitian_difference(G, UB, J, f):
+    """(f(G + S) - f(G), f(G)) for Hermitian G and S = UB J UB*, from two
+    Hermitian matrix functions; a spectrum outside the domain of f raises
+    :class:`SingularityOnSpectrum`."""
     S = UB @ J @ UB.conj().T
     S = 0.5 * (S + S.conj().T)
     F_plus = funm_small(G + S, f, hermitian=True)
     F_base = funm_small(G, f, hermitian=True)
-    return F_plus - F_base
+    return F_plus - F_base, F_base
 
 
 def padded_difference_norm(X_new, X_old):
@@ -266,7 +273,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     if d < 1 or m_max < 1:
         raise ValueError("need m_max >= 1 and d >= 1")
 
-    if norm2(B) == 0.0 or (not hermitian_mode and norm2(C) == 0.0):
+    if not B.any() or (not hermitian_mode and not C.any()):
         left = KrylovBasis(cache, np.zeros((n, 1)))
         state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [], hermitian_mode)
         return state, _zero_report(())

@@ -17,6 +17,7 @@ from rkupdate.bounds import (
 )
 from rkupdate.dense import norm2
 from rkupdate.errors import (
+    EtaNotContracting,
     LastPoleNotInfinite,
     PoleInsideDomain,
     SupportOverlapsSpectrum,
@@ -145,6 +146,14 @@ class TestMarkovNonHermitian:
         rep = markov_bound_nonhermitian(w, [INF] * 30, FunctionSpec.inv_sqrt(),
                                         30, 1.0, 1.0)
         assert rep.final <= 1e-8
+
+    def test_eta_at_one_is_void(self):
+        # the window [1e-20, 1] maps the support end 0 onto the unit circle
+        # (phi(0) rounds to -1), so eta = 1 and the bound is void
+        w = SpectralWindow(1e-20, 1.0)
+        assert w.interval_map().phi(0.0) == -1.0
+        with pytest.raises(EtaNotContracting):
+            markov_bound_nonhermitian(w, [INF], FunctionSpec.inv_sqrt(), 1, 1.0, 1.0)
 
     def test_matches_polynomial_structure(self):
         w = SpectralWindow(2.0, 5.0)

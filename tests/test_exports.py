@@ -1,5 +1,5 @@
-"""Every name a module of the package exports resolves, and no module imports
-a name it neither uses nor exports."""
+"""Every name a module of the package exports resolves, no module imports a
+name it neither uses nor exports, and every typed error has a test."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rkupdate
+import rkupdate.errors as errors
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rkupdate.__path__))
 
@@ -61,3 +62,10 @@ def test_no_unused_imports(name):
 def test_unused_import_check_catches_leftovers():
     assert _unused_imports("import os\nimport numpy as np\nx = np.pi\n") == ["os (line 1)"]
     assert _unused_imports("from .a import b, c\n__all__ = ['c']\n") == ["b (line 1)"]
+
+
+def test_every_typed_error_is_tested():
+    tests = Path(__file__).parent
+    text = "".join(p.read_text() for p in tests.rglob("*.py") if p != Path(__file__))
+    untested = [n for n in errors.__all__ if n != "RKUpdateError" and n not in text]
+    assert untested == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rkupdate.dense import eval_rational_pf, funm_block_triangular, funm_small, norm2
-from rkupdate.errors import DenominatorZero
+from rkupdate.errors import DenominatorZero, MSingular
 from rkupdate.functions import (
     FunctionSpec,
     PartialFractions,
@@ -93,6 +93,13 @@ class TestBVL:
         X, Y = bvl_update(A, b, c, HankelCoefficients(alpha=(1.0,), beta=(0.0, 1.0)))
         sm = sherman_morrison(A, b, c)
         assert norm2(X @ Y.conj().T - sm) <= 1e-12 * norm2(sm)
+
+    def test_singular_coupling_matrix(self):
+        # r(z) = 1/z: M = 1 + c* A^{-1} b vanishes, as the Sherman-Morrison
+        # denominator does
+        e1 = np.eye(2)[:, :1]
+        with pytest.raises(MSingular):
+            bvl_update(np.eye(2), e1, -e1, HankelCoefficients(alpha=(1.0,), beta=(0.0, 1.0)))
 
     def test_constant_rational(self, rng):
         A = rand_complex(rng, 6, 6)

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 import rkupdate.signsylv as signsylv
 from rkupdate.dense import funm_block_triangular, funm_small, norm2
-from rkupdate.errors import CompressedNotSolvable, SpectraIntersect
+from rkupdate.errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
 from rkupdate.functions import FunctionSpec
 from rkupdate.oracles import ORACLE_MAX_N
 from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles, zolotarev_sign_poles
@@ -14,7 +14,7 @@ from rkupdate.signsylv import (
     sylvester_dense,
     sylvester_solve_krylov,
 )
-from rkupdate.updater import run_update
+from rkupdate.updater import _hermitian_difference, run_update
 
 from conftest import max_principal_angle, rand_complex, random_hermitian
 
@@ -94,6 +94,42 @@ class TestSignUpdate:
             E = 0.5 * (E + E.conj().T)
             _, X_blk, _ = funm_block_triangular(G, E, G + E, FunctionSpec.inv_sqrt())
             assert norm2(res.coupling - X_blk) <= 1e-10 * norm2(res.coupling)
+
+    def test_coupling_is_the_shared_small_problem(self, rng):
+        # sign_update's coupling is update_hermitian's small-problem function
+        # on U*[B, AB] and the core of (A + D)^2 - A^2, bit for bit
+        A, B, _ = indefinite_instance(rng, 24)
+        J = np.array([[0.8 + 0j]])
+        plan = PolePlan(zolotarev_invsqrt_poles((5e-3, 1.5), 3).poles, repetition="cyclic")
+        W = np.hstack([B, A @ B])
+        M_core = np.block([[J @ (B.conj().T @ B) @ J, J], [J, np.zeros_like(J)]])
+        for m_max in range(1, 5):
+            res, _ = sign_update(A, B, J, plan, m_max=m_max, tol=0.0, d=1)
+            G = 0.5 * (res.basis.compression + res.basis.compression.conj().T)
+            X, _ = _hermitian_difference(G, res.basis.block_product(W), M_core,
+                                         FunctionSpec.inv_sqrt())
+            assert np.array_equal(res.coupling, X)
+
+    def test_true_error_is_taken_from_the_returned_factors(self, rng):
+        A, B, _ = indefinite_instance(rng, 30)
+        J = np.array([[1.0]])
+        dense = dense_sign_update(A, B @ J @ B.conj().T)
+        plan = PolePlan(zolotarev_invsqrt_poles((1e-2, 1.2), 4).poles,
+                        repetition="cyclic", ordering="leja")
+        res, rep = sign_update(A, B, J, plan, m_max=6, tol=0.0, d=2, true_update=dense)
+        assert rep.true_errors[-1] == norm2(dense - res.materialize())
+
+    def test_singular_square_raises_singularity_on_spectrum(self, rng):
+        # |eigenvalues| 1e-7 and 0.6..1 pass the desk check on A, but the
+        # compression of A^2 on the whole space has the eigenvalue 1e-14,
+        # below TOL_AXIS times its scale: the step loop's retry applies, and
+        # the last step raises
+        Q, _ = np.linalg.qr(rand_complex(rng, 4, 4))
+        A = (Q * np.array([1e-7, -1.0, 0.8, -0.6])) @ Q.conj().T
+        A = 0.5 * (A + A.conj().T)
+        B = 0.05 * rand_complex(rng, 4, 1)
+        with pytest.raises(SingularityOnSpectrum):
+            sign_update(A, B, np.array([[1.0]]), PolePlan((-1.0, -0.5)), m_max=2, tol=0.0)
 
     def test_sign_idempotence_at_convergence(self, rng):
         A, B, _ = indefinite_instance(rng, 30)
@@ -242,6 +278,19 @@ class TestSylvesterDense:
     def test_spectra_intersect(self):
         with pytest.raises(SpectraIntersect):
             sylvester_dense(np.diag([1.0, 2.0]), np.diag([2.0]), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("gap, touches", [(3e-12, True), (5e-12, False)])
+    def test_separation_is_relative_to_frobenius_norms(self, gap, touches):
+        # A1 = I and A2 = (1 - gap) I: the spectra are gap apart and the
+        # threshold is 1e-12 (||A1||_F + ||A2||_F), about 4e-12 (twice the
+        # sum of spectral norms)
+        A1, A2, F = np.eye(4), (1.0 - gap) * np.eye(4), np.ones((4, 4))
+        if touches:
+            with pytest.raises(SpectraIntersect):
+                sylvester_dense(A1, A2, F)
+        else:
+            Z = sylvester_dense(A1, A2, F)
+            assert norm2(Z + F / (1.0 - A2[0, 0])) <= 1e-12 * norm2(Z)
 
 
 class TestSylvesterKrylov:
