@@ -29,7 +29,7 @@ from .dense import (
     shifted_factorize,
 )
 from .errors import *  # noqa: F401,F403  (exception names)
-from .functions import FunctionSpec, PartialFractions, partial_fractions
+from .functions import FunctionSpec, PartialFractions
 from .mmio import read_matrix, write_matrix
 from .oracles import HankelCoefficients, bvl_update, dense_update, sherman_morrison
 from .poles import (

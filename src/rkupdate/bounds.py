@@ -317,10 +317,10 @@ def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
     support = _require_support(f, window)
     poles = _expand_poles(plan, m)
     imap = window.interval_map()
-    fprime = float(abs(f.derivative(np.array([window.omega + 0j]))[0]))
     etas = _eta_prefixes(poles, imap, support)
     if etas[-1] >= 1.0:
         raise EtaNotContracting(f"eta = {etas[-1]:.3e} >= 1; bound is void")
+    fprime = float(abs(f.derivative(np.array([window.omega + 0j]))[0]))
     with np.errstate(divide="ignore"):
         values = 8.0 * fprime * (etas / np.maximum(1.0 - etas, 1e-300)) * normB * normC
     rate = float(etas[-1] ** (1.0 / m))

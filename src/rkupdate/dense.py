@@ -291,8 +291,8 @@ def funm_small(A, f, hermitian=False):
     A = require_square(A)
     if f.kind == "identity":
         return A.copy()
-    if f.kind in ("rational", "inverse"):
-        return eval_rational_pf(A, f.partial_fractions())
+    if f.kind == "rational":
+        return eval_rational_pf(A, f.pf)
     scale = np.abs(A).max(initial=0.0)
     Ar = _real_if_real(A)
     if hermitian:

@@ -7,7 +7,7 @@ kappa in [0, 1).  This is all the Zolotarev-type pole constructions need.
 
 import numpy as np
 
-__all__ = ["complete_k", "jacobi_sn_cn_dn", "EllipticParameters"]
+__all__ = ["complete_k", "jacobi_sn_cn_dn"]
 
 _AGM_TOL = 1e-15
 _AGM_MAXIT = 64
@@ -58,21 +58,3 @@ def jacobi_sn_cn_dn(u, kappa):
     dn = cn / np.cos(phi_next - phi)
     return float(sn), float(cn), float(dn)
 
-
-class EllipticParameters:
-    """Modulus with its complete integral K and function evaluators."""
-
-    def __init__(self, kappa):
-        if not 0.0 <= kappa < 1.0:
-            raise ValueError("modulus must lie in [0, 1)")
-        self.modulus = float(kappa)
-        self.K = complete_k(self.modulus)
-
-    def sn(self, u):
-        return jacobi_sn_cn_dn(u, self.modulus)[0]
-
-    def cn(self, u):
-        return jacobi_sn_cn_dn(u, self.modulus)[1]
-
-    def dn(self, u):
-        return jacobi_sn_cn_dn(u, self.modulus)[2]

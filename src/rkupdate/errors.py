@@ -57,7 +57,12 @@ class SingularShift(RKUpdateError):
 
 class SingularityOnSpectrum(RKUpdateError):
     """The requested scalar function has a singularity on (or too close to)
-    the spectrum of the matrix it is applied to."""
+    the spectrum of the matrix it is applied to; a run that ends on it sets
+    the step."""
+
+    def __init__(self, msg, step=None):
+        super().__init__(msg)
+        self.step = step
 
 
 class IllConditionedEigenbasis(RKUpdateError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._validation import is_infinite_pole
-from .elliptic import EllipticParameters
+from .elliptic import complete_k, jacobi_sn_cn_dn
 from .errors import SupportOverlapsSpectrum
 
 __all__ = [
@@ -223,12 +223,11 @@ def _zolotarev_cpoints(ell, r):
     if ell == 1.0:
         grid = np.arange(1, 2 * r) * (np.pi / (4.0 * r))
         return np.tan(grid) ** 2
-    par = EllipticParameters(math.sqrt((1.0 - ell) * (1.0 + ell)))
+    kappa = math.sqrt((1.0 - ell) * (1.0 + ell))
+    K = complete_k(kappa)
     out = np.empty(2 * r - 1)
     for j in range(1, 2 * r):
-        u = j * par.K / (2.0 * r)
-        sn = par.sn(u)
-        cn = par.cn(u)
+        sn, cn, _ = jacobi_sn_cn_dn(j * K / (2.0 * r), kappa)
         out[j - 1] = (ell * sn / cn) ** 2
     return out
 

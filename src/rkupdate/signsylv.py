@@ -137,8 +137,9 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     def evaluate():
         """(X, f(G) U*B) of the current basis."""
         G = 0.5 * (basis.compression + basis.compression.conj().T)
-        X, F_base = _hermitian_difference(G, basis.block_product(W), M_core, f)
-        return X, F_base @ basis.block_product(B)
+        UW = basis.block_product(W)
+        X, F_base = _hermitian_difference(G, UW, M_core, f)
+        return X, F_base @ UW[:, :ell]
 
     def factors(new):
         """([(A + D) U X, B J], [U, U f(G) U*B]) of a step's solution."""
@@ -147,7 +148,7 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         return np.hstack([apply_ApD(U @ X), BJ]), np.hstack([U, U @ fUB])
 
     def estimate(new, old):
-        return (norm_ApD * padded_difference_norm(new[0], old[0])
+        return (norm_ApD * padded_difference_norm(new[0], old[0], hermitian=True)
                 + norm_BJ * padded_difference_norm(new[1], old[1]))
 
     def true_error(new):

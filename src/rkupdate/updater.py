@@ -90,14 +90,17 @@ def _hermitian_difference(G, UB, J, f):
     return F_plus - F_base, F_base
 
 
-def padded_difference_norm(X_new, X_old):
-    """Spectral norm of X_new - [[X_old, 0], [0, 0]] (nested-basis identity)."""
+def padded_difference_norm(X_new, X_old, hermitian=False):
+    """Spectral norm of X_new - [[X_old, 0], [0, 0]] (nested-basis identity).
+
+    With ``hermitian=True`` (square Hermitian iterates) the norm comes from
+    the eigenvalues of the difference, not from an SVD."""
     X_new = np.asarray(X_new)
     D = X_new.copy()
     if X_old is not None and X_old.size:
         r, c = X_old.shape
         D[:r, :c] -= X_old
-    return norm2(D)
+    return norm2_hermitian(D) if hermitian else norm2(D)
 
 
 @dataclass
@@ -158,7 +161,8 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
-    consecutive failures, or a failure at the last pole, re-raise.  A
+    consecutive failures, or a failure at the last pole, re-raise with the
+    error's ``step`` set.  A
     solution with a non-finite entry raises :class:`NonFiniteResult`
     before any estimate is taken.  The factorization caches of both bases
     are cleared when the run returns or raises.
@@ -194,9 +198,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
             try:
                 new = evaluate()
                 failures = 0
-            except SingularityOnSpectrum:
+            except SingularityOnSpectrum as exc:
                 failures += 1
                 if failures >= 2 or m == len(poles):
+                    exc.step = m
                     raise
                 new = None
             if new is not None and not all(
@@ -250,8 +255,9 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     its eigenvalues (the lower triangle), not from an SVD.
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
-    of the error at step m-d; it requires nested bases, which the growth by
-    appended blocks guarantees.  Non-convergence is reported, not raised.
+    of the error at step m-d (in the Hermitian mode from the eigenvalues of
+    that Hermitian difference); it requires nested bases, which the growth
+    by appended blocks guarantees.  Non-convergence is reported, not raised.
     The step loop is the one :func:`rkupdate.signsylv.sign_update` and
     :func:`rkupdate.signsylv.sylvester_solve_krylov` use, so the three share
     their stopping rule, the need for m_max >= 1 and d >= 1, and the retry:
@@ -294,11 +300,14 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
             return update_hermitian(left, B, J, f)
         return project_update(left, right, B, C, f)
 
+    def estimate(new, old):
+        return padded_difference_norm(new, old, hermitian=hermitian_mode)
+
     def true_error(X):
         E = true_update - left.basis @ X @ right.basis.conj().T
         return norm2_hermitian(E) if hermitian_mode else norm2(E)
 
     history, report = _rational_krylov(
-        left, right, poles, evaluate, padded_difference_norm, tol=tol, d=d,
+        left, right, poles, evaluate, estimate, tol=tol, d=d,
         error=true_error if true_update is not None else None)
     return UpdateState(left, right, history[-1], history, hermitian_mode), report

@@ -47,6 +47,36 @@ def path_laplacian_update(n):
     return A, B, 0.5 * np.eye(2)
 
 
+def _strip(c):
+    """Drop the trailing zero coefficients of an ascending polynomial."""
+    c = np.asarray(c, dtype=complex).ravel()
+    nz = np.nonzero(np.abs(c) > 0)[0]
+    if len(nz) == 0:
+        return np.zeros(1, dtype=complex)
+    return c[: nz[-1] + 1]
+
+
+def rational_from_partial_fractions(pf):
+    """Expand a ``PartialFractions`` into (num, den) ascending coefficients,
+    the form the ``HankelCoefficients`` oracle takes."""
+    den = np.ones(1, dtype=complex)
+    for pole, mult in zip(pf.poles, pf.mults):
+        for _ in range(mult):
+            den = np.convolve(den, [-pole, 1.0])
+    num = np.convolve(_strip(pf.poly), den)
+    for s, (pole, mult) in enumerate(zip(pf.poles, pf.mults)):
+        for j in range(1, mult + 1):
+            term = np.asarray([pf.coeffs[s][j - 1]], dtype=complex)
+            for t, (pole_t, mult_t) in enumerate(zip(pf.poles, pf.mults)):
+                power = mult_t - j if t == s else mult_t
+                for _ in range(power):
+                    term = np.convolve(term, [-pole_t, 1.0])
+            n = max(len(num), len(term))
+            num = np.pad(num, (0, n - len(num)))
+            num = num + np.pad(term, (0, n - len(term)))
+    return _strip(num), _strip(den)
+
+
 def max_principal_angle(X, Y):
     ang = subspace_angles(np.asarray(X), np.asarray(Y))
     return float(ang.max()) if ang.size else 0.0

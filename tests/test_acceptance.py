@@ -13,11 +13,7 @@ import pytest
 from rkupdate.bounds import SpectralWindow, markov_bound_hermitian
 from rkupdate.cli import experiment_fig1, experiment_fig2, experiment_fig3
 from rkupdate.dense import funm_block_triangular, funm_small, norm2
-from rkupdate.functions import (
-    FunctionSpec,
-    PartialFractions,
-    rational_from_partial_fractions,
-)
+from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import dense_update, sherman_morrison
 from rkupdate.poles import INF, PolePlan, markov_single_pole, zolotarev_sign_poles
 from rkupdate.signsylv import SylvesterProblem, sylvester_dense, sylvester_solve_krylov
@@ -74,8 +70,7 @@ def _random_rational_trial(seed):
                   * (abs(p) - 1.2) ** j for j in range(1, mult + 1))
             for p, mult in groups.items()),
     )
-    num, den = rational_from_partial_fractions(pf)
-    f = FunctionSpec.rational(num, den)
+    f = FunctionSpec.rational(pf)
     return A, B, C, poles, m, f
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,12 +149,17 @@ class TestMarkovNonHermitian:
         assert rep.final <= 1e-8
 
     def test_eta_at_one_is_void(self):
-        # the window [1e-20, 1] maps the support end 0 onto the unit circle
-        # (phi(0) rounds to -1), so eta = 1 and the bound is void
-        w = SpectralWindow(1e-20, 1.0)
-        assert w.interval_map().phi(0.0) == -1.0
-        with pytest.raises(EtaNotContracting):
-            markov_bound_nonhermitian(w, [INF], FunctionSpec.inv_sqrt(), 1, 1.0, 1.0)
+        # the windows [lmin, 1] map the support end 0 onto the unit circle
+        # (phi(0) rounds to -1), so eta = 1 and the bound is void; the check
+        # comes before f' is taken at omega = lmin, where f' of 1e-300
+        # overflows
+        for lmin in (1e-20, 1e-300):
+            w = SpectralWindow(lmin, 1.0)
+            assert w.interval_map().phi(0.0) == -1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EtaNotContracting):
+                    markov_bound_nonhermitian(w, [INF], FunctionSpec.inv_sqrt(), 1, 1.0, 1.0)
 
     def test_matches_polynomial_structure(self):
         w = SpectralWindow(2.0, 5.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from rkupdate.elliptic import EllipticParameters, complete_k, jacobi_sn_cn_dn
+from rkupdate.elliptic import complete_k, jacobi_sn_cn_dn
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.3, 0.7071067811865476, 0.95, 0.9999])
@@ -31,11 +31,12 @@ def test_jacobi_vs_scipy(kappa):
 
 
 def test_special_values():
-    par = EllipticParameters(0.7)
-    assert abs(par.sn(0.0)) <= 1e-12
-    assert abs(par.sn(par.K) - 1.0) <= 1e-12
-    assert abs(par.cn(0.0) - 1.0) <= 1e-12
-    assert abs(par.dn(0.0) - 1.0) <= 1e-12
+    kappa = 0.7
+    sn0, cn0, dn0 = jacobi_sn_cn_dn(0.0, kappa)
+    assert abs(sn0) <= 1e-12
+    assert abs(jacobi_sn_cn_dn(complete_k(kappa), kappa)[0] - 1.0) <= 1e-12
+    assert abs(cn0 - 1.0) <= 1e-12
+    assert abs(dn0 - 1.0) <= 1e-12
 
 
 def test_invalid_modulus():

@@ -1,5 +1,6 @@
 """Every name a module of the package exports resolves, no module imports a
-name it neither uses nor exports, and every typed error has a test."""
+name it neither uses nor exports, no top-level definition goes unused, and
+every typed error has a test."""
 
 import ast
 import importlib
@@ -35,19 +36,23 @@ def test_package_reexports_resolve():
     assert [n for n in names if not hasattr(rkupdate, n)] == []
 
 
+def _exported(tree):
+    """The names a module lists in ``__all__``."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def _unused_imports(source):
     """Names a module imports but neither uses nor lists in ``__all__``."""
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 if alias.name != "*":
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported.update(ast.literal_eval(node.value))
+    exported = _exported(tree)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used and name not in exported)
@@ -62,6 +67,56 @@ def test_no_unused_imports(name):
 def test_unused_import_check_catches_leftovers():
     assert _unused_imports("import os\nimport numpy as np\nx = np.pi\n") == ["os (line 1)"]
     assert _unused_imports("from .a import b, c\n__all__ = ['c']\n") == ["b (line 1)"]
+
+
+def _referenced_names(node):
+    """Names a statement refers to: variables, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def _dead_definitions(sources):
+    """Top-level functions and classes of ``sources`` (module name -> source)
+    that are neither in their module's ``__all__`` nor referred to by name in
+    any module outside their own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    references = [(stmt, _referenced_names(stmt))
+                  for tree in trees.values() for stmt in tree.body]
+    dead = []
+    for module, tree in trees.items():
+        exported = _exported(tree)
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name not in exported and not any(
+                    other is not stmt and stmt.name in names for other, names in references):
+                dead.append(f"{module}.{stmt.name}")
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    package = Path(rkupdate.__file__).parent
+    sources = {name: (package / f"{name}.py").read_text() for name in MODULES}
+    sources["__init__"] = Path(rkupdate.__file__).read_text()
+    assert _dead_definitions(sources) == []
+
+
+def test_dead_definition_check_catches_leftovers():
+    used = {"a": "def f():\n    return 1\n\n\ndef g():\n    return f()\n__all__ = ['g']\n"}
+    assert _dead_definitions(used) == []
+    assert _dead_definitions({"a": "def f():\n    return f()\n"}) == ["a.f"]
+    assert _dead_definitions({"a": "class C:\n    pass\n",
+                              "b": "from .a import C\n__all__ = ['C']\n"}) == []
+    assert _dead_definitions({"a": "def f():\n    pass\n",
+                              "b": "from . import a\n__all__ = ['g']\n\n\n"
+                                   "def g():\n    return a.f()\n"}) == []
 
 
 def test_every_typed_error_is_tested():

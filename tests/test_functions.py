@@ -1,46 +1,24 @@
 import numpy as np
 import pytest
 
-from rkupdate.functions import (
-    FunctionSpec,
-    PartialFractions,
-    partial_fractions,
-    rational_from_partial_fractions,
-)
+from rkupdate.functions import FunctionSpec, PartialFractions
 
 from conftest import rand_complex
 
 
-def test_partial_fractions_simple_poles(rng):
-    # r(z) = 2 + 1/(z-1) + 3/(z+2)
-    pf_ref = PartialFractions((2.0,), (1.0, -2.0), (1, 1), ((1.0,), (3.0,)))
-    num, den = rational_from_partial_fractions(pf_ref)
-    pf = partial_fractions(num, den)
-    z = rand_complex(rng, 32) * 3
-    assert np.abs(pf(z) - pf_ref(z)).max() <= 1e-12
-
-
-def test_partial_fractions_multiplicities(rng):
-    pf_ref = PartialFractions((0.5, -1.0), (2.0 + 1j, -3.0), (3, 2),
-                              ((1.0, -2.0, 0.7), (0.3, 1.1)))
-    num, den = rational_from_partial_fractions(pf_ref)
-    pf = partial_fractions(num, den)
-    assert sorted(pf.mults) == [2, 3]
-    z = rand_complex(rng, 64) * 8
-    keep = np.all(np.abs(z[:, None] - np.array([2 + 1j, -3.0])) > 0.5, axis=1)
-    z = z[keep]
-    ref = pf_ref(z)
-    assert np.abs(pf(z) - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
-
-
 def test_rational_spec_scalar_and_derivative(rng):
-    f = FunctionSpec.rational([1.0, 0.5], [2.0, 0.0, 1.0])  # (1 + z/2)/(2 + z^2)
+    # r(z) = 0.5 - z + z^2/4 + (1 - 2i)/(z - 1.5) + 0.7/(z - 1.5)^2 + 3/(z + 2)
+    pf = PartialFractions((0.5, -1.0, 0.25), (1.5, -2.0), (2, 1),
+                          ((1.0 - 2.0j, 0.7), (3.0,)))
+    f = FunctionSpec.rational(pf)
     z = rand_complex(rng, 16)
-    ref = (1 + 0.5 * z) / (2 + z**2)
-    assert np.abs(f.scalar(z) - ref).max() <= 1e-12
+    ref = 0.5 - z + 0.25 * z**2 + (1 - 2j) / (z - 1.5) + 0.7 / (z - 1.5) ** 2 + 3 / (z + 2)
+    dref = -1 + 0.5 * z - (1 - 2j) / (z - 1.5) ** 2 - 1.4 / (z - 1.5) ** 3 - 3 / (z + 2) ** 2
+    assert np.abs(f.scalar(z) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(f.derivative(z) - dref).max() <= 1e-12 * np.abs(dref).max()
     h = 1e-7
     fd = (f.scalar(z + h) - f.scalar(z - h)) / (2 * h)
-    assert np.abs(f.derivative(z) - fd).max() <= 1e-6
+    assert np.abs(f.derivative(z) - fd).max() <= 1e-6 * np.abs(dref).max()
 
 
 @pytest.mark.parametrize("factory", [
@@ -74,6 +52,9 @@ def test_from_string():
     assert FunctionSpec.from_string("inv-sqrt").kind == "inv-sqrt"
     assert FunctionSpec.from_string("inv-power:0.25").gamma == 0.25
     assert FunctionSpec.from_string("sign").kind == "sign"
+    inverse = FunctionSpec.from_string("inverse")
+    assert inverse.label == "1/z"
+    assert np.array_equal(inverse.scalar(np.array([4.0, -0.5j])), [0.25, 2j])
     with pytest.raises(ValueError):
         FunctionSpec.from_string("frobnicate")
 

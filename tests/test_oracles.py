@@ -3,11 +3,7 @@ import pytest
 
 from rkupdate.dense import eval_rational_pf, funm_block_triangular, funm_small, norm2
 from rkupdate.errors import DenominatorZero, MSingular
-from rkupdate.functions import (
-    FunctionSpec,
-    PartialFractions,
-    rational_from_partial_fractions,
-)
+from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import (
     HankelCoefficients,
     ORACLE_MAX_N,
@@ -16,7 +12,7 @@ from rkupdate.oracles import (
     sherman_morrison,
 )
 
-from conftest import rand_complex, random_hermitian
+from conftest import rand_complex, random_hermitian, rational_from_partial_fractions
 
 
 class TestDenseUpdate:
@@ -118,7 +114,7 @@ class TestBVL:
                               (1, 1, 1, 1),
                               ((1.0,), (0.5,), (0.25 - 0.1j,), (0.25 + 0.1j,)))
         num, den = rational_from_partial_fractions(pf)
-        f = FunctionSpec.rational(num, den)
+        f = FunctionSpec.rational(pf)
         X, Y = bvl_update(A, b, c, HankelCoefficients(alpha=tuple(num), beta=tuple(den)))
         dense = dense_update(A, b @ c.conj().T, f)
         assert norm2(X @ Y.conj().T - dense) <= 1e-8 * max(norm2(dense), 1e-10)
@@ -170,7 +166,7 @@ def test_cross_check_update_paths(rng):
     pf = PartialFractions((0.2,), poles, (1, 1, 1),
                           ((0.8,), (0.3 + 0.2j,), (0.3 - 0.2j,)))
     num, den = rational_from_partial_fractions(pf)
-    f = FunctionSpec.rational(num, den)
+    f = FunctionSpec.rational(pf)
     dense = dense_update(A, b @ c.conj().T, f)
     state, rep = run_update(A, b, c, f=f, plan=poles, m_max=m, tol=0.0, d=1)
     X, Y = bvl_update(A, b, c, HankelCoefficients(alpha=tuple(num), beta=tuple(den)))

@@ -123,13 +123,14 @@ class TestSignUpdate:
         # |eigenvalues| 1e-7 and 0.6..1 pass the desk check on A, but the
         # compression of A^2 on the whole space has the eigenvalue 1e-14,
         # below TOL_AXIS times its scale: the step loop's retry applies, and
-        # the last step raises
+        # the last step raises, and names itself
         Q, _ = np.linalg.qr(rand_complex(rng, 4, 4))
         A = (Q * np.array([1e-7, -1.0, 0.8, -0.6])) @ Q.conj().T
         A = 0.5 * (A + A.conj().T)
         B = 0.05 * rand_complex(rng, 4, 1)
-        with pytest.raises(SingularityOnSpectrum):
+        with pytest.raises(SingularityOnSpectrum) as info:
             sign_update(A, B, np.array([[1.0]]), PolePlan((-1.0, -0.5)), m_max=2, tol=0.0)
+        assert info.value.step == 2
 
     def test_sign_idempotence_at_convergence(self, rng):
         A, B, _ = indefinite_instance(rng, 30)

@@ -4,7 +4,7 @@ import pytest
 from rkupdate.arnoldi import KrylovBasis, adjoint_basis, build_basis
 from rkupdate.dense import norm2
 from rkupdate.errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
-from rkupdate.functions import FunctionSpec, PartialFractions, rational_from_partial_fractions
+from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import dense_update, sherman_morrison
 from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles
 from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
@@ -23,8 +23,7 @@ from conftest import path_laplacian_update, rand_complex, random_hermitian
 def make_rational(poly, poles, mults, coeffs):
     pf = PartialFractions(tuple(poly), tuple(poles), tuple(mults),
                           tuple(tuple(c) for c in coeffs))
-    num, den = rational_from_partial_fractions(pf)
-    return FunctionSpec.rational(num, den)
+    return FunctionSpec.rational(pf)
 
 
 class TestProjectUpdate:
@@ -244,7 +243,7 @@ class TestEstimator:
                                 plan=PolePlan((-2.0,), repetition="cyclic"),
                                 m_max=5, tol=0.0, d=2, J=np.array([[1.0]]))
         hist = state.coupling_history
-        assert padded_difference_norm(hist[-1], hist[-3]) == rep.estimates[-1]
+        assert padded_difference_norm(hist[-1], hist[-3], hermitian=True) == rep.estimates[-1]
 
     def test_estimator_tracks_true_error(self, rng):
         A, _ = random_hermitian(rng, 40, 0.5, 8.0)
@@ -365,7 +364,7 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
         if m in (3, 5):   # the retried step, and the step whose lag partner it is
             assert est is None
         else:
-            assert est == padded_difference_norm(hist[m - 1], hist[m - 1 - d])
+            assert est == padded_difference_norm(hist[m - 1], hist[m - 1 - d], hermitian=True)
     assert not rep.stagnation_warning
     assert "nan" not in rep.summary()
 
