@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Runs every CLI path that turns a pole plan into poles twice and checks
+# that the second run writes the same bytes (bitwise determinism per seed):
+# the three figure experiments at n = 100, a custom update with the
+# extended plan and with a pole file, and the sylvester subcommand.
+#
+#   bash .github/cli-determinism.sh WORKDIR
+#
+# Run from the repository root.  At n = 100 the figure bases fill C^n
+# before the default m_max: the lucky-breakdown path, and the band LUs and
+# solves of diagonal operators.
+set -euo pipefail
+work="$1"
+in="$work/in"
+mkdir -p "$in"
+PYTHONPATH=src python - "$in" <<'EOF'
+import sys
+
+import numpy as np
+
+from rkupdate.mmio import write_matrix
+from rkupdate.rng import normal_block
+
+d, n = sys.argv[1], 60
+# a shifted path-graph Laplacian (Hermitian positive definite) with a
+# rank-one update, and a Sylvester problem with bidiagonal coefficients
+A = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2) - np.eye(n, k=1) - np.eye(n, k=-1)
+lam = np.logspace(-1.0, 1.0, n)
+for name, M in [("A", A), ("B", normal_block(1, n, 1)), ("J", np.eye(1)),
+                ("A1", np.diag(lam) + np.diag(0.3 * lam[:-1], 1)),
+                ("A2", -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1)),
+                ("B1", normal_block(2, n, 2)), ("C2", normal_block(3, n, 2))]:
+    write_matrix(f"{d}/{name}.mtx", M)
+EOF
+printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
+for run in 1 2; do
+  out="$work/run$run"
+  mkdir -p "$out"
+  for experiment in fig1-invsqrt-single-pole fig2-invsqrt-quasiopt fig3-sign; do
+    PYTHONPATH=src python -m rkupdate.cli update --experiment "$experiment" \
+      --n 100 --tol 0 --out "$out/$experiment.csv"
+  done
+  for poles in extended "$in/poles.txt"; do
+    PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+      --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
+      --poles "$poles" --m-max 30 --tol 0 --out "$out/custom-$(basename "$poles" .txt).csv"
+  done
+  PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1.mtx" \
+    --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1.mtx" --matrix-c2 "$in/C2.mtx" \
+    --m-max 20 --tol 0 --out "$out/sylvester"
+done
+for f in "$work"/run1/*; do
+  cmp "$f" "$work/run2/${f##*/}"
+done

@@ -220,21 +220,11 @@ class KrylovBasis:
         return (self.basis.T @ X.conj()).conj()
 
 
-def _expand(plan, m):
-    if isinstance(plan, PolePlan):
-        if m is None:
-            return plan.expand(len(plan.base_sequence()))
-        return plan.expand(m)
-    seq = tuple(plan)
-    if m is not None and len(seq) != m:
-        seq = PolePlan(seq).expand(m)
-    return seq
-
-
 def build_basis(A, B, plan, m=None):
-    """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U."""
+    """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U,
+    for the poles ``PolePlan.of(plan).expand(m)`` (one cycle when m is None)."""
     basis = KrylovBasis(A, B)
-    for xi in _expand(plan, m):
+    for xi in PolePlan.of(plan).expand(m):
         basis.advance(xi)
     return basis
 
@@ -246,6 +236,6 @@ def adjoint_basis(A, C, plan, m=None):
     solve reuses the primal LU of A - xi I through its adjoint.
     """
     basis = KrylovBasis(A, C, adjoint=True)
-    for xi in _expand(plan, m):
+    for xi in PolePlan.of(plan).expand(m):
         basis.advance(xi)
     return basis

@@ -5,14 +5,19 @@ Hermitian and non-Hermitian update, the polynomial-Krylov bound, the global
 perturbation bound, and the z*f(z) modification trick.  Everything here is
 scalar work on spectral windows; nothing touches large matrices.
 
-A bound at steps 1..m needs eta for every prefix of the pole sequence; one
-pass (:func:`_eta_prefixes`) maps each distinct pole once, samples the grid
-once and refines all prefixes together, with the same bits as searching each
-prefix on its own.
+A bound takes its m poles from :meth:`rkupdate.poles.PolePlan.expand` by
+the rule the solvers use: a raw sequence is an as-given plan, so it must
+hold m poles (it is not tiled), and the Hermitian bounds ask the plan's
+cycle, not its first m poles, to be closed under conjugation.  A bound at
+steps 1..m needs eta for every prefix of that sequence; one pass
+(:func:`_eta_prefixes`) maps each distinct pole once, samples the grid once
+and refines all prefixes together, with the same bits as searching each
+prefix on its own.  The Markov bounds share the factor
+2 sup|f| / |phi(beta)| in front of eta.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from .errors import (
     PoleInsideDomain,
     SupportOverlapsSpectrum,
 )
-from .poles import GONCHAR_RAKHMANOV_RATE, EllipseMap, IntervalMap, PolePlan
+from .poles import EllipseMap, IntervalMap, PolePlan
 
 __all__ = [
     "SpectralWindow", "BoundReport", "eta_blaschke",
@@ -113,22 +118,11 @@ class SpectralWindow:
 class BoundReport:
     values: np.ndarray          # bound at steps 1..m
     rate: float                 # aggregate per-step factor
-    constants: dict = field(default_factory=dict)
     proxy: str = ""             # nonempty when a computable proxy replaces an inf
 
     @property
     def final(self):
         return float(self.values[-1])
-
-
-def _expand_poles(plan, m):
-    if isinstance(plan, PolePlan):
-        return plan.expand(m) if m is not None else plan.base_sequence()
-    seq = tuple(plan)
-    if m is not None:
-        seq = PolePlan(seq, repetition="as-given").expand(m) if len(seq) >= m else \
-            PolePlan(seq, repetition="cyclic").expand(m)
-    return seq
 
 
 def _log_abs(z):
@@ -262,13 +256,14 @@ def _eta_prefixes(poles, imap, support):
 def eta_blaschke(plan, imap, support, m=None):
     """Convergence factor eta = max over the mapped support of 1/|B_m|.
 
-    ``plan`` may be a PolePlan or an explicit pole sequence; ``imap`` the
-    window's conformal map; ``support`` the (alpha, beta) interval of the
-    Markov function.  Infinite poles contribute a factor 1/|x| each.  The
-    maximum is searched as in :func:`_eta_prefixes`, which evaluates every
-    prefix of the sequence in one pass; this is its last entry.
+    ``plan`` may be a PolePlan or an explicit pole sequence, expanded to m
+    poles (one cycle when m is None); ``imap`` the window's conformal map;
+    ``support`` the (alpha, beta) interval of the Markov function.  An
+    empty sequence gives 1.  Infinite poles contribute a factor 1/|x| each.
+    The maximum is searched as in :func:`_eta_prefixes`, which evaluates
+    every prefix of the sequence in one pass; this is its last entry.
     """
-    poles = _expand_poles(plan, m)
+    poles = PolePlan.of(plan).expand(m)
     if len(poles) == 0:
         return 1.0
     return float(_eta_prefixes(poles, imap, support)[-1])
@@ -282,6 +277,11 @@ def _markov_sup(f, window):
     return float(abs(f.scalar(np.array([window.omega]))[0]))
 
 
+def _markov_lead(f, window, imap, support):
+    """2 sup|f| / |phi(beta)|, the Markov factor in front of eta."""
+    return 2.0 * _markov_sup(f, window) / abs(imap.phi(support[1]))
+
+
 def _require_support(f, window):
     support = f.markov_support
     if support[1] >= window.lmin:
@@ -292,30 +292,27 @@ def _require_support(f, window):
 
 
 def markov_bound_hermitian(window, plan, f, m):
-    """Bound 4 * (2 ||f||_E / |phi(beta)|) * eta_k for k = 1..m (Hermitian update)."""
+    """Bound 4 * (2 ||f||_E / |phi(beta)|) * eta_k for k = 1..m (Hermitian update).
+
+    As in the Hermitian mode of :func:`rkupdate.updater.run_update`, the
+    plan's cycle must be closed under conjugation; its first m poles need
+    not be (a cyclic run may stop mid-pair).
+    """
     support = _require_support(f, window)
-    poles = _expand_poles(plan, m)
-    if not PolePlan(poles).conjugate_closed():
+    plan = PolePlan.of(plan)
+    poles = plan.expand(m)
+    if not plan.conjugate_closed():
         raise ValueError("Hermitian Markov bound requires a conjugate-closed plan")
     imap = window.interval_map()
-    sup_f = _markov_sup(f, window)
-    phi_beta = abs(imap.phi(support[1]))
-    lead = 4.0 * 2.0 * sup_f / phi_beta
     etas = _eta_prefixes(poles, imap, support)
-    values = lead * etas
-    rate = float(etas[-1] ** (1.0 / m))
-    # reference point: free-pole rational approximation of exp on the
-    # negative axis converges at 1/GONCHAR_RAKHMANOV_RATE ~ 1/9.28903 per step
-    return BoundReport(values=values, rate=rate,
-                       constants={"projection": 4.0, "markov_numerator": 2.0 * sup_f,
-                                  "phi_beta": phi_beta,
-                                  "exp_reference_rate": 1.0 / GONCHAR_RAKHMANOV_RATE})
+    values = 4.0 * _markov_lead(f, window, imap, support) * etas
+    return BoundReport(values=values, rate=float(etas[-1] ** (1.0 / m)))
 
 
 def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
     """Bound 8 |f'(omega)| * eta/(1-eta) * ||B|| ||C|| (non-Hermitian update)."""
     support = _require_support(f, window)
-    poles = _expand_poles(plan, m)
+    poles = PolePlan.of(plan).expand(m)
     imap = window.interval_map()
     etas = _eta_prefixes(poles, imap, support)
     if etas[-1] >= 1.0:
@@ -323,9 +320,7 @@ def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
     fprime = float(abs(f.derivative(np.array([window.omega + 0j]))[0]))
     with np.errstate(divide="ignore"):
         values = 8.0 * fprime * (etas / np.maximum(1.0 - etas, 1e-300)) * normB * normC
-    rate = float(etas[-1] ** (1.0 / m))
-    return BoundReport(values=values, rate=rate,
-                       constants={"leading": 8.0 * fprime, "normB": normB, "normC": normC})
+    return BoundReport(values=values, rate=float(etas[-1] ** (1.0 / m)))
 
 
 def _cheb_best_proxy(df, a, b, degree, samples=2048):
@@ -364,7 +359,6 @@ def poly_update_bound(window, f, m, normD_F):
     else:
         rate = 1.0
     return BoundReport(values=values, rate=rate,
-                       constants={"leading": 2.0 * _CK * normD_F},
                        proxy="chebyshev-interpolation upper estimate")
 
 
@@ -376,32 +370,27 @@ def frechet_perturbation_bound(window, f, normD_F):
 
 def markov_modified_bound(window, plan, f_hat, m):
     """Bound for f(z) = z * f_hat(z) with a final infinite pole:
-    ||p1||_E times the Markov bound for f_hat at step m-1."""
-    poles = _expand_poles(plan, m)
-    if not is_infinite_pole(poles[-1]):
+    ||p1||_E times the Markov bound for f_hat at step m-1 (on the same plan,
+    whose first m-1 poles are the ones before the last)."""
+    plan = PolePlan.of(plan)
+    if not is_infinite_pole(plan.expand(m)[-1]):
         raise LastPoleNotInfinite("the modification trick fixes the last pole at infinity")
     sup_p1 = max(abs(window.lmin), abs(window.lmax))
     if m == 1:
         support = _require_support(f_hat, window)
-        imap = window.interval_map()
-        lead = 4.0 * 2.0 * _markov_sup(f_hat, window) / abs(imap.phi(support[1]))
-        return BoundReport(values=np.array([sup_p1 * lead]), rate=1.0,
-                           constants={"modification_factor": sup_p1})
-    inner = markov_bound_hermitian(window, poles[:-1], f_hat, m - 1)
-    values = sup_p1 * inner.values
-    return BoundReport(values=values, rate=inner.rate,
-                       constants={"modification_factor": sup_p1, **inner.constants})
+        lead = 4.0 * _markov_lead(f_hat, window, window.interval_map(), support)
+        return BoundReport(values=np.array([sup_p1 * lead]), rate=1.0)
+    inner = markov_bound_hermitian(window, plan, f_hat, m - 1)
+    return BoundReport(values=sup_p1 * inner.values, rate=inner.rate)
 
 
 def sign_update_bound(window_squared, plan, m, norm_A_plus_D, norm_BJ, norm_B, inv_sqrt):
     """Sign-update bound (4||A+D|| + 2||BJ|| ||B||) * min ||f - r|| on the
     squared window, with the Markov estimate for the inverse square root."""
     support = _require_support(inv_sqrt, window_squared)
-    poles = _expand_poles(plan, m)
+    poles = PolePlan.of(plan).expand(m)
     imap = window_squared.interval_map()
     lead = (4.0 * norm_A_plus_D + 2.0 * norm_BJ * norm_B)
-    markov_lead = 2.0 * _markov_sup(inv_sqrt, window_squared) / abs(imap.phi(support[1]))
+    markov_lead = _markov_lead(inv_sqrt, window_squared, imap, support)
     etas = _eta_prefixes(poles, imap, support)
-    values = lead * markov_lead * etas
-    return BoundReport(values=values, rate=float(etas[-1] ** (1.0 / m)),
-                       constants={"structure": lead, "markov": markov_lead})
+    return BoundReport(values=lead * markov_lead * etas, rate=float(etas[-1] ** (1.0 / m)))

@@ -81,6 +81,11 @@ def _rows_from_report(report, bounds=None, m_scale=1):
 # ----------------------------------------------------------------------
 # experiment instances
 
+def _cyclic(poles):
+    """The plan that repeats ``poles`` cyclically in Leja order."""
+    return PolePlan(poles, repetition="cyclic", ordering="leja")
+
+
 def _logspace_instance(n, seed):
     """Diagonal matrix with log-spaced eigenvalues on [1e-3, 1e3] and a
     random update vector of norm 100."""
@@ -128,7 +133,7 @@ def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
     """Single repeated asymptotically optimal pole for the inverse square root."""
     lam, b, A, window = _invsqrt_instance(n, seed)
     pole, rate = markov_single_pole(window, (-np.inf, 0.0))
-    plan = PolePlan((pole,), repetition="cyclic")
+    plan = _cyclic((pole,))
     return _invsqrt_run("fig1-invsqrt-single-pole", lam, b, A, window, plan, m_max, tol, d,
                         pole=pole, rate=rate, norm_fA=float(np.max(lam ** -0.5)))
 
@@ -136,10 +141,9 @@ def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
 def experiment_fig2(n=200, seed=6, m_max=60, tol=1e-12, d=2, num_poles=10):
     """Cyclically repeated quasi-optimal poles in Leja ordering."""
     lam, b, A, window = _invsqrt_instance(n, seed)
-    base = quasi_optimal_poles(window, (-np.inf, 0.0), num_poles)
-    plan = PolePlan(base.poles, repetition="cyclic", ordering="leja")
+    plan = _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), num_poles).poles)
     return _invsqrt_run("fig2-invsqrt-quasiopt", lam, b, A, window, plan, m_max, tol, d,
-                        poles=plan.base_sequence())
+                        poles=plan.poles)
 
 
 def _sign_instance(n, seed):
@@ -167,8 +171,7 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2, degrees=(10, 2)):
     m_max4 = min(m_max, (n - 2) // 2)  # the squared basis grows by 2 columns per step
     results = []
     for degree in degrees:
-        plan4 = PolePlan(zolotarev_invsqrt_poles((window2.lmin, window2.lmax), degree).poles,
-                         repetition="cyclic", ordering="leja")
+        plan4 = _cyclic(zolotarev_invsqrt_poles((window2.lmin, window2.lmax), degree).poles)
         res4, rep4 = sign_update(A, b, J, plan4, m_max=m_max4, tol=tol, d=d,
                                  true_update=dense)
         D = (b @ J @ b.conj().T)
@@ -178,15 +181,14 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2, degrees=(10, 2)):
         results.append(ExperimentResult(
             f"fig3-sign-alg4-deg{degree}",
             _rows_from_report(rep4, bounds=bnd, m_scale=2), rep4,
-            dict(window2=window2, gap=gap, poles=plan4.base_sequence())))
+            dict(window2=window2, gap=gap, poles=plan4.poles)))
 
-        plan3 = PolePlan(zolotarev_sign_poles(gap, degree).poles,
-                         repetition="cyclic", ordering="leja")
+        plan3 = _cyclic(zolotarev_sign_poles(gap, degree).poles)
         state3, rep3 = run_update(A, b, f=FunctionSpec.sign(), plan=plan3,
                                   m_max=m_max, tol=tol, d=d, J=J, true_update=dense)
         results.append(ExperimentResult(
             f"fig3-sign-alg3-deg{degree}", _rows_from_report(rep3), rep3,
-            dict(gap=gap, poles=plan3.base_sequence())))
+            dict(gap=gap, poles=plan3.poles)))
     return results
 
 
@@ -202,31 +204,28 @@ def _parse_poles(spec, *, window=None, gap=None, m_max=None):
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     if name == "extended":
-        return extended_plan(m_max or 2).cyclic()
+        return extended_plan()
     if name == "exp-single":
         return exp_single_pole(m_max or 1)
     if name == "markov-single":
         if window is None:
             raise ValueError("markov-single poles need a Hermitian instance")
         pole, _ = markov_single_pole(window, (-np.inf, 0.0))
-        return PolePlan((pole,), repetition="cyclic")
+        return _cyclic((pole,))
     if name == "quasi-optimal":
         if window is None:
             raise ValueError("quasi-optimal poles need a Hermitian instance")
-        base = quasi_optimal_poles(window, (-np.inf, 0.0), int(arg or 10))
-        return PolePlan(base.poles, repetition="cyclic", ordering="leja")
+        return _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), int(arg or 10)).poles)
     if name == "zolotarev-invsqrt":
         if window is None:
             raise ValueError("zolotarev-invsqrt poles need a Hermitian instance")
-        base = zolotarev_invsqrt_poles((window.lmin, window.lmax), int(arg or 10))
-        return PolePlan(base.poles, repetition="cyclic", ordering="leja")
+        return _cyclic(zolotarev_invsqrt_poles((window.lmin, window.lmax), int(arg or 10)).poles)
     if name == "zolotarev-sign":
         if gap is None:
             raise ValueError("zolotarev-sign poles need a Hermitian indefinite instance")
-        base = zolotarev_sign_poles(gap, int(arg or 10))
-        return PolePlan(base.poles, repetition="cyclic", ordering="leja")
+        return _cyclic(zolotarev_sign_poles(gap, int(arg or 10)).poles)
     with open(spec) as fh:
-        return PolePlan.from_text(fh.read(), repetition="cyclic")
+        return PolePlan.from_text(fh.read())
 
 
 def experiment_custom(args):

@@ -175,7 +175,6 @@ class ShiftedFactorization:
 
     shift: complex
     lu: tuple
-    scale: float
     band: tuple = None
 
     def solve(self, Y, adjoint=False):
@@ -237,8 +236,7 @@ def shifted_factorize(A, xi):
         pivots = np.diagonal(lu)
     if np.abs(pivots).min(initial=np.inf) < TOL_PIVOT * scale:
         raise SingularShift(f"shift {xi} is numerically an eigenvalue")
-    return ShiftedFactorization(shift=xi, lu=(lu, piv), scale=scale,
-                                band=(kl, ku) if band else None)
+    return ShiftedFactorization(shift=xi, lu=(lu, piv), band=(kl, ku) if band else None)
 
 
 def _check_spectrum(w, kind, scale):

@@ -1,15 +1,23 @@
-"""Pole selection strategies and the conformal interval map.
+"""Pole plans, pole selection strategies and the conformal interval map.
 
-Contains the single optimal pole for Markov functions, quasi-optimal
+:class:`PolePlan` is the one place where a plan becomes the poles of a run.
+The solvers, ``build_basis``, ``adjoint_basis`` and the bounds take a plan
+or a raw pole sequence, read the sequence as an as-given plan
+(:meth:`PolePlan.of`) and take their poles from :meth:`PolePlan.expand`: a
+cyclic plan tiles its poles to any length, an as-given one must hold at
+least as many poles as a run asks for, and a Leja-ordered plan is put in
+that order once, when it is made.
+
+Also contains the single optimal pole for Markov functions, quasi-optimal
 (Zolotarev) pole sets built from Jacobi elliptic functions, Zolotarev poles
 for the matrix sign function and the inverse square root, the repeated pole
-for the exponential, the extended pattern {0, inf}, Leja ordering, and the
-parser of the plain-text pole files the CLI reads.
+for the exponential, the extended plan {0, inf}, Leja ordering, and the
+parser of the plain-text pole files the CLI reads (a cyclic plan).
 """
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +51,10 @@ def _canon(p):
 class PolePlan:
     """A finite-or-infinite pole sequence plus repetition/ordering metadata.
 
-    ``repetition="cyclic"`` tiles the base sequence to any requested length;
+    ``repetition="cyclic"`` tiles ``poles`` to any requested length;
     ``"as-given"`` requires at least as many poles as requested.  With
-    ``ordering="leja"`` the base set is put into Leja ordering before
-    repetition.
+    ``ordering="leja"`` the poles are put into Leja ordering once, when the
+    plan is made, so ``poles`` holds them in that order.
     """
 
     poles: tuple
@@ -54,32 +62,36 @@ class PolePlan:
     ordering: str = "as-given"
 
     def __post_init__(self):
-        object.__setattr__(self, "poles", tuple(_canon(p) for p in self.poles))
         if self.repetition not in ("as-given", "cyclic"):
             raise ValueError(f"unknown repetition {self.repetition!r}")
         if self.ordering not in ("as-given", "leja"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
-
-    def base_sequence(self):
+        poles = tuple(_canon(p) for p in self.poles)
         if self.ordering == "leja":
-            return leja_order(self.poles)
-        return self.poles
+            poles = leja_order(poles)
+        object.__setattr__(self, "poles", poles)
 
-    def expand(self, m):
-        """The first m poles of the (possibly cyclically repeated) sequence."""
+    @classmethod
+    def of(cls, plan):
+        """``plan`` itself when it is a PolePlan; a raw pole sequence becomes
+        an as-given plan."""
+        return plan if isinstance(plan, cls) else cls(tuple(plan))
+
+    def expand(self, m=None):
+        """The first m poles of the (possibly cyclically repeated) sequence,
+        or one cycle when m is None."""
+        if m is None:
+            return self.poles
         if m < 1:
             raise ValueError("m must be >= 1")
-        base = self.base_sequence()
-        if self.repetition == "cyclic":
-            reps = -(-m // len(base))
-            return (base * reps)[:m]
-        if len(base) < m:
-            raise ValueError(f"plan has {len(base)} poles, {m} requested")
-        return base[:m]
+        k = len(self.poles)
+        if k == 0 or (k < m and self.repetition == "as-given"):
+            raise ValueError(f"plan has {k} poles, {m} requested")
+        return (self.poles * -(-m // k))[:m]
 
     def conjugate_closed(self):
         """True when the multiset of finite poles is invariant under conjugation."""
-        finite = [p for p in self.base_sequence() if not is_infinite_pole(p)]
+        finite = [p for p in self.poles if not is_infinite_pole(p)]
         pool = list(finite)
         for p in finite:
             q = complex(p).conjugate()
@@ -91,14 +103,11 @@ class PolePlan:
                 return False
         return True
 
-    def cyclic(self):
-        return replace(self, repetition="cyclic")
-
     @classmethod
-    def from_text(cls, text, repetition="as-given"):
-        """Parse a pole file: one pole per line (a Python complex literal, or
-        ``inf`` for infinity); blank lines and lines starting with ``#`` are
-        skipped."""
+    def from_text(cls, text):
+        """Parse a pole file into a cyclic plan: one pole per line (a Python
+        complex literal, or ``inf`` for infinity); blank lines and lines
+        starting with ``#`` are skipped."""
         poles = []
         for line in text.splitlines():
             line = line.strip()
@@ -110,7 +119,7 @@ class PolePlan:
                 poles.append(complex(line))
         if not poles:
             raise ValueError("no poles found in pole file")
-        return cls(tuple(poles), repetition=repetition)
+        return cls(tuple(poles), repetition="cyclic")
 
 
 class IntervalMap:
@@ -317,11 +326,9 @@ def exp_single_pole(m):
     return PolePlan((xi,) * m)
 
 
-def extended_plan(m):
-    """Alternating poles {0, inf, 0, inf, ...} of length m (extended Krylov)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return PolePlan(tuple(0.0 if j % 2 == 0 else INF for j in range(m)))
+def extended_plan():
+    """The cyclic plan {0, inf} of extended Krylov: 0, inf, 0, inf, ..."""
+    return PolePlan((0.0, INF), repetition="cyclic")
 
 
 def leja_order(poles):

@@ -39,7 +39,12 @@ from .functions import FunctionSpec
 from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
 from .rng import normal_block
-from .updater import _hermitian_difference, _rational_krylov, padded_difference_norm
+from .updater import (
+    _check_steps,
+    _hermitian_difference,
+    _rational_krylov,
+    padded_difference_norm,
+)
 
 __all__ = ["sign_update", "SignUpdateResult", "SylvesterProblem",
            "sylvester_dense", "sylvester_solve_krylov", "SylvesterResult"]
@@ -89,6 +94,9 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     after one extra step; two consecutive failures raise
     :class:`SingularityOnSpectrum`.
     """
+    _check_steps(m_max, d)
+    poles = PolePlan.of(plan).expand(m_max)
+    _validate_sign_plan(poles)
     cache = _SquaredCache(A)
     n = cache.A.shape[0]
     B = as_block(B, n, "B")
@@ -121,11 +129,6 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         w = eigsh(ApD_op, k=1, v0=normal_block(0, n)[:, 0], tol=1e-8,
                   return_eigenvectors=False)
         norm_ApD = abs(float(w[0]))
-
-    if not isinstance(plan, PolePlan):
-        plan = PolePlan(tuple(plan))
-    poles = plan.expand(m_max)
-    _validate_sign_plan(poles)
 
     W = np.hstack([B, cache.plain_matvec(B)])
     BtB = B.conj().T @ B
@@ -246,9 +249,8 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     desk scale.  The step loop, with its need for m_max >= 1 and d >= 1,
     is the one of :func:`rkupdate.updater.run_update`.
     """
-    if not isinstance(plan, PolePlan):
-        plan = PolePlan(tuple(plan))
-    poles = plan.expand(m_max)
+    _check_steps(m_max, d)
+    poles = PolePlan.of(plan).expand(m_max)
     left = KrylovBasis(prob.A1, prob.B1)
     right = KrylovBasis(prob.A2, prob.C2, adjoint=True)
 

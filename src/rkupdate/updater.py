@@ -111,7 +111,6 @@ class UpdateState:
     right: KrylovBasis
     coupling: np.ndarray
     coupling_history: list
-    hermitian_mode: bool
 
     def materialize(self):
         """Dense U_m X_m V_m* (desk scale only)."""
@@ -176,8 +175,6 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     Returns (history of solutions with None at gaps, UpdateReport).
     """
-    if not poles or d < 1:
-        raise ValueError("need m_max >= 1 and d >= 1")
     history = []
     estimates = []
     errors = [] if error is not None else None
@@ -238,9 +235,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     return history, report
 
 
-def _zero_report(plan_poles):
-    return UpdateReport(final_rank=0, iterations=0, estimates=[0.0],
-                        true_errors=[], converged=True, poles=tuple(plan_poles))
+def _check_steps(m_max, d):
+    """The step counts every solver checks before any n x n work."""
+    if m_max < 1 or d < 1:
+        raise ValueError("need m_max >= 1 and d >= 1")
 
 
 def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=None):
@@ -265,6 +263,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     values), the step is retried after one extra Arnoldi step, and two
     consecutive failures abort.
     """
+    _check_steps(m_max, d)
     cache = FactorizationCache(A)
     n = cache.A.shape[0]
     B = as_block(B, n, "B")
@@ -276,16 +275,14 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         if C is None:
             raise ValueError("general mode needs C (or pass J for the Hermitian mode)")
         C = as_block(C, n, "C")
-    if d < 1 or m_max < 1:
-        raise ValueError("need m_max >= 1 and d >= 1")
 
     if not B.any() or (not hermitian_mode and not C.any()):
         left = KrylovBasis(cache, np.zeros((n, 1)))
-        state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [], hermitian_mode)
-        return state, _zero_report(())
+        state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [])
+        return state, UpdateReport(final_rank=0, iterations=0, estimates=[0.0],
+                                   true_errors=[], converged=True)
 
-    if not isinstance(plan, PolePlan):
-        plan = PolePlan(tuple(plan))
+    plan = PolePlan.of(plan)
     poles = plan.expand(m_max)
     # closure is a property of the plan's pole multiset (one full cycle);
     # a cyclic sweep may stop mid-pair without invalidating the mode
@@ -310,4 +307,4 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     history, report = _rational_krylov(
         left, right, poles, evaluate, estimate, tol=tol, d=d,
         error=true_error if true_update is not None else None)
-    return UpdateState(left, right, history[-1], history, hermitian_mode), report
+    return UpdateState(left, right, history[-1], history), report

@@ -57,7 +57,7 @@ class TestSpans:
     def test_extended_plan_span(self, rng):
         A = rand_complex(rng, 16, 16) + 5 * np.eye(16)
         B = rand_complex(rng, 16, 1)
-        basis = build_basis(A, B, extended_plan(4))
+        basis = build_basis(A, B, extended_plan(), 4)
         Ainv = np.linalg.inv(A)
         P = np.hstack([Ainv @ Ainv @ B, Ainv @ B, B, A @ B])
         assert max_principal_angle(basis.basis, np.linalg.qr(P)[0]) <= 1e-10

@@ -114,6 +114,22 @@ class TestMarkovHermitian:
         assert rep.values.shape == (12,)
         assert np.all(np.diff(rep.values) <= 1e-12)
 
+    def test_closure_is_checked_on_the_plan_cycle(self):
+        # a cyclic run may stop mid-pair, and so may its bound: the values at
+        # m = 3 are the first three at m = 4
+        w = SpectralWindow(1.0, 4.0)
+        plan = PolePlan((-1.0 + 1.0j, -1.0 - 1.0j), repetition="cyclic")
+        f = FunctionSpec.inv_sqrt()
+        three = markov_bound_hermitian(w, plan, f, 3).values
+        assert np.array_equal(three, markov_bound_hermitian(w, plan, f, 4).values[:3])
+        with pytest.raises(ValueError, match="conjugate-closed"):
+            markov_bound_hermitian(w, PolePlan((-1.0 + 1.0j, -2.0), repetition="cyclic"), f, 4)
+        # the modified bound takes its first m - 1 poles from the same plan,
+        # so the same rule holds there
+        mixed = PolePlan((-1.0 + 1.0j, INF, -1.0 - 1.0j, INF), repetition="cyclic")
+        inner = markov_bound_hermitian(w, mixed, f, 1).values
+        assert np.array_equal(markov_modified_bound(w, mixed, f, 2).values, 4.0 * inner)
+
     def test_dominates_measured_error(self, rng):
         A, _ = random_hermitian(rng, 40, 0.5, 30.0)
         B = 0.5 * rand_complex(rng, 40, 1)
@@ -492,7 +508,7 @@ def test_pole_at_support_end_takes_no_log_of_zero(monkeypatch):
     # and with the bits of the per-prefix search
     window = SpectralWindow(1e-2, 1e2)
     f = FunctionSpec.inv_sqrt()
-    got = markov_bound_hermitian(window, extended_plan(6), f, 6).values
+    got = markov_bound_hermitian(window, extended_plan(), f, 6).values
     assert np.all(np.isfinite(got))
 
     def per_prefix(seq, imap, support):
@@ -501,4 +517,4 @@ def test_pole_at_support_end_takes_no_log_of_zero(monkeypatch):
                              for k in range(1, len(seq) + 1)])
 
     monkeypatch.setattr(bounds, "_eta_prefixes", per_prefix)
-    assert np.array_equal(got, markov_bound_hermitian(window, extended_plan(6), f, 6).values)
+    assert np.array_equal(got, markov_bound_hermitian(window, extended_plan(), f, 6).values)

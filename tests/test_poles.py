@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rkupdate.bounds import SpectralWindow
+from rkupdate.arnoldi import build_basis
+from rkupdate.bounds import (
+    SpectralWindow,
+    eta_blaschke,
+    markov_bound_hermitian,
+    markov_bound_nonhermitian,
+)
 from rkupdate.errors import SupportOverlapsSpectrum
+from rkupdate.functions import FunctionSpec
 from rkupdate.poles import (
     INF,
     EllipseMap,
@@ -18,6 +25,9 @@ from rkupdate.poles import (
     zolotarev_invsqrt_poles,
     zolotarev_sign_poles,
 )
+from rkupdate.updater import run_update
+
+from conftest import rand_complex, random_hermitian
 
 
 class TestPolePlan:
@@ -37,7 +47,7 @@ class TestPolePlan:
 
     def test_from_text(self):
         text = "# poles\n-3.5\n\ninf\n1.25+0.5j\n1.25-0.5j\n"
-        plan = PolePlan.from_text(text, repetition="cyclic")
+        plan = PolePlan.from_text(text)
         assert plan.poles == (-3.5, INF, 1.25 + 0.5j, 1.25 - 0.5j)
         assert plan.repetition == "cyclic"
         with pytest.raises(ValueError):
@@ -46,6 +56,25 @@ class TestPolePlan:
     def test_leja_ordering_applied_before_repetition(self):
         plan = PolePlan((-1.0, -4.0, -2.0), repetition="cyclic", ordering="leja")
         assert plan.expand(4) == (-4.0, -1.0, -2.0, -4.0)
+
+    def test_leja_ordering_applied_once_when_made(self):
+        plan = PolePlan((-1.0, -4.0, -2.0), ordering="leja")
+        assert plan.poles == plan.expand() == (-4.0, -1.0, -2.0)
+        assert plan.expand(3) == (-4.0, -1.0, -2.0)
+
+    def test_of(self):
+        plan = PolePlan((-1.0, INF), repetition="cyclic")
+        assert PolePlan.of(plan) is plan
+        raw = PolePlan.of([-1.0, INF])
+        assert raw == PolePlan((-1.0, INF)) and raw.repetition == "as-given"
+        assert raw.expand() == (-1.0, INF)
+
+    @pytest.mark.parametrize("repetition", ["as-given", "cyclic"])
+    def test_empty_plan(self, repetition):
+        plan = PolePlan((), repetition=repetition)
+        with pytest.raises(ValueError, match="plan has 0 poles, 3 requested"):
+            plan.expand(3)
+        assert plan.expand() == ()
 
 
 class TestIntervalMap:
@@ -205,8 +234,9 @@ def test_exp_single_pole():
 
 
 def test_extended_plan():
-    assert extended_plan(1).poles == (0.0,)
-    assert extended_plan(4).poles == (0.0, INF, 0.0, INF)
+    assert extended_plan().expand() == (0.0, INF)
+    assert extended_plan().expand(1) == (0.0,)
+    assert extended_plan().expand(5) == (0.0, INF, 0.0, INF, 0.0)
 
 
 class TestLeja:
@@ -230,3 +260,37 @@ class TestLeja:
     def test_infinite_rejected(self):
         with pytest.raises(ValueError):
             leja_order([INF, -1.0])
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_raw_sequence_is_an_as_given_plan_everywhere(rng, m):
+    # the solvers, build_basis and the bounds read a raw sequence by
+    # one rule: its first m poles, or the same ValueError when it is short
+    raw = [-1.0, -2.0, -3.0]
+    A, _ = random_hermitian(rng, 12, 0.5, 20.0)
+    B = 0.3 * rand_complex(rng, 12, 1)
+    f = FunctionSpec.inv_sqrt()
+    window = SpectralWindow(0.5, 40.0)
+    imap = window.interval_map()
+    calls = {
+        "run_update": lambda: run_update(A, B, f=f, plan=raw, m_max=m, tol=0.0, d=1,
+                                         J=np.array([[1.0]]))[1].poles,
+        "build_basis": lambda: build_basis(A, B, raw, m).poles_used,
+        "eta_blaschke": lambda: eta_blaschke(raw, imap, f.markov_support, m=m),
+        "markov_bound_hermitian":
+            lambda: tuple(markov_bound_hermitian(window, raw, f, m).values),
+        "markov_bound_nonhermitian":
+            lambda: tuple(markov_bound_nonhermitian(window, raw, f, m, 1.0, 1.0).values),
+    }
+    if m > len(raw):
+        for call in calls.values():
+            with pytest.raises(ValueError, match="plan has 3 poles, 5 requested"):
+                call()
+        return
+    poles = tuple(raw[:m])
+    assert calls["run_update"]() == calls["build_basis"]() == poles
+    assert calls["eta_blaschke"]() == eta_blaschke(poles, imap, f.markov_support)
+    assert calls["markov_bound_hermitian"]() == tuple(
+        markov_bound_hermitian(window, PolePlan(poles), f, m).values)
+    assert calls["markov_bound_nonhermitian"]() == tuple(
+        markov_bound_nonhermitian(window, PolePlan(poles), f, m, 1.0, 1.0).values)

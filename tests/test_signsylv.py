@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import rkupdate.signsylv as signsylv
+from rkupdate.arnoldi import FactorizationCache
 from rkupdate.dense import funm_block_triangular, funm_small, norm2
 from rkupdate.errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
 from rkupdate.functions import FunctionSpec
@@ -460,4 +461,32 @@ def test_lag_zero_rejected(rng, entry):
                                                                  tol=1e-8, d=0),
     }
     with pytest.raises(ValueError, match="d >= 1"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("m_max,d", [(0, 2), (2, 0)], ids=["m_max=0", "d=0"])
+@pytest.mark.parametrize("entry", ["run_update", "sign_update", "sylvester_solve_krylov"])
+def test_step_counts_checked_before_any_work(rng, monkeypatch, entry, m_max, d):
+    # one check, one message, before the operator is stored or scanned;
+    # run_update gets a zero B, whose short cut returns before any step
+    A, B, _ = indefinite_instance(rng, 12)
+    prob = SylvesterProblem.create(np.diag([1.0, 2.0, 3.0]), np.diag([-1.0, -2.0]),
+                                   np.ones((3, 1)), np.ones((2, 1)))
+    plan = PolePlan((-5.0,), repetition="cyclic")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("operator work before the step counts were checked")
+
+    monkeypatch.setattr(FactorizationCache, "__init__", no_work)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
+    calls = {
+        "run_update": lambda: run_update(A, np.zeros_like(B), f=FunctionSpec.inv_sqrt(),
+                                         plan=plan, m_max=m_max, tol=1e-8, d=d,
+                                         J=np.array([[1.0]])),
+        "sign_update": lambda: sign_update(A, B, np.array([[1.0]]), plan,
+                                           m_max=m_max, tol=1e-8, d=d),
+        "sylvester_solve_krylov": lambda: sylvester_solve_krylov(prob, plan, m_max=m_max,
+                                                                 tol=1e-8, d=d),
+    }
+    with pytest.raises(ValueError, match=r"^need m_max >= 1 and d >= 1$"):
         calls[entry]()

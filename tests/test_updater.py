@@ -92,6 +92,10 @@ class TestUpdateHermitian:
                                 m_max=6, tol=0.0, d=2)
         diff = norm2(state_h.materialize() - state_g.materialize())
         assert diff <= 1e-10 * max(norm2(state_h.materialize()), 1e-30)
+        for state in (state_h, state_g):
+            UX, V = state.factors()
+            dense = state.materialize()
+            assert norm2(UX @ V.conj().T - dense) <= 1e-14 * norm2(dense)
 
     def test_block_J_path(self, rng):
         # ell = 2 exercises the generic Hermitian difference (no rank-one shortcut)
@@ -287,7 +291,7 @@ class TestRateExamples:
         dense = dense_update(A, B @ B.conj().T, FunctionSpec.inv_sqrt(), hermitian=True)
         w = SpectralWindow.from_matrices(A, A + B @ B.conj().T)
         _, rate_single = markov_single_pole(w, (-np.inf, 0.0))
-        state, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(), plan=extended_plan(40),
+        state, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(), plan=extended_plan(),
                                 m_max=40, tol=0.0, d=1, J=np.array([[1.0]]),
                                 true_update=dense)
         errs = np.asarray(rep.true_errors) / norm2(dense)
