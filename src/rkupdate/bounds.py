@@ -12,8 +12,12 @@ cycle, not its first m poles, to be closed under conjugation.  A bound at
 steps 1..m needs eta for every prefix of that sequence; one pass
 (:func:`_eta_prefixes`) maps each distinct pole once, samples the grid once
 and refines all prefixes together, with the same bits as searching each
-prefix on its own.  The Markov bounds share the factor
-2 sup|f| / |phi(beta)| in front of eta.
+prefix on its own.  The four Markov bounds (Hermitian, non-Hermitian,
+modified and sign update) run one pipeline, :func:`_markov_etas`: the
+support check of :mod:`rkupdate.poles` (f's Markov support strictly left
+of the window), the plan's m poles, the window's conformal map, eta of
+every prefix, the factor 2 sup|f| / |phi(beta)| in front of eta and the
+per-step rate.
 """
 
 import math
@@ -28,7 +32,7 @@ from .errors import (
     PoleInsideDomain,
     SupportOverlapsSpectrum,
 )
-from .poles import EllipseMap, IntervalMap, PolePlan
+from .poles import EllipseMap, IntervalMap, PolePlan, _check_support
 
 __all__ = [
     "SpectralWindow", "BoundReport", "eta_blaschke",
@@ -39,6 +43,9 @@ __all__ = [
 
 #: sample count of the grid on which the eta maximization starts
 _ETA_SAMPLES = 4096
+
+#: sample count of the grid on which the Chebyshev proxy takes its maximum
+_PROXY_SAMPLES = 2048
 
 #: constant of the Crouzeix-Kressner Frechet-derivative bound
 _CK = (1.0 + math.sqrt(2.0)) ** 2
@@ -161,11 +168,6 @@ def _eta_prefixes(poles, imap, support):
     bit for bit the value the same search gives for that prefix alone.
     """
     alpha, beta = float(support[0]), float(support[1])
-    if not alpha < beta:
-        raise ValueError("support needs alpha < beta")
-    if not beta < imap.a:
-        raise SupportOverlapsSpectrum("support must lie strictly left of the window")
-
     # group the finite poles in first-occurrence order; -1 marks infinity
     group_of, index, phis = [], {}, []
     for p in poles:
@@ -266,29 +268,34 @@ def eta_blaschke(plan, imap, support, m=None):
     poles = PolePlan.of(plan).expand(m)
     if len(poles) == 0:
         return 1.0
+    if not support[0] < support[1]:
+        raise ValueError("support needs alpha < beta")
+    if not support[1] < imap.a:
+        raise SupportOverlapsSpectrum("support must lie strictly left of the window")
     return float(_eta_prefixes(poles, imap, support)[-1])
 
 
-def _markov_sup(f, window):
-    """sup |f| on the window; Markov functions are monotone there, so the
-    supremum sits at the endpoint nearest the support."""
+def _markov_lead(f, window, imap, support):
+    """2 sup|f| / |phi(beta)|, the Markov factor in front of eta; Markov
+    functions are monotone on the window, so sup|f| sits at the endpoint
+    nearest the support."""
+    sup_f = float(abs(f.scalar(np.array([window.omega]))[0]))
+    return 2.0 * sup_f / abs(imap.phi(support[1]))
+
+
+def _markov_etas(window, plan, f, m):
+    """(lead, etas, rate) of a Markov bound for f on the window: the
+    :func:`_markov_lead`, eta of the plan's first k poles for k = 1..m, and
+    the per-step rate eta_m^(1/m).  m = 0 gives no etas and rate 1."""
     if not f.is_markov:
         raise ValueError("function has no Markov support interval")
-    return float(abs(f.scalar(np.array([window.omega]))[0]))
-
-
-def _markov_lead(f, window, imap, support):
-    """2 sup|f| / |phi(beta)|, the Markov factor in front of eta."""
-    return 2.0 * _markov_sup(f, window) / abs(imap.phi(support[1]))
-
-
-def _require_support(f, window):
-    support = f.markov_support
-    if support[1] >= window.lmin:
-        raise SupportOverlapsSpectrum(
-            f"support upper end {support[1]} reaches window [{window.lmin}, {window.lmax}]"
-        )
-    return support
+    support = _check_support(window, f.markov_support)
+    imap = window.interval_map()
+    lead = _markov_lead(f, window, imap, support)
+    if m == 0:
+        return lead, np.ones(0), 1.0
+    etas = _eta_prefixes(PolePlan.of(plan).expand(m), imap, support)
+    return lead, etas, float(etas[-1] ** (1.0 / m))
 
 
 def markov_bound_hermitian(window, plan, f, m):
@@ -298,42 +305,35 @@ def markov_bound_hermitian(window, plan, f, m):
     plan's cycle must be closed under conjugation; its first m poles need
     not be (a cyclic run may stop mid-pair).
     """
-    support = _require_support(f, window)
     plan = PolePlan.of(plan)
-    poles = plan.expand(m)
     if not plan.conjugate_closed():
         raise ValueError("Hermitian Markov bound requires a conjugate-closed plan")
-    imap = window.interval_map()
-    etas = _eta_prefixes(poles, imap, support)
-    values = 4.0 * _markov_lead(f, window, imap, support) * etas
-    return BoundReport(values=values, rate=float(etas[-1] ** (1.0 / m)))
+    lead, etas, rate = _markov_etas(window, plan, f, m)
+    return BoundReport(values=4.0 * lead * etas, rate=rate)
 
 
 def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
     """Bound 8 |f'(omega)| * eta/(1-eta) * ||B|| ||C|| (non-Hermitian update)."""
-    support = _require_support(f, window)
-    poles = PolePlan.of(plan).expand(m)
-    imap = window.interval_map()
-    etas = _eta_prefixes(poles, imap, support)
+    _, etas, rate = _markov_etas(window, plan, f, m)
     if etas[-1] >= 1.0:
         raise EtaNotContracting(f"eta = {etas[-1]:.3e} >= 1; bound is void")
     fprime = float(abs(f.derivative(np.array([window.omega + 0j]))[0]))
     with np.errstate(divide="ignore"):
         values = 8.0 * fprime * (etas / np.maximum(1.0 - etas, 1e-300)) * normB * normC
-    return BoundReport(values=values, rate=float(etas[-1] ** (1.0 / m)))
+    return BoundReport(values=values, rate=rate)
 
 
-def _cheb_best_proxy(df, a, b, degree, samples=2048):
+def _cheb_best_proxy(df, a, b, degree):
     """Chebyshev-interpolation proxy for inf over polynomials of given degree
     of ||f' - p|| on [a, b]; within (1 + Lebesgue constant) of the true inf."""
     if degree < 0:
-        x = np.linspace(a, b, samples)
+        x = np.linspace(a, b, _PROXY_SAMPLES)
         return float(np.abs(df(x)).max())
     k = np.arange(degree + 1)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * (degree + 1)))
     xn = 0.5 * (a + b) + 0.5 * (b - a) * nodes
     coeffs = np.polynomial.chebyshev.chebfit(nodes, np.real(df(xn)), degree)
-    x = np.linspace(a, b, samples)
+    x = np.linspace(a, b, _PROXY_SAMPLES)
     xt = (2.0 * x - (a + b)) / (b - a)
     interp = np.polynomial.chebyshev.chebval(xt, coeffs)
     return float(np.abs(np.real(df(x)) - interp).max())
@@ -377,9 +377,8 @@ def markov_modified_bound(window, plan, f_hat, m):
         raise LastPoleNotInfinite("the modification trick fixes the last pole at infinity")
     sup_p1 = max(abs(window.lmin), abs(window.lmax))
     if m == 1:
-        support = _require_support(f_hat, window)
-        lead = 4.0 * _markov_lead(f_hat, window, window.interval_map(), support)
-        return BoundReport(values=np.array([sup_p1 * lead]), rate=1.0)
+        lead, _, rate = _markov_etas(window, plan, f_hat, 0)
+        return BoundReport(values=np.array([sup_p1 * (4.0 * lead)]), rate=rate)
     inner = markov_bound_hermitian(window, plan, f_hat, m - 1)
     return BoundReport(values=sup_p1 * inner.values, rate=inner.rate)
 
@@ -387,10 +386,6 @@ def markov_modified_bound(window, plan, f_hat, m):
 def sign_update_bound(window_squared, plan, m, norm_A_plus_D, norm_BJ, norm_B, inv_sqrt):
     """Sign-update bound (4||A+D|| + 2||BJ|| ||B||) * min ||f - r|| on the
     squared window, with the Markov estimate for the inverse square root."""
-    support = _require_support(inv_sqrt, window_squared)
-    poles = PolePlan.of(plan).expand(m)
-    imap = window_squared.interval_map()
+    markov_lead, etas, rate = _markov_etas(window_squared, plan, inv_sqrt, m)
     lead = (4.0 * norm_A_plus_D + 2.0 * norm_BJ * norm_B)
-    markov_lead = _markov_lead(inv_sqrt, window_squared, imap, support)
-    etas = _eta_prefixes(poles, imap, support)
-    return BoundReport(values=lead * markov_lead * etas, rate=float(etas[-1] ** (1.0 / m)))
+    return BoundReport(values=lead * markov_lead * etas, rate=rate)

@@ -138,10 +138,10 @@ def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
                         pole=pole, rate=rate, norm_fA=float(np.max(lam ** -0.5)))
 
 
-def experiment_fig2(n=200, seed=6, m_max=60, tol=1e-12, d=2, num_poles=10):
-    """Cyclically repeated quasi-optimal poles in Leja ordering."""
+def experiment_fig2(n=200, seed=6, m_max=60, tol=1e-12, d=2):
+    """Ten cyclically repeated quasi-optimal poles in Leja ordering."""
     lam, b, A, window = _invsqrt_instance(n, seed)
-    plan = _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), num_poles).poles)
+    plan = _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), 10).poles)
     return _invsqrt_run("fig2-invsqrt-quasiopt", lam, b, A, window, plan, m_max, tol, d,
                         poles=plan.poles)
 
@@ -153,9 +153,9 @@ def _sign_instance(n, seed):
     return lam, b
 
 
-def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2, degrees=(10, 2)):
+def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2):
     """Sign-function update: squared-operator algorithm vs direct projection,
-    with Zolotarev pole sets of the given degrees.  Returns one result per
+    with Zolotarev pole sets of degrees 10 and 2.  Returns one result per
     (algorithm, degree) variant."""
     lam, b = _sign_instance(n, seed)
     A = np.diag(lam).astype(complex)
@@ -170,7 +170,7 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2, degrees=(10, 2)):
     J = np.array([[1.0]])
     m_max4 = min(m_max, (n - 2) // 2)  # the squared basis grows by 2 columns per step
     results = []
-    for degree in degrees:
+    for degree in (10, 2):
         plan4 = _cyclic(zolotarev_invsqrt_poles((window2.lmin, window2.lmax), degree).poles)
         res4, rep4 = sign_update(A, b, J, plan4, m_max=m_max4, tol=tol, d=d,
                                  true_update=dense)
@@ -199,33 +199,42 @@ def _parse_poles(spec, *, window=None, gap=None, m_max=None):
     ``quasi-optimal:COUNT``, ``zolotarev-invsqrt:DEGREE``,
     ``zolotarev-sign:DEGREE``.  Window-based strategies need a Hermitian
     instance at desk scale.  Multi-pole sets come out Leja-ordered; all
-    plans repeat cyclically.
+    plans repeat cyclically.  ``window`` and ``gap`` are functions that
+    compute the spectral window and the gap, or None for an instance that
+    has none; only the strategies that read them call them.
     """
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
+
+    def need(spectrum, instance):
+        if spectrum is None:
+            raise ValueError(f"{name} poles need a {instance} instance")
+        return spectrum()
+
     if name == "extended":
         return extended_plan()
     if name == "exp-single":
         return exp_single_pole(m_max or 1)
     if name == "markov-single":
-        if window is None:
-            raise ValueError("markov-single poles need a Hermitian instance")
-        pole, _ = markov_single_pole(window, (-np.inf, 0.0))
+        pole, _ = markov_single_pole(need(window, "Hermitian"), (-np.inf, 0.0))
         return _cyclic((pole,))
     if name == "quasi-optimal":
-        if window is None:
-            raise ValueError("quasi-optimal poles need a Hermitian instance")
-        return _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), int(arg or 10)).poles)
+        return _cyclic(quasi_optimal_poles(need(window, "Hermitian"), (-np.inf, 0.0),
+                                           int(arg or 10)).poles)
     if name == "zolotarev-invsqrt":
-        if window is None:
-            raise ValueError("zolotarev-invsqrt poles need a Hermitian instance")
-        return _cyclic(zolotarev_invsqrt_poles((window.lmin, window.lmax), int(arg or 10)).poles)
+        w = need(window, "Hermitian")
+        return _cyclic(zolotarev_invsqrt_poles((w.lmin, w.lmax), int(arg or 10)).poles)
     if name == "zolotarev-sign":
-        if gap is None:
-            raise ValueError("zolotarev-sign poles need a Hermitian indefinite instance")
-        return _cyclic(zolotarev_sign_poles(gap, int(arg or 10)).poles)
+        return _cyclic(zolotarev_sign_poles(need(gap, "Hermitian indefinite"),
+                                            int(arg or 10)).poles)
     with open(spec) as fh:
         return PolePlan.from_text(fh.read())
+
+
+def _gap(*spectra):
+    """(min, max) of the moduli of the eigenvalues in ``spectra``."""
+    absw = np.abs(np.concatenate(spectra))
+    return (float(absw.min()), float(absw.max()))
 
 
 def experiment_custom(args):
@@ -237,20 +246,24 @@ def experiment_custom(args):
     J = read_matrix(args.matrix_j) if args.matrix_j else None
     C = read_matrix(args.matrix_c) if args.matrix_c else None
     f = FunctionSpec.from_string(args.function)
-    n = A.shape[0]
-    window = gap = None
-    if J is not None and n <= ORACLE_MAX_N:
-        D = B @ J @ B.conj().T
-        w1 = np.linalg.eigvalsh(A)
-        w2 = np.linalg.eigvalsh(A + D)
-        window = SpectralWindow(float(min(w1[0], w2[0])), float(max(w1[-1], w2[-1])))
-        absw = np.concatenate([np.abs(w1), np.abs(w2)])
-        gap = (float(absw.min()), float(absw.max()))
-    plan = _parse_poles(args.poles, window=window, gap=gap, m_max=args.m_max)
-    dense = None
-    if n <= ORACLE_MAX_N:
+    desk = A.shape[0] <= ORACLE_MAX_N
+    D = None
+    if desk:
         D = B @ J @ B.conj().T if J is not None else B @ (C if C is not None else B).conj().T
-        dense = dense_update(A, D, f, hermitian=J is not None)
+
+    window = gap = None
+    if J is not None and desk:
+        # a Hermitian instance: the strategies that read the window or the
+        # gap take them from the eigenvalues of A and A + D
+        def window():
+            w1, w2 = np.linalg.eigvalsh(A), np.linalg.eigvalsh(A + D)
+            return SpectralWindow(float(min(w1[0], w2[0])), float(max(w1[-1], w2[-1])))
+
+        def gap():
+            return _gap(np.linalg.eigvalsh(A), np.linalg.eigvalsh(A + D))
+
+    plan = _parse_poles(args.poles, window=window, gap=gap, m_max=args.m_max)
+    dense = dense_update(A, D, f, hermitian=J is not None) if desk else None
     state, report = run_update(A, B, C, f=f, plan=plan, m_max=args.m_max,
                                tol=args.tol, d=args.d, J=J, true_update=dense)
     rows = _rows_from_report(report)
@@ -310,10 +323,8 @@ def run_sylvester(args):
     prob = SylvesterProblem.create(
         read_matrix(args.matrix_a1), read_matrix(args.matrix_a2),
         read_matrix(args.matrix_b1), read_matrix(args.matrix_c2))
-    gap_vals = np.concatenate([
-        np.abs(np.linalg.eigvals(prob.A1)), np.abs(np.linalg.eigvals(prob.A2))])
-    gap = (float(gap_vals.min()), float(gap_vals.max()))
-    plan = _parse_poles(args.poles, gap=gap, m_max=args.m_max)
+    plan = _parse_poles(args.poles, m_max=args.m_max,
+                        gap=lambda: _gap(np.linalg.eigvals(prob.A1), np.linalg.eigvals(prob.A2)))
     result, report = sylvester_solve_krylov(prob, plan, m_max=args.m_max,
                                             tol=args.tol, d=args.d)
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out

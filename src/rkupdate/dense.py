@@ -14,7 +14,11 @@ once per factorization cache, as the realness scan is), and its shifted
 LUs and products then cost O(n) per band row instead of the dense O(n^3)
 and O(n^2).  Hermitian structure is an explicit flag.  The heavy lifting
 is delegated to LAPACK through numpy/scipy; this module owns the
-contracts (tolerances, error conditions, fallbacks).
+contracts (tolerances, error conditions, fallbacks).  What a function is,
+its domain included, is its :class:`~rkupdate.functions.FunctionSpec`'s
+to say (``f.check_spectrum``); the matrix functions here keep only their
+evaluation shortcuts: the identity, rational kinds through partial
+fractions, and scaling-and-squaring for an ill-conditioned exponential.
 """
 
 import warnings
@@ -24,12 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._validation import as_matrix, as_operator, require_square
-from .errors import (
-    IllConditionedEigenbasis,
-    RankDeficient,
-    SingularityOnSpectrum,
-    SingularShift,
-)
+from .errors import IllConditionedEigenbasis, RankDeficient, SingularShift
 
 __all__ = [
     "TOL_PIVOT", "TOL_DEFLATE", "TOL_AXIS", "COND_CAP",
@@ -239,23 +238,6 @@ def shifted_factorize(A, xi):
     return ShiftedFactorization(shift=xi, lu=(lu, piv), band=(kl, ku) if band else None)
 
 
-def _check_spectrum(w, kind, scale):
-    """Domain checks for f on the spectrum; raises SingularityOnSpectrum."""
-    tol = TOL_AXIS * max(scale, 1e-300)
-    if kind == "sign":
-        if np.abs(w.real).min(initial=np.inf) < tol:
-            raise SingularityOnSpectrum("eigenvalue too close to the imaginary axis for sign")
-    elif kind in ("inv-sqrt", "inv-power"):
-        if w.real.min(initial=np.inf) < tol:
-            raise SingularityOnSpectrum(f"{kind} needs eigenvalues with positive real part")
-    elif kind == "sqrt":
-        if w.real.min(initial=np.inf) < -tol:
-            raise SingularityOnSpectrum("sqrt needs eigenvalues off the negative axis")
-    elif kind == "log1p-over-z":
-        if (w.real + 1.0).min(initial=np.inf) < tol:
-            raise SingularityOnSpectrum("log(1+z)/z needs spectrum right of -1")
-
-
 def eval_rational_pf(M, pf):
     """Evaluate a partial-fraction expansion at a square matrix via shifted solves."""
     M = require_square(M, "M")
@@ -290,18 +272,18 @@ def funm_small(A, f, hermitian=False):
     if f.kind == "identity":
         return A.copy()
     if f.kind == "rational":
-        return eval_rational_pf(A, f.pf)
+        return eval_rational_pf(A, f.fn)
     scale = np.abs(A).max(initial=0.0)
     Ar = _real_if_real(A)
     if hermitian:
         w, Q = np.linalg.eigh(Ar)
-        _check_spectrum(w + 0j, f.kind, scale)
+        f.check_spectrum(w, scale)
         # an f that overflows on the spectrum leaves non-finite entries,
         # which the step loop reports as a typed error, not as warnings; an
         # infinite f(w) keeps the complex product, whose NaNs (not the real
         # product's infinities) a later difference takes without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            fw = f.scalar(w + 0j)
+            fw = f.scalar(w)
             if Q.dtype == np.float64 and np.isfinite(fw).all() and not fw.imag.any():
                 F = (Q * fw.real) @ Q.T
             else:
@@ -318,7 +300,7 @@ def funm_small(A, f, hermitian=False):
             f"eigenvector condition {cond:.2e} exceeds cap {COND_CAP:.2e}"
         )
     w = w.astype(complex, copy=False)
-    _check_spectrum(w, f.kind, scale)
+    f.check_spectrum(w, scale)
     with np.errstate(over="ignore", invalid="ignore"):
         VF = V * f.scalar(w)
     return np.linalg.solve(V.T, VF.T).T

@@ -1,18 +1,28 @@
 """Scalar function catalog used throughout the package.
 
-A :class:`FunctionSpec` bundles a scalar map with the metadata the rest of
-the library needs: an analytic derivative (for a priori bounds), an optional
-Markov support interval, and, for rational functions, the
-:class:`PartialFractions` expansion over their poles, the one form in which
-the scalar and the matrix function are evaluated.
+A :class:`FunctionSpec` is the one place that says what a function kind
+is.  Each factory sets the scalar map ``fn``, its analytic derivative
+``dfn`` (for a priori bounds) and an optional Markov support interval.
+The kinds with a singularity have a domain, which
+:meth:`FunctionSpec.check_spectrum` holds a spectrum to: sign needs the
+spectrum off the imaginary axis, the inverse powers right of it, the
+square root off the negative axis and log(1+z)/z right of -1.  A rational
+function's ``fn`` is its :class:`PartialFractions` expansion over its
+poles, the one form in which the scalar and the matrix function are
+evaluated.  The catalog's maps are module-level functions or values, so
+two specs of a catalog kind made alike compare equal
+(``FunctionSpec.inv_power(0.25) == FunctionSpec.inv_power(0.25)``).
 
 Polynomial coefficients are in ascending order: ``p = [p0, p1, ...]``
 represents ``p0 + p1*z + p2*z**2 + ...``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .dense import TOL_AXIS
+from .errors import SingularityOnSpectrum
 
 __all__ = ["FunctionSpec", "PartialFractions"]
 
@@ -50,67 +60,124 @@ class PartialFractions:
         return out
 
 
+_INVERSE = PartialFractions((0.0,), (0.0,), (1,), ((1.0,),))
+
+
+@dataclass(frozen=True)
+class _Power:
+    """z -> z**p, or coef * z**p; a value, so specs of one power compare equal."""
+
+    p: float
+    coef: float = None
+
+    def __call__(self, z):
+        return z ** self.p if self.coef is None else self.coef * z ** self.p
+
+
+def _identity(z):
+    return z
+
+
+def _sign(z):
+    return np.where(z.real > 0, 1.0, -1.0).astype(complex)
+
+
+def _log1p_over_z(z):
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-6
+    zs = z[small]
+    out[small] = 1.0 - zs / 2.0 + zs**2 / 3.0 - zs**3 / 4.0
+    out[~small] = np.log(1.0 + z[~small]) / z[~small]
+    return out
+
+
+def _d_log1p_over_z(z):
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-6
+    zs = z[small]
+    out[small] = -0.5 + 2.0 * zs / 3.0 - 0.75 * zs**2
+    big = z[~small]
+    out[~small] = 1.0 / (big * (1.0 + big)) - np.log(1.0 + big) / big**2
+    return out
+
+
+#: kind -> (margin, side, message): an eigenvalue w lies off the domain of
+#: f when margin(w) < side * TOL_AXIS * scale
+_DOMAINS = {
+    "sign": (lambda w: np.abs(w.real), 1.0,
+             "eigenvalue too close to the imaginary axis for sign"),
+    "inv-sqrt": (lambda w: w.real, 1.0, "inv-sqrt needs eigenvalues with positive real part"),
+    "inv-power": (lambda w: w.real, 1.0, "inv-power needs eigenvalues with positive real part"),
+    "sqrt": (lambda w: w.real, -1.0, "sqrt needs eigenvalues off the negative axis"),
+    "log1p-over-z": (lambda w: w.real + 1.0, 1.0, "log(1+z)/z needs spectrum right of -1"),
+}
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """A scalar function together with everything needed to apply and bound it.
 
     Use the factory classmethods; the constructor is not meant to be called
-    directly.
+    directly.  Specs compare by everything but ``dfn``, the derivative of
+    ``fn``, so two rational specs of equal expansions are equal.
     """
 
     kind: str
+    fn: object
+    dfn: object = field(default=None, compare=False)
     gamma: float = 0.0
-    pf: PartialFractions = None
-    fn: object = None
-    dfn: object = None
-    support: tuple = None
+    markov_support: tuple = None
     label: str = ""
 
     # -- factories ---------------------------------------------------------
     @classmethod
     def exp(cls):
-        return cls(kind="exp", label="exp")
+        return cls(kind="exp", fn=np.exp, dfn=np.exp, label="exp")
 
     @classmethod
     def inv_sqrt(cls):
-        return cls(kind="inv-sqrt", support=_NEG_AXIS, label="z^(-1/2)")
+        return cls(kind="inv-sqrt", fn=_Power(-0.5), dfn=_Power(-1.5, -0.5),
+                   markov_support=_NEG_AXIS, label="z^(-1/2)")
 
     @classmethod
     def sqrt(cls):
-        return cls(kind="sqrt", label="z^(1/2)")
+        return cls(kind="sqrt", fn=_Power(0.5), dfn=_Power(-0.5, 0.5), label="z^(1/2)")
 
     @classmethod
     def log1p_over_z(cls):
-        return cls(kind="log1p-over-z", support=(-np.inf, -1.0), label="log(1+z)/z")
+        return cls(kind="log1p-over-z", fn=_log1p_over_z, dfn=_d_log1p_over_z,
+                   markov_support=(-np.inf, -1.0), label="log(1+z)/z")
 
     @classmethod
     def inv_power(cls, gamma):
         if not 0.0 < gamma < 1.0:
             raise ValueError("inv_power exponent must lie in (0, 1)")
-        return cls(kind="inv-power", gamma=float(gamma), support=_NEG_AXIS,
-                   label=f"z^(-{gamma})")
+        g = float(gamma)
+        return cls(kind="inv-power", fn=_Power(-g), dfn=_Power(-g - 1.0, -g), gamma=g,
+                   markov_support=_NEG_AXIS, label=f"z^(-{gamma})")
 
     @classmethod
     def sign(cls):
-        return cls(kind="sign", label="sign")
+        return cls(kind="sign", fn=_sign, dfn=np.zeros_like, label="sign")
 
     @classmethod
     def inverse(cls):
-        return cls(kind="rational", pf=PartialFractions((0.0,), (0.0,), (1,), ((1.0,),)),
-                   label="1/z")
+        return cls(kind="rational", fn=_INVERSE, dfn=_INVERSE.derivative, label="1/z")
 
     @classmethod
     def identity(cls):
-        return cls(kind="identity", label="z")
+        return cls(kind="identity", fn=_identity, dfn=np.ones_like, label="z")
 
     @classmethod
     def rational(cls, pf):
         """The rational function of a :class:`PartialFractions` expansion."""
-        return cls(kind="rational", pf=pf, label="rational")
+        return cls(kind="rational", fn=pf, dfn=pf.derivative, label="rational")
 
     @classmethod
     def custom(cls, fn, dfn=None, label="custom", support=None):
-        return cls(kind="custom", fn=fn, dfn=dfn, support=support, label=label)
+        if support is not None and not support[0] < support[1]:
+            raise ValueError("markov support must satisfy alpha < beta")
+        return cls(kind="custom", fn=fn, dfn=dfn, markov_support=support, label=label)
 
     @classmethod
     def from_string(cls, text):
@@ -134,77 +201,28 @@ class FunctionSpec:
 
     # -- evaluation --------------------------------------------------------
     @property
-    def markov_support(self):
-        if self.support is None:
-            return None
-        alpha, beta = self.support
-        if not alpha < beta:
-            raise ValueError("markov support must satisfy alpha < beta")
-        return (alpha, beta)
-
-    @property
     def is_markov(self):
-        return self.support is not None
+        return self.markov_support is not None
 
     def scalar(self, z):
-        z = np.asarray(z, dtype=complex)
-        k = self.kind
-        if k == "exp":
-            return np.exp(z)
-        if k == "inv-sqrt":
-            return z ** (-0.5)
-        if k == "sqrt":
-            return z ** 0.5
-        if k == "inv-power":
-            return z ** (-self.gamma)
-        if k == "log1p-over-z":
-            out = np.empty_like(z)
-            small = np.abs(z) < 1e-6
-            zs = z[small]
-            out[small] = 1.0 - zs / 2.0 + zs**2 / 3.0 - zs**3 / 4.0
-            out[~small] = np.log(1.0 + z[~small]) / z[~small]
-            return out
-        if k == "sign":
-            return np.where(z.real > 0, 1.0, -1.0).astype(complex)
-        if k == "identity":
-            return z
-        if k == "rational":
-            return self.pf(z)
-        if k == "custom":
-            return np.asarray(self.fn(z), dtype=complex)
-        raise ValueError(f"unknown kind {k!r}")
+        return np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=complex)
 
     def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        k = self.kind
-        if k == "exp":
-            return np.exp(z)
-        if k == "inv-sqrt":
-            return -0.5 * z ** (-1.5)
-        if k == "sqrt":
-            return 0.5 * z ** (-0.5)
-        if k == "inv-power":
-            return -self.gamma * z ** (-self.gamma - 1.0)
-        if k == "log1p-over-z":
-            out = np.empty_like(z)
-            small = np.abs(z) < 1e-6
-            zs = z[small]
-            out[small] = -0.5 + 2.0 * zs / 3.0 - 0.75 * zs**2
-            big = z[~small]
-            out[~small] = 1.0 / (big * (1.0 + big)) - np.log(1.0 + big) / big**2
-            return out
-        if k == "sign":
-            return np.zeros_like(z)
-        if k == "identity":
-            return np.ones_like(z)
-        if k == "rational":
-            return self.pf.derivative(z)
-        if k == "custom":
-            if self.dfn is None:
-                raise ValueError("custom FunctionSpec has no derivative")
-            return np.asarray(self.dfn(z), dtype=complex)
-        raise ValueError(f"unknown kind {k!r}")
+        if self.dfn is None:
+            raise ValueError("custom FunctionSpec has no derivative")
+        return np.asarray(self.dfn(np.asarray(z, dtype=complex)), dtype=complex)
 
-    def sup_abs_derivative_on_interval(self, a, b, samples=257):
-        x = np.linspace(a, b, samples)
+    def check_spectrum(self, w, scale):
+        """Raise :class:`SingularityOnSpectrum` when an eigenvalue in ``w``
+        lies off the domain of f, to within ``TOL_AXIS * scale``; a kind
+        without a singularity takes any spectrum."""
+        if self.kind not in _DOMAINS:
+            return
+        margin, side, message = _DOMAINS[self.kind]
+        tol = TOL_AXIS * max(scale, 1e-300)
+        if margin(np.asarray(w)).min(initial=np.inf) < side * tol:
+            raise SingularityOnSpectrum(message)
+
+    def sup_abs_derivative_on_interval(self, a, b):
+        x = np.linspace(a, b, 257)
         return float(np.abs(self.derivative(x)).max())

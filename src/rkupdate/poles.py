@@ -271,11 +271,7 @@ def zolotarev_sign_poles(gap, degree):
     if degree < 1:
         raise ValueError("degree must be >= 1")
     pairs = max(1, -(-degree // 2))
-    ell = a / b
-    if ell == 1.0:
-        c = _zolotarev_cpoints(1.0, pairs)
-    else:
-        c = _zolotarev_cpoints(ell, pairs)
+    c = _zolotarev_cpoints(a / b, pairs)
     poles = []
     for j in range(pairs):
         s = b * math.sqrt(c[2 * j])
@@ -310,8 +306,7 @@ def quasi_optimal_poles(window, support, count):
 
     lo, hi = T(lmin), T(lmax)
     plan = zolotarev_invsqrt_poles((lo, hi), count)
-    return PolePlan(tuple(T_inv(p).real if isinstance(p, complex) else T_inv(p)
-                          for p in plan.poles))
+    return PolePlan(tuple(T_inv(p).real for p in plan.poles))
 
 
 def exp_single_pole(m):

@@ -40,9 +40,11 @@ from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
 from .rng import normal_block
 from .updater import (
+    _as_core,
     _check_steps,
     _hermitian_difference,
     _rational_krylov,
+    _zero_report,
     padded_difference_norm,
 )
 
@@ -87,6 +89,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     ||A+D|| * ||dX|| + ||BJ|| * ||d(f(G) U*B)|| falls below tol.
     Invertibility of A and A + D is verified at desk scale.  A enters only
     through products and shifted LUs of A itself; A^2 is never formed.
+    J must be ell x ell for a B of ell columns, and B = 0 gives the exact
+    zero update (no step), as in :func:`rkupdate.updater.run_update`.
 
     The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
     m_max >= 1 and d >= 1, and a step whose compression of A^2 or (A + D)^2
@@ -100,10 +104,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     cache = _SquaredCache(A)
     n = cache.A.shape[0]
     B = as_block(B, n, "B")
-    J = np.asarray(J, dtype=complex)
+    J = _as_core(J, B)
+    if not B.any():
+        empty = np.zeros((n, 0), dtype=complex)
+        return SignUpdateResult(left=empty, right=empty, coupling=np.zeros((0, 0), dtype=complex),
+                                basis=KrylovBasis(cache, np.zeros((n, 1)))), _zero_report()
     ell = B.shape[1]
-    if J.shape != (ell, ell):
-        raise ValueError(f"J must be {ell}x{ell}")
     BJ = B @ J
 
     def apply_ApD(X):

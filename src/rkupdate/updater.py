@@ -21,7 +21,7 @@ import numpy as np
 
 from ._validation import as_block
 from .arnoldi import FactorizationCache, KrylovBasis
-from .dense import _check_spectrum, _coupling_block, funm_small, norm2, norm2_hermitian
+from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from .poles import PolePlan
@@ -67,7 +67,7 @@ def update_hermitian(left, B, J, f):
             # the secular solver maps the base and the updated spectra; where
             # the map is not finite it raises ValueError, and funm_small
             # takes over
-            _check_spectrum(z, f.kind, scale)
+            f.check_spectrum(z, scale)
             with np.errstate(over="ignore", invalid="ignore"):
                 return f.scalar(z)
 
@@ -241,16 +241,34 @@ def _check_steps(m_max, d):
         raise ValueError("need m_max >= 1 and d >= 1")
 
 
+def _as_core(J, B):
+    """J as the complex ell x ell core of D = B J B* for a block B of ell
+    columns."""
+    J = np.asarray(J, dtype=complex)
+    ell = B.shape[1]
+    if J.shape != (ell, ell):
+        raise ValueError(f"J must be {ell}x{ell}")
+    return J
+
+
+def _zero_report():
+    """The report of a run whose update is exactly zero (B = 0 or C = 0)."""
+    return UpdateReport(final_rank=0, iterations=0, estimates=[0.0], true_errors=[],
+                        converged=True)
+
+
 def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=None):
     """Grow the update approximation until the difference estimator drops
     below tol or m_max steps are reached.
 
-    Hermitian mode is selected by passing J (then D = B J B*, A must be
-    Hermitian, and the pole plan must be closed under conjugation); the
-    general mode takes C with D = B C*.  ``true_update`` (a dense reference
-    for f(A+D)-f(A)) enables per-step true-error tracking for experiments;
-    in the Hermitian mode the error is Hermitian and its norm is taken from
-    its eigenvalues (the lower triangle), not from an SVD.
+    Hermitian mode is selected by passing J (then D = B J B*, J must be
+    ell x ell for a B of ell columns, A must be Hermitian, and the pole plan
+    must be closed under conjugation); the general mode takes C with
+    D = B C*, which must have B's columns.  Both are checked before any LU,
+    and B = 0 (or C = 0) gives the exact zero update.  ``true_update`` (a
+    dense reference for f(A+D)-f(A)) enables per-step true-error tracking
+    for experiments; in the Hermitian mode the error is Hermitian and its
+    norm is taken from its eigenvalues (the lower triangle), not from an SVD.
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
@@ -269,18 +287,18 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     B = as_block(B, n, "B")
     hermitian_mode = J is not None
     if hermitian_mode:
-        J = np.asarray(J, dtype=complex)
+        J = _as_core(J, B)
         C = B
     else:
         if C is None:
             raise ValueError("general mode needs C (or pass J for the Hermitian mode)")
         C = as_block(C, n, "C")
+        if C.shape[1] != B.shape[1]:
+            raise ValueError("B and C must have the same number of columns")
 
     if not B.any() or (not hermitian_mode and not C.any()):
         left = KrylovBasis(cache, np.zeros((n, 1)))
-        state = UpdateState(left, left, np.zeros((0, 0), dtype=complex), [])
-        return state, UpdateReport(final_rank=0, iterations=0, estimates=[0.0],
-                                   true_errors=[], converged=True)
+        return UpdateState(left, left, np.zeros((0, 0), dtype=complex), []), _zero_report()
 
     plan = PolePlan.of(plan)
     poles = plan.expand(m_max)

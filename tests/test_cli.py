@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rkupdate.cli as cli
 from rkupdate.cli import CSV_HEADER, experiment_fig2, main, write_csv
 from rkupdate.mmio import read_matrix, write_matrix
 from rkupdate.rng import SplitMix64, normal_block
@@ -111,6 +112,21 @@ class TestMainUpdate:
                        "--out", str(tmp_path / "o.csv")])
         assert status == 0
 
+    def test_extended_plan_builds_no_window(self, tmp_path, rng, monkeypatch):
+        # only the strategies that read the window or the gap compute spectra
+        def no_window(*args, **kwargs):
+            raise AssertionError("a spectral window for a plan that reads none")
+
+        monkeypatch.setattr(cli, "SpectralWindow", no_window)
+        _write_custom_instance(tmp_path, rng)
+        status = main(["update", "--experiment", "custom",
+                       "--matrix-a", str(tmp_path / "A.mtx"),
+                       "--matrix-b", str(tmp_path / "B.mtx"),
+                       "--matrix-j", str(tmp_path / "J.mtx"),
+                       "--poles", "extended", "--m-max", "6",
+                       "--out", str(tmp_path / "o.csv")])
+        assert status == 0
+
     def test_missing_matrix_is_error_exit(self, tmp_path, capsys):
         status = main(["update", "--experiment", "custom",
                        "--matrix-a", str(tmp_path / "missing.mtx"),
@@ -170,6 +186,27 @@ class TestMainSylvester:
         # residuals decrease to the stagnation floor
         res = [float(l.split(",")[1]) for l in res_lines[1:]]
         assert min(res) <= 1e-8
+
+
+    def test_pole_file_takes_no_eigenvalues(self, tmp_path, rng, monkeypatch, capsys):
+        # only zolotarev-sign reads the gap, and so the dense eigenvalues
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("dense eigenvalues for a plan that reads none")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        A1 = np.diag(np.linspace(1.0, 2.0, 8))
+        for name, M in [("A1", A1), ("A2", -A1), ("B1", rand_complex(rng, 8, 1)),
+                        ("C2", rand_complex(rng, 8, 1))]:
+            write_matrix(tmp_path / f"{name}.mtx", M)
+        (tmp_path / "poles.txt").write_text("1j\n-1j\n")
+        status = main(["sylvester",
+                       "--matrix-a1", str(tmp_path / "A1.mtx"),
+                       "--matrix-a2", str(tmp_path / "A2.mtx"),
+                       "--matrix-b1", str(tmp_path / "B1.mtx"),
+                       "--matrix-c2", str(tmp_path / "C2.mtx"),
+                       "--poles", str(tmp_path / "poles.txt"), "--m-max", "4",
+                       "--out", str(tmp_path / "sylv")])
+        assert status == 0
 
 
 class TestExitSemantics:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import rkupdate.functions as functions
+from rkupdate.dense import funm_small
+from rkupdate.errors import SingularityOnSpectrum
 from rkupdate.functions import FunctionSpec, PartialFractions
 
 from conftest import rand_complex
@@ -8,9 +11,10 @@ from conftest import rand_complex
 
 def test_rational_spec_scalar_and_derivative(rng):
     # r(z) = 0.5 - z + z^2/4 + (1 - 2i)/(z - 1.5) + 0.7/(z - 1.5)^2 + 3/(z + 2)
-    pf = PartialFractions((0.5, -1.0, 0.25), (1.5, -2.0), (2, 1),
-                          ((1.0 - 2.0j, 0.7), (3.0,)))
+    args = ((0.5, -1.0, 0.25), (1.5, -2.0), (2, 1), ((1.0 - 2.0j, 0.7), (3.0,)))
+    pf = PartialFractions(*args)
     f = FunctionSpec.rational(pf)
+    assert f == FunctionSpec.rational(PartialFractions(*args))
     z = rand_complex(rng, 16)
     ref = 0.5 - z + 0.25 * z**2 + (1 - 2j) / (z - 1.5) + 0.7 / (z - 1.5) ** 2 + 3 / (z + 2)
     dref = -1 + 0.5 * z - (1 - 2j) / (z - 1.5) ** 2 - 1.4 / (z - 1.5) ** 3 - 3 / (z + 2) ** 2
@@ -67,3 +71,50 @@ def test_sign_scalar():
 def test_inv_power_requires_unit_interval():
     with pytest.raises(ValueError):
         FunctionSpec.inv_power(1.5)
+
+
+def test_custom_support_needs_alpha_below_beta():
+    with pytest.raises(ValueError, match="markov support must satisfy alpha < beta"):
+        FunctionSpec.custom(np.exp, support=(0.0, -1.0))
+
+
+@pytest.mark.parametrize("name, factory", [
+    ("exp", FunctionSpec.exp), ("inv-sqrt", FunctionSpec.inv_sqrt),
+    ("sqrt", FunctionSpec.sqrt), ("log1p-over-z", FunctionSpec.log1p_over_z),
+    ("sign", FunctionSpec.sign), ("inverse", FunctionSpec.inverse),
+    ("identity", FunctionSpec.identity),
+    ("inv-power:0.25", lambda: FunctionSpec.inv_power(0.25)),
+])
+def test_every_function_name_round_trips(name, factory):
+    # the names --function takes; a spec made twice compares equal
+    assert FunctionSpec.from_string(name) == factory() == factory()
+    assert FunctionSpec.from_string(f" {name.upper()}") == factory()
+
+
+#: every kind with a domain, by --function name, and the edge of its domain
+#: on a matrix whose largest |entry| is 1: the edge sits TOL_AXIS = 1e-12
+#: from the singular set, on the side the kind's check takes
+DOMAIN_EDGES = [
+    ("sign", 1e-12),
+    ("inv-sqrt", 1e-12),
+    ("inv-power:0.25", 1e-12),
+    ("sqrt", -1e-12),
+    ("log1p-over-z", -1.0 + 1e-12),
+]
+
+
+def test_domain_table_covers_every_kind_with_a_domain():
+    kinds = {FunctionSpec.from_string(name).kind for name, _ in DOMAIN_EDGES}
+    assert kinds == set(functions._DOMAINS)
+    for name in ("exp", "identity", "inverse"):
+        FunctionSpec.from_string(name).check_spectrum(np.array([0.0, -1.0, 1j]), 1.0)
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+@pytest.mark.parametrize("name, edge", DOMAIN_EDGES, ids=[e[0] for e in DOMAIN_EDGES])
+def test_domain_edge_through_funm_small(name, edge, hermitian):
+    f = FunctionSpec.from_string(name)
+    with pytest.raises(SingularityOnSpectrum):
+        funm_small(np.diag([edge - 0.5e-12, 1.0]), f, hermitian=hermitian)
+    F = funm_small(np.diag([edge + 0.5e-12, 1.0]), f, hermitian=hermitian)
+    assert np.isfinite(F).all()

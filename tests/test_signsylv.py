@@ -44,6 +44,18 @@ class TestSignUpdate:
         assert norm2(res.materialize()) <= 1e-10
         assert rep.converged
 
+    def test_zero_B_gives_the_exact_zero_update(self, rng):
+        # as run_update does: no step, and the report of a converged run
+        A, B, _ = indefinite_instance(rng, 12)
+        plan = PolePlan((-5.0,), repetition="cyclic")
+        J = np.array([[1.0]])
+        res, rep = sign_update(A, np.zeros_like(B), J, plan, m_max=4, tol=1e-8)
+        _, ref = run_update(A, np.zeros_like(B), f=FunctionSpec.sign(), plan=plan,
+                            m_max=4, tol=1e-8, J=J)
+        update = res.materialize()
+        assert update.shape == (12, 12) and not update.any()
+        assert rep == ref and rep.converged and rep.iterations == 0
+
     def test_small_update_tracks_oracle(self, rng):
         # a small perturbation that does not flip any sign: the update is O(eps).
         # (an exact eigenvector B makes the seed block [B, AB] rank deficient,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rkupdate.arnoldi import KrylovBasis, adjoint_basis, build_basis
+from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
 from rkupdate.dense import norm2
 from rkupdate.errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from rkupdate.functions import FunctionSpec, PartialFractions
@@ -215,6 +215,24 @@ class TestRunUpdate:
         with pytest.raises(ValueError):
             run_update(A, b, f=FunctionSpec.exp(), plan=[INF], m_max=1, tol=0.0,
                        J=np.array([[1.0]]))
+
+
+    @pytest.mark.parametrize("J, c_cols, message", [
+        (np.eye(1), None, "J must be 2x2"),
+        (np.eye(3), None, "J must be 2x2"),
+        (None, 3, "B and C must have the same number of columns"),
+    ], ids=["J-1x1", "J-3x3", "C-3-columns"])
+    def test_shapes_checked_before_any_factorization(self, rng, monkeypatch, J, c_cols,
+                                                     message):
+        def no_lu(*args, **kwargs):
+            raise AssertionError("a factorization before the shapes were checked")
+
+        monkeypatch.setattr(FactorizationCache, "factorization", no_lu)
+        A = np.diag(np.linspace(1.0, 2.0, 10))
+        B = rand_complex(rng, 10, 2)
+        C = None if c_cols is None else rand_complex(rng, 10, c_cols)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_update(A, B, C, f=FunctionSpec.exp(), plan=[-1.0], m_max=1, tol=0.0, J=J)
 
 
 class TestEstimator:
