@@ -2,13 +2,15 @@
 # Runs every CLI path that turns a pole plan into poles twice and checks
 # that the second run writes the same bytes (bitwise determinism per seed):
 # the three figure experiments at n = 100, a custom update with the
-# extended plan and with a pole file, and the sylvester subcommand.
+# extended plan and with two pole files, and the sylvester subcommand.
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
 # Run from the repository root.  At n = 100 the figure bases fill C^n
 # before the default m_max: the lucky-breakdown path, and the band LUs and
-# solves of diagonal operators.
+# solves of diagonal operators.  The second pole file ends in a complex
+# conjugate pair, so the real basis of the custom update turns complex at
+# its third step.
 set -euo pipefail
 work="$1"
 in="$work/in"
@@ -33,6 +35,7 @@ for name, M in [("A", A), ("B", normal_block(1, n, 1)), ("J", np.eye(1)),
     write_matrix(f"{d}/{name}.mtx", M)
 EOF
 printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
+printf '# a pole file with a conjugate pair\n-0.5\ninf\n-1+1j\n-1-1j\n' > "$in/poles-pair.txt"
 for run in 1 2; do
   out="$work/run$run"
   mkdir -p "$out"
@@ -40,7 +43,7 @@ for run in 1 2; do
     PYTHONPATH=src python -m rkupdate.cli update --experiment "$experiment" \
       --n 100 --tol 0 --out "$out/$experiment.csv"
   done
-  for poles in extended "$in/poles.txt"; do
+  for poles in extended "$in/poles.txt" "$in/poles-pair.txt"; do
     PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
       --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
       --poles "$poles" --m-max 30 --tol 0 --out "$out/custom-$(basename "$poles" .txt).csv"

@@ -37,14 +37,25 @@ A, and its pole xi = -s^2 takes one LU of A - i s I, whose adjoint solve
 followed by its solve applies (A^2 + s^2 I)^{-1}.
 
 A cache stores a matrix with no nonzero imaginary entry as ``float64``
-(it scans A once); its products, and its LUs at real shifts, then run in
-real arithmetic on the ``float64`` view of the complex blocks, and its
-adjoint is its transpose.  The cache then reads A's band once, as it reads
-its realness: a matrix whose band is narrow is kept in LAPACK band storage
-only, and its LUs (``?gbtrf``), solves (``?gbtrs``) and products (one
-diagonal at a time) cost O(n) per band row.  The blocks, the basis and the
-compression stay dense and complex, so there is one code path above the
-operator.
+(it scans A once), and its adjoint is then its transpose.  The cache then
+reads A's band once, as it reads its realness: a matrix whose band is
+narrow is kept in LAPACK band storage only, and its LUs (``?gbtrf``),
+solves (``?gbtrs``) and products (one diagonal at a time) cost O(n) per
+band row.
+
+Above the operator there is one code path with a dtype.  A basis is
+``float64`` when its cache stores A as ``float64`` and its seed has no
+nonzero imaginary entry, and ``complex128`` otherwise.  Real blocks stay
+real through the products, the LUs at real shifts, the sign update's
+(A^2 + s^2 I)^{-1} (real for a real Hermitian A) and the QR, so real data
+with real or infinite poles run in real arithmetic end to end; the first
+block that comes back complex (a complex pole's LU) promotes the basis to
+``complex128`` once, in place.  A real operator or basis meets a complex
+block through the block's ``float64`` view, whose columns hold the real
+and imaginary parts side by side, and is never cast.  So the bases of real
+data, and what the solvers hand out of them, may be ``float64``.  The
+basis, its products with the operator and the compression are views into
+C-order buffers whose capacity doubles, and a step appends into them.
 """
 
 import numpy as np
@@ -83,12 +94,13 @@ class FactorizationCache:
         return shifted_factorize(self.A, xi)
 
     def matvec(self, X, adjoint=False):
-        """A @ X, or A* @ X, for a complex block X."""
+        """A @ X, or A* @ X, for a block X; real when A and X are real."""
         A = self.A
         real = A.dtype == np.float64
-        # a real A multiplies the float64 view of X, never a mixed
+        # a real A multiplies the float64 view of a complex X, never a mixed
         # float64 @ complex128 product: numpy would cast all of A every call
-        Z = np.ascontiguousarray(X).view(np.float64) if real else X
+        view = real and np.iscomplexobj(X)
+        Z = np.ascontiguousarray(X).view(np.float64) if view else X
         if isinstance(A, _Band):
             Y = A.dot(Z, adjoint=adjoint)
         elif not adjoint:
@@ -98,7 +110,7 @@ class FactorizationCache:
         else:
             # A* X without forming the conjugate transpose of A
             Y = (A.T @ X.conj()).conj()
-        return Y.view(complex) if real else Y
+        return Y.view(complex) if view else Y
 
     def clear(self):
         """Drop every factorization (they are rebuilt on demand)."""
@@ -124,18 +136,26 @@ class _SquaredCache(FactorizationCache):
         return self.plain_matvec(self.plain_matvec(X, adjoint), adjoint)
 
     def _factor(self, xi):
-        return _SquaredFactorization(shifted_factorize(self.A, 1j * np.sqrt(-xi.real)))
+        return _SquaredFactorization(shifted_factorize(self.A, 1j * np.sqrt(-xi.real)),
+                                     self.A.dtype == np.float64)
 
 
 class _SquaredFactorization:
     """(A^2 + s^2 I)^{-1} from the LU of A - i s I: a solve with its adjoint,
-    then a solve with it.  A^2 is Hermitian, so ``adjoint`` changes nothing."""
+    then a solve with it.  A^2 is Hermitian, so ``adjoint`` changes nothing.
 
-    def __init__(self, fac):
+    For a real A, A^2 + s^2 I is real, so a real Y gets the real part of the
+    two complex solves and a real basis stays real."""
+
+    def __init__(self, fac, real):
         self.fac = fac
+        self.real = real
 
     def solve(self, Y, adjoint=False):
-        return self.fac.solve(self.fac.solve(Y, adjoint=True))
+        X = self.fac.solve(self.fac.solve(Y, adjoint=True))
+        if self.real and np.isrealobj(Y):
+            return np.ascontiguousarray(X.real)
+        return X
 
 
 class KrylovBasis:
@@ -145,18 +165,30 @@ class KrylovBasis:
     basis of step m-1 occupies the leading (m-1)*ell columns of the step-m
     basis (bases grow strictly by appending), which the difference
     estimator of the updater relies on.
+
+    The basis is ``float64`` while the cache stores A as ``float64`` and
+    the seed has no nonzero imaginary entry, and ``complex128`` otherwise;
+    the first block that comes back complex (a complex pole's LU) promotes
+    it, once, with its leading columns unchanged.  ``basis``, the products
+    ``Op @ basis`` and ``compression`` are views into C-order buffers whose
+    capacity doubles when a block does not fit, so a step appends in place.
     """
 
     def __init__(self, A, seed, *, adjoint=False):
         self.cache = A if isinstance(A, FactorizationCache) else FactorizationCache(A)
         n = self.n
-        self._seed = as_block(seed, n, "seed")
+        seed = as_block(seed, n, "seed")
+        if self.cache.A.dtype == np.float64 and not seed.imag.any():
+            seed = np.ascontiguousarray(seed.real)
+        self._seed = seed
         self._adjoint = bool(adjoint)
-        self.block_size = self._seed.shape[1]
-        self.basis = np.zeros((n, 0), dtype=complex)
-        self.compression = np.zeros((0, 0), dtype=complex)
+        self.block_size = seed.shape[1]
         self.poles_used = ()
-        self._op_basis = np.zeros((n, 0), dtype=complex)  # Op @ basis, column-aligned
+        self._k = 0
+        # capacity 0: the first step allocates one block
+        self._U = np.empty((n, 0), dtype=seed.dtype)
+        self._OpU = np.empty((n, 0), dtype=seed.dtype)  # Op @ basis, column-aligned
+        self._G = np.empty((0, 0), dtype=seed.dtype)
 
     @property
     def n(self):
@@ -168,7 +200,19 @@ class KrylovBasis:
 
     @property
     def dimension(self):
-        return self.basis.shape[1]
+        return self._k
+
+    @property
+    def basis(self):
+        return self._U[:, :self._k]
+
+    @property
+    def compression(self):
+        return self._G[:self._k, :self._k]
+
+    @property
+    def _op_basis(self):
+        return self._OpU[:, :self._k]
 
     def _matvec(self, X):
         return self.cache.matvec(X, adjoint=self._adjoint)
@@ -176,48 +220,68 @@ class KrylovBasis:
     def _solve(self, xi, Y):
         return self.cache.factorization(xi).solve(Y, adjoint=self._adjoint)
 
+    def _reallocate(self, cap, dtype):
+        """Move the basis into buffers of ``cap`` columns and the given dtype."""
+        k, n = self._k, self.n
+        U = np.empty((n, cap), dtype=dtype)
+        OpU = np.empty((n, cap), dtype=dtype)
+        G = np.empty((cap, cap), dtype=dtype)
+        U[:, :k] = self.basis
+        OpU[:, :k] = self._op_basis
+        G[:k, :k] = self.compression
+        self._U, self._OpU, self._G = U, OpU, G
+
     def advance(self, xi):
         """Append one block for pole xi; returns self."""
         j = self.steps + 1
         ell = self.block_size
+        k = self._k
         # A U_{j-1} is the last block of _op_basis
         if is_infinite_pole(xi):
             xi = np.inf
-            W = self._seed.copy() if j == 1 else self._op_basis[:, -ell:].copy()
+            W = self._seed.copy() if j == 1 else self._OpU[:, k - ell:k].copy()
         else:
             xi = complex(xi)
             if j == 1:
                 W = self._solve(xi, self._seed)
             elif xi == 0:
-                W = self._solve(xi, self.basis[:, -ell:])
+                W = self._solve(xi, self._U[:, k - ell:k])
             else:
-                W = self._solve(xi, self._op_basis[:, -ell:])
+                W = self._solve(xi, self._OpU[:, k - ell:k])
+        cap = self._U.shape[1]
+        dtype = np.result_type(self._U, W)
+        if k + ell > cap or dtype != self._U.dtype:
+            self._reallocate(cap if k + ell <= cap else max(2 * cap, k + ell), dtype)
         ref = np.linalg.norm(W, axis=0)
-        if self.dimension:
+        if k:
             W = W - self.basis @ self.block_product(W)
             W = W - self.basis @ self.block_product(W)
         Q = qr_orthonormalize(W, reference_norms=ref, step=j)
         OpQ = self._matvec(Q)
-        k = self.dimension
-        new = np.zeros((k + ell, k + ell), dtype=complex)
-        new[:k, :k] = self.compression
-        new[:k, k:] = self.block_product(OpQ)
-        new[k:, :k] = Q.conj().T @ self._op_basis
-        new[k:, k:] = Q.conj().T @ OpQ
-        self.basis = np.hstack([self.basis, Q])
-        self._op_basis = np.hstack([self._op_basis, OpQ])
-        self.compression = new
+        new = slice(k, k + ell)
+        self._G[new, :k] = Q.conj().T @ self._op_basis
+        self._U[:, new] = Q
+        self._OpU[:, new] = OpQ
+        self._k = k + ell
+        self._G[:k + ell, new] = self.block_product(OpQ)
         self.poles_used = self.poles_used + (xi,)
         return self
 
     def block_product(self, X):
         """basis* X for a conforming tall block.
 
-        Formed as conj(basis^T conj(X)), which conjugates the narrow X and
-        the small result but never copies the basis, with the same bits as
-        conj(basis)^T X.
+        A complex basis forms it as conj(basis^T conj(X)), which conjugates
+        the narrow X and the small result but never copies the basis, with
+        the same bits as conj(basis)^T X.  A real basis multiplies a complex
+        X through its ``float64`` view, as a real operator does, so the
+        basis is never cast.
         """
-        return (self.basis.T @ X.conj()).conj()
+        U = self.basis
+        if U.dtype == np.float64:
+            if not np.iscomplexobj(X):
+                return U.T @ X
+            return (U.T @ np.ascontiguousarray(X).view(np.float64)).view(complex)
+        return (U.T @ X.conj()).conj()
 
 
 def build_basis(A, B, plan, m=None):

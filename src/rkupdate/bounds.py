@@ -15,7 +15,8 @@ and refines all prefixes together, with the same bits as searching each
 prefix on its own.  The four Markov bounds (Hermitian, non-Hermitian,
 modified and sign update) run one pipeline, :func:`_markov_etas`: the
 support check of :mod:`rkupdate.poles` (f's Markov support strictly left
-of the window), the plan's m poles, the window's conformal map, eta of
+of the window) and of the window's map (strictly left of its left end),
+the plan's m poles, the window's conformal map, eta of
 every prefix, the factor 2 sup|f| / |phi(beta)| in front of eta and the
 per-step rate.
 """
@@ -270,9 +271,16 @@ def eta_blaschke(plan, imap, support, m=None):
         return 1.0
     if not support[0] < support[1]:
         raise ValueError("support needs alpha < beta")
+    _check_map_support(imap, support)
+    return float(_eta_prefixes(poles, imap, support)[-1])
+
+
+def _check_map_support(imap, support):
+    """The support must end strictly left of the map's left end ``imap.a``:
+    ``lmin`` for an interval, and ``c - rx`` for an ellipse window, which
+    may round below its ``lmin``."""
     if not support[1] < imap.a:
         raise SupportOverlapsSpectrum("support must lie strictly left of the window")
-    return float(_eta_prefixes(poles, imap, support)[-1])
 
 
 def _markov_lead(f, window, imap, support):
@@ -291,6 +299,7 @@ def _markov_etas(window, plan, f, m):
         raise ValueError("function has no Markov support interval")
     support = _check_support(window, f.markov_support)
     imap = window.interval_map()
+    _check_map_support(imap, support)
     lead = _markov_lead(f, window, imap, support)
     if m == 0:
         return lead, np.ones(0), 1.0

@@ -1,14 +1,16 @@
 """Dense linear algebra kernels.
 
 Factorizations, orthonormalization, spectral decompositions and matrix
-functions of small matrices.  Everything is double precision.  Blocks and
-small matrices are dense and complex; a shifted factorization is real
-when its operator is ``float64`` and its shift real, and its solves then
-act on the ``float64`` view of the complex right-hand side.  A small
-matrix with no nonzero imaginary entry is decomposed as its ``float64``
-real part (:func:`_real_if_real`: the ``eigh`` and ``eig`` of
-:func:`funm_small`, :func:`norm2`, :func:`norm2_hermitian`), which real
-data with real poles keep exactly; the results stay complex.  An operator
+functions of small matrices.  Everything is double precision and dense.
+A block keeps its precision: a shifted factorization is real when its
+operator is ``float64`` and its shift real, and it solves a ``float64``
+block in real arithmetic and a complex one through its ``float64`` view;
+:func:`qr_orthonormalize` returns a real Q for a real block.  The matrix
+functions of small matrices take and return complex matrices; one with no
+nonzero imaginary entry is decomposed as its ``float64`` real part
+(:func:`_real_if_real`: the ``eigh`` and ``eig`` of :func:`funm_small`,
+:func:`norm2`, :func:`norm2_hermitian`), which real data with real poles
+keep exactly.  An operator
 whose band is narrow is held in LAPACK band storage (:func:`_banded`, run
 once per factorization cache, as the realness scan is), and its shifted
 LUs and products then cost O(n) per band row instead of the dense O(n^3)
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._validation import as_matrix, as_operator, require_square
+from ._validation import as_dense, as_matrix, as_operator, require_square
 from .errors import IllConditionedEigenbasis, RankDeficient, SingularShift
 
 __all__ = [
@@ -70,7 +72,8 @@ def norm2_hermitian(M):
 
 
 def qr_orthonormalize(W, reference_norms=None, step=None):
-    """Orthonormal basis of the columns of W with deterministic phases.
+    """Orthonormal basis of the columns of W with deterministic phases, in
+    W's precision (``float64`` for a real W, ``complex128`` otherwise).
 
     Raises :class:`RankDeficient` when a diagonal entry of R falls below
     ``TOL_DEFLATE`` times the reference column norm (by default the norms of
@@ -78,7 +81,7 @@ def qr_orthonormalize(W, reference_norms=None, step=None):
     pre-projection norms so cancellation is detected).  The error is
     ``exhausted`` when every column of W itself falls below that bound.
     """
-    W = as_matrix(W, "W")
+    W = as_dense(W, "W")
     n, k = W.shape
     if k > n:
         raise ValueError("more columns than rows; cannot orthonormalize")
@@ -166,9 +169,10 @@ class ShiftedFactorization:
 
     The same factorization serves both (A - shift I) X = Y and its adjoint
     (A - shift I)* X = Y, so pole-conjugate systems never need a second LU.
-    A real LU solves a complex Y as the real system of its ``float64``
-    view, whose columns hold the real and imaginary parts side by side;
-    its adjoint is its transpose.  ``band`` is ``(kl, ku)`` for a band LU
+    A real LU solves a real Y in ``float64`` and a complex Y as the real
+    system of its ``float64`` view, whose columns hold the real and
+    imaginary parts side by side; its adjoint is its transpose.  A complex
+    LU solves in ``complex128``.  ``band`` is ``(kl, ku)`` for a band LU
     (``?gbtrf``) and None for a dense one (``?getrf``).
     """
 
@@ -177,12 +181,15 @@ class ShiftedFactorization:
     band: tuple = None
 
     def solve(self, Y, adjoint=False):
-        Y = np.asarray(Y, dtype=complex)
         if self.lu[0].dtype == np.float64:
-            Yr = np.ascontiguousarray(Y if Y.ndim == 2 else Y[:, None]).view(np.float64)
-            X = self._solve(Yr, 1 if adjoint else 0)
+            real = np.isrealobj(Y)
+            Y = np.asarray(Y, dtype=np.float64 if real else complex)
+            Z = Y if Y.ndim == 2 else Y[:, None]
+            if real:
+                return self._solve(Z, 1 if adjoint else 0).reshape(Y.shape)
+            X = self._solve(np.ascontiguousarray(Z).view(np.float64), 1 if adjoint else 0)
             return np.ascontiguousarray(X).view(complex).reshape(Y.shape)
-        return self._solve(Y, 2 if adjoint else 0)
+        return self._solve(np.asarray(Y, dtype=complex), 2 if adjoint else 0)
 
     def _solve(self, Y, trans):
         if self.band is None:

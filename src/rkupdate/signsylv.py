@@ -34,7 +34,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from ._validation import as_block, as_operator, is_infinite_pole, require_square
 from .arnoldi import KrylovBasis, _SquaredCache
 from .dense import TOL_AXIS, norm2
-from .errors import CompressedNotSolvable, SpectraIntersect
+from .errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
 from .functions import FunctionSpec
 from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
@@ -54,7 +54,10 @@ __all__ = ["sign_update", "SignUpdateResult", "SylvesterProblem",
 
 @dataclass
 class SignUpdateResult:
-    """Low-rank factors of the approximate sign update, update = left @ right*. """
+    """Low-rank factors of the approximate sign update, update = left @ right*.
+
+    The factors and the coupling are complex; the basis of real data is
+    ``float64`` (a real A has a real A^2 + s^2 I)."""
 
     left: np.ndarray
     right: np.ndarray
@@ -87,7 +90,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     right = [U, U f(G) U*B], and a step's true error (when ``true_update``
     is given) is measured on these same factors.  The run stops when
     ||A+D|| * ||dX|| + ||BJ|| * ||d(f(G) U*B)|| falls below tol.
-    Invertibility of A and A + D is verified at desk scale.  A enters only
+    Invertibility of A and A + D is verified at desk scale; a numerically
+    singular one raises :class:`SingularityOnSpectrum`.  A enters only
     through products and shifted LUs of A itself; A^2 is never formed.
     J must be ell x ell for a B of ell columns, and B = 0 gives the exact
     zero update (no step), as in :func:`rkupdate.updater.run_update`.
@@ -111,11 +115,14 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
                                 basis=KrylovBasis(cache, np.zeros((n, 1)))), _zero_report()
     ell = B.shape[1]
     BJ = B @ J
+    # real data multiply by A + D in float64, where a real X stays real
+    real = cache.A.dtype == np.float64 and not B.imag.any() and not J.imag.any()
+    Bv, BJv = (np.ascontiguousarray(M.real) for M in (B, BJ)) if real else (B, BJ)
 
     def apply_ApD(X):
         """(A + D) X, through products with A."""
-        X = np.asarray(X, dtype=complex).reshape(n, -1)
-        return cache.plain_matvec(X) + BJ @ (B.conj().T @ X)
+        X = np.asarray(X).reshape(n, -1)
+        return cache.plain_matvec(X) + BJv @ (Bv.conj().T @ X)
 
     if n <= ORACLE_MAX_N:
         # the desk checks take the dense A + D
@@ -123,16 +130,21 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         w_ApD = np.linalg.eigvalsh(A + BJ @ B.conj().T)
         for w, name in ((np.linalg.eigvalsh(A), "A"), (w_ApD, "A + D")):
             if np.abs(w).min() < TOL_AXIS * max(np.abs(w).max(), 1e-300):
-                raise ValueError(f"{name} is numerically singular; sign undefined")
+                raise SingularityOnSpectrum(f"{name} is numerically singular; sign undefined")
         norm_ApD = float(np.abs(w_ApD).max())      # A + D is Hermitian
     else:
-        ApD_op = LinearOperator((n, n), matvec=apply_ApD, dtype=complex)
+        # For a float64 operator ARPACK runs its symmetric Lanczos, for a
+        # complex one its nonsymmetric Arnoldi, which takes about twice as
+        # long for the same products (0.010 s against 0.018 s on the
+        # bench's sign instance at n = 700, one BLAS thread).
+        ApD_op = LinearOperator((n, n), matvec=apply_ApD, dtype=Bv.dtype)
         # A seeded start vector keeps the run's bits fixed.  A Hermitian
         # Ritz value errs by about the square of its residual, so the
         # residual bound 1e-8 leaves the norm right to rounding level (to
-        # 4e-15 on the bench's sign instance at n = 700, with 201 products
-        # against 381 for a bound at machine precision).
-        w = eigsh(ApD_op, k=1, v0=normal_block(0, n)[:, 0], tol=1e-8,
+        # 7e-15 on that instance, with 201 products against 381 for a
+        # bound at machine precision).
+        v0 = normal_block(0, n)[:, 0]
+        w = eigsh(ApD_op, k=1, v0=v0.real if real else v0, tol=1e-8,
                   return_eigenvectors=False)
         norm_ApD = abs(float(w[0]))
 
@@ -232,7 +244,10 @@ def sylvester_dense(A1, A2, B1C2H):
 
 @dataclass
 class SylvesterResult:
-    """Low-rank solution Z = left @ core @ right*. """
+    """Low-rank solution Z = left @ core @ right*.
+
+    ``left`` and ``right`` are the two bases, ``float64`` for real data
+    with real or infinite poles; ``core`` is complex."""
 
     left: np.ndarray
     core: np.ndarray

@@ -105,7 +105,10 @@ def padded_difference_norm(X_new, X_old, hermitian=False):
 
 @dataclass
 class UpdateState:
-    """Evolving approximation of f(A + BC*) - f(A)."""
+    """Evolving approximation of f(A + BC*) - f(A).
+
+    The coupling is complex; a basis of real data is ``float64``, and so
+    is then the right factor of :meth:`factors`."""
 
     left: KrylovBasis
     right: KrylovBasis

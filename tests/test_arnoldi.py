@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from rkupdate.arnoldi import (
     adjoint_basis,
     build_basis,
 )
-from rkupdate.dense import _Band, norm2
+from rkupdate.dense import _Band, norm2, qr_orthonormalize
 from rkupdate.errors import RankDeficient, SingularShift
 from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.poles import INF, PolePlan, extended_plan
-from rkupdate.updater import run_update
+from rkupdate.updater import project_update, run_update
 
 from conftest import BANDS, band_matrix, max_principal_angle, rand_complex, random_hermitian
 
@@ -86,6 +88,35 @@ class TestInvariants:
         assert norm2(basis.basis.conj().T @ basis.basis - np.eye(k)) <= 1e-12
         G = basis.basis.conj().T @ A @ basis.basis
         assert norm2(basis.compression - G) <= 1e-12 * max(norm2(A), 1.0)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_complex_blocks_keep_the_bits_of_hstack_growth(self, rng, ell, adjoint):
+        # views into preallocated buffers make the products of growth by
+        # np.hstack, with only a larger leading dimension
+        A = rand_complex(rng, 48, 48) + 3.0 * np.eye(48)
+        poles = [-1.0, INF, 0.0, -2.0 + 1.0j, INF, -2.0 - 1.0j, 1.5, -1.0, 0.0, INF]
+        basis = KrylovBasis(A, rand_complex(rng, 48, ell), adjoint=adjoint)
+        for xi in poles:
+            basis.advance(xi)
+        U, G = _hstack_basis(A, basis._seed, poles, adjoint)
+        assert np.array_equal(basis.basis, U) and np.array_equal(basis.compression, G)
+
+    def test_buffers_double(self, rng, monkeypatch):
+        sizes = []
+        reallocate = KrylovBasis._reallocate
+
+        def recorded(self, cap, dtype):
+            sizes.append(cap)
+            return reallocate(self, cap, dtype)
+
+        monkeypatch.setattr(KrylovBasis, "_reallocate", recorded)
+        n = 400
+        A = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2) - np.eye(n, k=1) - np.eye(n, k=-1)
+        basis = build_basis(A, rng.standard_normal((n, 2)), PolePlan((-0.3, INF), repetition="cyclic"), 55)
+        assert basis.steps == 55 and basis.basis.dtype == np.float64
+        assert len(sizes) <= math.ceil(math.log2(55)) + 1
+        assert sizes[-1] >= basis.dimension
 
     def test_nested_prefix_bitwise(self, rng):
         A = rand_complex(rng, 20, 20)
@@ -190,6 +221,36 @@ class TestBreakdown:
             build_basis(A, B, [INF, INF, INF, INF])
 
 
+def _hstack_basis(A, seed, poles, adjoint=False):
+    """(basis, compression) of the poles, grown by np.hstack in complex128:
+    the reference for the preallocated buffers."""
+    cache = FactorizationCache(A)
+    n, ell = seed.shape
+    U = np.zeros((n, 0), dtype=complex)
+    OpU = np.zeros((n, 0), dtype=complex)
+    G = np.zeros((0, 0), dtype=complex)
+    for j, xi in enumerate(poles, start=1):
+        if xi == INF:
+            W = seed.copy() if j == 1 else OpU[:, -ell:].copy()
+        else:
+            Y = seed if j == 1 else U[:, -ell:] if xi == 0 else OpU[:, -ell:]
+            W = cache.factorization(xi).solve(Y, adjoint=adjoint)
+        ref = np.linalg.norm(W, axis=0)
+        if U.shape[1]:
+            W = W - U @ (U.T @ W.conj()).conj()
+            W = W - U @ (U.T @ W.conj()).conj()
+        Q = qr_orthonormalize(W, reference_norms=ref, step=j)
+        OpQ = cache.matvec(Q, adjoint)
+        k = U.shape[1]
+        new = np.zeros((k + ell, k + ell), dtype=complex)
+        new[:k, :k] = G
+        new[:k, k:] = (U.T @ OpQ.conj()).conj()
+        new[k:, :k] = Q.conj().T @ OpU
+        new[k:, k:] = Q.conj().T @ OpQ
+        U, OpU, G = np.hstack([U, Q]), np.hstack([OpU, OpQ]), new
+    return U, G
+
+
 def _complex_stored(A):
     """A cache that keeps a real A in complex128, as every cache did before
     real operators were stored real: the reference path."""
@@ -240,18 +301,54 @@ class TestRealOperator:
 
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
-    def test_real_data_keep_the_basis_real(self, rng, kind, adjoint):
-        # funm_small and norm2 decompose the small matrices of a run in real
-        # LAPACK only while real data leave no imaginary part in them
+    def test_real_data_keep_the_basis_real(self, rng, monkeypatch, kind, adjoint):
+        # real data with real or infinite poles run in float64; the first
+        # complex pole's block promotes the basis once, in place
+        promotions = []
+        reallocate = KrylovBasis._reallocate
+
+        def recorded(self, cap, dtype):
+            if dtype != self._U.dtype:
+                promotions.append(dtype)
+            return reallocate(self, cap, dtype)
+
+        monkeypatch.setattr(KrylovBasis, "_reallocate", recorded)
         n = 60
         cache = FactorizationCache(_real_operators(rng, n)[kind])
         assert isinstance(cache.A, _Band) == (kind == "tridiagonal")
         basis = KrylovBasis(cache, rng.standard_normal((n, 2)), adjoint=adjoint)
         for xi in [-1.0, INF, 0.0, 1.5, INF, -1.0]:
             basis.advance(xi)
-            assert not basis.basis.imag.any() and not basis.compression.imag.any()
-        basis.advance(-2.0 + 1.0j)
+            assert basis.basis.dtype == basis.compression.dtype == np.float64
+        U, G = basis.basis.copy(), basis.compression.copy()
+        for xi in [-2.0 + 1.0j, -1.0, -2.0 - 1.0j, INF]:
+            basis.advance(xi)
+            assert basis.basis.dtype == basis.compression.dtype == np.complex128
+        assert promotions == [np.complex128]
+        k = U.shape[1]
+        assert np.array_equal(basis.basis[:, :k], U)
+        assert np.array_equal(basis.compression[:k, :k], G)
         assert basis.basis.imag.any() and basis.compression.imag.any()
+
+    def test_two_sided_run_keeps_a_real_right_basis(self, rng):
+        # a complex B makes the left basis complex; the real C keeps the
+        # right one real, and the update is the one of complex storage
+        n = 60
+        A = _real_operators(rng, n)["dense"]
+        B = 0.1 * rand_complex(rng, n, 2)
+        C = 0.1 * rng.standard_normal((n, 2))
+        plan = PolePlan((-1.0, INF, -3.0), repetition="cyclic")
+        f = FunctionSpec.inv_sqrt()
+        state, _ = run_update(A, B, C, f=f, plan=plan, m_max=7, tol=0.0)
+        assert state.left.basis.dtype == np.complex128
+        assert state.right.basis.dtype == np.float64
+        left = build_basis(_complex_stored(A), B, plan, 7)
+        right = adjoint_basis(_complex_stored(A), C, plan, 7)
+        assert right.basis.dtype == np.complex128
+        for x, y in ((state.right.basis, right.basis), (state.left.basis, left.basis),
+                     (state.materialize(),
+                      left.basis @ project_update(left, right, B, C, f) @ right.basis.conj().T)):
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
 
     def test_real_shift_on_real_eigenvalue(self):
         # upper triangular with eigenvalue 2: A - 2I is exactly singular
@@ -388,7 +485,7 @@ class TestSquaredCache:
         A2 = A @ A
         for s in (0.1, 2.0):
             fac = cache.factorization(-s * s)
-            for Y in (rand_complex(rng, n), rand_complex(rng, n, 3)):
+            for Y in (rand_complex(rng, n), rand_complex(rng, n, 3), rng.standard_normal((n, 2))):
                 ref = np.linalg.solve(A2 + s * s * np.eye(n), Y)
                 for adjoint in (False, True):
                     got = fac.solve(Y, adjoint=adjoint)
@@ -400,15 +497,25 @@ class TestSquaredCache:
             assert np.linalg.norm(cache.matvec(X, adjoint) - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.array_equal(cache.plain_matvec(X), FactorizationCache(A).matvec(X))
 
-    def test_complex_shifts_leave_real_data_complex(self, rng):
-        # the LU of A - i s I makes the basis of a real A complex, so the
-        # sign update's small problem keeps the complex kernels
-        A = _hermitian_operators(rng, 40)["tridiagonal"]
-        basis = KrylovBasis(_SquaredCache(A), rng.standard_normal((40, 2)))
-        basis.advance(INF)
-        assert not basis.basis.imag.any()
-        basis.advance(-0.25)
-        assert basis.basis.imag.any() and basis.compression.imag.any()
+    @pytest.mark.parametrize("kind", ["tridiagonal", "diagonal"])
+    def test_real_data_keep_a_real_basis_through_negative_poles(self, rng, kind):
+        # (A^2 + s^2 I)^{-1} is real for a real Hermitian A, although its LU
+        # of A - i s I is complex; a complex seed still gives a complex basis
+        A = _hermitian_operators(rng, 40)[kind]
+        poles = [INF, -0.25, -4.0, INF, -0.25]
+        for seed, dtype in ((rng.standard_normal((40, 2)), np.float64),
+                            (rand_complex(rng, 40, 2), np.complex128)):
+            got = KrylovBasis(_SquaredCache(A), seed)
+            ref = _SquaredCache(A)
+            ref.A = np.asarray(A, dtype=complex)
+            ref = KrylovBasis(ref, seed)
+            for xi in poles:
+                got.advance(xi)
+                ref.advance(xi)
+                assert got.basis.dtype == got.compression.dtype == dtype
+            assert ref.basis.dtype == np.complex128
+            for x, y in ((got.basis, ref.basis), (got.compression, ref.compression)):
+                assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
 
     def test_one_lu_of_the_shifted_operator_per_pole(self, rng, monkeypatch):
         shifts = []

@@ -294,6 +294,25 @@ class TestEllipseWindow:
         # real points left of the ellipse map outside the unit disk
         assert abs(emap.phi(0.0)) > 1.0
 
+    @pytest.mark.parametrize("bound", [
+        lambda w, f: markov_bound_hermitian(w, [-1.0], f, 1),
+        lambda w, f: markov_bound_nonhermitian(w, [-1.0], f, 1, 1.0, 1.0),
+        lambda w, f: markov_modified_bound(w, [-1.0, INF], f, 2),
+        lambda w, f: sign_update_bound(w, [-1.0], 1, 1.0, 1.0, 1.0, f),
+    ], ids=["hermitian", "nonhermitian", "modified", "sign"])
+    def test_support_must_end_left_of_the_map(self, rng, bound):
+        # an ellipse window's map starts at c - rx, which may round below
+        # lmin; a support ending in [c - rx, lmin) overlaps the map's set
+        while True:
+            lmin = rng.uniform(0.1, 2.0)
+            w = SpectralWindow(lmin, lmin + rng.uniform(0.5, 20.0), half_height=0.2)
+            a = w.interval_map().a
+            if a < w.lmin:
+                break
+        f = FunctionSpec.custom(lambda z: 1.0 / np.sqrt(z - a), support=(-np.inf, a))
+        with pytest.raises(SupportOverlapsSpectrum):
+            bound(w, f)
+
     def test_enclosing_ranges(self, rng):
         A = rand_complex(rng, 20, 20) + 10 * np.eye(20)   # genuinely non-normal
         w = SpectralWindow.enclosing_ranges(A)

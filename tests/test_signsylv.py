@@ -164,9 +164,15 @@ class TestSignUpdate:
             sign_update(A, B, np.array([[1.0]]), [2.0], m_max=2, tol=0.0)
 
     def test_singular_matrix_rejected(self, rng):
-        A = np.diag([0.0, 1.0, -1.0]).astype(complex)
-        with pytest.raises(ValueError):
-            sign_update(A, np.ones((3, 1)), np.array([[0.1]]), [-1.0], m_max=1, tol=0.0)
+        A = np.diag([0.0, 1.0, -1.0])
+        with pytest.raises(SingularityOnSpectrum, match="^A is numerically singular"):
+            sign_update(A, np.ones((3, 1)), np.eye(1), [-1.0], m_max=1, tol=0.0)
+
+    def test_singular_update_rejected(self, rng):
+        # B = e2 makes A + D = diag(1, 0, 2)
+        A = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(SingularityOnSpectrum, match="^A \\+ D is numerically singular"):
+            sign_update(A, np.eye(3)[:, 1:2], np.eye(1), [-1.0], m_max=1, tol=0.0)
 
     def test_subspace_identity_order_2m(self, rng):
         # q_m(A^2)^{-1} K_m(A^2, [B, AB]) == q_m(A^2)^{-1} K_{2m}(A, B)
@@ -236,6 +242,28 @@ class TestSignUpdateAboveDeskScale:
         ref = np.abs(np.linalg.eigvalsh(A + B @ J @ B.conj().T)).max()
         assert norms[0] == norms[1]
         assert abs(norms[0] - ref) <= 1e-12 * ref
+
+    def test_real_data_take_the_norm_from_a_real_operator(self, rng, monkeypatch,
+                                                           dense_eigensolvers_guarded):
+        # a float64 operator and start vector: ARPACK's symmetric Lanczos
+        A, B, J, plan = self.instance(rng)
+        A, B = A.real.copy(), B.real.copy()
+        calls = []
+        eigsh = signsylv.eigsh
+
+        def recorded(op, **kwargs):
+            w = eigsh(op, **kwargs)
+            calls.append((op.dtype, kwargs["v0"].dtype, float(np.abs(w).max())))
+            return w
+
+        monkeypatch.setattr(signsylv, "eigsh", recorded)
+        res, rep = sign_update(A, B, J, plan, m_max=6, tol=1e-8)
+        monkeypatch.undo()
+        assert rep.iterations > 2 and res.basis.basis.dtype == np.float64
+        [(op_dtype, v0_dtype, norm)] = calls
+        assert op_dtype == v0_dtype == np.float64
+        ref = np.abs(np.linalg.eigvalsh(A + B @ J @ B.T)).max()
+        assert abs(norm - ref) <= 1e-12 * ref
 
     def test_left_factor_applies_A_plus_D(self, rng, dense_eigensolvers_guarded):
         # left = [(A + D) U X, B J] without the dense A + D
