@@ -1,73 +1,66 @@
-"""Input validation helpers.
+"""Input validation, and the one rule that decides whether data are real.
 
-Inputs are coerced to double precision: :func:`as_matrix` and
-:func:`as_block` to ``complex128`` (several pole families are genuinely
-complex), :func:`as_dense` and :func:`as_operator` to their own precision,
-``float64`` for a real dtype.  The Krylov layer then runs in the precision
-of its data: the factorization cache stores a complex matrix with no
-nonzero imaginary entry as ``float64`` (one scan per cache), a basis whose
-seed has none either is ``float64`` too, and its blocks stay real until a
-complex pole's LU makes one complex (see :mod:`rkupdate.arnoldi`).  The
-dense kernels apply the same rule to a small matrix they decompose: one
-with no nonzero imaginary entry goes to LAPACK as its ``float64`` real
-part, and the result is complex again.  The cache finds A's band
-structure once in the same way, and keeps a matrix with a narrow band in
-LAPACK band storage only.
+The realness rule (:func:`real_if_real`): an array is real when its dtype
+is real (bool, integer or float), or when it is complex with no nonzero
+imaginary entry.  Real data are held as ``float64``, all other data as
+``complex128``.  :func:`as_array` applies the rule to every matrix and
+block that enters the library, once, so the same values give the same
+bits whether they come as ``float64`` or as ``complex128``.  Past the
+entry no module scans for realness again; each follows the dtypes it is
+given:
+
+- a factorization cache keeps A as :func:`as_array` left it, and its LU
+  at a real shift of a real A is real;
+- a Krylov basis is ``np.result_type`` of its operator and its seed, real
+  blocks stay real through products, real LUs and the QR, and the first
+  complex block promotes the basis once (see :mod:`rkupdate.arnoldi`);
+- a real operator or basis meets a complex block through the block's
+  ``float64`` view (``rkupdate.dense._real_product``) and is never cast;
+- the dense kernels apply the rule to the small matrices they compute and
+  decompose (:func:`rkupdate.dense.funm_small`, ``norm2``,
+  ``norm2_hermitian``).
+
+What the solvers return has fixed dtypes: couplings, cores, the results
+of ``funm_small`` and the sign update's factors are ``complex128``; bases,
+and matrices read from a file, are ``float64`` when they are real.
 Hermitian structure is always an explicit caller-supplied flag, never
 detected by scanning entries.
 """
 
 import numpy as np
 
-__all__ = ["as_matrix", "as_block", "require_square", "as_dense", "as_operator"]
+__all__ = ["as_array", "real_if_real"]
 
 
-def _as_2d(A, name, dtype):
+def real_if_real(M):
+    """The realness rule: M's ``float64`` real part when M is complex with
+    no nonzero imaginary entry, M itself otherwise."""
+    if np.iscomplexobj(M) and not M.imag.any():
+        return M.real
+    return M
+
+
+def as_array(A, name="A", *, rows=None, square=False):
+    """A as a finite, C-contiguous 2-d array, ``float64`` when it is real by
+    :func:`real_if_real` and ``complex128`` otherwise.
+
+    A 1-d A is one column.  ``rows`` requires that many rows (a block
+    conforming with an operator); ``square`` requires a square matrix.
+    """
     M = np.asarray(A)
     if M.ndim == 1:
         M = M[:, None]
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={M.ndim}")
-    M = np.ascontiguousarray(M, dtype=dtype)
-    if not np.all(np.isfinite(M.view(np.float64))):
+    M = np.asarray(M, dtype=np.float64 if M.dtype.kind in "biuf" else np.complex128)
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return M
-
-
-def _require_square_shape(M, name):
-    if M.shape[0] != M.shape[1]:
+    M = np.ascontiguousarray(real_if_real(M))
+    if rows is not None and M.shape[0] != rows:
+        raise ValueError(f"{name} has {M.shape[0]} rows, expected {rows}")
+    if square and M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     return M
-
-
-def as_matrix(A, name="A"):
-    """Coerce to a 2-d complex128 array and verify all entries are finite."""
-    return _as_2d(A, name, np.complex128)
-
-
-def as_block(B, n, name="B"):
-    """Coerce a block vector (n x ell, ell >= 1) conforming with an n x n operator."""
-    M = as_matrix(B, name=name)
-    if M.shape[0] != n:
-        raise ValueError(f"{name} has {M.shape[0]} rows, expected {n}")
-    return M
-
-
-def require_square(A, name="A"):
-    return _require_square_shape(as_matrix(A, name=name), name)
-
-
-def as_dense(A, name="A"):
-    """Coerce to a 2-d finite array in its own precision: C-contiguous
-    float64 when A has a real (bool, integer or float) dtype, complex128
-    otherwise.  The dtype alone decides; no entry is scanned."""
-    real = np.asarray(A).dtype.kind in "biuf"
-    return _as_2d(A, name, np.float64 if real else np.complex128)
-
-
-def as_operator(A, name="A"):
-    """Square finite operator in its own precision (:func:`as_dense`)."""
-    return _require_square_shape(as_dense(A, name), name)
 
 
 def is_infinite_pole(xi):

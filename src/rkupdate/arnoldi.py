@@ -36,32 +36,27 @@ cache (``_SquaredCache``) never forms A^2: its product is two products with
 A, and its pole xi = -s^2 takes one LU of A - i s I, whose adjoint solve
 followed by its solve applies (A^2 + s^2 I)^{-1}.
 
-A cache stores a matrix with no nonzero imaginary entry as ``float64``
-(it scans A once), and its adjoint is then its transpose.  The cache then
-reads A's band once, as it reads its realness: a matrix whose band is
-narrow is kept in LAPACK band storage only, and its LUs (``?gbtrf``),
-solves (``?gbtrs``) and products (one diagonal at a time) cost O(n) per
-band row.
+A cache stores A real or complex by the realness rule of
+:mod:`rkupdate._validation`, and the adjoint of a real A is its
+transpose.  The cache reads A's band once: a matrix whose band is narrow
+is kept in LAPACK band storage only, and its LUs (``?gbtrf``), solves
+(``?gbtrs``) and products (one diagonal at a time) cost O(n) per band
+row.
 
-Above the operator there is one code path with a dtype.  A basis is
-``float64`` when its cache stores A as ``float64`` and its seed has no
-nonzero imaginary entry, and ``complex128`` otherwise.  Real blocks stay
-real through the products, the LUs at real shifts, the sign update's
-(A^2 + s^2 I)^{-1} (real for a real Hermitian A) and the QR, so real data
-with real or infinite poles run in real arithmetic end to end; the first
-block that comes back complex (a complex pole's LU) promotes the basis to
-``complex128`` once, in place.  A real operator or basis meets a complex
-block through the block's ``float64`` view, whose columns hold the real
-and imaginary parts side by side, and is never cast.  So the bases of real
-data, and what the solvers hand out of them, may be ``float64``.  The
-basis, its products with the operator and the compression are views into
-C-order buffers whose capacity doubles, and a step appends into them.
+Above the operator there is one code path with a dtype, the result type
+of A and the seed.  Real blocks stay real through the products, the LUs
+at real shifts, the sign update's (A^2 + s^2 I)^{-1} (real for a real
+Hermitian A) and the QR, so real data with real or infinite poles run in
+real arithmetic end to end; the first block that comes back complex (a
+complex pole's LU) promotes the basis to ``complex128`` once, in place.
+The basis, its products with the operator and the compression are views
+into C-order buffers whose capacity doubles, and a step appends into them.
 """
 
 import numpy as np
 
-from ._validation import as_block, as_operator, is_infinite_pole
-from .dense import _Band, _banded, qr_orthonormalize, shifted_factorize
+from ._validation import as_array, is_infinite_pole
+from .dense import _Band, _banded, _real_product, qr_orthonormalize, shifted_factorize
 from .poles import PolePlan
 
 __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
@@ -70,16 +65,13 @@ __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 class FactorizationCache:
     """An operator A and its shifted LU factorizations, keyed by pole value.
 
-    ``A`` is kept ``float64`` when none of its entries has a nonzero
-    imaginary part, and ``complex128`` otherwise; in band storage when its
-    band is narrow, and as a C-contiguous array otherwise.
+    ``A`` is kept as :func:`~rkupdate._validation.as_array` gives it: in
+    band storage when its band is narrow, and as a C-contiguous array
+    otherwise.
     """
 
     def __init__(self, A):
-        A = as_operator(A)
-        if A.dtype == np.complex128 and not A.imag.any():
-            A = np.ascontiguousarray(A.real)
-        self.A = _banded(A)
+        self.A = _banded(as_array(A, square=True))
         self._fac = {}
 
     def factorization(self, xi):
@@ -96,21 +88,16 @@ class FactorizationCache:
     def matvec(self, X, adjoint=False):
         """A @ X, or A* @ X, for a block X; real when A and X are real."""
         A = self.A
-        real = A.dtype == np.float64
-        # a real A multiplies the float64 view of a complex X, never a mixed
-        # float64 @ complex128 product: numpy would cast all of A every call
-        view = real and np.iscomplexobj(X)
-        Z = np.ascontiguousarray(X).view(np.float64) if view else X
         if isinstance(A, _Band):
-            Y = A.dot(Z, adjoint=adjoint)
-        elif not adjoint:
-            Y = A @ Z
-        elif real:
-            Y = A.T @ Z
-        else:
+            def product(Z):
+                return A.dot(Z, adjoint=adjoint)
+        elif A.dtype == np.complex128 and adjoint:
             # A* X without forming the conjugate transpose of A
-            Y = (A.T @ X.conj()).conj()
-        return Y.view(complex) if view else Y
+            return (A.T @ X.conj()).conj()
+        else:
+            op = A.T if adjoint else A
+            product = op.__matmul__
+        return _real_product(product, X) if A.dtype == np.float64 else product(X)
 
     def clear(self):
         """Drop every factorization (they are rebuilt on demand)."""
@@ -166,10 +153,9 @@ class KrylovBasis:
     basis (bases grow strictly by appending), which the difference
     estimator of the updater relies on.
 
-    The basis is ``float64`` while the cache stores A as ``float64`` and
-    the seed has no nonzero imaginary entry, and ``complex128`` otherwise;
-    the first block that comes back complex (a complex pole's LU) promotes
-    it, once, with its leading columns unchanged.  ``basis``, the products
+    The basis has the result type of the cache's A and the seed; the first
+    block that comes back complex (a complex pole's LU) promotes a real
+    basis, once, with its leading columns unchanged.  ``basis``, the products
     ``Op @ basis`` and ``compression`` are views into C-order buffers whose
     capacity doubles when a block does not fit, so a step appends in place.
     """
@@ -177,18 +163,17 @@ class KrylovBasis:
     def __init__(self, A, seed, *, adjoint=False):
         self.cache = A if isinstance(A, FactorizationCache) else FactorizationCache(A)
         n = self.n
-        seed = as_block(seed, n, "seed")
-        if self.cache.A.dtype == np.float64 and not seed.imag.any():
-            seed = np.ascontiguousarray(seed.real)
+        seed = as_array(seed, "seed", rows=n)
         self._seed = seed
         self._adjoint = bool(adjoint)
         self.block_size = seed.shape[1]
         self.poles_used = ()
         self._k = 0
         # capacity 0: the first step allocates one block
-        self._U = np.empty((n, 0), dtype=seed.dtype)
-        self._OpU = np.empty((n, 0), dtype=seed.dtype)  # Op @ basis, column-aligned
-        self._G = np.empty((0, 0), dtype=seed.dtype)
+        dtype = np.result_type(self.cache.A.dtype, seed.dtype)
+        self._U = np.empty((n, 0), dtype=dtype)
+        self._OpU = np.empty((n, 0), dtype=dtype)  # Op @ basis, column-aligned
+        self._G = np.empty((0, 0), dtype=dtype)
 
     @property
     def n(self):
@@ -272,16 +257,22 @@ class KrylovBasis:
 
         A complex basis forms it as conj(basis^T conj(X)), which conjugates
         the narrow X and the small result but never copies the basis, with
-        the same bits as conj(basis)^T X.  A real basis multiplies a complex
-        X through its ``float64`` view, as a real operator does, so the
-        basis is never cast.
+        the same bits as conj(basis)^T X.  A real basis meets a complex X
+        through X's ``float64`` view, as a real operator does.
         """
         U = self.basis
         if U.dtype == np.float64:
-            if not np.iscomplexobj(X):
-                return U.T @ X
-            return (U.T @ np.ascontiguousarray(X).view(np.float64)).view(complex)
+            return _real_product(U.T.__matmul__, X)
         return (U.T @ X.conj()).conj()
+
+    def times(self, X):
+        """basis @ X for a matrix X of ``dimension`` rows, the counterpart of
+        :meth:`block_product`; a real basis meets a complex X through X's
+        ``float64`` view."""
+        U = self.basis
+        if U.dtype == np.float64:
+            return _real_product(U.__matmul__, X)
+        return U @ X
 
 
 def build_basis(A, B, plan, m=None):

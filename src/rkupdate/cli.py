@@ -101,16 +101,15 @@ def _invsqrt_reference(lam, b):
     is diagonal (secular decomposition; a general eigensolver floors near
     1e-8 absolute on this grading)."""
     z = np.real(b.ravel())
-    F = funm_dpr1(lam, z, 1.0, lambda x: x ** -0.5) - np.diag(lam ** -0.5)
-    return F.astype(complex)
+    return funm_dpr1(lam, z, 1.0, lambda x: x ** -0.5) - np.diag(lam ** -0.5)
 
 
 def _invsqrt_instance(n, seed):
     """The fig1/fig2 instance: eigenvalues, update vector, A, and the spectral
     window of A and A + b b*."""
     lam, b = _logspace_instance(n, seed)
-    A = np.diag(lam).astype(complex)
-    lam_plus = np.linalg.eigvalsh(A.real + np.outer(b.real.ravel(), b.real.ravel()))
+    A = np.diag(lam)
+    lam_plus = np.linalg.eigvalsh(A + np.outer(b.real.ravel(), b.real.ravel()))
     window = SpectralWindow(float(min(lam[0], lam_plus[0])),
                             float(max(lam[-1], lam_plus[-1])))
     return lam, b, A, window
@@ -158,11 +157,11 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2):
     with Zolotarev pole sets of degrees 10 and 2.  Returns one result per
     (algorithm, degree) variant."""
     lam, b = _sign_instance(n, seed)
-    A = np.diag(lam).astype(complex)
+    A = np.diag(lam)
     z = np.real(b.ravel())
     dense = (funm_dpr1(lam, z, 1.0, lambda x: np.where(x > 0, 1.0, -1.0))
-             - np.diag(np.where(lam > 0, 1.0, -1.0))).astype(complex)
-    lam_plus = np.sort(np.linalg.eigvalsh(A.real + np.outer(z, z)))
+             - np.diag(np.where(lam > 0, 1.0, -1.0)))
+    lam_plus = np.sort(np.linalg.eigvalsh(A + np.outer(z, z)))
     all_abs = np.concatenate([np.abs(lam), np.abs(lam_plus)])
     gap = (float(all_abs.min()), float(all_abs.max()))
     sq = np.concatenate([lam ** 2, lam_plus ** 2])
@@ -328,7 +327,7 @@ def run_sylvester(args):
     result, report = sylvester_solve_krylov(prob, plan, m_max=args.m_max,
                                             tol=args.tol, d=args.d)
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-    write_matrix(f"{stem}-left.mtx", result.left @ result.core)
+    write_matrix(f"{stem}-left.mtx", result.basis_left.times(result.core))
     write_matrix(f"{stem}-right.mtx", result.right)
     with open(f"{stem}-residuals.csv", "w") as fh:
         fh.write("m,residual,estimate\n")

@@ -1,21 +1,18 @@
 """Dense linear algebra kernels.
 
 Factorizations, orthonormalization, spectral decompositions and matrix
-functions of small matrices.  Everything is double precision and dense.
-A block keeps its precision: a shifted factorization is real when its
-operator is ``float64`` and its shift real, and it solves a ``float64``
-block in real arithmetic and a complex one through its ``float64`` view;
-:func:`qr_orthonormalize` returns a real Q for a real block.  The matrix
-functions of small matrices take and return complex matrices; one with no
-nonzero imaginary entry is decomposed as its ``float64`` real part
-(:func:`_real_if_real`: the ``eigh`` and ``eig`` of :func:`funm_small`,
-:func:`norm2`, :func:`norm2_hermitian`), which real data with real poles
-keep exactly.  An operator
-whose band is narrow is held in LAPACK band storage (:func:`_banded`, run
-once per factorization cache, as the realness scan is), and its shifted
-LUs and products then cost O(n) per band row instead of the dense O(n^3)
-and O(n^2).  Hermitian structure is an explicit flag.  The heavy lifting
-is delegated to LAPACK through numpy/scipy; this module owns the
+functions of small matrices.  Everything is double precision and dense,
+and real or complex by the realness rule of :mod:`rkupdate._validation`:
+a shifted factorization of a real operator at a real shift is real, and
+:func:`qr_orthonormalize` returns a real Q for a real block.  A real
+matrix meets a complex block through the block's ``float64`` view, whose
+columns hold the real and imaginary parts side by side
+(:func:`_real_product`); the matrix functions of small matrices return
+complex matrices.  An operator whose band is narrow is held in LAPACK band
+storage (:func:`_banded`, run once per factorization cache), and its
+shifted LUs and products then cost O(n) per band row instead of the dense
+O(n^3) and O(n^2).  Hermitian structure is an explicit flag.  The heavy
+lifting is delegated to LAPACK through numpy/scipy; this module owns the
 contracts (tolerances, error conditions, fallbacks).  What a function is,
 its domain included, is its :class:`~rkupdate.functions.FunctionSpec`'s
 to say (``f.check_spectrum``); the matrix functions here keep only their
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._validation import as_dense, as_matrix, as_operator, require_square
+from ._validation import as_array, real_if_real
 from .errors import IllConditionedEigenbasis, RankDeficient, SingularShift
 
 __all__ = [
@@ -46,12 +43,16 @@ TOL_AXIS = 1e-12
 COND_CAP = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
-def _real_if_real(M):
-    """M's ``float64`` real part when M is complex with no nonzero imaginary
-    entry (the factorization cache's realness rule), M itself otherwise."""
-    if np.iscomplexobj(M) and not M.imag.any():
-        return M.real
-    return M
+def _real_product(apply, X):
+    """apply(X) for a real linear map ``apply`` of blocks (a product with a
+    ``float64`` matrix, or its solve).  A complex X goes in as its
+    ``float64`` view, whose columns hold the real and imaginary parts side
+    by side, and the result is viewed as complex again: numpy would cast
+    the whole ``float64`` matrix to ``complex128`` instead.  X is 2-d."""
+    if not np.iscomplexobj(X):
+        return apply(X)
+    Y = apply(np.ascontiguousarray(X).view(np.float64))
+    return np.ascontiguousarray(Y).view(complex)
 
 
 def norm2(M):
@@ -59,7 +60,7 @@ def norm2(M):
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(_real_if_real(M), 2))
+    return float(np.linalg.norm(real_if_real(M), 2))
 
 
 def norm2_hermitian(M):
@@ -68,12 +69,12 @@ def norm2_hermitian(M):
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
-    return float(np.abs(np.linalg.eigvalsh(_real_if_real(M))).max())
+    return float(np.abs(np.linalg.eigvalsh(real_if_real(M))).max())
 
 
 def qr_orthonormalize(W, reference_norms=None, step=None):
-    """Orthonormal basis of the columns of W with deterministic phases, in
-    W's precision (``float64`` for a real W, ``complex128`` otherwise).
+    """Orthonormal basis of the columns of W with deterministic phases,
+    real for a real W.
 
     Raises :class:`RankDeficient` when a diagonal entry of R falls below
     ``TOL_DEFLATE`` times the reference column norm (by default the norms of
@@ -81,7 +82,7 @@ def qr_orthonormalize(W, reference_norms=None, step=None):
     pre-projection norms so cancellation is detected).  The error is
     ``exhausted`` when every column of W itself falls below that bound.
     """
-    W = as_dense(W, "W")
+    W = as_array(W, "W")
     n, k = W.shape
     if k > n:
         raise ValueError("more columns than rows; cannot orthonormalize")
@@ -169,11 +170,10 @@ class ShiftedFactorization:
 
     The same factorization serves both (A - shift I) X = Y and its adjoint
     (A - shift I)* X = Y, so pole-conjugate systems never need a second LU.
-    A real LU solves a real Y in ``float64`` and a complex Y as the real
-    system of its ``float64`` view, whose columns hold the real and
-    imaginary parts side by side; its adjoint is its transpose.  A complex
-    LU solves in ``complex128``.  ``band`` is ``(kl, ku)`` for a band LU
-    (``?gbtrf``) and None for a dense one (``?getrf``).
+    A real LU solves a complex Y through its ``float64`` view
+    (:func:`_real_product`), and its adjoint is its transpose.  ``band`` is
+    ``(kl, ku)`` for a band LU (``?gbtrf``) and None for a dense one
+    (``?getrf``).
     """
 
     shift: complex
@@ -181,14 +181,11 @@ class ShiftedFactorization:
     band: tuple = None
 
     def solve(self, Y, adjoint=False):
+        Y = np.asarray(Y)
         if self.lu[0].dtype == np.float64:
-            real = np.isrealobj(Y)
-            Y = np.asarray(Y, dtype=np.float64 if real else complex)
             Z = Y if Y.ndim == 2 else Y[:, None]
-            if real:
-                return self._solve(Z, 1 if adjoint else 0).reshape(Y.shape)
-            X = self._solve(np.ascontiguousarray(Z).view(np.float64), 1 if adjoint else 0)
-            return np.ascontiguousarray(X).view(complex).reshape(Y.shape)
+            X = _real_product(lambda V: self._solve(V, 1 if adjoint else 0), Z)
+            return X.reshape(Y.shape)
         return self._solve(np.asarray(Y, dtype=complex), 2 if adjoint else 0)
 
     def _solve(self, Y, trans):
@@ -208,15 +205,14 @@ def shifted_factorize(A, xi):
     """Factor A - xi*I; raises :class:`SingularShift` when xi is (numerically)
     an eigenvalue.
 
-    The LU is real when A has a real dtype and xi a zero imaginary part,
-    complex otherwise; A's dtype alone decides (no entry is scanned).  A
-    band-stored A gets a band LU.
+    The LU is real when A is real and xi has a zero imaginary part, and
+    complex otherwise.  A band-stored A gets a band LU.
     """
     xi = complex(xi)
     band = isinstance(A, _Band)
     if not band:
-        A = as_operator(A)
-    real = A.dtype == np.float64 and xi.imag == 0.0
+        A = as_array(A, square=True)
+    real = A.dtype == np.float64 and not xi.imag
     dtype = np.float64 if real else complex
     shift = xi.real if real else xi
     if band:
@@ -247,7 +243,7 @@ def shifted_factorize(A, xi):
 
 def eval_rational_pf(M, pf):
     """Evaluate a partial-fraction expansion at a square matrix via shifted solves."""
-    M = require_square(M, "M")
+    M = as_array(M, "M", square=True)
     n = M.shape[0]
     I = np.eye(n, dtype=complex)
     F = np.zeros((n, n), dtype=complex)
@@ -275,15 +271,14 @@ def funm_small(A, f, hermitian=False):
     scaling-and-squaring and other kinds raise
     :class:`IllConditionedEigenbasis`.
     """
-    A = require_square(A)
+    A = as_array(A, square=True)
     if f.kind == "identity":
-        return A.copy()
+        return A.astype(complex)
     if f.kind == "rational":
         return eval_rational_pf(A, f.fn)
     scale = np.abs(A).max(initial=0.0)
-    Ar = _real_if_real(A)
     if hermitian:
-        w, Q = np.linalg.eigh(Ar)
+        w, Q = np.linalg.eigh(A)
         f.check_spectrum(w, scale)
         # an f that overflows on the spectrum leaves non-finite entries,
         # which the step loop reports as a typed error, not as warnings; an
@@ -298,11 +293,11 @@ def funm_small(A, f, hermitian=False):
             if np.abs(fw.imag).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(fw).max()):
                 F = 0.5 * (F + F.conj().T)
         return F.astype(complex, copy=False)
-    w, V = np.linalg.eig(Ar)
+    w, V = np.linalg.eig(A)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > COND_CAP:
         if f.kind == "exp":
-            return sla.expm(A)
+            return sla.expm(A).astype(complex, copy=False)
         raise IllConditionedEigenbasis(
             f"eigenvector condition {cond:.2e} exceeds cap {COND_CAP:.2e}"
         )
@@ -318,9 +313,9 @@ def _coupling_block(A11, A12, A22, f):
     matrix (partial fractions for rational kinds, spectral calculus
     otherwise with the expm fallback)."""
     if f.kind == "identity":
-        return A12.copy()
+        return A12.astype(complex)
     if not A12.any():
-        return np.zeros_like(A12)
+        return np.zeros(A12.shape, dtype=complex)
     n1, n2 = A12.shape
     Z = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     Z[:n1, :n1] = A11
@@ -335,9 +330,9 @@ def funm_block_triangular(A11, A12, A22, f):
     The diagonal blocks are evaluated directly by :func:`funm_small`; the
     coupling block comes from the assembled matrix.
     """
-    A11 = require_square(A11, "A11")
-    A22 = require_square(A22, "A22")
-    A12 = as_matrix(A12, "A12")
+    A11 = as_array(A11, "A11", square=True)
+    A22 = as_array(A22, "A22", square=True)
+    A12 = as_array(A12, "A12")
     n1, n2 = A11.shape[0], A22.shape[0]
     if A12.shape != (n1, n2):
         raise ValueError(f"A12 must be {n1}x{n2}, got {A12.shape}")

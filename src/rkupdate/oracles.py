@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_block, require_square
+from ._validation import as_array
 from .dense import funm_small
 from .errors import DenominatorZero, MSingular
 
@@ -30,8 +30,8 @@ def _guard(n):
 
 def dense_update(A, D, f, hermitian=False):
     """Brute force f(A + D) - f(A) by two dense matrix function evaluations."""
-    A = require_square(A)
-    D = require_square(D, "D")
+    A = as_array(A, square=True)
+    D = as_array(D, "D", square=True)
     _guard(A.shape[0])
     if D.shape != A.shape:
         raise ValueError("A and D must have equal shape")
@@ -40,11 +40,11 @@ def dense_update(A, D, f, hermitian=False):
 
 def sherman_morrison(A, b, c):
     """The rank-one inverse update -A^{-1} b c* A^{-1} / (1 + c* A^{-1} b)."""
-    A = require_square(A)
+    A = as_array(A, square=True)
     n = A.shape[0]
     _guard(n)
-    b = as_block(b, n, "b")
-    c = as_block(c, n, "c")
+    b = as_array(b, "b", rows=n)
+    c = as_array(c, "c", rows=n)
     Ainv_b = np.linalg.solve(A, b)
     cH_Ainv = np.linalg.solve(A.conj().T, c).conj().T
     denom = 1.0 + (cH_Ainv @ b)[0, 0]
@@ -105,11 +105,11 @@ def bvl_update(A, b, c, coeffs):
     K_m = [b, Ab, ...] and L_m = [c, (A* + c b*) c, ...]; their conditioning
     degrades quickly with m, which is logged.
     """
-    A = require_square(A)
+    A = as_array(A, square=True)
     n = A.shape[0]
     _guard(n)
-    b = as_block(b, n, "b")
-    c = as_block(c, n, "c")
+    b = as_array(b, "b", rows=n)
+    c = as_array(c, "c", rows=n)
     m = coeffs.m
     if m == 0:
         # constant rational function: the update vanishes identically

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._validation import as_block, as_operator, is_infinite_pole, require_square
+from ._validation import as_array, is_infinite_pole
 from .arnoldi import KrylovBasis, _SquaredCache
 from .dense import TOL_AXIS, norm2
 from .errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
@@ -42,6 +42,7 @@ from .rng import normal_block
 from .updater import (
     _as_core,
     _check_steps,
+    _dense_product,
     _hermitian_difference,
     _rational_krylov,
     _zero_report,
@@ -107,7 +108,7 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     _validate_sign_plan(poles)
     cache = _SquaredCache(A)
     n = cache.A.shape[0]
-    B = as_block(B, n, "B")
+    B = as_array(B, "B", rows=n)
     J = _as_core(J, B)
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)
@@ -115,18 +116,15 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
                                 basis=KrylovBasis(cache, np.zeros((n, 1)))), _zero_report()
     ell = B.shape[1]
     BJ = B @ J
-    # real data multiply by A + D in float64, where a real X stays real
-    real = cache.A.dtype == np.float64 and not B.imag.any() and not J.imag.any()
-    Bv, BJv = (np.ascontiguousarray(M.real) for M in (B, BJ)) if real else (B, BJ)
 
     def apply_ApD(X):
-        """(A + D) X, through products with A."""
+        """(A + D) X, through products with A; real for real data and X."""
         X = np.asarray(X).reshape(n, -1)
-        return cache.plain_matvec(X) + BJv @ (Bv.conj().T @ X)
+        return cache.plain_matvec(X) + BJ @ (B.conj().T @ X)
 
     if n <= ORACLE_MAX_N:
         # the desk checks take the dense A + D
-        A = as_operator(A)
+        A = as_array(A, square=True)
         w_ApD = np.linalg.eigvalsh(A + BJ @ B.conj().T)
         for w, name in ((np.linalg.eigvalsh(A), "A"), (w_ApD, "A + D")):
             if np.abs(w).min() < TOL_AXIS * max(np.abs(w).max(), 1e-300):
@@ -137,14 +135,15 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         # complex one its nonsymmetric Arnoldi, which takes about twice as
         # long for the same products (0.010 s against 0.018 s on the
         # bench's sign instance at n = 700, one BLAS thread).
-        ApD_op = LinearOperator((n, n), matvec=apply_ApD, dtype=Bv.dtype)
+        ApD_op = LinearOperator((n, n), matvec=apply_ApD,
+                               dtype=np.result_type(cache.A.dtype, BJ))
         # A seeded start vector keeps the run's bits fixed.  A Hermitian
         # Ritz value errs by about the square of its residual, so the
         # residual bound 1e-8 leaves the norm right to rounding level (to
         # 7e-15 on that instance, with 201 products against 381 for a
         # bound at machine precision).
         v0 = normal_block(0, n)[:, 0]
-        w = eigsh(ApD_op, k=1, v0=v0.real if real else v0, tol=1e-8,
+        w = eigsh(ApD_op, k=1, v0=v0.real if ApD_op.dtype == np.float64 else v0, tol=1e-8,
                   return_eigenvectors=False)
         norm_ApD = abs(float(w[0]))
 
@@ -165,8 +164,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     def factors(new):
         """([(A + D) U X, B J], [U, U f(G) U*B]) of a step's solution."""
         X, fUB = new
-        U = basis.basis
-        return np.hstack([apply_ApD(U @ X), BJ]), np.hstack([U, U @ fUB])
+        return (np.hstack([apply_ApD(basis.times(X)), BJ]),
+                np.hstack([basis.basis, basis.times(fUB)]))
 
     def estimate(new, old):
         return (norm_ApD * padded_difference_norm(new[0], old[0], hermitian=True)
@@ -189,8 +188,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
 class SylvesterProblem:
     """A1 Z - Z A2 + B1 C2* = 0 with W(A1), W(-A2) in the open right half-plane.
 
-    ``create`` keeps a real A1 or A2 in ``float64``, as a factorization
-    cache does."""
+    ``create`` coerces each matrix by the realness rule of
+    :mod:`rkupdate._validation`."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -199,10 +198,10 @@ class SylvesterProblem:
 
     @classmethod
     def create(cls, A1, A2, B1, C2):
-        A1 = as_operator(A1, "A1")
-        A2 = as_operator(A2, "A2")
-        B1 = as_block(B1, A1.shape[0], "B1")
-        C2 = as_block(C2, A2.shape[0], "C2")
+        A1 = as_array(A1, "A1", square=True)
+        A2 = as_array(A2, "A2", square=True)
+        B1 = as_array(B1, "B1", rows=A1.shape[0])
+        C2 = as_array(C2, "C2", rows=A2.shape[0])
         if B1.shape[1] != C2.shape[1]:
             raise ValueError("B1 and C2 must have the same number of columns")
         if max(A1.shape[0], A2.shape[0]) <= ORACLE_MAX_N:
@@ -217,16 +216,16 @@ def sylvester_dense(A1, A2, B1C2H):
     """Dense solve of A1 Z - Z A2 + B1C2H = 0 by Schur-form back-substitution.
 
     The steps, and the bits, of ``scipy.linalg.solve_sylvester(A1, -A2,
-    -B1C2H)``, whose Schur forms also give the spectra: the diagonals of
-    the Schur forms of A1 and of (-A2)* hold the eigenvalues of A1 and
-    minus the conjugate eigenvalues of A2.  Raises :class:`SpectraIntersect`
-    when the coefficient spectra are closer than 1e-12 (||A1||_F +
-    ||A2||_F).
+    -B1C2H)`` on ``complex128`` copies, whose complex Schur forms also give
+    the spectra: the diagonals of the Schur forms of A1 and of (-A2)* hold
+    the eigenvalues of A1 and minus the conjugate eigenvalues of A2.
+    Raises :class:`SpectraIntersect` when the coefficient spectra are
+    closer than 1e-12 (||A1||_F + ||A2||_F).
     """
-    A1 = require_square(A1, "A1")
-    A2 = require_square(A2, "A2")
-    r, u = sla.schur(A1, output="real")
-    s, v = sla.schur((-A2).conj().T, output="real")
+    A1 = as_array(A1, "A1", square=True)
+    A2 = as_array(A2, "A2", square=True)
+    r, u = sla.schur(A1, output="complex")
+    s, v = sla.schur((-A2).conj().T, output="complex")
     w1 = np.diagonal(r)
     w2 = -np.diagonal(s).conj()
     sep = np.abs(w1[:, None] - w2[None, :]).min()
@@ -234,7 +233,7 @@ def sylvester_dense(A1, A2, B1C2H):
     scale = max(np.linalg.norm(r) + np.linalg.norm(s), 1e-300)
     if sep < 1e-12 * scale:
         raise SpectraIntersect(f"spectra separated by only {sep:.3e}")
-    f = u.conj().T @ -np.asarray(B1C2H, dtype=complex) @ v
+    f = u.conj().T @ -np.asarray(B1C2H) @ v
     trsyl, = sla.get_lapack_funcs(("trsyl",), (r, s, f))
     y, factor, info = trsyl(r, s, f, tranb="C")
     if info < 0:
@@ -257,7 +256,7 @@ class SylvesterResult:
     core_history: list = None
 
     def materialize(self):
-        return self.left @ self.core @ self.right.conj().T
+        return _dense_product(self.basis_left, self.core, self.basis_right)
 
 
 def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
@@ -291,7 +290,7 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     scale = norm2(prob.A1) + norm2(prob.A2) if desk_scale else None
 
     def residual(Z_small):
-        Z = left.basis @ Z_small @ right.basis.conj().T
+        Z = _dense_product(left, Z_small, right)
         R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
         return norm2(R) / max(scale * norm2(Z_small), 1e-300)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_block
+from ._validation import as_array
 from .arnoldi import FactorizationCache, KrylovBasis
 from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
@@ -55,7 +55,7 @@ def update_hermitian(left, B, J, f):
     the two Hermitian matrix functions are formed and subtracted.
     """
     UB = left.block_product(B)
-    J = np.asarray(J, dtype=complex)
+    J = np.asarray(J)
     G = 0.5 * (left.compression + left.compression.conj().T)
     if J.shape == (1, 1) and J[0, 0].real > 0 and abs(J[0, 0].imag) == 0.0 \
             and UB.shape[1] == 1:
@@ -117,11 +117,19 @@ class UpdateState:
 
     def materialize(self):
         """Dense U_m X_m V_m* (desk scale only)."""
-        return self.left.basis @ self.coupling @ self.right.basis.conj().T
+        return _dense_product(self.left, self.coupling, self.right)
 
     def factors(self):
         """(U_m X_m, V_m) so that the update is the product of the pair."""
-        return self.left.basis @ self.coupling, self.right.basis
+        return self.left.times(self.coupling), self.right.basis
+
+
+def _dense_product(left, X, right):
+    """The dense left.basis @ X @ right.basis* (desk scale), formed as
+    (V (U X)*)* by two :meth:`~rkupdate.arnoldi.KrylovBasis.times`, so that
+    no ``float64`` basis is cast; the n x n product is conjugated in place."""
+    P = right.times(left.times(X).conj().T)
+    return np.conjugate(P, out=P).T
 
 
 @dataclass
@@ -245,9 +253,8 @@ def _check_steps(m_max, d):
 
 
 def _as_core(J, B):
-    """J as the complex ell x ell core of D = B J B* for a block B of ell
-    columns."""
-    J = np.asarray(J, dtype=complex)
+    """J as the ell x ell core of D = B J B* for a block B of ell columns."""
+    J = as_array(J, "J")
     ell = B.shape[1]
     if J.shape != (ell, ell):
         raise ValueError(f"J must be {ell}x{ell}")
@@ -287,7 +294,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     _check_steps(m_max, d)
     cache = FactorizationCache(A)
     n = cache.A.shape[0]
-    B = as_block(B, n, "B")
+    B = as_array(B, "B", rows=n)
     hermitian_mode = J is not None
     if hermitian_mode:
         J = _as_core(J, B)
@@ -295,7 +302,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     else:
         if C is None:
             raise ValueError("general mode needs C (or pass J for the Hermitian mode)")
-        C = as_block(C, n, "C")
+        C = as_array(C, "C", rows=n)
         if C.shape[1] != B.shape[1]:
             raise ValueError("B and C must have the same number of columns")
 
@@ -322,7 +329,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         return padded_difference_norm(new, old, hermitian=hermitian_mode)
 
     def true_error(X):
-        E = true_update - left.basis @ X @ right.basis.conj().T
+        E = true_update - _dense_product(left, X, right)
         return norm2_hermitian(E) if hermitian_mode else norm2(E)
 
     history, report = _rational_krylov(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles
 from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
 from rkupdate.updater import (
     UpdateReport,
+    UpdateState,
     _rational_krylov,
     padded_difference_norm,
     project_update,
@@ -96,6 +99,29 @@ class TestUpdateHermitian:
             UX, V = state.factors()
             dense = state.materialize()
             assert norm2(UX @ V.conj().T - dense) <= 1e-14 * norm2(dense)
+
+    def test_factors_of_a_real_basis_do_not_cast_it(self, rng):
+        # U X for a float64 basis U and a complex X goes through X's float64
+        # view: numpy's mixed product would first copy U as complex128
+        n = 2000
+        A, _, _ = path_laplacian_update(n)
+        basis = KrylovBasis(A, rng.standard_normal((n, 4)))
+        for _ in range(50):
+            basis.advance(-0.25)
+        U = basis.basis
+        assert U.dtype == np.float64 and U.shape == (n, 200)
+        X = rand_complex(rng, 200, 200)
+        state = UpdateState(basis, basis, X, [X])
+        tracemalloc.start()
+        try:
+            UX, V = state.factors()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(V, U) and UX.dtype == np.complex128
+        assert peak - UX.nbytes < U.size * np.dtype(complex).itemsize
+        ref = U.astype(complex) @ X
+        assert np.linalg.norm(UX - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_block_J_path(self, rng):
         # ell = 2 exercises the generic Hermitian difference (no rank-one shortcut)
