@@ -196,7 +196,8 @@ class KrylovBasis:
         return self._G[:self._k, :self._k]
 
     @property
-    def _op_basis(self):
+    def op_basis(self):
+        """Op @ basis, Op = A (A* for an adjoint basis), kept for the compression."""
         return self._OpU[:, :self._k]
 
     def _matvec(self, X):
@@ -212,7 +213,7 @@ class KrylovBasis:
         OpU = np.empty((n, cap), dtype=dtype)
         G = np.empty((cap, cap), dtype=dtype)
         U[:, :k] = self.basis
-        OpU[:, :k] = self._op_basis
+        OpU[:, :k] = self.op_basis
         G[:k, :k] = self.compression
         self._U, self._OpU, self._G = U, OpU, G
 
@@ -221,7 +222,7 @@ class KrylovBasis:
         j = self.steps + 1
         ell = self.block_size
         k = self._k
-        # A U_{j-1} is the last block of _op_basis
+        # A U_{j-1} is the last block of op_basis
         if is_infinite_pole(xi):
             xi = np.inf
             W = self._seed.copy() if j == 1 else self._OpU[:, k - ell:k].copy()
@@ -244,7 +245,7 @@ class KrylovBasis:
         Q = qr_orthonormalize(W, reference_norms=ref, step=j)
         OpQ = self._matvec(Q)
         new = slice(k, k + ell)
-        self._G[new, :k] = Q.conj().T @ self._op_basis
+        self._G[new, :k] = Q.conj().T @ self.op_basis
         self._U[:, new] = Q
         self._OpU[:, new] = OpQ
         self._k = k + ell

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import is_infinite_pole
+from ._validation import as_array, is_infinite_pole
 from .errors import (
     EtaNotContracting,
     LastPoleNotInfinite,
@@ -80,9 +80,9 @@ class SpectralWindow:
     @classmethod
     def from_matrices(cls, A, A_plus):
         """Window [min of both smallest, max of both largest eigenvalues] of
-        two Hermitian matrices."""
-        wa = np.linalg.eigvalsh(np.asarray(A, dtype=complex))
-        wb = np.linalg.eigvalsh(np.asarray(A_plus, dtype=complex))
+        two Hermitian matrices, real ones in real arithmetic."""
+        wa = np.linalg.eigvalsh(as_array(A, square=True))
+        wb = np.linalg.eigvalsh(as_array(A_plus, "A_plus", square=True))
         return cls(float(min(wa[0], wb[0])), float(max(wa[-1], wb[-1])))
 
     @classmethod
@@ -98,7 +98,7 @@ class SpectralWindow:
         """
         lo, hi, h = np.inf, -np.inf, 0.0
         for M in matrices:
-            M = np.asarray(M, dtype=complex)
+            M = as_array(M, "M", square=True)
             H = 0.5 * (M + M.conj().T)
             S = (M - M.conj().T) / 2j
             wh = np.linalg.eigvalsh(H)

@@ -161,9 +161,8 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2):
     z = np.real(b.ravel())
     dense = (funm_dpr1(lam, z, 1.0, lambda x: np.where(x > 0, 1.0, -1.0))
              - np.diag(np.where(lam > 0, 1.0, -1.0)))
-    lam_plus = np.sort(np.linalg.eigvalsh(A + np.outer(z, z)))
-    all_abs = np.concatenate([np.abs(lam), np.abs(lam_plus)])
-    gap = (float(all_abs.min()), float(all_abs.max()))
+    lam_plus = np.linalg.eigvalsh(A + np.outer(z, z))
+    gap = _gap(lam, lam_plus)
     sq = np.concatenate([lam ** 2, lam_plus ** 2])
     window2 = SpectralWindow(float(sq.min()), float(sq.max()))
     J = np.array([[1.0]])
@@ -255,8 +254,7 @@ def experiment_custom(args):
         # a Hermitian instance: the strategies that read the window or the
         # gap take them from the eigenvalues of A and A + D
         def window():
-            w1, w2 = np.linalg.eigvalsh(A), np.linalg.eigvalsh(A + D)
-            return SpectralWindow(float(min(w1[0], w2[0])), float(max(w1[-1], w2[-1])))
+            return SpectralWindow.from_matrices(A, A + D)
 
         def gap():
             return _gap(np.linalg.eigvalsh(A), np.linalg.eigvalsh(A + D))

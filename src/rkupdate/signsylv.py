@@ -265,9 +265,10 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     Grows bases of q_m(A1)^{-1} K_m(A1, B1) and of the adjoint space of A2
     with the same pole plan, solves the compressed Sylvester equation
     G Z~ - Z~ H* + (U*B1)(V*C2)* = 0 each step, and stops on the relative
-    change of padded Z~ iterates.  A dense residual history is recorded at
-    desk scale.  The step loop, with its need for m_max >= 1 and d >= 1,
-    is the one of :func:`rkupdate.updater.run_update`.
+    change of padded Z~ iterates.  At desk scale the relative residual of
+    every step is recorded, from low-rank factors.  The step loop, with its
+    need for m_max >= 1 and d >= 1, is the one of
+    :func:`rkupdate.updater.run_update`.
     """
     _check_steps(m_max, d)
     poles = PolePlan.of(plan).expand(m_max)
@@ -290,8 +291,14 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     scale = norm2(prob.A1) + norm2(prob.A2) if desk_scale else None
 
     def residual(Z_small):
-        Z = _dense_product(left, Z_small, right)
-        R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
+        # with Z = U Z~ V*, A1 Z - Z A2 + B1 C2* = P M Q* for P = [A1 U, U, B1],
+        # M = diag(Z~, -Z~, I) and Q = [V, A2* V, C2]; A1 U and A2* V are the
+        # bases' stored products, and the norm is ||R_P M R_Q*|| from two
+        # thin QRs, so no n x n array is formed
+        P = np.hstack([left.op_basis, left.basis, prob.B1])
+        Q = np.hstack([right.basis, right.op_basis, prob.C2])
+        M = sla.block_diag(Z_small, -Z_small, np.eye(prob.B1.shape[1]))
+        R = np.linalg.qr(P, mode="r") @ M @ np.linalg.qr(Q, mode="r").conj().T
         return norm2(R) / max(scale * norm2(Z_small), 1e-300)
 
     history, report = _rational_krylov(left, right, poles, evaluate, estimate, tol=tol, d=d,

@@ -274,11 +274,12 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     Hermitian mode is selected by passing J (then D = B J B*, J must be
     ell x ell for a B of ell columns, A must be Hermitian, and the pole plan
     must be closed under conjugation); the general mode takes C with
-    D = B C*, which must have B's columns.  Both are checked before any LU,
-    and B = 0 (or C = 0) gives the exact zero update.  ``true_update`` (a
-    dense reference for f(A+D)-f(A)) enables per-step true-error tracking
-    for experiments; in the Hermitian mode the error is Hermitian and its
-    norm is taken from its eigenvalues (the lower triangle), not from an SVD.
+    D = B C*, which must have B's columns; passing both C and J is an error.
+    All of this is checked before any LU, and B = 0 (or C = 0) gives the
+    exact zero update.  ``true_update`` (a dense reference for f(A+D)-f(A))
+    enables per-step true-error tracking for experiments; in the Hermitian
+    mode the error is Hermitian and its norm is taken from its eigenvalues
+    (the lower triangle), not from an SVD.
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
@@ -297,6 +298,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     B = as_array(B, "B", rows=n)
     hermitian_mode = J is not None
     if hermitian_mode:
+        if C is not None:
+            raise ValueError("pass C for the general mode or J for the Hermitian mode, not both")
         J = _as_core(J, B)
         C = B
     else:

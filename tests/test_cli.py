@@ -154,6 +154,24 @@ class TestMainUpdate:
                        "--out", str(tmp_path / "o.csv")])
         assert status == 0
 
+    def test_c_and_j_together_is_error_exit(self, tmp_path, rng, capsys):
+        n = 12
+        B = rng.standard_normal((n, 1))
+        for name, M in [("A", np.diag(np.linspace(1.0, 2.0, n))), ("B", B), ("C", B),
+                        ("J", np.eye(1))]:
+            write_matrix(tmp_path / f"{name}.mtx", M)
+        status = main(["update", "--experiment", "custom",
+                       "--matrix-a", str(tmp_path / "A.mtx"),
+                       "--matrix-b", str(tmp_path / "B.mtx"),
+                       "--matrix-c", str(tmp_path / "C.mtx"),
+                       "--matrix-j", str(tmp_path / "J.mtx"),
+                       "--poles", "extended", "--m-max", "3",
+                       "--out", str(tmp_path / "o.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == ("rkupdate: error: pass C for the general mode or J "
+                                           "for the Hermitian mode, not both\n")
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestMainSylvester:
     def test_end_to_end(self, tmp_path, rng, capsys):

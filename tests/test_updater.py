@@ -247,7 +247,8 @@ class TestRunUpdate:
         (np.eye(1), None, "J must be 2x2"),
         (np.eye(3), None, "J must be 2x2"),
         (None, 3, "B and C must have the same number of columns"),
-    ], ids=["J-1x1", "J-3x3", "C-3-columns"])
+        (np.eye(2), 2, "pass C for the general mode or J for the Hermitian mode, not both"),
+    ], ids=["J-1x1", "J-3x3", "C-3-columns", "J-and-C"])
     def test_shapes_checked_before_any_factorization(self, rng, monkeypatch, J, c_cols,
                                                      message):
         def no_lu(*args, **kwargs):
