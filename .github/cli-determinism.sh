@@ -2,15 +2,18 @@
 # Runs every CLI path that turns a pole plan into poles twice and checks
 # that the second run writes the same bytes (bitwise determinism per seed):
 # the three figure experiments at n = 100, a custom update with the
-# extended plan and with two pole files, and the sylvester subcommand.
+# extended plan and with two pole files, and the sylvester subcommand at an
+# even and at an odd step count.
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
 # Run from the repository root.  At n = 100 the figure bases fill C^n
 # before the default m_max: the lucky-breakdown path, and the band LUs and
 # solves of diagonal operators.  The second pole file ends in a complex
-# conjugate pair, so the real basis of the custom update turns complex at
-# its third step.
+# conjugate pair, which the real basis of the custom update takes as one
+# paired step; its run at --m-max 31 ends on the first pole of a pair,
+# which takes a single complex step, and so does the sylvester run at
+# --m-max 21 (Leja-ordered Zolotarev sign pairs).
 set -euo pipefail
 work="$1"
 in="$work/in"
@@ -48,9 +51,14 @@ for run in 1 2; do
       --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
       --poles "$poles" --m-max 30 --tol 0 --out "$out/custom-$(basename "$poles" .txt).csv"
   done
-  PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1.mtx" \
-    --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1.mtx" --matrix-c2 "$in/C2.mtx" \
-    --m-max 20 --tol 0 --out "$out/sylvester"
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
+    --poles "$in/poles-pair.txt" --m-max 31 --tol 0 --out "$out/custom-poles-pair-31.csv"
+  for m in 20 21; do
+    PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1.mtx" \
+      --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1.mtx" --matrix-c2 "$in/C2.mtx" \
+      --m-max "$m" --tol 0 --out "$out/sylvester$([ "$m" = 21 ] && echo -odd)"
+  done
 done
 for f in "$work"/run1/*; do
   cmp "$f" "$work/run2/${f##*/}"

@@ -12,8 +12,9 @@ given:
 - a factorization cache keeps A as :func:`as_array` left it, and its LU
   at a real shift of a real A is real;
 - a Krylov basis is ``np.result_type`` of its operator and its seed, real
-  blocks stay real through products, real LUs and the QR, and the first
-  complex block promotes the basis once (see :mod:`rkupdate.arnoldi`);
+  blocks stay real through products, real LUs, paired steps for conjugate
+  pole pairs and the QR, and the first complex block promotes the basis
+  once (see :mod:`rkupdate.arnoldi`);
 - a real operator or basis meets a complex block through the block's
   ``float64`` view (``rkupdate.dense._real_product``) and is never cast;
 - the dense kernels apply the rule to the small matrices they compute and

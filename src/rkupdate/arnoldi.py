@@ -23,13 +23,28 @@ A U_{j-1} is never recomputed: the products A U of every block are kept
 for the compression, so each step makes one product with A.  Rank loss is
 a hard error (no deflation).
 
+Paired step (Ruhe's complex shifts for real matrices): for a real A and a
+real basis, a conjugate pair xi, conj(xi) of consecutive poles is one step
+of two blocks.  The rule above for xi gives a complex W, and
+
+    span [Re W, Im W] = span [W, conj(W)],
+
+the blocks of xi and of conj(xi) (conj(W) is the rule for conj(xi) from
+the same real block).  So one complex solve and a real QR of the
+n x 2 ell block [Re W, Im W] append 2 ell real columns; both poles are
+recorded, and the next step continues from the last ell columns.  The
+basis stays real and is the same subspace as after the two single steps.
+
 The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
 per pole value, and its product ``matvec(X, adjoint)``; a basis touches the
 operator only through these two.  Wherever a matrix ``A`` is taken, its
 cache may go instead, and bases built on one cache share its LUs.  One LU
 of A - xi I serves both sides, so an adjoint basis takes the primal poles:
-its step for pole xi solves with (A - xi I)*.  The solvers clear the caches
-of their bases when a run ends, so factorizations live for one run.
+its step for pole xi solves with (A - xi I)*.  For a real A the LU of
+A - xi I also serves conj(xi), by conjugation (A - conj(xi) I =
+conj(A - xi I)), so a conjugate pair costs one LU whether it is paired
+or not.  The solvers clear the caches of their bases when a run ends, so
+factorizations live for one run.
 
 The sign update's basis is one of A^2 for a Hermitian A, and its private
 cache (``_SquaredCache``) never forms A^2: its product is two products with
@@ -46,9 +61,10 @@ row.
 Above the operator there is one code path with a dtype, the result type
 of A and the seed.  Real blocks stay real through the products, the LUs
 at real shifts, the sign update's (A^2 + s^2 I)^{-1} (real for a real
-Hermitian A) and the QR, so real data with real or infinite poles run in
-real arithmetic end to end; the first block that comes back complex (a
-complex pole's LU) promotes the basis to ``complex128`` once, in place.
+Hermitian A), the paired steps and the QR, so real data with real or
+infinite poles and conjugate pairs run in real arithmetic end to end; the
+first block that comes back complex (the LU of a complex pole taken
+alone) promotes the basis to ``complex128`` once, in place.
 The basis, its products with the operator and the compression are views
 into C-order buffers whose capacity doubles, and a step appends into them.
 """
@@ -57,6 +73,7 @@ import numpy as np
 
 from ._validation import as_array, is_infinite_pole
 from .dense import _Band, _banded, _real_product, qr_orthonormalize, shifted_factorize
+from .errors import RankDeficient
 from .poles import PolePlan
 
 __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
@@ -75,9 +92,13 @@ class FactorizationCache:
         self._fac = {}
 
     def factorization(self, xi):
+        """The LU of A - xi I, made on first use.  For a real A the LU at
+        conj(xi) serves xi by conjugation, so a conjugate pair costs one LU."""
         key = complex(xi)
         fac = self._fac.get(key)
         if fac is None:
+            if key.imag and self.A.dtype == np.float64 and key.conjugate() in self._fac:
+                return _ConjugateFactorization(self._fac[key.conjugate()])
             fac = self._factor(key)
             self._fac[key] = fac
         return fac
@@ -105,6 +126,17 @@ class FactorizationCache:
 
     def __len__(self):
         return len(self._fac)
+
+
+class _ConjugateFactorization:
+    """(A - conj(xi) I)^{-1} for a real A from the LU of A - xi I: the solve
+    of conj(Y), conjugated, and likewise for the adjoint."""
+
+    def __init__(self, fac):
+        self.fac = fac
+
+    def solve(self, Y, adjoint=False):
+        return self.fac.solve(np.conj(Y), adjoint=adjoint).conj()
 
 
 class _SquaredCache(FactorizationCache):
@@ -154,8 +186,9 @@ class KrylovBasis:
     estimator of the updater relies on.
 
     The basis has the result type of the cache's A and the seed; the first
-    block that comes back complex (a complex pole's LU) promotes a real
-    basis, once, with its leading columns unchanged.  ``basis``, the products
+    block that comes back complex (a complex pole's LU in :meth:`advance`)
+    promotes a real basis, once, with its leading columns unchanged, and
+    :meth:`advance_pair` keeps it real.  ``basis``, the products
     ``Op @ basis`` and ``compression`` are views into C-order buffers whose
     capacity doubles when a block does not fit, so a step appends in place.
     """
@@ -234,24 +267,61 @@ class KrylovBasis:
                 W = self._solve(xi, self._U[:, k - ell:k])
             else:
                 W = self._solve(xi, self._OpU[:, k - ell:k])
-        cap = self._U.shape[1]
-        dtype = np.result_type(self._U, W)
-        if k + ell > cap or dtype != self._U.dtype:
-            self._reallocate(cap if k + ell <= cap else max(2 * cap, k + ell), dtype)
+        self._reserve(ell, np.result_type(self._U, W))
+        self._append(self._orthonormalize(W, j), (xi,))
+        return self
+
+    def advance_pair(self, xi):
+        """Append one real block of 2 ell columns for the conjugate pair
+        (xi, conj(xi)) to a real basis on a real operator; returns self.
+
+        One complex solve gives the block W of a step for xi, and
+        [Re W, Im W] spans the blocks of the two steps for xi and conj(xi).
+        Both poles are recorded, and the next step continues from the last
+        ell columns.  Raises :class:`RankDeficient`, with the basis
+        unchanged, when [Re W, Im W] loses rank or the space has no room
+        for it; ``exhausted`` when the whole block is lost.
+        """
+        if self._U.dtype != np.float64:
+            raise ValueError("a paired step needs a real basis")
+        xi = complex(xi)
+        j = self.steps + 1
+        ell, k = self.block_size, self._k
+        if k + 2 * ell > self.n:
+            raise RankDeficient(f"no room for the {2 * ell} columns of a pair", step=j,
+                                exhausted=k == self.n)
+        W = self._solve(xi, self._seed if j == 1 else self._OpU[:, k - ell:k])
+        Q = self._orthonormalize(np.hstack([W.real, W.imag]), j)
+        self._reserve(2 * ell, np.float64)
+        self._append(Q, (xi, xi.conjugate()))
+        return self
+
+    def _reserve(self, cols, dtype):
+        """Room for ``cols`` more columns of the given dtype in the buffers."""
+        k, cap = self._k, self._U.shape[1]
+        if k + cols > cap or dtype != self._U.dtype:
+            self._reallocate(cap if k + cols <= cap else max(2 * cap, k + cols), dtype)
+
+    def _orthonormalize(self, W, step):
+        """W orthonormalized against the basis (CGS2), then within itself."""
         ref = np.linalg.norm(W, axis=0)
-        if k:
+        if self._k:
             W = W - self.basis @ self.block_product(W)
             W = W - self.basis @ self.block_product(W)
-        Q = qr_orthonormalize(W, reference_norms=ref, step=j)
+        return qr_orthonormalize(W, reference_norms=ref, step=step)
+
+    def _append(self, Q, poles):
+        """Append the orthonormal block Q, its product with the operator
+        and the compression's new rows and columns; the buffers have room."""
+        k, width = self._k, Q.shape[1]
         OpQ = self._matvec(Q)
-        new = slice(k, k + ell)
+        new = slice(k, k + width)
         self._G[new, :k] = Q.conj().T @ self.op_basis
         self._U[:, new] = Q
         self._OpU[:, new] = OpQ
-        self._k = k + ell
-        self._G[:k + ell, new] = self.block_product(OpQ)
-        self.poles_used = self.poles_used + (xi,)
-        return self
+        self._k = k + width
+        self._G[:k + width, new] = self.block_product(OpQ)
+        self.poles_used = self.poles_used + poles
 
     def block_product(self, X):
         """basis* X for a conforming tall block.

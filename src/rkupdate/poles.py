@@ -326,29 +326,54 @@ def extended_plan():
     return PolePlan((0.0, INF), repetition="cyclic")
 
 
-def leja_order(poles):
-    """Greedy Leja permutation of a finite pole multiset.
+def _conjugate_partners(pool):
+    """Split a pole list into representatives and their partners: a pole of
+    the upper half-plane whose conjugate is in the list takes it as its
+    partner (one conjugate per pole, multiplicities counted); every other
+    pole is a representative without one (None)."""
+    pool = list(pool)
+    reps = []
+    for p in [p for p in pool if p.imag > 0]:
+        q = p.conjugate()
+        if q in pool:
+            pool.remove(p)
+            pool.remove(q)
+            reps.append((p, q))
+    return [(p, None) for p in pool] + reps
 
-    The first pole has maximal magnitude; each next pole maximizes the
-    product of distances to the poles already chosen.  Ties are broken by
-    ascending imaginary part, then ascending real part.
+
+def leja_order(poles):
+    """Greedy Leja permutation of a finite pole multiset, with each pole of
+    a conjugate pair directly before its conjugate.
+
+    Only representatives are chosen: the poles of the upper half-plane that
+    have their conjugate in the set, and every pole that has not.  The first
+    has maximal magnitude; each next one maximizes the product of distances
+    to the poles already placed, conjugates included.  Ties are broken by
+    ascending imaginary part, then ascending real part.  A chosen upper pole
+    is followed at once by its conjugate, so the solvers can take the pair
+    in one real step (see :mod:`rkupdate.arnoldi`).
     """
     pool = [complex(p) for p in poles]
     if not pool:
         raise ValueError("empty pole set")
     if any(is_infinite_pole(p) for p in pool):
         raise ValueError("Leja ordering is defined for finite poles only")
+    pool = _conjugate_partners(pool)
     ordered = []
+
+    def place(i):
+        p, q = pool.pop(i)
+        ordered.extend((p,) if q is None else (p, q))
+
     # initial pick: max magnitude, ties by (imag, real)
-    key0 = [(-abs(p), p.imag, p.real) for p in pool]
-    i0 = min(range(len(pool)), key=key0.__getitem__)
-    ordered.append(pool.pop(i0))
+    key0 = [(-abs(p), p.imag, p.real) for p, _ in pool]
+    place(min(range(len(pool)), key=key0.__getitem__))
     while pool:
         scores = []
-        for p in pool:
+        for p, _ in pool:
             with np.errstate(divide="ignore"):
                 s = float(np.sum(np.log([abs(p - q) for q in ordered])))
             scores.append((-s, p.imag, p.real))
-        i = min(range(len(pool)), key=scores.__getitem__)
-        ordered.append(pool.pop(i))
+        place(min(range(len(pool)), key=scores.__getitem__))
     return tuple(ordered)

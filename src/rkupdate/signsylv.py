@@ -22,7 +22,11 @@ check at desk scale (n <= ``ORACLE_MAX_N``); above it ||A + D|| comes from
 The same projection applied to the block-diagonal sign embedding of a
 Sylvester equation A1 Z - Z A2 + B1 C2* = 0 reduces to a Galerkin method
 with two one-sided rational Krylov bases and a small dense Sylvester solve;
-both are provided here, the dense kernel via Schur form.
+both are provided here, the dense kernel via Schur form.  Its usual poles,
+the Zolotarev sign poles, are conjugate pairs, which the step loop takes as
+paired real steps for real data: the bases and compressions stay real, and
+the dense kernel then takes the real Schur forms (quasi-triangular, with
+2 x 2 blocks for conjugate eigenvalue pairs) and a real ``?trsyl``.
 """
 
 from dataclasses import dataclass
@@ -212,33 +216,51 @@ class SylvesterProblem:
         return cls(A1=A1, A2=A2, B1=B1, C2=C2)
 
 
+def _schur_eigenvalues(T):
+    """The eigenvalues of a Schur form: the diagonal of a triangular T, and
+    for a real quasi-triangular T also the conjugate pairs of its 2 x 2
+    blocks (LAPACK's standard form, whose diagonal entries are equal)."""
+    w = np.diagonal(T).astype(complex)
+    i = np.flatnonzero(np.diagonal(T, -1))
+    if i.size:
+        im = np.sqrt(np.abs(T[i, i + 1])) * np.sqrt(np.abs(T[i + 1, i]))
+        w[i] += 1j * im
+        w[i + 1] -= 1j * im
+    return w
+
+
 def sylvester_dense(A1, A2, B1C2H):
     """Dense solve of A1 Z - Z A2 + B1C2H = 0 by Schur-form back-substitution.
 
     The steps, and the bits, of ``scipy.linalg.solve_sylvester(A1, -A2,
-    -B1C2H)`` on ``complex128`` copies, whose complex Schur forms also give
-    the spectra: the diagonals of the Schur forms of A1 and of (-A2)* hold
-    the eigenvalues of A1 and minus the conjugate eigenvalues of A2.
-    Raises :class:`SpectraIntersect` when the coefficient spectra are
-    closer than 1e-12 (||A1||_F + ||A2||_F).
+    -B1C2H)``: real data (by the realness rule of :mod:`rkupdate._validation`)
+    take the real Schur forms and a real ``?trsyl``, all other data the
+    complex ones on ``complex128`` copies.  The Schur forms of A1 and of
+    (-A2)* also give the spectra, from their diagonals and their 2 x 2
+    blocks: the eigenvalues of A1 and minus the conjugate eigenvalues of
+    A2.  Raises :class:`SpectraIntersect` when the coefficient spectra are
+    closer than 1e-12 (||A1||_F + ||A2||_F).  The solution is
+    ``complex128``.
     """
     A1 = as_array(A1, "A1", square=True)
     A2 = as_array(A2, "A2", square=True)
-    r, u = sla.schur(A1, output="complex")
-    s, v = sla.schur((-A2).conj().T, output="complex")
-    w1 = np.diagonal(r)
-    w2 = -np.diagonal(s).conj()
+    F = -as_array(B1C2H, "B1C2H", rows=A1.shape[0])
+    output = "real" if A1.dtype == A2.dtype == F.dtype == np.float64 else "complex"
+    r, u = sla.schur(A1, output=output)
+    s, v = sla.schur((-A2).conj().T, output=output)
+    w1 = _schur_eigenvalues(r)
+    w2 = -_schur_eigenvalues(s).conj()
     sep = np.abs(w1[:, None] - w2[None, :]).min()
     # the Schur forms have the Frobenius norms of A1 and A2
     scale = max(np.linalg.norm(r) + np.linalg.norm(s), 1e-300)
     if sep < 1e-12 * scale:
         raise SpectraIntersect(f"spectra separated by only {sep:.3e}")
-    f = u.conj().T @ -np.asarray(B1C2H) @ v
+    f = u.conj().T @ F @ v
     trsyl, = sla.get_lapack_funcs(("trsyl",), (r, s, f))
     y, factor, info = trsyl(r, s, f, tranb="C")
     if info < 0:
         raise ValueError(f"trsyl rejected argument {-info}")
-    return u @ (factor * y) @ v.conj().T
+    return (u @ (factor * y) @ v.conj().T).astype(complex, copy=False)
 
 
 @dataclass
@@ -246,7 +268,7 @@ class SylvesterResult:
     """Low-rank solution Z = left @ core @ right*.
 
     ``left`` and ``right`` are the two bases, ``float64`` for real data
-    with real or infinite poles; ``core`` is complex."""
+    with real or infinite poles and conjugate pairs; ``core`` is complex."""
 
     left: np.ndarray
     core: np.ndarray

@@ -12,7 +12,12 @@ two small Hermitian matrix functions.
 
 The step loop is shared with the solvers of :mod:`rkupdate.signsylv`,
 which differ only in what they evaluate each step and how they weigh the
-difference of two iterates.
+difference of two iterates.  For real data it takes a conjugate pair of
+consecutive poles as one paired step of real arithmetic (see
+:mod:`rkupdate.arnoldi`) and evaluates the small problem at the pair's
+end only: the pair's first step is a gap in the report, as a retried step
+is, and the estimator compares each iterate with the latest one evaluated
+at least d steps before it.
 """
 
 from dataclasses import dataclass
@@ -138,7 +143,8 @@ class UpdateReport:
 
     ``estimates[k]`` is the estimate of step k + 1 + d (the first d steps
     have none) and ``true_errors[k]`` the true error of step k + 1; a step
-    retried after a singularity of f records None in both.
+    retried after a singularity of f, and the first step of a paired
+    conjugate pair, record None in both.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
     """
@@ -159,6 +165,27 @@ class UpdateReport:
                 f"iterations={self.iterations} final_error={final}")
 
 
+def _advance_pair(left, right, xi):
+    """The paired step of (xi, conj(xi)) for both bases; False, with both
+    unchanged, when the pair block of ``left`` loses part of its rank, and
+    the ``exhausted`` :class:`RankDeficient` when it loses all of it (as
+    the single step of xi would).  When only the pair block of ``right``
+    loses rank, ``right`` takes the two single steps."""
+    try:
+        left.advance_pair(xi)
+    except RankDeficient as exc:
+        if exc.exhausted:
+            raise
+        return False
+    if right is not left:
+        try:
+            right.advance_pair(xi)
+        except RankDeficient:
+            right.advance(xi)
+            right.advance(xi.conjugate())
+    return True
+
+
 def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
     """The step loop shared by every solver: one step per pole.
 
@@ -166,8 +193,8 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     is ``left``, to ``right``; then ``evaluate()``
     returns the step's small solution, ``error(new)`` (optional) its true
     error or residual, and ``estimate(new, old)`` the difference between it
-    and the solution of d steps earlier.  The run stops once an estimate is
-    at most ``tol``.
+    and the latest solution of at least d steps earlier.  The run stops
+    once an estimate is at most ``tol``.
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
@@ -184,6 +211,20 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     ``breakdown_step = k``.  Rank loss at step 1, of part of a block, after
     a gap, or in a two-basis run re-raises.
 
+    Paired steps: when every basis is real (``float64``) and the pole after
+    xi is conj(xi), both take one paired step
+    (:meth:`~rkupdate.arnoldi.KrylovBasis.advance_pair`).  The step of xi
+    is then a gap, recorded as None in the history, the estimates and the
+    errors as for a retried step, and the solution is evaluated at the
+    step of conj(xi).  A complex pole whose conjugate does not follow (a
+    run may end mid-pair) takes a single step, which promotes the basis,
+    so a run never ends on a gap.  When [Re W, Im W] of ``left`` loses
+    part of its rank, both bases take the two single steps instead, with
+    the rules above; when it loses all of it, the rank loss is that of the
+    step of xi; when only that of ``right`` loses rank, ``right`` alone
+    takes the single steps.  Since the estimate skips gaps, d = 1 has
+    estimates across pairs.
+
     Returns (history of solutions with None at gaps, UpdateReport).
     """
     history = []
@@ -192,16 +233,33 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     converged = False
     breakdown = None
     failures = 0
+    m = 0
     try:
-        for m, xi in enumerate(poles, start=1):
+        while m < len(poles):
+            xi = poles[m]
+            m += 1
+            # a finite pole is a complex (PolePlan holds them so), INF a float
+            paired = (m < len(poles) and isinstance(xi, complex) and xi.imag != 0
+                      and poles[m] == xi.conjugate()
+                      and left.basis.dtype == right.basis.dtype == np.float64)
             try:
-                left.advance(xi)
+                paired = paired and _advance_pair(left, right, xi)
+                if not paired:
+                    left.advance(xi)
             except RankDeficient as exc:
                 if right is not left or m == 1 or not exc.exhausted or history[-1] is None:
                     raise
                 converged, breakdown = True, m
                 break
-            if right is not left:
+            if paired:
+                # the step of xi is a gap: its solution is not evaluated
+                history.append(None)
+                if errors is not None:
+                    errors.append(None)
+                if m > d:
+                    estimates.append(None)
+                m += 1
+            elif right is not left:
                 right.advance(xi)
             try:
                 new = evaluate()
@@ -220,7 +278,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
             if errors is not None:
                 errors.append(None if new is None else error(new))
             if m > d:
-                old = history[m - 1 - d]
+                old = next((h for h in reversed(history[:m - d]) if h is not None), None)
                 est = None if new is None or old is None else estimate(new, old)
                 estimates.append(est)
                 if est is not None and est <= tol:
@@ -283,7 +341,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
-    that Hermitian difference); it requires nested bases, which the growth
+    that Hermitian difference), or against the latest iterate before step
+    m-d when step m-d is a gap; it requires nested bases, which the growth
     by appended blocks guarantees.  Non-convergence is reported, not raised.
     The step loop is the one :func:`rkupdate.signsylv.sign_update` and
     :func:`rkupdate.signsylv.sylvester_solve_krylov` use, so the three share

@@ -11,7 +11,7 @@ from rkupdate.arnoldi import (
     adjoint_basis,
     build_basis,
 )
-from rkupdate.dense import _Band, norm2, qr_orthonormalize
+from rkupdate.dense import _Band, norm2, qr_orthonormalize, shifted_factorize
 from rkupdate.errors import RankDeficient, SingularShift
 from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.poles import INF, PolePlan, extended_plan
@@ -374,6 +374,101 @@ class TestRealOperator:
         for xi in poles:
             basis.advance(xi)
         assert calls == [2] * len(poles)
+
+
+class TestConjugatePairs:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    def test_one_lu_serves_a_conjugate_pair(self, rng, kind, adjoint):
+        n = 40
+        cache = FactorizationCache(_real_operators(rng, n)[kind])
+        xi = -2.0 + 1.0j
+        Y = rand_complex(rng, n, 3)
+        for first, second in ((xi, xi.conjugate()), (xi.conjugate(), xi)):
+            cache.clear()
+            cache.factorization(first)
+            fac = cache.factorization(second)
+            assert len(cache) == 1
+            ref = shifted_factorize(cache.A, second)
+            for rhs in (Y, Y.real.copy()):
+                X, R = fac.solve(rhs, adjoint=adjoint), ref.solve(rhs, adjoint=adjoint)
+                assert np.abs(X - R).max() <= 1e-13 * np.abs(R).max()
+        # a complex operator has no such symmetry: two LUs
+        cache = FactorizationCache(rand_complex(rng, n, n) + 8.0 * np.eye(n))
+        cache.factorization(xi)
+        cache.factorization(xi.conjugate())
+        assert len(cache) == 2
+
+    def test_complex_seed_run_makes_one_lu_per_pair(self, rng, monkeypatch):
+        # complex seeds on a real A cannot pair, but the conjugate pole of a
+        # pair reuses the LU of the first
+        calls = []
+        factorize = arnoldi.shifted_factorize
+
+        def counted(A, xi):
+            calls.append(complex(xi))
+            return factorize(A, xi)
+
+        monkeypatch.setattr(arnoldi, "shifted_factorize", counted)
+        n = 30
+        A = _real_operators(rng, n)["dense"]
+        plan = PolePlan((-1.0 + 1.0j, -1.0 - 1.0j, -3.0, 2.0j, -2.0j), repetition="cyclic")
+        state, _ = run_update(A, 0.1 * rand_complex(rng, n, 2), 0.1 * rand_complex(rng, n, 2),
+                              f=FunctionSpec.inv_sqrt(), plan=plan, m_max=10, tol=0.0)
+        assert state.left.basis.dtype == state.right.basis.dtype == np.complex128
+        assert calls == [-1.0 + 1.0j, -3.0, 2.0j]
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    def test_paired_step_spans_the_two_single_steps(self, rng, kind, adjoint, ell):
+        n = 50
+        A = _real_operators(rng, n)[kind]
+        seed = rng.standard_normal((n, ell))
+        steps = [(-1.0 + 0.5j, True), (INF, False), (-1.5, False), (0.5 + 2.0j, True)]
+        basis = KrylovBasis(A, seed, adjoint=adjoint)
+        ref = KrylovBasis(_complex_stored(A), seed.astype(complex), adjoint=adjoint)
+        for xi, paired in steps:
+            if paired:
+                basis.advance_pair(xi)
+                ref.advance(xi).advance(np.conj(xi))
+            else:
+                basis.advance(xi)
+                ref.advance(xi)
+            k = basis.dimension
+            assert k == ref.dimension and basis.poles_used == ref.poles_used
+            assert basis.basis.dtype == basis.compression.dtype == np.float64
+            assert max_principal_angle(basis.basis, ref.basis) <= 1e-12
+        U = basis.basis
+        Op = A.T if adjoint else A
+        assert norm2(U.T @ U - np.eye(k)) <= 1e-13
+        assert np.abs(basis.compression - U.T @ Op @ U).max() <= 1e-13 * norm2(A)
+        assert np.abs(basis.op_basis - Op @ U).max() <= 1e-13 * norm2(A)
+
+    def test_paired_step_needs_a_real_basis(self, rng):
+        A = _real_operators(rng, 20)["dense"]
+        with pytest.raises(ValueError, match="real basis"):
+            KrylovBasis(A, rand_complex(rng, 20, 1)).advance_pair(1.0j)
+
+    def test_a_lost_pair_leaves_the_basis_unchanged(self, rng):
+        # an eigenvector seed: Re W and Im W are both multiples of it
+        A = np.diag([1.0, 2.0, 3.0, 4.0])
+        basis = KrylovBasis(A, np.eye(4)[:, :1])
+        with pytest.raises(RankDeficient) as info:
+            basis.advance_pair(-1.0 + 1.0j)
+        assert not info.value.exhausted
+        assert basis.dimension == basis.steps == 0
+        # no room for two columns, and then none for any
+        basis = KrylovBasis(A, np.ones((4, 1)))
+        basis.advance(-1.0).advance(INF).advance(-2.0)
+        U = basis.basis.copy()
+        with pytest.raises(RankDeficient) as info:
+            basis.advance_pair(-1.0 + 1.0j)
+        assert not info.value.exhausted and np.array_equal(basis.basis, U)
+        basis.advance(INF)
+        with pytest.raises(RankDeficient) as info:
+            basis.advance_pair(-1.0 + 1.0j)
+        assert info.value.exhausted and basis.steps == 4
 
 
 def _dense_stored(A):

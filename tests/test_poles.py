@@ -254,8 +254,53 @@ class TestLeja:
             sorted(poles, key=lambda z: (z.real, z.imag))
 
     def test_conjugate_tie_break(self):
-        ordered = leja_order([2j, -2j, 1j, -1j])
-        assert ordered[0] == -2j  # ascending imaginary part on magnitude tie
+        # a pair is placed as one: its upper pole, then its conjugate at once
+        assert leja_order([-2j, 2j, -1j, 1j]) == (2j, -2j, 1j, -1j)
+        # ascending imaginary part, then real part, among the poles chosen
+        # on a magnitude tie: a real pole before an upper representative,
+        # and an unpaired lower pole before a real one
+        assert leja_order([2j, -2j, 2.0]) == (2.0, 2j, -2j)
+        assert leja_order([2.0, -2j]) == (-2j, 2.0)
+
+    @pytest.mark.parametrize("poles, pairs", [
+        (zolotarev_sign_poles((0.05, 30.0), 8).poles, 4),
+        ((-1.0, -1 + 1j, -1 - 1j, -3 + 0.5j, -3 - 0.5j, -3 + 0.5j, -4.0), 2)])
+    def test_conjugate_pairs_stay_adjacent(self, poles, pairs):
+        # every conjugate pair of the set is placed as (upper, lower); the
+        # second -3 + 0.5j has no partner and is placed on its own
+        ordered = leja_order(poles)
+        assert sorted(ordered, key=lambda z: (z.real, z.imag)) == \
+            sorted(map(complex, poles), key=lambda z: (z.real, z.imag))
+        found, i = 0, 0
+        while i < len(ordered):
+            if ordered[i].imag > 0 and ordered[i + 1:i + 2] == (ordered[i].conjugate(),):
+                found, i = found + 1, i + 2
+            else:
+                assert ordered[i].imag >= 0 or ordered[i].conjugate() not in ordered
+                i += 1
+        assert found == pairs
+
+    def test_sign_poles_start_with_the_largest_pair(self):
+        assert leja_order(zolotarev_sign_poles((0.05, 30.0), 8).poles)[:2] == \
+            (26.459311213243105j, -26.459311213243105j)
+
+    def test_real_sets_keep_the_greedy_order(self, rng):
+        # the plain greedy Leja order of a real set, pole by pole
+        def greedy(pool):
+            pool = [complex(p) for p in pool]
+            ordered = [pool.pop(min(range(len(pool)),
+                                    key=lambda i: (-abs(pool[i]), pool[i].imag, pool[i].real)))]
+            while pool:
+                with np.errstate(divide="ignore"):
+                    scores = [(-float(np.sum(np.log([abs(p - q) for q in ordered]))),
+                               p.imag, p.real) for p in pool]
+                ordered.append(pool.pop(min(range(len(pool)), key=scores.__getitem__)))
+            return tuple(ordered)
+
+        window = SpectralWindow(1e-3, 1e3)
+        for poles in (quasi_optimal_poles(window, (-np.inf, 0.0), 10).poles,
+                      tuple(-np.exp(rng.uniform(-5.0, 5.0, 12))), (-1.0, -1.0, -2.0)):
+            assert leja_order(poles) == greedy(poles)
 
     def test_infinite_rejected(self):
         with pytest.raises(ValueError):

@@ -309,17 +309,70 @@ class TestSylvesterDense:
         A2 = rand_complex(rng, n2, n2) - 6 * np.eye(n2)
         C = rand_complex(rng, n1, n2)
         assert np.array_equal(sylvester_dense(A1, A2, C), sla.solve_sylvester(A1, -A2, -C))
-        # real coefficients take the complex Schur form, with the bits of
-        # scipy on complex copies (scipy's real Schur path has other bits)
-        d1 = np.diag(rng.uniform(1.0, 3.0, n1))
-        d2 = np.diag(-rng.uniform(1.0, 3.0, n2))
+        # real data take the real Schur forms, with the bits of scipy on the
+        # float64 data, whichever container they come in; the solution is
+        # complex128
+        R1 = rng.standard_normal((n1, n1)) + 6 * np.eye(n1)
+        R2 = rng.standard_normal((n2, n2)) - 6 * np.eye(n2)
         R = rng.standard_normal((n1, n2))
-        ref = sla.solve_sylvester(d1.astype(complex), -d2.astype(complex), -R.astype(complex))
-        assert np.array_equal(sylvester_dense(d1, d2, R), ref)
+        ref = sla.solve_sylvester(R1, -R2, -R)
+        assert ref.dtype == np.float64
+        for args in ((R1, R2, R), (R1.astype(complex), R2.astype(complex), R.astype(complex))):
+            Z = sylvester_dense(*args)
+            assert Z.dtype == np.complex128 and np.array_equal(Z, ref)
+
+    @staticmethod
+    def rotations(rng, n, shift):
+        """A real n x n matrix with the conjugate eigenvalue pairs
+        shift + t_j +- i w_j (2 x 2 rotation blocks), in a random basis."""
+        T = np.zeros((n, n))
+        for j in range(0, n - 1, 2):
+            t, w = rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.0)
+            T[j:j + 2, j:j + 2] = [[t, w], [-w, t]]
+        if n % 2:
+            T[-1, -1] = rng.uniform(0.0, 1.0)
+        X = rng.standard_normal((n, n)) + 3 * np.eye(n)
+        return np.linalg.solve(X, (T + shift * np.eye(n)) @ X)
+
+    @pytest.mark.parametrize("n1, n2", [(2, 2), (7, 6), (8, 5)])
+    def test_real_schur_path_against_the_kronecker_oracle(self, rng, n1, n2):
+        # real coefficients whose spectra are complex conjugate pairs: the
+        # real Schur forms have 2 x 2 blocks
+        A1 = self.rotations(rng, n1, 3.0)
+        A2 = self.rotations(rng, n2, -3.0)
+        assert np.diagonal(sla.schur(A1)[0], -1).any()
+        B1C2 = rng.standard_normal((n1, n2))
+        Z = sylvester_dense(A1, A2, B1C2)
+        K = np.kron(np.eye(n2), A1) - np.kron(A2.T, np.eye(n1))
+        z = np.linalg.solve(K, -B1C2.reshape(-1, order="F"))
+        assert norm2(Z - z.reshape(n1, n2, order="F")) <= 1e-12 * norm2(Z)
+        assert not Z.imag.any()
+
+    def test_schur_eigenvalues_of_the_real_forms(self, rng):
+        A = self.rotations(rng, 9, 0.5)
+        w = signsylv._schur_eigenvalues(sla.schur(A, output="real")[0])
+        ref = np.linalg.eigvals(A)
+        assert np.abs(np.sort_complex(w) - np.sort_complex(ref)).max() <= 1e-12 * norm2(A)
 
     def test_spectra_intersect(self):
         with pytest.raises(SpectraIntersect):
             sylvester_dense(np.diag([1.0, 2.0]), np.diag([2.0]), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("w2, touches", [(2.0, True), (2.0 + 1e-13, True), (3.0, False)])
+    def test_conjugate_spectra_read_from_the_2x2_blocks(self, w2, touches):
+        # A1 has 1 +- 2i and A2 has 1 +- i w2, each in a 2 x 2 rotation block
+        # of its real Schur form, whose diagonal holds only the real part 1:
+        # the spectra touch exactly when w2 is 2 (up to 1e-12 of the
+        # Frobenius norms)
+        A1 = np.array([[1.0, 2.0], [-2.0, 1.0]])
+        A2 = np.array([[1.0, w2], [-w2, 1.0]])
+        F = np.ones((2, 2))
+        if touches:
+            with pytest.raises(SpectraIntersect):
+                sylvester_dense(A1, A2, F)
+        else:
+            Z = sylvester_dense(A1, A2, F)
+            assert norm2(A1 @ Z - Z @ A2 + F) <= 1e-14 * norm2(Z)
 
     @pytest.mark.parametrize("gap, touches", [(3e-12, True), (5e-12, False)])
     def test_separation_is_relative_to_frobenius_norms(self, gap, touches):

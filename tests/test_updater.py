@@ -382,7 +382,9 @@ class TestRateExamples:
 
 def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
     # a transient singularity at step 3 leaves a gap in the history; every
-    # later estimate must stay on the row of the step that produced it
+    # later estimate must stay on the row of the step that produced it, and
+    # the step whose lag partner is the gap compares with the latest
+    # evaluated step before it
     import rkupdate.updater as updater
     from rkupdate.cli import _fmt, _rows_from_report, write_csv
     A, _ = random_hermitian(rng, 30, 0.5, 8.0)
@@ -410,10 +412,12 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
     assert len(rep.estimates) == m_max - d
     for m in range(d + 1, m_max + 1):
         est = rep.estimates[m - 1 - d]
-        if m in (3, 5):   # the retried step, and the step whose lag partner it is
+        if m == 3:   # the retried step
             assert est is None
         else:
-            assert est == padded_difference_norm(hist[m - 1], hist[m - 1 - d], hermitian=True)
+            # step 5's lag partner is the gap at step 3, so it takes step 2
+            old = hist[m - 1 - d] if m != 5 else hist[1]
+            assert est == padded_difference_norm(hist[m - 1], old, hermitian=True)
     assert not rep.stagnation_warning
     assert "nan" not in rep.summary()
 
@@ -426,7 +430,7 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
     for m, (_, e_true, est, _) in enumerate(rows, start=1):
         assert e_true == _fmt(rep.true_errors[m - 1])
         assert est == _fmt(rep.estimates[m - 1 - d] if m > d else None)
-    assert rows[2][1] == "" and rows[2][2] == "" and rows[4][2] == ""
+    assert rows[2][1] == "" and rows[2][2] == "" and rows[4][2] != ""
 
 
 def test_runs_free_their_factorizations(rng):
@@ -575,3 +579,86 @@ def test_real_path_laplacian_keeps_the_coupling_real():
         left.advance(-0.25)  # left of the spectrum [0.01, 4.01]
         X = update_hermitian(left, B, J, FunctionSpec.inv_sqrt())
         assert X.dtype == np.complex128 and not X.imag.any()
+
+
+class TestConjugatePairSteps:
+    """Real data with a conjugate pair of consecutive poles take one paired
+    step; the step of the pair's first pole is a gap."""
+
+    PLAN = PolePlan((-1.0 + 1.5j, -1.0 - 1.5j, -3.0), repetition="cyclic")
+
+    @staticmethod
+    def instance(rng, n=24):
+        A, _ = random_hermitian(rng, n, 0.5, 4.5)
+        return A.real, 0.2 * rng.standard_normal((n, 1)), np.array([[0.8]])
+
+    def test_a_run_that_ends_mid_pair_ends_on_an_evaluated_step(self, rng):
+        A, B, J = self.instance(rng)
+        f = FunctionSpec.inv_sqrt()
+        dense = dense_update(A, B @ J @ B.T, f, hermitian=True)
+        state, rep = run_update(A, B, f=f, plan=self.PLAN, m_max=4, tol=0.0, J=J,
+                                true_update=dense)
+        hist = state.coupling_history
+        assert rep.iterations == 4 and rep.poles == self.PLAN.expand(4)
+        assert [X is None for X in hist] == [True, False, False, False]
+        assert rep.true_errors[-1] is not None and rep.estimates[-1] is not None
+        # the unpaired last pole took a single complex step
+        assert state.left.basis.dtype == np.complex128 and state.left.dimension == 4
+        ref, _ = run_update(A, 1j * B, f=f, plan=self.PLAN, m_max=4, tol=0.0, J=J)
+        assert norm2(state.materialize() - ref.materialize()) <= 1e-13
+
+    def test_dependent_real_and_imaginary_parts_take_the_single_steps(self, rng):
+        # an eigenvector seed: W = (A - xi I)^{-1} e_0 is a multiple of e_0,
+        # so [Re W, Im W] loses rank; the run does what the single complex
+        # steps do, here as for a complex seed
+        A = np.diag(np.linspace(1.0, 5.0, 12))
+        B, J, f = np.eye(12)[:, :1], np.array([[0.5]]), FunctionSpec.inv_sqrt()
+        runs = [run_update(A, seed, f=f, plan=self.PLAN, m_max=6, tol=0.0, J=J)
+                for seed in (B, 1j * B)]
+        for state, rep in runs:
+            assert rep.converged and rep.breakdown_step == 2 and rep.iterations == 1
+            assert rep.estimates == []
+            exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
+            assert norm2(state.materialize() - exact) <= 1e-14
+        for seed in (B, 1j * B):
+            with pytest.raises(RankDeficient) as info:
+                run_update(A, seed, np.ones((12, 1)), f=f, plan=self.PLAN, m_max=6, tol=0.0)
+            assert info.value.step == 2
+
+    def test_reports_and_rows_show_the_mid_pair_gaps(self, rng, tmp_path):
+        from rkupdate.cli import _rows_from_report, write_csv
+        A, B, J = self.instance(rng)
+        f = FunctionSpec.inv_sqrt()
+        dense = dense_update(A, B @ J @ B.T, f, hermitian=True)
+        state, rep = run_update(A, B, f=f, plan=self.PLAN, m_max=6, tol=0.0, J=J,
+                                true_update=dense)
+        hist = state.coupling_history
+        assert state.left.basis.dtype == np.float64 and state.left.dimension == 6
+        assert [e is None for e in rep.true_errors] == [True, False, False, True, False, False]
+        # d = 2: step 3 compares with the gap at step 1 (and has no earlier
+        # solution), steps 5 and 6 with step 3, the latest evaluated one at
+        # least two steps back
+        assert rep.estimates[:2] == [None, None]
+        assert rep.estimates[2:] == [padded_difference_norm(hist[m - 1], hist[2], hermitian=True)
+                                     for m in (5, 6)]
+        path = tmp_path / "pairs.csv"
+        write_csv(path, _rows_from_report(rep))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
+        assert [row[1] == "" for row in rows] == [True, False, False, True, False, False]
+        assert [row[2] == "" for row in rows] == [True, True, True, True, False, False]
+
+    def test_fig3_alg3_reaches_the_lucky_breakdown_in_real_arithmetic(self):
+        # the fig3 instance at n = 100: 50 pairs fill R^100, and the pair
+        # that starts at step 101 has no room left
+        from rkupdate.cli import _cyclic, _gap, _sign_instance
+        from rkupdate.poles import zolotarev_sign_poles
+        lam, b = _sign_instance(100, 1)
+        A = np.diag(lam)
+        gap = _gap(lam, np.linalg.eigvalsh(A + b @ b.T))
+        plan = _cyclic(zolotarev_sign_poles(gap, 10).poles)
+        state, rep = run_update(A, b, f=FunctionSpec.sign(), plan=plan, m_max=104, tol=0.0,
+                                J=np.eye(1))
+        assert rep.converged and rep.breakdown_step == 101 and rep.iterations == 100
+        assert state.left.dimension == 100 and state.left.basis.dtype == np.float64
+        assert state.coupling is state.coupling_history[-1] is not None
