@@ -2,7 +2,9 @@
 # Runs every CLI path that turns a pole plan into poles twice and checks
 # that the second run writes the same bytes (bitwise determinism per seed):
 # the three figure experiments at n = 100, a custom update with the
-# extended plan and with two pole files, and the sylvester subcommand at an
+# extended plan, with the three Zolotarev strategies (quasi-optimal,
+# inverse square root and sign poles, whose nodes come from SciPy's elliptic
+# functions) and with two pole files, and the sylvester subcommand at an
 # even and at an odd step count.
 #
 #   bash .github/cli-determinism.sh WORKDIR
@@ -46,10 +48,12 @@ for run in 1 2; do
     PYTHONPATH=src python -m rkupdate.cli update --experiment "$experiment" \
       --n 100 --tol 0 --out "$out/$experiment.csv"
   done
-  for poles in extended "$in/poles.txt" "$in/poles-pair.txt"; do
+  for poles in extended quasi-optimal:4 zolotarev-invsqrt:4 zolotarev-sign:4 \
+      "$in/poles.txt" "$in/poles-pair.txt"; do
+    name="$(basename "$poles" .txt)"
     PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
       --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
-      --poles "$poles" --m-max 30 --tol 0 --out "$out/custom-$(basename "$poles" .txt).csv"
+      --poles "$poles" --m-max 30 --tol 0 --out "$out/custom-${name/:/-}.csv"
   done
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \

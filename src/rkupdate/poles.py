@@ -8,11 +8,15 @@ cyclic plan tiles its poles to any length, an as-given one must hold at
 least as many poles as a run asks for, and a Leja-ordered plan is put in
 that order once, when it is made.
 
+A pole with an infinite part is the polynomial step :data:`INF`; a pole
+with a NaN part is a ``ValueError``.
+
 Also contains the single optimal pole for Markov functions, quasi-optimal
-(Zolotarev) pole sets built from Jacobi elliptic functions, Zolotarev poles
-for the matrix sign function and the inverse square root, the repeated pole
-for the exponential, the extended plan {0, inf}, Leja ordering, and the
-parser of the plain-text pole files the CLI reads (a cyclic plan).
+(Zolotarev) pole sets, Zolotarev poles for the matrix sign function and the
+inverse square root (their nodes from SciPy's Jacobi elliptic functions,
+``scipy.special.ellipj`` and ``ellipkm1``), the repeated pole for the
+exponential, the extended plan {0, inf}, Leja ordering, and the parser of
+the plain-text pole files the CLI reads (a cyclic plan).
 """
 
 import cmath
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import is_infinite_pole
-from .elliptic import complete_k, jacobi_sn_cn_dn
 from .errors import SupportOverlapsSpectrum
 
 __all__ = [
@@ -42,9 +45,10 @@ GONCHAR_RAKHMANOV_RATE = 9.28903
 
 
 def _canon(p):
-    if is_infinite_pole(p):
-        return INF
-    return complex(p)
+    p = complex(p)
+    if cmath.isnan(p):
+        raise ValueError(f"pole {p} is not a number")
+    return INF if is_infinite_pole(p) else p
 
 
 @dataclass(frozen=True)
@@ -226,19 +230,18 @@ def markov_single_pole(window, support):
 
 def _zolotarev_cpoints(ell, r):
     """Zolotarev nodes c_j = ell^2 sn^2/cn^2 (j*K/(2r)), j = 1..2r-1,
-    for the gap parameter ell in (0, 1]."""
+    for the gap parameter ell in (0, 1]: parameter m = 1 - ell^2, and K
+    from the complementary parameter ell^2, which is exact in ell."""
     if not 0.0 < ell <= 1.0:
         raise ValueError("gap parameter must lie in (0, 1]")
-    if ell == 1.0:
-        grid = np.arange(1, 2 * r) * (np.pi / (4.0 * r))
-        return np.tan(grid) ** 2
-    kappa = math.sqrt((1.0 - ell) * (1.0 + ell))
-    K = complete_k(kappa)
-    out = np.empty(2 * r - 1)
-    for j in range(1, 2 * r):
-        sn, cn, _ = jacobi_sn_cn_dn(j * K / (2.0 * r), kappa)
-        out[j - 1] = (ell * sn / cn) ** 2
-    return out
+    # imported here, not at module level: scipy.special adds about 65 ms
+    # (2-core Xeon VM) to every ``import rkupdate``, also for runs that
+    # build no Zolotarev pole
+    from scipy.special import ellipj, ellipkm1
+
+    K = ellipkm1(ell**2)
+    sn, cn, _, _ = ellipj(np.arange(1, 2 * r) * K / (2.0 * r), 1.0 - ell**2)
+    return (ell * sn / cn) ** 2
 
 
 def zolotarev_invsqrt_poles(interval, degree):

@@ -112,6 +112,20 @@ class TestMainUpdate:
                        "--out", str(tmp_path / "o.csv")])
         assert status == 0
 
+    def test_nan_pole_file_is_error_exit(self, tmp_path, rng, capsys):
+        _write_custom_instance(tmp_path, rng)
+        (tmp_path / "poles.txt").write_text("nan\n-1\n")
+        status = main(["update", "--experiment", "custom",
+                       "--matrix-a", str(tmp_path / "A.mtx"),
+                       "--matrix-b", str(tmp_path / "B.mtx"),
+                       "--matrix-j", str(tmp_path / "J.mtx"),
+                       "--poles", str(tmp_path / "poles.txt"),
+                       "--m-max", "8",
+                       "--out", str(tmp_path / "o.csv")])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("rkupdate: error: pole")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_extended_plan_builds_no_window(self, tmp_path, rng, monkeypatch):
         # only the strategies that read the window or the gap compute spectra
         def no_window(*args, **kwargs):

@@ -69,6 +69,24 @@ class TestPolePlan:
         assert raw == PolePlan((-1.0, INF)) and raw.repetition == "as-given"
         assert raw.expand() == (-1.0, INF)
 
+    @pytest.mark.parametrize("pole", [math.nan, complex(math.nan, 1.0),
+                                      complex(-1.0, math.nan), complex(math.inf, math.nan)])
+    def test_nan_pole_rejected(self, pole):
+        with pytest.raises(ValueError, match="not a number"):
+            PolePlan((-1.0, pole))
+        with pytest.raises(ValueError, match="not a number"):
+            PolePlan((pole,), repetition="cyclic", ordering="leja")
+
+    @pytest.mark.parametrize("pole", [math.inf, -math.inf, complex(0.0, math.inf),
+                                      complex(-math.inf, 1.0)])
+    def test_infinite_poles_stay_polynomial_steps(self, pole):
+        assert PolePlan((pole, -1.0)).poles == (INF, -1.0)
+
+    def test_from_text_rejects_nan(self):
+        for text in ("nan\n-1\n", "-1\nnan+1j\n", "1+nanj\n"):
+            with pytest.raises(ValueError, match="not a number"):
+                PolePlan.from_text(text)
+
     @pytest.mark.parametrize("repetition", ["as-given", "cyclic"])
     def test_empty_plan(self, repetition):
         plan = PolePlan((), repetition=repetition)
@@ -221,6 +239,22 @@ class TestZolotarev:
         rate = math.exp(-2.0 * math.pi**2 / math.log(16.0 * 1e4))
         assert err / err4 == pytest.approx(rate**3, rel=0.35)
 
+    # 40-digit mpmath values of the poles for the double inputs
+    def test_sign_poles_against_exact_values(self):
+        exact = [0.056690818135157393019, 0.46161159074256833233,
+                 3.249485130100471111, 26.459311213745911349]
+        poles = zolotarev_sign_poles((0.05, 30.0), 8).poles
+        upper = sorted(p.imag for p in poles if p.imag > 0)
+        assert upper == pytest.approx(exact, rel=5e-11, abs=0.0)
+
+    def test_invsqrt_poles_against_exact_values(self):
+        exact = [-0.0015196144497831463035, -0.12525172244114423797,
+                 -7.9839221410300352751, -658.06165514068593075]
+        poles = zolotarev_invsqrt_poles((1e-3, 1e3), 4).poles
+        assert all(p.imag == 0.0 for p in poles)
+        assert sorted((p.real for p in poles), reverse=True) == \
+            pytest.approx(exact, rel=5e-11, abs=0.0)
+
     def test_invsqrt_poles_negative_real(self):
         plan = zolotarev_invsqrt_poles((0.25, 9.0), 7)
         assert all(p.imag == 0 and p.real < 0 for p in plan.poles)
@@ -281,8 +315,9 @@ class TestLeja:
         assert found == pairs
 
     def test_sign_poles_start_with_the_largest_pair(self):
-        assert leja_order(zolotarev_sign_poles((0.05, 30.0), 8).poles)[:2] == \
-            (26.459311213243105j, -26.459311213243105j)
+        poles = zolotarev_sign_poles((0.05, 30.0), 8).poles
+        top = max(poles, key=lambda p: p.imag)
+        assert leja_order(poles)[:2] == (top, top.conjugate())
 
     def test_real_sets_keep_the_greedy_order(self, rng):
         # the plain greedy Leja order of a real set, pole by pole
