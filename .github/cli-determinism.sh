@@ -5,7 +5,10 @@
 # extended plan, with the three Zolotarev strategies (quasi-optimal,
 # inverse square root and sign poles, whose nodes come from SciPy's elliptic
 # functions) and with two pole files, and the sylvester subcommand at an
-# even and at an odd step count.
+# even and at an odd step count.  One more custom update runs above the
+# desk scale (n = 600 > ORACLE_MAX_N): it has no true errors, so the small
+# problem is solved only at the checkpoint schedule's steps, and its CSV
+# has empty estimate cells at the skipped steps, never "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
@@ -38,6 +41,11 @@ for name, M in [("A", A), ("B", normal_block(1, n, 1)), ("J", np.eye(1)),
                 ("A2", -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1)),
                 ("B1", normal_block(2, n, 2)), ("C2", normal_block(3, n, 2))]:
     write_matrix(f"{d}/{name}.mtx", M)
+# the same Laplacian at n = 600, above the desk scale
+n = 600
+A = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2) - np.eye(n, k=1) - np.eye(n, k=-1)
+write_matrix(f"{d}/A600.mtx", A)
+write_matrix(f"{d}/B600.mtx", normal_block(4, n, 1))
 EOF
 printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
 printf '# a pole file with a conjugate pair\n-0.5\ninf\n-1+1j\n-1-1j\n' > "$in/poles-pair.txt"
@@ -58,6 +66,14 @@ for run in 1 2; do
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 31 --tol 0 --out "$out/custom-poles-pair-31.csv"
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/A600.mtx" --matrix-b "$in/B600.mtx" --matrix-j "$in/J.mtx" \
+    --poles extended --m-max 80 --tol 1e-10 --out "$out/custom-n600.csv"
+  # (a bare "! grep" would not stop the script: set -e ignores negated commands)
+  if grep -qi nan "$out/custom-n600.csv"; then
+    echo "custom-n600.csv holds nan" >&2
+    exit 1
+  fi
   for m in 20 21; do
     PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1.mtx" \
       --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1.mtx" --matrix-c2 "$in/C2.mtx" \

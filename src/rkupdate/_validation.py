@@ -54,9 +54,12 @@ def as_array(A, name="A", *, rows=None, square=False):
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={M.ndim}")
     M = np.asarray(M, dtype=np.float64 if M.dtype.kind in "biuf" else np.complex128)
+    # the realness cut comes first, so that a complex-stored real matrix is
+    # scanned as float64; a NaN or infinite imaginary part is nonzero and
+    # keeps the complex scan
+    M = np.ascontiguousarray(real_if_real(M))
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
-    M = np.ascontiguousarray(real_if_real(M))
     if rows is not None and M.shape[0] != rows:
         raise ValueError(f"{name} has {M.shape[0]} rows, expected {rows}")
     if square and M.shape[0] != M.shape[1]:

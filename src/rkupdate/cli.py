@@ -9,6 +9,7 @@ standard output; identical config+seed gives bitwise-identical files.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -43,7 +44,7 @@ CSV_HEADER = "m,error_true,error_estimate,bound"
 @dataclass
 class ExperimentResult:
     name: str
-    rows: list                      # (m, err_true or None, est or None, bound or None)
+    rows: list                      # (m, err_true, est, bound); None or NaN: no value
     report: object
     extras: dict = field(default_factory=dict)
 
@@ -52,7 +53,8 @@ class ExperimentResult:
 
 
 def _fmt(x):
-    return "" if x is None else f"{float(x):.15e}"
+    """A CSV cell: empty for a step with no value (None or NaN)."""
+    return "" if x is None or math.isnan(x) else f"{float(x):.15e}"
 
 
 def write_csv(path, rows):

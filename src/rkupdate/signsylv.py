@@ -102,10 +102,11 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     zero update (no step), as in :func:`rkupdate.updater.run_update`.
 
     The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
-    m_max >= 1 and d >= 1, and a step whose compression of A^2 or (A + D)^2
-    is not numerically positive definite (a singularity of f) is retried
-    after one extra step; two consecutive failures raise
-    :class:`SingularityOnSpectrum`.
+    m_max >= 1 and d >= 1, evaluates only the steps of the checkpoint
+    schedule when ``true_update`` is not given, and a step whose
+    compression of A^2 or (A + D)^2 is not numerically positive definite
+    (a singularity of f) is retried after one extra step; two consecutive
+    failures raise :class:`SingularityOnSpectrum`.
     """
     _check_steps(m_max, d)
     poles = PolePlan.of(plan).expand(m_max)
@@ -288,8 +289,9 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     with the same pole plan, solves the compressed Sylvester equation
     G Z~ - Z~ H* + (U*B1)(V*C2)* = 0 each step, and stops on the relative
     change of padded Z~ iterates.  At desk scale the relative residual of
-    every step is recorded, from low-rank factors.  The step loop, with its
-    need for m_max >= 1 and d >= 1, is the one of
+    every step is recorded, from low-rank factors; above it the compressed
+    equation is solved only at the steps of the checkpoint schedule.  The
+    step loop, with its need for m_max >= 1 and d >= 1, is the one of
     :func:`rkupdate.updater.run_update`.
     """
     _check_steps(m_max, d)

@@ -18,8 +18,24 @@ consecutive poles as one paired step of real arithmetic (see
 end only: the pair's first step is a gap in the report, as a retried step
 is, and the estimator compares each iterate with the latest one evaluated
 at least d steps before it.
+
+A run that computes no true error (or residual) evaluates the small problem
+only at the steps of a fixed schedule (:func:`_schedule`): a checkpoint c
+once the Krylov work since the previous one, about n * dim * ell flops per
+step and basis, has reached the small problem's dim**3, and the step c - d
+that its estimate reads.  Every other step is a gap.  Since the estimate of
+a checkpoint compares X_c with X_{c-d}, as without the schedule, it has the
+same bits as in a run that evaluates every step, and a run stops at the
+first checkpoint whose estimate meets the tolerance: with decreasing
+estimates, at most one gap after the step where a run that evaluates every
+step stops.  At n = 1e5 with blocks of 4 columns the schedule holds every
+step up to 150; at desk scale its gaps grow quickly.  A step without a
+value (a gap of the schedule, a pair's first step, a retried step) records
+NaN in the report's estimates and true errors, and None in the history of
+solutions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +159,11 @@ class UpdateReport:
 
     ``estimates[k]`` is the estimate of step k + 1 + d (the first d steps
     have none) and ``true_errors[k]`` the true error of step k + 1; a step
-    retried after a singularity of f, and the first step of a paired
-    conjugate pair, record None in both.
+    with no value records NaN in both: a step retried after a singularity
+    of f, the first step of a paired conjugate pair, and, in a run without
+    true errors, a step that the checkpoint schedule skips (see
+    :func:`_schedule`).  An estimate that is recorded has the bits it has
+    in a run that evaluates every step.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
     """
@@ -159,7 +178,7 @@ class UpdateReport:
     breakdown_step: int = None
 
     def summary(self):
-        known = [v for v in (self.true_errors or self.estimates) if v is not None]
+        known = [v for v in (self.true_errors or self.estimates) if not math.isnan(v)]
         final = f"{known[-1]:.16e}" if known else "none"
         return (f"converged={str(self.converged).lower()} "
                 f"iterations={self.iterations} final_error={final}")
@@ -186,6 +205,28 @@ def _advance_pair(left, right, xi):
     return True
 
 
+def _schedule(n, ell, bases, steps, d):
+    """The steps whose small problem a run without true errors evaluates.
+
+    Step j has the dimension ``dim_j = ell * j`` (a paired step counts as
+    its two steps), and its Krylov work is about ``bases * n * dim_j * ell``
+    flops: a block of ell columns solved, multiplied and orthogonalized
+    against dim_j columns of length n, in each of ``bases`` bases.  A step
+    c is a checkpoint once the work of the steps since the previous
+    checkpoint reaches ``dim_c**3``, the work of the small problem, and the
+    last step is always one.  Returns the set of every checkpoint c and of
+    the step c - d that its estimate compares with (when c > d).
+    """
+    checkpoints, work = [], 0
+    for j in range(1, steps + 1):
+        dim = ell * j
+        work += bases * n * dim * ell
+        if work >= dim ** 3 or j == steps:
+            checkpoints.append(j)
+            work = 0
+    return {s for c in checkpoints for s in (c, c - d) if s >= 1}
+
+
 def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
     """The step loop shared by every solver: one step per pole.
 
@@ -195,6 +236,13 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     error or residual, and ``estimate(new, old)`` the difference between it
     and the latest solution of at least d steps earlier.  The run stops
     once an estimate is at most ``tol``.
+
+    With ``error``, every step is evaluated.  Without it, only the steps of
+    :func:`_schedule` are: each checkpoint c and the step c - d, so that the
+    estimate of c is the one a run that evaluates every step records.  The
+    other steps are gaps.  A scheduled first step of a paired step (below)
+    moves to the pair's end, and the step after a failed evaluation is
+    always evaluated.
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
@@ -208,32 +256,48 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     falls in the span of the basis (an ``exhausted`` :class:`RankDeficient`)
     has hit an invariant subspace that contains the seed, so the solution
     of step k - 1 is exact: the run ends there, converged, with
-    ``breakdown_step = k``.  Rank loss at step 1, of part of a block, after
-    a gap, or in a two-basis run re-raises.
+    ``breakdown_step = k``; when step k - 1 is a gap of the schedule, its
+    unchanged basis is evaluated first.  Rank loss at step 1, of part of a
+    block, after a failed evaluation, or in a two-basis run re-raises.
 
     Paired steps: when every basis is real (``float64``) and the pole after
     xi is conj(xi), both take one paired step
     (:meth:`~rkupdate.arnoldi.KrylovBasis.advance_pair`).  The step of xi
-    is then a gap, recorded as None in the history, the estimates and the
-    errors as for a retried step, and the solution is evaluated at the
-    step of conj(xi).  A complex pole whose conjugate does not follow (a
-    run may end mid-pair) takes a single step, which promotes the basis,
-    so a run never ends on a gap.  When [Re W, Im W] of ``left`` loses
-    part of its rank, both bases take the two single steps instead, with
-    the rules above; when it loses all of it, the rank loss is that of the
-    step of xi; when only that of ``right`` loses rank, ``right`` alone
-    takes the single steps.  Since the estimate skips gaps, d = 1 has
-    estimates across pairs.
+    is then a gap, and the solution is evaluated at the step of conj(xi)
+    (when it is scheduled).  A complex pole whose conjugate does not
+    follow (a run may end mid-pair) takes a single step, which promotes
+    the basis, so a run never ends on a gap.  When [Re W, Im W] of
+    ``left`` loses part of its rank, both bases take the two single steps
+    instead, with the rules above; when it loses all of it, the rank loss
+    is that of the step of xi; when only that of ``right`` loses rank,
+    ``right`` alone takes the single steps.  Since the estimate skips
+    gaps, d = 1 has estimates across pairs.
 
-    Returns (history of solutions with None at gaps, UpdateReport).
+    A gap is None in the history and NaN in the estimates and the errors.
+    Returns (history of solutions, UpdateReport).
     """
     history = []
     estimates = []
     errors = [] if error is not None else None
+    schedule = None if error is not None else _schedule(
+        max(left.n, right.n), left.block_size, 1 if right is left else 2, len(poles), d)
     converged = False
     breakdown = None
     failures = 0
     m = 0
+
+    def solve(step):
+        new = evaluate()
+        if not all(np.isfinite(a).all() for a in (new if isinstance(new, tuple) else (new,))):
+            raise NonFiniteResult(
+                f"the small problem of step {step} has non-finite entries", step=step)
+        return new
+
+    def lagged_estimate(step):
+        new = history[step - 1]
+        old = next((h for h in reversed(history[:step - d]) if h is not None), None)
+        return math.nan if new is None or old is None else estimate(new, old)
+
     try:
         while m < len(poles):
             xi = poles[m]
@@ -247,48 +311,53 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
                 if not paired:
                     left.advance(xi)
             except RankDeficient as exc:
-                if right is not left or m == 1 or not exc.exhausted or history[-1] is None:
+                if right is not left or m == 1 or not exc.exhausted or failures:
                     raise
+                if history[-1] is None:
+                    # a gap of the schedule; the basis is still that of step m - 1
+                    try:
+                        history[-1] = solve(m - 1)
+                    except SingularityOnSpectrum as sing:
+                        sing.step = m - 1
+                        raise
+                    if m - 1 > d:
+                        estimates[-1] = lagged_estimate(m - 1)
                 converged, breakdown = True, m
                 break
             if paired:
                 # the step of xi is a gap: its solution is not evaluated
                 history.append(None)
                 if errors is not None:
-                    errors.append(None)
+                    errors.append(math.nan)
                 if m > d:
-                    estimates.append(None)
+                    estimates.append(math.nan)
                 m += 1
             elif right is not left:
                 right.advance(xi)
-            try:
-                new = evaluate()
-                failures = 0
-            except SingularityOnSpectrum as exc:
-                failures += 1
-                if failures >= 2 or m == len(poles):
-                    exc.step = m
-                    raise
-                new = None
-            if new is not None and not all(
-                    np.isfinite(a).all() for a in (new if isinstance(new, tuple) else (new,))):
-                raise NonFiniteResult(
-                    f"the small problem of step {m} has non-finite entries", step=m)
+            new = None
+            if schedule is None or failures or m in schedule or (paired and m - 1 in schedule):
+                try:
+                    new = solve(m)
+                    failures = 0
+                except SingularityOnSpectrum as exc:
+                    failures += 1
+                    if failures >= 2 or m == len(poles):
+                        exc.step = m
+                        raise
             history.append(new)
             if errors is not None:
-                errors.append(None if new is None else error(new))
+                errors.append(math.nan if new is None else error(new))
             if m > d:
-                old = next((h for h in reversed(history[:m - d]) if h is not None), None)
-                est = None if new is None or old is None else estimate(new, old)
+                est = lagged_estimate(m)
                 estimates.append(est)
-                if est is not None and est <= tol:
+                if est <= tol:
                     converged = True
                     break
     finally:
         left.cache.clear()
         right.cache.clear()
 
-    known = [e for e in estimates if e is not None]
+    known = [e for e in estimates if not math.isnan(e)]
     stagnation = (not converged and len(known) >= 3
                   and known[-2] > 0.95 * known[-3] and known[-1] > 0.95 * known[-2])
     report = UpdateReport(
@@ -343,7 +412,10 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
     that Hermitian difference), or against the latest iterate before step
     m-d when step m-d is a gap; it requires nested bases, which the growth
-    by appended blocks guarantees.  Non-convergence is reported, not raised.
+    by appended blocks guarantees.  Without ``true_update`` the small
+    problem is solved only at the checkpoints of the module's schedule and
+    the steps their estimates read; the other steps record NaN.
+    Non-convergence is reported, not raised.
     The step loop is the one :func:`rkupdate.signsylv.sign_update` and
     :func:`rkupdate.signsylv.sylvester_solve_krylov` use, so the three share
     their stopping rule, the need for m_max >= 1 and d >= 1, and the retry:

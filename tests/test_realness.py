@@ -6,10 +6,14 @@ genuinely complex run of the same Hermitian update, seeded with B times a
 unit phase (which leaves B J B* unchanged), agrees with the real run.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rkupdate._validation import as_array
 from rkupdate.dense import norm2
 from rkupdate.functions import FunctionSpec
 from rkupdate.oracles import dense_update
@@ -55,6 +59,22 @@ def _same_run(got, ref):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     assert r1.estimates == r2.estimates and r1.true_errors == r2.true_errors
     assert r1.iterations == r2.iterations and r1.converged == r2.converged
+
+
+@pytest.mark.parametrize("entry", [complex(math.nan, 0.0), complex(1.0, math.inf),
+                                   complex(math.inf, 0.0), complex(1.0, math.nan)],
+                         ids=["nan-real-part", "inf-imaginary-part", "inf-real-part",
+                              "nan-imaginary-part"])
+def test_complex_storage_with_a_non_finite_entry_is_rejected(entry):
+    # a zero imaginary part takes the real copy, which is then scanned; a
+    # NaN or infinite imaginary part is nonzero and keeps the complex scan
+    M = np.eye(4, dtype=complex)
+    M[1, 2] = entry
+    with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+        as_array(M)
+    M[1, 2] = 0.5
+    assert as_array(M).dtype == np.float64
+    assert np.array_equal(as_array(M), as_array(M.real))
 
 
 @PROPERTIES
@@ -140,16 +160,22 @@ def test_conjugate_pairs_in_run_update(instance, theta):
     # B J B* and B C* unchanged) take single steps, and the two agree
     A, B, J, C = instance
     phase = np.exp(1j * theta)
-    hermitian = [run_update(M, Bm, f=INV_SQRT, plan=PAIR_PLAN, m_max=PAIR_STEPS, tol=0.0, J=Jm)
+    # the dense references make every run evaluate every step (a run
+    # without one evaluates only the checkpoint schedule's steps)
+    ref_h = dense_update(A, B @ J @ B.T, INV_SQRT, hermitian=True)
+    ref_g = dense_update(A, B @ C.T, INV_SQRT)
+    hermitian = [run_update(M, Bm, f=INV_SQRT, plan=PAIR_PLAN, m_max=PAIR_STEPS, tol=0.0, J=Jm,
+                            true_update=ref_h)
                  for M, Bm, Jm in ((A, B, J), _as_complex(A, B, J))]
     _same_run(*hermitian)
-    two_sided = [run_update(M, Bm, Cm, f=INV_SQRT, plan=PAIR_PLAN, m_max=PAIR_STEPS, tol=0.0)
+    two_sided = [run_update(M, Bm, Cm, f=INV_SQRT, plan=PAIR_PLAN, m_max=PAIR_STEPS, tol=0.0,
+                            true_update=ref_g)
                  for M, Bm, Cm in ((A, B, C), _as_complex(A, B, C))]
     _same_run(*two_sided)
     single = [run_update(A, phase * B, f=INV_SQRT, plan=PAIR_PLAN, m_max=PAIR_STEPS, tol=0.0,
-                         J=J)[0],
+                         J=J, true_update=ref_h)[0],
               run_update(A, phase * B, phase * C, f=INV_SQRT, plan=PAIR_PLAN,
-                         m_max=PAIR_STEPS, tol=0.0)[0]]
+                         m_max=PAIR_STEPS, tol=0.0, true_update=ref_g)[0]]
     # an update f(A + D) - f(A) is a difference of two functions of norm
     # about ||f(A)||, and its rounding is relative to that: two complex runs
     # that differ only in the phase disagree by up to 5.3e-13 ||f(A)|| (and
@@ -178,7 +204,7 @@ def test_conjugate_pairs_in_sylvester_solve_krylov(instance, theta):
     assert q1.estimates == q2.estimates and q1.true_errors == q2.true_errors
     assert z1.left.dtype == z1.right.dtype == np.float64 and z3.left.dtype == np.complex128
     # d = 1 has an estimate at every evaluated step after the first
-    assert [e is not None for e in q1.estimates] == [False, True, False, True, True]
+    assert [not math.isnan(e) for e in q1.estimates] == [False, True, False, True, True]
     single = _iterates(z3.basis_left, z3.basis_right, z3.core_history)
     _agree_at_pair_ends(_iterates(z1.basis_left, z1.basis_right, z1.core_history), single,
                         norm2(single[PAIR_STEPS]))

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
 from rkupdate.dense import norm2
@@ -14,6 +17,7 @@ from rkupdate.updater import (
     UpdateReport,
     UpdateState,
     _rational_krylov,
+    _schedule,
     padded_difference_norm,
     project_update,
     run_update,
@@ -408,12 +412,12 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
     hist = state.coupling_history
     assert raised == [3] and rep.iterations == m_max and len(hist) == m_max
     assert hist[2] is None and state.coupling is hist[-1]
-    assert [k for k, e in enumerate(rep.true_errors) if e is None] == [2]
+    assert [k for k, e in enumerate(rep.true_errors) if math.isnan(e)] == [2]
     assert len(rep.estimates) == m_max - d
     for m in range(d + 1, m_max + 1):
         est = rep.estimates[m - 1 - d]
         if m == 3:   # the retried step
-            assert est is None
+            assert math.isnan(est)
         else:
             # step 5's lag partner is the gap at step 3, so it takes step 2
             old = hist[m - 1 - d] if m != 5 else hist[1]
@@ -546,9 +550,9 @@ class TestLuckyBreakdown:
 
 @pytest.mark.parametrize("estimates,true_errors,final", [
     ([], None, "none"),
-    ([None], [None, None, None], "none"),
-    ([0.5, None], None, f"{0.5:.16e}"),
-    ([None], [0.25, None, 0.125], f"{0.125:.16e}"),
+    ([math.nan], [math.nan, math.nan, math.nan], "none"),
+    ([0.5, math.nan], None, f"{0.5:.16e}"),
+    ([math.nan], [0.25, math.nan, 0.125], f"{0.125:.16e}"),
 ])
 def test_summary_final_error(estimates, true_errors, final):
     report = UpdateReport(final_rank=3, iterations=3, estimates=estimates,
@@ -601,7 +605,7 @@ class TestConjugatePairSteps:
         hist = state.coupling_history
         assert rep.iterations == 4 and rep.poles == self.PLAN.expand(4)
         assert [X is None for X in hist] == [True, False, False, False]
-        assert rep.true_errors[-1] is not None and rep.estimates[-1] is not None
+        assert not math.isnan(rep.true_errors[-1]) and not math.isnan(rep.estimates[-1])
         # the unpaired last pole took a single complex step
         assert state.left.basis.dtype == np.complex128 and state.left.dimension == 4
         ref, _ = run_update(A, 1j * B, f=f, plan=self.PLAN, m_max=4, tol=0.0, J=J)
@@ -634,11 +638,11 @@ class TestConjugatePairSteps:
                                 true_update=dense)
         hist = state.coupling_history
         assert state.left.basis.dtype == np.float64 and state.left.dimension == 6
-        assert [e is None for e in rep.true_errors] == [True, False, False, True, False, False]
+        assert [math.isnan(e) for e in rep.true_errors] == [True, False, False, True, False, False]
         # d = 2: step 3 compares with the gap at step 1 (and has no earlier
         # solution), steps 5 and 6 with step 3, the latest evaluated one at
         # least two steps back
-        assert rep.estimates[:2] == [None, None]
+        assert all(math.isnan(e) for e in rep.estimates[:2])
         assert rep.estimates[2:] == [padded_difference_norm(hist[m - 1], hist[2], hermitian=True)
                                      for m in (5, 6)]
         path = tmp_path / "pairs.csv"
@@ -662,3 +666,187 @@ class TestConjugatePairSteps:
         assert rep.converged and rep.breakdown_step == 101 and rep.iterations == 100
         assert state.left.dimension == 100 and state.left.basis.dtype == np.float64
         assert state.coupling is state.coupling_history[-1] is not None
+
+
+SCHEDULE_PROPERTIES = settings(derandomize=True, max_examples=10, deadline=None, database=None)
+
+
+@st.composite
+def scheduled_instance(draw):
+    """(A, B, J, C, plan, d): a Hermitian A with spectrum in [0.5, 4.5] at a
+    size where the checkpoint schedule has gaps, a block of one or two
+    columns, a real pole plan and a lag d."""
+    n = draw(st.integers(30, 48))
+    ell = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, _ = random_hermitian(rng, n, 0.5, 4.5)
+    B = 0.1 * rand_complex(rng, n, ell)
+    C = 0.1 * rand_complex(rng, n, ell)
+    J = np.diag(rng.uniform(0.5, 1.5, ell))
+    plan = draw(st.sampled_from([(-1.0,), (-1.0, INF, -3.0), (-0.5, -4.0)]))
+    return A, B, J, C, PolePlan(plan, repetition="cyclic"), draw(st.integers(1, 3))
+
+
+class TestCheckpointSchedule:
+    """A run without true errors evaluates the small problem at the steps of
+    ``_schedule`` only, and each checkpoint's estimate keeps its bits."""
+
+    def test_every_step_is_scheduled_at_large_n(self):
+        # Krylov work of n = 1e5 outweighs every small problem up to
+        # dimension 600; a pure call on step counts, no n-sized array
+        tracemalloc.start()
+        try:
+            steps = _schedule(100_000, 4, 1, 150, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == set(range(1, 151))
+        assert peak < 64 * 1024
+
+    def test_checkpoints_and_their_lag_partners(self):
+        # n = 40, ell = 1: every step to 6, then the gaps grow; the last step
+        # is a checkpoint, and each checkpoint c brings c - d
+        assert _schedule(40, 1, 1, 20, 2) == {1, 2, 3, 4, 5, 6, 8, 11, 13, 18, 20}
+        assert _schedule(40, 1, 1, 1, 2) == {1}
+
+    @SCHEDULE_PROPERTIES
+    @given(scheduled_instance(), st.booleans())
+    def test_checkpoint_estimates_keep_their_bits(self, instance, hermitian):
+        A, B, J, C, plan, d = instance
+        n, ell = B.shape
+        m_max = 12
+        f = FunctionSpec.inv_sqrt()
+        kwargs = dict(J=J) if hermitian else dict(C=C)
+        ref = dense_update(A, B @ J @ B.conj().T if hermitian else B @ C.conj().T, f,
+                           hermitian=hermitian)
+        every_state, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d,
+                                        true_update=ref, **kwargs)
+        state, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, **kwargs)
+        scheduled = _schedule(n, ell, 1 if hermitian else 2, m_max, d)
+        assert {m for m, X in enumerate(state.coupling_history, start=1)
+                if X is not None} == scheduled
+        assert rep.true_errors is None and rep.iterations == every.iterations == m_max
+        for m in range(d + 1, m_max + 1):
+            got, want = rep.estimates[m - 1 - d], every.estimates[m - 1 - d]
+            if m in scheduled and m - d in scheduled:
+                assert got == want
+            elif m not in scheduled:
+                assert math.isnan(got)
+        assert np.array_equal(state.coupling, every_state.coupling)
+
+    @SCHEDULE_PROPERTIES
+    @given(scheduled_instance())
+    def test_a_converged_run_stops_at_the_first_checkpoint_that_meets_tol(self, instance):
+        A, B, J, _, plan, d = instance
+        m_max = 12
+        f = FunctionSpec.inv_sqrt()
+        ref = dense_update(A, B @ J @ B.conj().T, f, hermitian=True)
+        _, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, J=J,
+                              true_update=ref)
+        tol = every.estimates[8 - 1 - d]
+        _, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=tol, d=d, J=J)
+        scheduled = _schedule(B.shape[0], B.shape[1], 1, m_max, d)
+        first = next((m for m in sorted(scheduled)
+                      if m > d and m - d in scheduled and every.estimates[m - 1 - d] <= tol),
+                     None)
+        if first is None:
+            assert not rep.converged and rep.iterations == m_max
+        else:
+            assert rep.converged and rep.iterations == first
+            assert rep.estimates[-1] == every.estimates[first - 1 - d]
+
+    def test_retry_after_a_skipped_step(self, rng, monkeypatch):
+        # n = 40: step 7 is skipped and step 8 scheduled; a singularity at
+        # step 8 makes step 9, which the schedule skips, evaluated
+        import rkupdate.updater as updater
+        A, _ = random_hermitian(rng, 40, 0.5, 8.0)
+        B = 0.5 * rand_complex(rng, 40, 1)
+        plan = PolePlan((-2.0,), repetition="cyclic")
+        f = FunctionSpec.inv_sqrt()
+        assert 7 not in _schedule(40, 1, 1, 20, 2) and 9 not in _schedule(40, 1, 1, 20, 2)
+        original = updater.update_hermitian
+
+        def flaky(left, *args):
+            if left.steps in failing:
+                failing.remove(left.steps)
+                raise SingularityOnSpectrum("transient Ritz value")
+            return original(left, *args)
+
+        monkeypatch.setattr(updater, "update_hermitian", flaky)
+        failing = [8]
+        state, rep = run_update(A, B, f=f, plan=plan, m_max=20, tol=0.0, J=np.eye(1))
+        evaluated = [m for m, X in enumerate(state.coupling_history, start=1) if X is not None]
+        assert evaluated == [1, 2, 3, 4, 5, 6, 9, 11, 13, 18, 20] and not failing
+        # step 9 compares with step 6, the latest evaluated at least two back
+        hist = state.coupling_history
+        assert math.isnan(rep.estimates[8 - 1 - 2])
+        assert rep.estimates[9 - 1 - 2] == padded_difference_norm(hist[8], hist[5], hermitian=True)
+        # a second consecutive failure raises with its step
+        failing = [8, 9]
+        with pytest.raises(SingularityOnSpectrum) as exc:
+            run_update(A, B, f=f, plan=plan, m_max=20, tol=0.0, J=np.eye(1))
+        assert exc.value.step == 9
+
+    def test_lucky_breakdown_after_a_skipped_step(self):
+        # two eigenvalues of multiplicity 6 and a block of 4 columns: the
+        # basis is invariant at step 2 (dimension 8), which the schedule
+        # skips, and step 3 loses its whole block; step 2 is then evaluated
+        A = np.diag([1.0] * 6 + [2.0] * 6)
+        B = np.random.default_rng(0).standard_normal((12, 4))
+        J = 0.5 * np.eye(4)
+        f = FunctionSpec.inv_sqrt()
+        assert 2 not in _schedule(12, 4, 1, 10, 2)
+        state, rep = run_update(A, B, f=f, plan=PolePlan((-1.0,), repetition="cyclic"),
+                                m_max=10, tol=0.0, J=J)
+        assert rep.converged and rep.breakdown_step == 3 and rep.iterations == 2
+        assert state.coupling is state.coupling_history[-1] is not None
+        exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
+        assert norm2(state.materialize() - exact) <= 1e-13 * norm2(exact)
+
+    @pytest.mark.parametrize("variant", ["fig1", "fig2", "fig3-alg3", "fig3-alg4"])
+    def test_checkpointed_error_within_twice_the_every_step_error(self, variant):
+        # the acceptance instances at n = 100, stopped by the estimator:
+        # without a reference the run stops at a checkpoint, at or after the
+        # step where the run that evaluates every step stops
+        from rkupdate.cli import (_cyclic, _gap, _invsqrt_instance, _invsqrt_reference,
+                                  _sign_instance)
+        from rkupdate.bounds import SpectralWindow
+        from rkupdate.poles import (markov_single_pole, quasi_optimal_poles,
+                                    zolotarev_sign_poles)
+        if variant.startswith("fig3"):
+            lam, b = _sign_instance(100, 1)
+            A, J = np.diag(lam), np.eye(1)
+            w, V = np.linalg.eigh(A + b @ b.T)
+            exact = (V * np.sign(w)) @ V.T - np.diag(np.sign(lam))
+            if variant == "fig3-alg3":
+                plan = _cyclic(zolotarev_sign_poles(_gap(lam, w), 10).poles)
+
+                def run(ref):
+                    state, rep = run_update(A, b, f=FunctionSpec.sign(), plan=plan, m_max=100,
+                                            tol=1e-8, J=J, true_update=ref)
+                    return state.materialize(), rep
+            else:
+                sq = np.concatenate([lam ** 2, w ** 2])
+                plan = _cyclic(zolotarev_invsqrt_poles((sq.min(), sq.max()), 10).poles)
+
+                def run(ref):
+                    res, rep = sign_update(A, b, J, plan, m_max=49, tol=1e-8, true_update=ref)
+                    return res.materialize(), rep
+        else:
+            lam, b, A, window = _invsqrt_instance(100, 1 if variant == "fig1" else 6)
+            exact = _invsqrt_reference(lam, b)
+            if variant == "fig1":
+                plan = _cyclic((markov_single_pole(window, (-np.inf, 0.0))[0],))
+            else:
+                plan = _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), 10).poles)
+
+            def run(ref):
+                state, rep = run_update(A, b, f=FunctionSpec.inv_sqrt(), plan=plan, m_max=160,
+                                        tol=1e-10, J=np.eye(1), true_update=ref)
+                return state.materialize(), rep
+
+        every, every_rep = run(exact)
+        checked, rep = run(None)
+        assert every_rep.converged and rep.converged
+        assert rep.iterations >= every_rep.iterations
+        assert norm2(exact - checked) <= 2.0 * norm2(exact - every)
