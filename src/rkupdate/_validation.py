@@ -29,6 +29,7 @@ detected by scanning entries.
 """
 
 import numpy as np
+import scipy.sparse
 
 __all__ = ["as_array", "real_if_real"]
 
@@ -45,10 +46,11 @@ def as_array(A, name="A", *, rows=None, square=False):
     """A as a finite, C-contiguous 2-d array, ``float64`` when it is real by
     :func:`real_if_real` and ``complex128`` otherwise.
 
-    A 1-d A is one column.  ``rows`` requires that many rows (a block
+    A ``scipy.sparse`` A is densified (``toarray``), and a 1-d A is one
+    column.  ``rows`` requires that many rows (a block
     conforming with an operator); ``square`` requires a square matrix.
     """
-    M = np.asarray(A)
+    M = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
     if M.ndim == 1:
         M = M[:, None]
     if M.ndim != 2:

@@ -35,6 +35,11 @@ n x 2 ell block [Re W, Im W] append 2 ell real columns; both poles are
 recorded, and the next step continues from the last ell columns.  The
 basis stays real and is the same subspace as after the two single steps.
 
+One function, :func:`_advance_step`, decides for the bases of a run
+together whether a pole takes a single or a paired step.  The solvers'
+step loop and the builders :func:`build_basis` and :func:`adjoint_basis`
+all call it, so the builders pair on real data and build the solvers' bases.
+
 The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
 per pole value, and its product ``matvec(X, adjoint)``; a basis touches the
 operator only through these two.  Wherever a matrix ``A`` is taken, its
@@ -346,22 +351,59 @@ class KrylovBasis:
         return U @ X
 
 
-def build_basis(A, B, plan, m=None):
-    """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U,
-    for the poles ``PolePlan.of(plan).expand(m)`` (one cycle when m is None)."""
-    basis = KrylovBasis(A, B)
-    for xi in PolePlan.of(plan).expand(m):
+def _advance_step(bases, poles, m):
+    """Append the step of xi = ``poles[m]`` to each basis (one, or the two
+    of a two-sided run); returns the number of poles taken, 1 or 2.
+
+    When every basis is real and conj(xi) != xi follows xi, the bases take
+    the paired step (:meth:`KrylovBasis.advance_pair`).  If the pair block
+    of the first basis loses part of its rank, every basis takes the single
+    step of xi instead; if it loses all of it, the ``exhausted``
+    :class:`RankDeficient` propagates, as from the single step of xi.  If
+    that of another basis loses rank, that basis takes the two single steps.
+    """
+    xi = poles[m]
+    # a finite pole is a complex (PolePlan holds them so), INF a float
+    if (m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
+            and poles[m + 1] == xi.conjugate()
+            and all(basis.basis.dtype == np.float64 for basis in bases)):
+        try:
+            bases[0].advance_pair(xi)
+        except RankDeficient as exc:
+            if exc.exhausted:
+                raise
+        else:
+            for basis in bases[1:]:
+                try:
+                    basis.advance_pair(xi)
+                except RankDeficient:
+                    basis.advance(xi).advance(xi.conjugate())
+            return 2
+    for basis in bases:
         basis.advance(xi)
+    return 1
+
+
+def _grow(basis, plan, m):
+    """``basis`` stepped by :func:`_advance_step` through ``PolePlan.of(plan).expand(m)``."""
+    poles = PolePlan.of(plan).expand(m)
+    while basis.steps < len(poles):
+        _advance_step((basis,), poles, basis.steps)
     return basis
 
 
+def build_basis(A, B, plan, m=None):
+    """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U,
+    for the poles ``PolePlan.of(plan).expand(m)`` (one cycle when m is None),
+    stepped as the solvers step (real data pair conjugate poles)."""
+    return _grow(KrylovBasis(A, B), plan, m)
+
+
 def adjoint_basis(A, C, plan, m=None):
-    """Orthonormal basis of conj(q_m)(A*)^{-1} K_m(A*, C).
+    """Orthonormal basis of conj(q_m)(A*)^{-1} K_m(A*, C), stepped as
+    :func:`build_basis` steps.
 
     Takes and records the *same* pole plan as the primal side; each shifted
     solve reuses the primal LU of A - xi I through its adjoint.
     """
-    basis = KrylovBasis(A, C, adjoint=True)
-    for xi in PolePlan.of(plan).expand(m):
-        basis.advance(xi)
-    return basis
+    return _grow(KrylovBasis(A, C, adjoint=True), plan, m)

@@ -241,6 +241,8 @@ def experiment_custom(args):
     """Update run on user-supplied Matrix Market matrices."""
     if not (args.matrix_a and args.matrix_b):
         raise ValueError("custom experiments need --matrix-a and --matrix-b")
+    if bool(args.matrix_c) == bool(args.matrix_j):
+        raise ValueError("custom experiments need exactly one of --matrix-c and --matrix-j")
     A = read_matrix(args.matrix_a)
     B = read_matrix(args.matrix_b)
     J = read_matrix(args.matrix_j) if args.matrix_j else None
@@ -249,7 +251,7 @@ def experiment_custom(args):
     desk = A.shape[0] <= ORACLE_MAX_N
     D = None
     if desk:
-        D = B @ J @ B.conj().T if J is not None else B @ (C if C is not None else B).conj().T
+        D = B @ J @ B.conj().T if J is not None else B @ C.conj().T
 
     window = gap = None
     if J is not None and desk:

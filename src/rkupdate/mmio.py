@@ -6,9 +6,7 @@ real or complex by the realness rule of :mod:`rkupdate._validation`;
 matrices are written in the array format.
 """
 
-import numpy as np
 import scipy.io
-import scipy.sparse
 
 from ._validation import as_array
 
@@ -17,10 +15,7 @@ __all__ = ["read_matrix", "write_matrix"]
 
 def read_matrix(path):
     """Read a Matrix Market file (array or coordinate) as a dense array."""
-    M = scipy.io.mmread(path)
-    if scipy.sparse.issparse(M):
-        M = M.toarray()
-    return as_array(np.asarray(M), name=str(path))
+    return as_array(scipy.io.mmread(path), name=str(path))
 
 
 def write_matrix(path, M):

@@ -6,7 +6,10 @@ or a raw pole sequence, read the sequence as an as-given plan
 (:meth:`PolePlan.of`) and take their poles from :meth:`PolePlan.expand`: a
 cyclic plan tiles its poles to any length, an as-given one must hold at
 least as many poles as a run asks for, and a Leja-ordered plan is put in
-that order once, when it is made.
+that order once, when it is made.  A plan only orders the poles; whether
+a pole and its conjugate after it take one paired step of real arithmetic
+is decided by the step rule of :mod:`rkupdate.arnoldi`, for the solvers
+and the builders alike, from the realness of the bases.
 
 A pole with an infinite part is the polynomial step :data:`INF`; a pole
 with a NaN part is a ``ValueError``.

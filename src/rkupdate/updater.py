@@ -12,12 +12,13 @@ two small Hermitian matrix functions.
 
 The step loop is shared with the solvers of :mod:`rkupdate.signsylv`,
 which differ only in what they evaluate each step and how they weigh the
-difference of two iterates.  For real data it takes a conjugate pair of
-consecutive poles as one paired step of real arithmetic (see
-:mod:`rkupdate.arnoldi`) and evaluates the small problem at the pair's
-end only: the pair's first step is a gap in the report, as a retried step
-is, and the estimator compares each iterate with the latest one evaluated
-at least d steps before it.
+difference of two iterates.  The loop holds no step rule of its own:
+whether a pole takes a single step or, on real data, a paired step with
+its conjugate is decided by :func:`rkupdate.arnoldi._advance_step`, which
+the public basis builders call too.  The loop evaluates the small problem
+at a pair's end only: the pair's first step is a gap in the report, as a
+retried step is, and the estimator compares each iterate with the latest
+one evaluated at least d steps before it.
 
 A run that computes no true error (or residual) evaluates the small problem
 only at the steps of a fixed schedule (:func:`_schedule`): a checkpoint c
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import as_array
-from .arnoldi import FactorizationCache, KrylovBasis
+from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
 from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
@@ -184,27 +185,6 @@ class UpdateReport:
                 f"iterations={self.iterations} final_error={final}")
 
 
-def _advance_pair(left, right, xi):
-    """The paired step of (xi, conj(xi)) for both bases; False, with both
-    unchanged, when the pair block of ``left`` loses part of its rank, and
-    the ``exhausted`` :class:`RankDeficient` when it loses all of it (as
-    the single step of xi would).  When only the pair block of ``right``
-    loses rank, ``right`` takes the two single steps."""
-    try:
-        left.advance_pair(xi)
-    except RankDeficient as exc:
-        if exc.exhausted:
-            raise
-        return False
-    if right is not left:
-        try:
-            right.advance_pair(xi)
-        except RankDeficient:
-            right.advance(xi)
-            right.advance(xi.conjugate())
-    return True
-
-
 def _schedule(n, ell, bases, steps, d):
     """The steps whose small problem a run without true errors evaluates.
 
@@ -260,99 +240,79 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     unchanged basis is evaluated first.  Rank loss at step 1, of part of a
     block, after a failed evaluation, or in a two-basis run re-raises.
 
-    Paired steps: when every basis is real (``float64``) and the pole after
-    xi is conj(xi), both take one paired step
-    (:meth:`~rkupdate.arnoldi.KrylovBasis.advance_pair`).  The step of xi
-    is then a gap, and the solution is evaluated at the step of conj(xi)
-    (when it is scheduled).  A complex pole whose conjugate does not
-    follow (a run may end mid-pair) takes a single step, which promotes
-    the basis, so a run never ends on a gap.  When [Re W, Im W] of
-    ``left`` loses part of its rank, both bases take the two single steps
-    instead, with the rules above; when it loses all of it, the rank loss
-    is that of the step of xi; when only that of ``right`` loses rank,
-    ``right`` alone takes the single steps.  Since the estimate skips
-    gaps, d = 1 has estimates across pairs.
+    Each step is :func:`~rkupdate.arnoldi._advance_step`, which decides
+    whether the bases take the pole alone or, on real data, with its
+    conjugate as one paired step.  The step of xi in a pair is then a gap,
+    and the solution is evaluated at the step of conj(xi) (when it is
+    scheduled).  A complex pole whose conjugate does not follow (a run may
+    end mid-pair) takes a single step, so a run never ends on a gap.  Since
+    the estimate skips gaps, d = 1 has estimates across pairs.
 
     A gap is None in the history and NaN in the estimates and the errors.
     Returns (history of solutions, UpdateReport).
     """
-    history = []
-    estimates = []
-    errors = [] if error is not None else None
+    bases = (left,) if right is left else (left, right)
+    history, estimates, errors = [], [], []
     schedule = None if error is not None else _schedule(
-        max(left.n, right.n), left.block_size, 1 if right is left else 2, len(poles), d)
+        max(left.n, right.n), left.block_size, len(bases), len(poles), d)
     converged = False
     breakdown = None
     failures = 0
     m = 0
 
     def solve(step):
-        new = evaluate()
+        try:
+            new = evaluate()
+        except SingularityOnSpectrum as exc:
+            exc.step = step
+            raise
         if not all(np.isfinite(a).all() for a in (new if isinstance(new, tuple) else (new,))):
             raise NonFiniteResult(
                 f"the small problem of step {step} has non-finite entries", step=step)
         return new
 
-    def lagged_estimate(step):
-        new = history[step - 1]
+    def record(step, new):
+        """Record a step's solution (None for a gap), true error and estimate,
+        over the step's earlier record; returns the estimate (NaN if none)."""
+        del history[step - 1:], errors[step - 1:], estimates[max(step - 1 - d, 0):]
+        history.append(new)
+        errors.append(math.nan if new is None or error is None else error(new))
+        if step <= d:
+            return math.nan
         old = next((h for h in reversed(history[:step - d]) if h is not None), None)
-        return math.nan if new is None or old is None else estimate(new, old)
+        estimates.append(math.nan if new is None or old is None else estimate(new, old))
+        return estimates[-1]
 
     try:
         while m < len(poles):
-            xi = poles[m]
-            m += 1
-            # a finite pole is a complex (PolePlan holds them so), INF a float
-            paired = (m < len(poles) and isinstance(xi, complex) and xi.imag != 0
-                      and poles[m] == xi.conjugate()
-                      and left.basis.dtype == right.basis.dtype == np.float64)
             try:
-                paired = paired and _advance_pair(left, right, xi)
-                if not paired:
-                    left.advance(xi)
+                taken = _advance_step(bases, poles, m)
             except RankDeficient as exc:
-                if right is not left or m == 1 or not exc.exhausted or failures:
+                if right is not left or m == 0 or not exc.exhausted or failures:
                     raise
                 if history[-1] is None:
-                    # a gap of the schedule; the basis is still that of step m - 1
-                    try:
-                        history[-1] = solve(m - 1)
-                    except SingularityOnSpectrum as sing:
-                        sing.step = m - 1
-                        raise
-                    if m - 1 > d:
-                        estimates[-1] = lagged_estimate(m - 1)
-                converged, breakdown = True, m
+                    # a gap of the schedule; the basis is still that of step m
+                    record(m, solve(m))
+                converged, breakdown = True, m + 1
                 break
-            if paired:
+            if taken == 2:
                 # the step of xi is a gap: its solution is not evaluated
-                history.append(None)
-                if errors is not None:
-                    errors.append(math.nan)
-                if m > d:
-                    estimates.append(math.nan)
                 m += 1
-            elif right is not left:
-                right.advance(xi)
+                record(m, None)
+            m += 1
             new = None
-            if schedule is None or failures or m in schedule or (paired and m - 1 in schedule):
+            # step m + 1 - taken is the pair's first step, or step m itself
+            if schedule is None or failures or m in schedule or m + 1 - taken in schedule:
                 try:
                     new = solve(m)
                     failures = 0
-                except SingularityOnSpectrum as exc:
+                except SingularityOnSpectrum:
                     failures += 1
                     if failures >= 2 or m == len(poles):
-                        exc.step = m
                         raise
-            history.append(new)
-            if errors is not None:
-                errors.append(math.nan if new is None else error(new))
-            if m > d:
-                est = lagged_estimate(m)
-                estimates.append(est)
-                if est <= tol:
-                    converged = True
-                    break
+            if record(m, new) <= tol:
+                converged = True
+                break
     finally:
         left.cache.clear()
         right.cache.clear()
@@ -364,7 +324,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
         final_rank=left.dimension,
         iterations=len(history),
         estimates=estimates,
-        true_errors=errors,
+        true_errors=errors if error is not None else None,
         converged=converged,
         stagnation_warning=stagnation,
         poles=tuple(poles[:len(history)]),

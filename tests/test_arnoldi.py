@@ -471,6 +471,90 @@ class TestConjugatePairs:
         assert info.value.exhausted and basis.steps == 4
 
 
+def _same_bases(got, want):
+    for x, y in zip(got, want):
+        assert x.poles_used == y.poles_used and x.basis.dtype == y.basis.dtype
+        assert np.array_equal(x.basis, y.basis) and np.array_equal(x.compression, y.compression)
+
+
+class TestStepRule:
+    """Each branch of ``_advance_step``, the one rule that decides single and
+    paired steps, against the steps of the bases it stands for."""
+
+    XI = -1.0 + 1.5j
+
+    @staticmethod
+    def bases(A, seeds):
+        cache = FactorizationCache(A)
+        return (KrylovBasis(cache, seeds[0]),
+                *(KrylovBasis(cache, seed, adjoint=True) for seed in seeds[1:]))
+
+    def test_real_bases_pair(self, rng):
+        A = _real_operators(rng, 20)["dense"]
+        seeds = rng.standard_normal((2, 20, 2))
+        poles = (self.XI, np.conj(self.XI), INF)
+        got, want = self.bases(A, seeds), self.bases(A, seeds)
+        assert arnoldi._advance_step(got, poles, 0) == 2
+        for basis in want:
+            basis.advance_pair(self.XI)
+        _same_bases(got, want)
+        assert all(b.basis.dtype == np.float64 and b.dimension == 4 for b in got)
+        # the next pole has no conjugate after it: a single step
+        assert arnoldi._advance_step(got, poles, 2) == 1
+        assert all(b.steps == 3 and b.dimension == 6 for b in got)
+
+    def test_a_complex_basis_or_a_missing_conjugate_takes_single_steps(self, rng):
+        A = _real_operators(rng, 20)["dense"]
+        for seeds, poles in (([rng.standard_normal((20, 1)), rand_complex(rng, 20, 1)],
+                              (self.XI, np.conj(self.XI))),
+                             ([rng.standard_normal((20, 1))] * 2, (self.XI, self.XI))):
+            got, want = self.bases(A, seeds), self.bases(A, seeds)
+            assert arnoldi._advance_step(got, poles, 0) == 1
+            for basis in want:
+                basis.advance(self.XI)
+            _same_bases(got, want)
+
+    def test_partial_loss_in_the_first_basis_takes_the_single_step_of_xi(self):
+        # an eigenvector seed: Re W and Im W are multiples of it; the other
+        # basis could pair, but takes the single step too
+        A = np.diag(np.linspace(1.0, 5.0, 12))
+        seeds = [np.eye(12)[:, :1], np.ones((12, 1))]
+        got, want = self.bases(A, seeds), self.bases(A, seeds)
+        assert arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0) == 1
+        for basis in want:
+            basis.advance(self.XI)
+        _same_bases(got, want)
+        assert all(b.basis.dtype == np.complex128 and b.poles_used == (self.XI,) for b in got)
+
+    def test_partial_loss_in_another_basis_takes_two_single_steps_there(self):
+        # a pair near the real axis: for the adjoint seed on the far
+        # eigenvalues, Im W is below the rank floor, so [Re W, Im W] loses a
+        # column while the two single steps of xi and conj(xi) do not; the
+        # first basis, on the eigenvalues next to Re xi, keeps its pair
+        xi = -1.0 + 1e-25j
+        A = np.diag([-1.0 + 1e-4, -1.0 + 2e-4, 1e5, 2e5])
+        seeds = [np.array([[1.0], [1.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [1.0], [1.0]])]
+        got, want = self.bases(A, seeds), self.bases(A, seeds)
+        assert arnoldi._advance_step(got, (xi, np.conj(xi)), 0) == 2
+        want[0].advance_pair(xi)
+        want[1].advance(xi).advance(np.conj(xi))
+        _same_bases(got, want)
+        assert got[0].basis.dtype == np.float64 and got[1].basis.dtype == np.complex128
+        assert all(b.dimension == 2 and b.poles_used == (xi, np.conj(xi)) for b in got)
+
+    def test_an_exhausted_pair_raises_with_the_bases_unchanged(self):
+        # the first basis fills R^4: the pair's rank loss is that of the
+        # step of xi, exhausted, and no basis moves
+        A = np.diag([1.0, 2.0, 3.0, 4.0])
+        got = self.bases(A, [np.ones((4, 1))] * 2)
+        for xi in (-1.0, INF, -2.0, INF):
+            arnoldi._advance_step(got, (xi,), 0)
+        with pytest.raises(RankDeficient) as info:
+            arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0)
+        assert info.value.exhausted and info.value.step == 5
+        assert all(b.steps == 4 and b.basis.dtype == np.float64 for b in got)
+
+
 def _dense_stored(A):
     """A cache that keeps A as a dense array in the dtype the cache chose,
     as every cache did before band storage: the reference path."""

@@ -63,6 +63,10 @@ def _write_custom_instance(tmp_path, rng, n=14):
     return A, B, J
 
 
+CUSTOM_MODE_ERROR = ("rkupdate: error: custom experiments need exactly one of --matrix-c "
+                     "and --matrix-j\n")
+
+
 class TestMainUpdate:
     def test_custom_run(self, tmp_path, rng, capsys):
         _write_custom_instance(tmp_path, rng)
@@ -145,6 +149,7 @@ class TestMainUpdate:
         status = main(["update", "--experiment", "custom",
                        "--matrix-a", str(tmp_path / "missing.mtx"),
                        "--matrix-b", str(tmp_path / "missing.mtx"),
+                       "--matrix-j", str(tmp_path / "missing.mtx"),
                        "--out", str(tmp_path / "o.csv")])
         assert status == 1
         assert "error" in capsys.readouterr().err
@@ -182,8 +187,22 @@ class TestMainUpdate:
                        "--poles", "extended", "--m-max", "3",
                        "--out", str(tmp_path / "o.csv")])
         assert status == 1
-        assert capsys.readouterr().err == ("rkupdate: error: pass C for the general mode or J "
-                                           "for the Hermitian mode, not both\n")
+        assert capsys.readouterr().err == CUSTOM_MODE_ERROR
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_neither_c_nor_j_is_error_exit(self, tmp_path, rng, capsys, monkeypatch):
+        # checked with the flags, before any matrix is read
+        def no_read(path):
+            raise AssertionError("a matrix read before the flags are checked")
+
+        monkeypatch.setattr(cli, "read_matrix", no_read)
+        status = main(["update", "--experiment", "custom",
+                       "--matrix-a", str(tmp_path / "A.mtx"),
+                       "--matrix-b", str(tmp_path / "B.mtx"),
+                       "--poles", "extended", "--m-max", "3",
+                       "--out", str(tmp_path / "o.csv")])
+        assert status == 1
+        assert capsys.readouterr().err == CUSTOM_MODE_ERROR
         assert not (tmp_path / "o.csv").exists()
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,19 @@ def test_run_update_gives_the_same_bits_for_both_containers(instance):
                  for M, Bm, Cm in ((A, B, C), _as_complex(A, B, C))]
     _same_run(*two_sided)
 
+
+@PROPERTIES
+@given(real_hermitian())
+def test_a_sparse_matrix_gives_the_bits_of_the_dense_one(instance):
+    # scipy.sparse input is densified on entry, then follows the realness rule
+    A, B, J, C = instance
+    runs = [run_update(M, Bm, Cm, f=INV_SQRT, plan=PLAN, m_max=5, tol=0.0)
+            for M, Bm, Cm in ((A, B, C),
+                              (scipy.sparse.csr_array(A), B, scipy.sparse.coo_matrix(C)),
+                              (scipy.sparse.csr_matrix(A.astype(complex)), B, C))]
+    for run in runs[1:]:
+        _same_run(run, runs[0])
+    assert runs[1][0].left.cache.A.dtype == np.float64
 
 @PROPERTIES
 @given(real_hermitian())

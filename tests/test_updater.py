@@ -668,6 +668,25 @@ class TestConjugatePairSteps:
         assert state.coupling is state.coupling_history[-1] is not None
 
 
+    def test_the_builders_build_the_solvers_bases(self):
+        # fig3's degree-2 sign instance (n = 200, real b, the pair
+        # (i beta, -i beta) cyclic): the builders pair as the solvers do
+        from rkupdate.cli import _cyclic, _gap, _sign_instance
+        from rkupdate.poles import zolotarev_sign_poles
+        lam, b = _sign_instance(200, 1)
+        A = np.diag(lam)
+        plan = _cyclic(zolotarev_sign_poles(_gap(lam, np.linalg.eigvalsh(A + b @ b.T)), 2).poles)
+        f = FunctionSpec.sign()
+        hermitian, _ = run_update(A, b, f=f, plan=plan, m_max=24, tol=0.0, J=np.eye(1))
+        general, _ = run_update(A, b, b, f=f, plan=plan, m_max=24, tol=0.0)
+        for got, want in ((build_basis(A, b, plan, 24), hermitian.left),
+                          (build_basis(A, b, plan, 24), general.left),
+                          (adjoint_basis(A, b, plan, 24), general.right)):
+            assert got.basis.dtype == np.float64 and got.poles_used == plan.expand(24)
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.compression, want.compression)
+
+
 SCHEDULE_PROPERTIES = settings(derandomize=True, max_examples=10, deadline=None, database=None)
 
 
