@@ -4,8 +4,9 @@
 # the three figure experiments at n = 100, a custom update with the
 # extended plan, with the three Zolotarev strategies (quasi-optimal,
 # inverse square root and sign poles, whose nodes come from SciPy's elliptic
-# functions) and with two pole files, and the sylvester subcommand at an
-# even and at an odd step count.  One more custom update runs above the
+# functions) and with two pole files, a two-sided custom update of exp
+# (--matrix-c), and the sylvester subcommand at an even and at an odd step
+# count.  One more custom update runs above the
 # desk scale (n = 600 > ORACLE_MAX_N): it has no true errors, so the small
 # problem is solved only at the checkpoint schedule's steps, and its CSV
 # has empty estimate cells at the skipped steps, never "nan".
@@ -66,6 +67,12 @@ for run in 1 2; do
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 31 --tol 0 --out "$out/custom-poles-pair-31.csv"
+  # a two-sided update (C in place of J): the coupling block of the
+  # general mode, from the eigendecompositions of the two diagonal blocks
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/A1.mtx" --matrix-b "$in/B1.mtx" --matrix-c "$in/C2.mtx" \
+    --function exp --poles "$in/poles.txt" --m-max 20 --tol 0 \
+    --out "$out/custom-two-sided-exp.csv"
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A600.mtx" --matrix-b "$in/B600.mtx" --matrix-j "$in/J.mtx" \
     --poles extended --m-max 80 --tol 1e-10 --out "$out/custom-n600.csv"

@@ -36,7 +36,11 @@ recorded, and the next step continues from the last ell columns.  The
 basis stays real and is the same subspace as after the two single steps.
 
 One function, :func:`_advance_step`, decides for the bases of a run
-together whether a pole takes a single or a paired step.  The solvers'
+together whether a pole takes a single or a paired step.  Each real basis
+of a run pairs on its own: in a two-sided run whose other basis is complex
+(a complex seed, or a pair that it had to take as two single steps), the
+real basis still takes the paired step, and the complex one the two single
+steps of the pair.  The solvers'
 step loop and the builders :func:`build_basis` and :func:`adjoint_basis`
 all call it, so the builders pair on real data and build the solvers' bases.
 
@@ -355,29 +359,39 @@ def _advance_step(bases, poles, m):
     """Append the step of xi = ``poles[m]`` to each basis (one, or the two
     of a two-sided run); returns the number of poles taken, 1 or 2.
 
-    When every basis is real and conj(xi) != xi follows xi, the bases take
-    the paired step (:meth:`KrylovBasis.advance_pair`).  If the pair block
-    of the first basis loses part of its rank, every basis takes the single
-    step of xi instead; if it loses all of it, the ``exhausted``
-    :class:`RankDeficient` propagates, as from the single step of xi.  If
-    that of another basis loses rank, that basis takes the two single steps.
+    When conj(xi) != xi follows xi and some basis is real, the bases take
+    the steps of xi and conj(xi) together: each real basis its paired step
+    (:meth:`KrylovBasis.advance_pair`), each complex one the two single
+    steps.  If the pair block of the first basis loses part of its rank,
+    every basis takes the single step of xi instead; if it loses all of it,
+    the ``exhausted`` :class:`RankDeficient` propagates, as from the single
+    step of xi.  If that of another basis loses rank, that basis takes the
+    two single steps.  When every basis is complex, each pole is a single
+    step of its own.
     """
     xi = poles[m]
+    real = [basis.basis.dtype == np.float64 for basis in bases]
     # a finite pole is a complex (PolePlan holds them so), INF a float
     if (m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
-            and poles[m + 1] == xi.conjugate()
-            and all(basis.basis.dtype == np.float64 for basis in bases)):
+            and poles[m + 1] == xi.conjugate() and any(real)):
         try:
-            bases[0].advance_pair(xi)
+            if real[0]:
+                bases[0].advance_pair(xi)
+            else:
+                bases[0].advance(xi).advance(xi.conjugate())
         except RankDeficient as exc:
-            if exc.exhausted:
+            # the error of a complex first basis is that of a single step
+            if exc.exhausted or not real[0]:
                 raise
         else:
-            for basis in bases[1:]:
-                try:
-                    basis.advance_pair(xi)
-                except RankDeficient:
-                    basis.advance(xi).advance(xi.conjugate())
+            for basis, is_real in zip(bases[1:], real[1:]):
+                if is_real:
+                    try:
+                        basis.advance_pair(xi)
+                        continue
+                    except RankDeficient:
+                        pass
+                basis.advance(xi).advance(xi.conjugate())
             return 2
     for basis in bases:
         basis.advance(xi)

@@ -18,6 +18,16 @@ its domain included, is its :class:`~rkupdate.functions.FunctionSpec`'s
 to say (``f.check_spectrum``); the matrix functions here keep only their
 evaluation shortcuts: the identity, rational kinds through partial
 fractions, and scaling-and-squaring for an ill-conditioned exponential.
+
+The coupling block of the general mode, the (1,2) block of f of a block
+upper triangular matrix (:func:`_coupling_block`), has two paths.  When f
+has a divided difference (``f.dd``), it comes from the eigendecompositions
+of the two diagonal blocks and the divided differences of f between their
+spectra (Higham, *Functions of Matrices*, SIAM 2008), real for real
+blocks.  The assembled path takes f of the whole matrix through
+:func:`funm_small`: for every other kind, and when an eigenvector matrix of
+a diagonal block is over ``COND_CAP``, so that the exponential's expm
+fallback and :class:`IllConditionedEigenbasis` apply as for any matrix.
 """
 
 import warnings
@@ -309,13 +319,40 @@ def funm_small(A, f, hermitian=False):
 
 
 def _coupling_block(A11, A12, A22, f):
-    """The (1,2) block of f([[A11, A12], [0, A22]]), from the assembled
-    matrix (partial fractions for rational kinds, spectral calculus
-    otherwise with the expm fallback)."""
+    """The (1,2) block of f([[A11, A12], [0, A22]]).
+
+    When f has a divided difference ``f.dd``, it comes from the two diagonal
+    blocks' eigendecompositions A11 = V1 diag(lam) V1^{-1} and
+    A22 = V2 diag(mu) V2^{-1}:
+
+        F12 = V1 (L o (V1^{-1} A12 V2)) V2^{-1},   L_ij = f[lam_i, mu_j],
+
+    which costs two eigendecompositions at the blocks' sizes in place of one
+    of the assembled matrix, and a real one for each ``float64`` block.  For
+    real blocks F12 is real (f(conj z) = conj f(z) for every kind with a
+    ``dd``), and it is returned with a zero imaginary part.  The assembled
+    matrix goes to :func:`funm_small` instead (partial fractions for
+    rational kinds, spectral calculus otherwise, with the expm fallback) for
+    an f without ``dd`` and when an eigenvector condition of V1 or V2
+    exceeds ``COND_CAP``."""
     if f.kind == "identity":
         return A12.astype(complex)
     if not A12.any():
         return np.zeros(A12.shape, dtype=complex)
+    if f.dd is not None:
+        (lam, V1), (mu, V2) = np.linalg.eig(A11), np.linalg.eig(A22)
+        if all(np.linalg.cond(V) <= COND_CAP for V in (V1, V2)):
+            # the assembled matrix's scale
+            scale = max(np.abs(A).max(initial=0.0) for A in (A11, A12, A22))
+            lam, mu = lam.astype(complex, copy=False), mu.astype(complex, copy=False)
+            f.check_spectrum(lam, scale)
+            f.check_spectrum(mu, scale)
+            with np.errstate(over="ignore", invalid="ignore"):
+                L = f.dd(lam[:, None], mu[None, :])
+                F12 = np.linalg.solve(V2.T, (V1 @ (L * np.linalg.solve(V1, A12 @ V2))).T).T
+            if all(A.dtype == np.float64 for A in (A11, A12, A22)):
+                return F12.real.astype(complex)
+            return F12.astype(complex, copy=False)
     n1, n2 = A12.shape
     Z = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     Z[:n1, :n1] = A11

@@ -3,6 +3,15 @@
 A :class:`FunctionSpec` is the one place that says what a function kind
 is.  Each factory sets the scalar map ``fn``, its analytic derivative
 ``dfn`` (for a priori bounds) and an optional Markov support interval.
+The inverse square root, the square root, the exponential and sign also
+set ``dd``, their divided difference f[lam, mu] = (f(lam) - f(mu)) /
+(lam - mu) in a closed form that keeps full relative accuracy as lam
+approaches mu (where it is f'(mu)); the coupling block of the general mode
+is formed from it (:func:`rkupdate.dense._coupling_block`).  The other
+kinds have none: numpy's complex ``log1p`` loses digits near 0 (8e-8
+relative at z = 1e-10 + 1e-12j), which the closed forms of the inverse
+power and of log(1+z)/z would need, and a rational function keeps its
+partial fractions.
 The kinds with a singularity have a domain, which
 :meth:`FunctionSpec.check_spectrum` holds a spectrum to: sign needs the
 spectrum off the imaginary axis, the inverse powers right of it, the
@@ -82,6 +91,32 @@ def _sign(z):
     return np.where(z.real > 0, 1.0, -1.0).astype(complex)
 
 
+def _dd_inv_sqrt(lam, mu):
+    # (lam^(-1/2) - mu^(-1/2)) / (lam - mu) with the difference cancelled:
+    # right of the imaginary axis no term cancels
+    s, t = np.sqrt(lam), np.sqrt(mu)
+    return -1.0 / (s * t * (s + t))
+
+
+def _dd_sqrt(lam, mu):
+    return 1.0 / (np.sqrt(lam) + np.sqrt(mu))
+
+
+def _dd_exp(lam, mu):
+    # e^mu expm1(lam - mu) / (lam - mu) with mu the one of larger real part,
+    # so expm1 stays bounded and the product overflows only with e^mu
+    swap = lam.real > mu.real
+    lam, mu = np.where(swap, mu, lam), np.where(swap, lam, mu)
+    h = lam - mu
+    same = h == 0
+    return np.exp(mu) * np.where(same, 1.0, np.expm1(h) / np.where(same, 1.0, h))
+
+
+def _dd_sign(lam, mu):
+    h = _sign(lam) - _sign(mu)
+    return np.where(h == 0, 0.0, h / np.where(h == 0, 1.0, lam - mu))
+
+
 def _log1p_over_z(z):
     out = np.empty_like(z)
     small = np.abs(z) < 1e-6
@@ -119,12 +154,15 @@ class FunctionSpec:
 
     Use the factory classmethods; the constructor is not meant to be called
     directly.  Specs compare by everything but ``dfn``, the derivative of
-    ``fn``, so two rational specs of equal expansions are equal.
+    ``fn``, and ``dd``, its divided difference ``dd(lam, mu)`` on complex
+    arrays that broadcast together (None for a kind without a closed form),
+    so two rational specs of equal expansions are equal.
     """
 
     kind: str
     fn: object
     dfn: object = field(default=None, compare=False)
+    dd: object = field(default=None, compare=False)
     gamma: float = 0.0
     markov_support: tuple = None
     label: str = ""
@@ -132,16 +170,17 @@ class FunctionSpec:
     # -- factories ---------------------------------------------------------
     @classmethod
     def exp(cls):
-        return cls(kind="exp", fn=np.exp, dfn=np.exp, label="exp")
+        return cls(kind="exp", fn=np.exp, dfn=np.exp, dd=_dd_exp, label="exp")
 
     @classmethod
     def inv_sqrt(cls):
-        return cls(kind="inv-sqrt", fn=_Power(-0.5), dfn=_Power(-1.5, -0.5),
+        return cls(kind="inv-sqrt", fn=_Power(-0.5), dfn=_Power(-1.5, -0.5), dd=_dd_inv_sqrt,
                    markov_support=_NEG_AXIS, label="z^(-1/2)")
 
     @classmethod
     def sqrt(cls):
-        return cls(kind="sqrt", fn=_Power(0.5), dfn=_Power(-0.5, 0.5), label="z^(1/2)")
+        return cls(kind="sqrt", fn=_Power(0.5), dfn=_Power(-0.5, 0.5), dd=_dd_sqrt,
+                   label="z^(1/2)")
 
     @classmethod
     def log1p_over_z(cls):
@@ -158,7 +197,7 @@ class FunctionSpec:
 
     @classmethod
     def sign(cls):
-        return cls(kind="sign", fn=_sign, dfn=np.zeros_like, label="sign")
+        return cls(kind="sign", fn=_sign, dfn=np.zeros_like, dd=_dd_sign, label="sign")
 
     @classmethod
     def inverse(cls):

@@ -505,7 +505,7 @@ class TestStepRule:
 
     def test_a_complex_basis_or_a_missing_conjugate_takes_single_steps(self, rng):
         A = _real_operators(rng, 20)["dense"]
-        for seeds, poles in (([rng.standard_normal((20, 1)), rand_complex(rng, 20, 1)],
+        for seeds, poles in (([rand_complex(rng, 20, 1), rand_complex(rng, 20, 1)],
                               (self.XI, np.conj(self.XI))),
                              ([rng.standard_normal((20, 1))] * 2, (self.XI, self.XI))):
             got, want = self.bases(A, seeds), self.bases(A, seeds)
@@ -513,6 +513,26 @@ class TestStepRule:
             for basis in want:
                 basis.advance(self.XI)
             _same_bases(got, want)
+
+    @pytest.mark.parametrize("complex_first", [False, True])
+    def test_a_real_basis_pairs_next_to_a_complex_one(self, rng, complex_first):
+        # the real basis takes the paired step, the complex one the two
+        # single steps of the pair
+        A = _real_operators(rng, 20)["dense"]
+        seeds = [rng.standard_normal((20, 1)), rand_complex(rng, 20, 1)]
+        if complex_first:
+            seeds.reverse()
+        got, want = self.bases(A, seeds), self.bases(A, seeds)
+        assert arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0) == 2
+        for basis in want:
+            if basis.basis.dtype == np.float64:
+                basis.advance_pair(self.XI)
+            else:
+                basis.advance(self.XI).advance(np.conj(self.XI))
+        _same_bases(got, want)
+        assert [b.basis.dtype == np.float64 for b in got] == [not complex_first, complex_first]
+        assert all(b.dimension == 2 and b.poles_used == (self.XI, np.conj(self.XI))
+                   for b in got)
 
     def test_partial_loss_in_the_first_basis_takes_the_single_step_of_xi(self):
         # an eigenvector seed: Re W and Im W are multiples of it; the other
@@ -541,6 +561,24 @@ class TestStepRule:
         _same_bases(got, want)
         assert got[0].basis.dtype == np.float64 and got[1].basis.dtype == np.complex128
         assert all(b.dimension == 2 and b.poles_used == (xi, np.conj(xi)) for b in got)
+
+    def test_a_fallback_in_another_basis_leaves_the_first_basis_pairing(self):
+        # after the right basis takes the first pair as two single steps, it
+        # is complex; the left basis stays real through the next pair too,
+        # and is the basis that build_basis makes on its own
+        xi = -1.0 + 1e-25j
+        A = np.diag([-1.0 + 1e-4, -1.0 + 2e-4, 3.0, 5.0, 1e5, 2e5, 3e5, 4e5])
+        poles = (xi, np.conj(xi), -2.0 + 1.0j, -2.0 - 1.0j)
+        seeds = [np.r_[np.ones(4), np.zeros(4)][:, None], np.r_[np.zeros(4), np.ones(4)][:, None]]
+        got = self.bases(A, seeds)
+        for m in (0, 2):
+            assert arnoldi._advance_step(got, poles, m) == 2
+            assert got[0].basis.dtype == np.float64 and got[1].basis.dtype == np.complex128
+        _same_bases(got[:1], [build_basis(A, seeds[0], poles)])
+        want = KrylovBasis(A, seeds[1], adjoint=True)
+        for pole in poles:
+            want.advance(pole)
+        _same_bases(got[1:], [want])
 
     def test_an_exhausted_pair_raises_with_the_bases_unchanged(self):
         # the first basis fills R^4: the pair's rank loss is that of the

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from rkupdate.dense import (
+    COND_CAP,
     _Band,
     _banded,
+    _coupling_block,
     funm_block_triangular,
     funm_small,
     norm2,
@@ -370,6 +374,68 @@ class TestRealKernels:
                                plan=PolePlan((-0.25,), repetition="cyclic"), m_max=6, tol=0.0)
         assert report.iterations == 6
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+def _block(rng, k, center, real):
+    """center I plus a random k x k perturbation of norm about 0.3: well
+    conditioned eigenvectors, spectrum in a disc about center."""
+    N = rng.standard_normal((k, k)) if real else rand_complex(rng, k, k) / np.sqrt(2)
+    return center * np.eye(k) + 0.3 * N / np.sqrt(k)
+
+
+class TestCouplingBlock:
+    """The closed form of the coupling block from the eigendecompositions of
+    the two diagonal blocks, against the assembled 2k x 2k matrix."""
+
+    #: kind -> the centers of the spectra of A11 and A22, in f's domain
+    CENTERS = {"inv-sqrt": [(2.0, 1.0)], "sqrt": [(2.0, 1.0)], "exp": [(0.5, -1.0)],
+               "sign": [(2.0, -1.5), (-1.0, -2.0), (1.5, 1.0)]}
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("kind", sorted(CENTERS))
+    def test_closed_form_agrees_with_the_assembled_matrix(self, rng, kind, real):
+        f = FunctionSpec.from_string(kind)
+        assembled = dataclasses.replace(f, dd=None)
+        for c1, c2 in self.CENTERS[kind]:
+            for k1, k2 in ((1, 1), (6, 4), (9, 9)):
+                A11, A22 = _block(rng, k1, c1, real), _block(rng, k2, c2, real)
+                A12 = rng.standard_normal((k1, k2)) if real else rand_complex(rng, k1, k2)
+                got = _coupling_block(A11, A12, A22, f)
+                want = _coupling_block(A11, A12, A22, assembled)
+                assert got.dtype == np.complex128
+                if kind == "sign" and c1 * c2 > 0:
+                    # one sign on both spectra: f is constant there, and the
+                    # coupling is zero, which the assembled path has to
+                    # within rounding
+                    assert not got.any() and norm2(want) <= 1e-12 * norm2(A12)
+                else:
+                    assert norm2(got - want) <= 1e-12 * norm2(want)
+                if real:
+                    # f(conj z) = conj f(z): the coupling of real blocks is real
+                    assert not got.imag.any()
+
+    def test_ill_conditioned_block_takes_the_assembled_path(self, rng):
+        # a Jordan block: its eigenvectors are over COND_CAP, so exp falls
+        # back to the assembled matrix's expm and inv-sqrt refuses it, for a
+        # defective A11 or A22
+        J = np.array([[2.0, 1.0], [0.0, 2.0]])
+        assert np.linalg.cond(np.linalg.eig(J)[1]) > COND_CAP
+        for A11, A22 in ((J, _block(rng, 3, 1.0, True)), (_block(rng, 3, 1.0, True), J)):
+            A12 = rng.standard_normal((A11.shape[0], A22.shape[0]))
+            Z = np.block([[A11, A12], [np.zeros(A12.T.shape), A22]])
+            got = _coupling_block(A11, A12, A22, FunctionSpec.exp())
+            assert np.array_equal(got, sla.expm(Z)[:A11.shape[0], A11.shape[0]:])
+            with pytest.raises(IllConditionedEigenbasis):
+                _coupling_block(A11, A12, A22, FunctionSpec.inv_sqrt())
+
+    @pytest.mark.parametrize("kind, w", [("inv-sqrt", -1e-3), ("sqrt", -1e-3), ("sign", 1e-14)])
+    def test_a_diagonal_block_off_the_domain_is_refused(self, rng, kind, w):
+        A = _block(rng, 3, 1.0, True)
+        bad = np.diag([w, 1.0])
+        for A11, A22 in ((bad, A), (A, bad)):
+            with pytest.raises(SingularityOnSpectrum):
+                _coupling_block(A11, rng.standard_normal((A11.shape[0], A22.shape[0])),
+                                A22, FunctionSpec.from_string(kind))
 
 
 class TestFunmBlockTriangular:

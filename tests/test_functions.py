@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -118,3 +119,48 @@ def test_domain_edge_through_funm_small(name, edge, hermitian):
         funm_small(np.diag([edge - 0.5e-12, 1.0]), f, hermitian=hermitian)
     F = funm_small(np.diag([edge + 0.5e-12, 1.0]), f, hermitian=hermitian)
     assert np.isfinite(F).all()
+
+
+#: kind -> (mpmath f, its derivative, base points mu); each kind's points
+#: lie in its domain, together with every lam = mu (1 + r e^{i theta}) drawn
+#: from them below
+_MP_FUNCTIONS = {
+    "inv-sqrt": (lambda z: 1 / mpmath.sqrt(z), lambda z: -mpmath.power(z, -1.5) / 2,
+                 (0.7, 3.0 + 1.0j, 2.0 - 1.5j, 1e-3 + 2e-4j, 1e4)),
+    "sqrt": (mpmath.sqrt, lambda z: 1 / (2 * mpmath.sqrt(z)),
+             (0.7, 3.0 + 1.0j, 2.0 - 1.5j, 1e-3 + 2e-4j, 1e4)),
+    "exp": (mpmath.exp, mpmath.exp, (0.7, -30.0 + 5.0j, 12.0 - 3.0j, 1e-3j, -2.5)),
+    "sign": (lambda z: 1 if z.real > 0 else -1, lambda z: 0,
+             (0.7, -3.0 + 1.0j, 2.0 - 1.5j, -1e-3, 1e4)),
+}
+
+
+def _dd_pairs(mus):
+    """(lam, mu) pairs with |lam - mu| / |mu| from 1e-15 to 1 in three
+    directions, lam = mu and the conjugate pairs."""
+    pairs = []
+    for mu in mus:
+        mu = complex(mu)
+        for r in np.logspace(-15, 0, 16):
+            for turn in (1.0, np.exp(1j * np.pi / 3), -1j):
+                pairs.append((mu * (1 + r * turn), mu))
+        pairs += [(mu, mu), (mu.conjugate(), mu)]
+    return pairs
+
+
+@pytest.mark.parametrize("kind", sorted(_MP_FUNCTIONS))
+def test_divided_differences_match_mpmath(kind):
+    f = FunctionSpec.from_string(kind)
+    mp_f, mp_df, mus = _MP_FUNCTIONS[kind]
+    pairs = _dd_pairs(mus)
+    if kind == "sign":
+        # opposite signs, near and far from the imaginary axis
+        pairs += [(-mu.conjugate(), mu) for _, mu in pairs] + [(1e-3 + 5j, -2e-3 + 5j)]
+    lam, mu = (np.array(p, dtype=complex) for p in zip(*pairs))
+    got = f.dd(lam, mu)
+    with mpmath.workdps(40):
+        for a, b, value in zip(lam, mu, got):
+            x, y = mpmath.mpc(a), mpmath.mpc(b)
+            want = mp_df(y) if a == b else (mp_f(x) - mp_f(y)) / (x - y)
+            err = abs(mpmath.mpc(value) - want)
+            assert err <= 1e-14 * abs(want), (a, b, value, want)

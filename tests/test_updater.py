@@ -687,6 +687,53 @@ class TestConjugatePairSteps:
             assert np.array_equal(got.compression, want.compression)
 
 
+@st.composite
+def hermitian_update_instance(draw):
+    """(A, B, J, plan, m_max, f): a Hermitian A, real or complex, with
+    spectrum in [0.4, 5], a block B of one or two columns with ||B|| = 0.3,
+    a Hermitian J with eigenvalues of either sign and modulus in [0.5, 1],
+    a conjugate-closed pole plan, a step count and a function analytic
+    right of 0.3."""
+    # room for twice the largest basis, 6 blocks of 2 columns
+    n = draw(st.integers(24, 32))
+    ell = draw(st.integers(1, 2))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(rows, cols):
+        return rng.standard_normal((rows, cols)) if real else rand_complex(rng, rows, cols)
+
+    Q, _ = np.linalg.qr(block(n, n))
+    A = (Q * rng.uniform(0.4, 5.0, n)) @ Q.conj().T
+    A = 0.5 * (A + A.conj().T)
+    B = block(n, ell)
+    B *= 0.3 / norm2(B)
+    W, _ = np.linalg.qr(block(ell, ell))
+    J = (W * (rng.choice([-1.0, 1.0], ell) * rng.uniform(0.5, 1.0, ell))) @ W.conj().T
+    J = 0.5 * (J + J.conj().T)
+    plan = draw(st.sampled_from([(-1.0,), (-0.5, INF, -3.0), (-1.0 + 0.5j, -1.0 - 0.5j)]))
+    m_max = draw(st.integers(2, 6))
+    if plan[0].imag:
+        # whole pairs: the right basis of the two-sided run takes conj(xi)
+        # where the left one takes xi, so the two modes project onto the
+        # same spaces only when the poles taken are closed under conjugation
+        m_max -= m_max % 2
+    f = draw(st.sampled_from(["inv-sqrt", "sqrt", "exp"]))
+    return A, B, J, PolePlan(plan, repetition="cyclic"), m_max, FunctionSpec.from_string(f)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(hermitian_update_instance())
+def test_hermitian_mode_agrees_with_the_two_sided_run(instance):
+    # the same update D = B J B* = B (B J*)*, through the Hermitian small
+    # problem and through the two-sided coupling block with C = B J
+    A, B, J, plan, m_max, f = instance
+    state_h, _ = run_update(A, B, J=J, f=f, plan=plan, m_max=m_max, tol=0.0)
+    state_g, _ = run_update(A, B, B @ J, f=f, plan=plan, m_max=m_max, tol=0.0)
+    X = state_h.materialize()
+    assert norm2(state_g.materialize() - X) <= 1e-10 * norm2(X)
+
+
 SCHEDULE_PROPERTIES = settings(derandomize=True, max_examples=10, deadline=None, database=None)
 
 
