@@ -19,7 +19,9 @@
 # conjugate pair, which the real basis of the custom update takes as one
 # paired step; its run at --m-max 31 ends on the first pole of a pair,
 # which takes a single complex step, and so does the sylvester run at
-# --m-max 21 (Leja-ordered Zolotarev sign pairs).
+# --m-max 21 (Leja-ordered Zolotarev sign pairs).  A complex seed (Bc) on
+# the real A gives a complex basis, which takes each pole of a pair as a
+# single step, the second through the LU of the first, conjugated.
 set -euo pipefail
 work="$1"
 in="$work/in"
@@ -47,6 +49,8 @@ n = 600
 A = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2) - np.eye(n, k=1) - np.eye(n, k=-1)
 write_matrix(f"{d}/A600.mtx", A)
 write_matrix(f"{d}/B600.mtx", normal_block(4, n, 1))
+# a complex seed for the real A of n = 60
+write_matrix(f"{d}/Bc.mtx", normal_block(5, 60, 1) + 1j * normal_block(6, 60, 1))
 EOF
 printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
 printf '# a pole file with a conjugate pair\n-0.5\ninf\n-1+1j\n-1-1j\n' > "$in/poles-pair.txt"
@@ -67,6 +71,9 @@ for run in 1 2; do
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 31 --tol 0 --out "$out/custom-poles-pair-31.csv"
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/A.mtx" --matrix-b "$in/Bc.mtx" --matrix-j "$in/J.mtx" \
+    --poles "$in/poles-pair.txt" --m-max 30 --tol 0 --out "$out/custom-complex-seed.csv"
   # a two-sided update (C in place of J): the coupling block of the
   # general mode, from the eigendecompositions of the two diagonal blocks
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \

@@ -9,7 +9,7 @@ growing one block per step.  Orthogonalization is classical Gram-Schmidt
 with one unconditional reorthogonalization pass (CGS2).  Compressions
 U* (Op U) are formed by explicit projection and extended incrementally.
 
-Step rules (xi_j = pole of step j):
+Step rules (xi_j = pole of step j), all in :meth:`KrylovBasis.advance`:
 
     j = 1, xi finite:   W = (A - xi I)^{-1} B
     j = 1, xi = inf:    W = B
@@ -23,9 +23,10 @@ A U_{j-1} is never recomputed: the products A U of every block are kept
 for the compression, so each step makes one product with A.  Rank loss is
 a hard error (no deflation).
 
-Paired step (Ruhe's complex shifts for real matrices): for a real A and a
-real basis, a conjugate pair xi, conj(xi) of consecutive poles is one step
-of two blocks.  The rule above for xi gives a complex W, and
+A basis grows only through ``advance(*poles)``: one pole, or a conjugate
+pair ``advance(xi, conj(xi))``, which a real basis on a real A takes as one
+step of two blocks (Ruhe's complex shifts for real matrices).  The rule
+above for xi gives a complex W, and
 
     span [Re W, Im W] = span [W, conj(W)],
 
@@ -33,16 +34,16 @@ the blocks of xi and of conj(xi) (conj(W) is the rule for conj(xi) from
 the same real block).  So one complex solve and a real QR of the
 n x 2 ell block [Re W, Im W] append 2 ell real columns; both poles are
 recorded, and the next step continues from the last ell columns.  The
-basis stays real and is the same subspace as after the two single steps.
+basis stays real and spans what the two single steps span, which a
+complex basis takes instead.
 
 One function, :func:`_advance_step`, decides for the bases of a run
-together whether a pole takes a single or a paired step.  Each real basis
-of a run pairs on its own: in a two-sided run whose other basis is complex
-(a complex seed, or a pair that it had to take as two single steps), the
-real basis still takes the paired step, and the complex one the two single
-steps of the pair.  The solvers'
-step loop and the builders :func:`build_basis` and :func:`adjoint_basis`
-all call it, so the builders pair on real data and build the solvers' bases.
+together whether a pole and its conjugate after it are a pair.  Each basis
+takes the pair by its own dtype, so in a two-sided run whose other basis
+is complex (a complex seed, or a pair that it had to take as two single
+steps) the real basis still takes the real step.  The solvers' step loop
+and the builders :func:`build_basis` and :func:`adjoint_basis` all call
+it, so the builders pair on real data and build the solvers' bases.
 
 The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
 per pole value, and its product ``matvec(X, adjoint)``; a basis touches the
@@ -195,9 +196,9 @@ class KrylovBasis:
     estimator of the updater relies on.
 
     The basis has the result type of the cache's A and the seed; the first
-    block that comes back complex (a complex pole's LU in :meth:`advance`)
-    promotes a real basis, once, with its leading columns unchanged, and
-    :meth:`advance_pair` keeps it real.  ``basis``, the products
+    block that comes back complex (the LU of a complex pole taken alone)
+    promotes a real basis, once, with its leading columns unchanged, and a
+    conjugate pair keeps it real.  ``basis``, the products
     ``Op @ basis`` and ``compression`` are views into C-order buffers whose
     capacity doubles when a block does not fit, so a step appends in place.
     """
@@ -259,51 +260,52 @@ class KrylovBasis:
         G[:k, :k] = self.compression
         self._U, self._OpU, self._G = U, OpU, G
 
-    def advance(self, xi):
-        """Append one block for pole xi; returns self."""
-        j = self.steps + 1
-        ell = self.block_size
-        k = self._k
-        # A U_{j-1} is the last block of op_basis
-        if is_infinite_pole(xi):
-            xi = np.inf
-            W = self._seed.copy() if j == 1 else self._OpU[:, k - ell:k].copy()
-        else:
-            xi = complex(xi)
-            if j == 1:
-                W = self._solve(xi, self._seed)
-            elif xi == 0:
-                W = self._solve(xi, self._U[:, k - ell:k])
-            else:
-                W = self._solve(xi, self._OpU[:, k - ell:k])
-        self._reserve(ell, np.result_type(self._U, W))
-        self._append(self._orthonormalize(W, j), (xi,))
-        return self
-
-    def advance_pair(self, xi):
-        """Append one real block of 2 ell columns for the conjugate pair
-        (xi, conj(xi)) to a real basis on a real operator; returns self.
-
-        One complex solve gives the block W of a step for xi, and
-        [Re W, Im W] spans the blocks of the two steps for xi and conj(xi).
-        Both poles are recorded, and the next step continues from the last
-        ell columns.  Raises :class:`RankDeficient`, with the basis
-        unchanged, when [Re W, Im W] loses rank or the space has no room
-        for it; ``exhausted`` when the whole block is lost.
+    def advance(self, *poles):
+        """Append the step of one pole, or of a conjugate pair (xi, conj(xi)),
+        which a real basis takes as one block [Re W, Im W] and a complex one
+        as two single steps; returns self.  A real pair raises
+        :class:`RankDeficient`, with the basis unchanged, when its block
+        loses rank or finds no room (``exhausted`` when it is all lost or
+        the basis fills the space).  Other poles are a ``ValueError``.
         """
-        if self._U.dtype != np.float64:
-            raise ValueError("a paired step needs a real basis")
-        xi = complex(xi)
+        xi = complex(poles[0]) if len(poles) == 2 else 0j
+        if len(poles) != 1 and (xi.imag == 0 or complex(poles[1]) != xi.conjugate()):
+            raise ValueError("advance takes one pole or a conjugate pair (xi, conj(xi))")
+        if len(poles) == 1 or self._U.dtype != np.float64:
+            for pole in poles:
+                self._step(pole)
+            return self
         j = self.steps + 1
         ell, k = self.block_size, self._k
         if k + 2 * ell > self.n:
             raise RankDeficient(f"no room for the {2 * ell} columns of a pair", step=j,
                                 exhausted=k == self.n)
-        W = self._solve(xi, self._seed if j == 1 else self._OpU[:, k - ell:k])
+        W = self._block(xi)
         Q = self._orthonormalize(np.hstack([W.real, W.imag]), j)
         self._reserve(2 * ell, np.float64)
         self._append(Q, (xi, xi.conjugate()))
         return self
+
+    def _step(self, xi):
+        """The single step of pole xi; a complex W promotes a real basis
+        before it is orthonormalized."""
+        xi = np.inf if is_infinite_pole(xi) else complex(xi)
+        W = self._block(xi)
+        self._reserve(self.block_size, np.result_type(self._U, W))
+        self._append(self._orthonormalize(W, self.steps + 1), (xi,))
+
+    def _block(self, xi):
+        """W of the step rule for xi (``np.inf`` or a complex), from the seed
+        at step 1, else from the last block of ``op_basis`` or, for the pole
+        0, of ``basis``."""
+        k, ell = self._k, self.block_size
+        if not self.steps:
+            X = self._seed
+        elif xi == 0:
+            X = self._U[:, k - ell:k]
+        else:
+            X = self._OpU[:, k - ell:k]
+        return X.copy() if xi == np.inf else self._solve(xi, X)
 
     def _reserve(self, cols, dtype):
         """Room for ``cols`` more columns of the given dtype in the buffers."""
@@ -359,39 +361,34 @@ def _advance_step(bases, poles, m):
     """Append the step of xi = ``poles[m]`` to each basis (one, or the two
     of a two-sided run); returns the number of poles taken, 1 or 2.
 
-    When conj(xi) != xi follows xi and some basis is real, the bases take
-    the steps of xi and conj(xi) together: each real basis its paired step
-    (:meth:`KrylovBasis.advance_pair`), each complex one the two single
-    steps.  If the pair block of the first basis loses part of its rank,
-    every basis takes the single step of xi instead; if it loses all of it,
-    the ``exhausted`` :class:`RankDeficient` propagates, as from the single
-    step of xi.  If that of another basis loses rank, that basis takes the
-    two single steps.  When every basis is complex, each pole is a single
-    step of its own.
+    When conj(xi) != xi follows xi and some basis is real, every basis
+    takes the pair, ``advance(xi, conj(xi))``.  If the real pair block of
+    the first basis loses part of its rank, every basis takes the single
+    step of xi instead; if it loses all of it, the ``exhausted``
+    :class:`RankDeficient` propagates, as from the single step of xi.  If
+    that of another basis loses rank, that basis takes the two single
+    steps.  The error of a complex basis, a single step's, propagates.
+    When every basis is complex, each pole is a single step of its own.
     """
     xi = poles[m]
-    real = [basis.basis.dtype == np.float64 for basis in bases]
     # a finite pole is a complex (PolePlan holds them so), INF a float
     if (m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
-            and poles[m + 1] == xi.conjugate() and any(real)):
+            and poles[m + 1] == xi.conjugate()
+            and any(basis.basis.dtype == np.float64 for basis in bases)):
         try:
-            if real[0]:
-                bases[0].advance_pair(xi)
-            else:
-                bases[0].advance(xi).advance(xi.conjugate())
+            bases[0].advance(xi, xi.conjugate())
         except RankDeficient as exc:
-            # the error of a complex first basis is that of a single step
-            if exc.exhausted or not real[0]:
+            # a real basis stays real through a failed pair
+            if exc.exhausted or bases[0].basis.dtype != np.float64:
                 raise
         else:
-            for basis, is_real in zip(bases[1:], real[1:]):
-                if is_real:
-                    try:
-                        basis.advance_pair(xi)
-                        continue
-                    except RankDeficient:
-                        pass
-                basis.advance(xi).advance(xi.conjugate())
+            for basis in bases[1:]:
+                try:
+                    basis.advance(xi, xi.conjugate())
+                except RankDeficient:
+                    if basis.basis.dtype != np.float64:
+                        raise
+                    basis.advance(xi).advance(xi.conjugate())
             return 2
     for basis in bases:
         basis.advance(xi)

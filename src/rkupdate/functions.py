@@ -163,7 +163,6 @@ class FunctionSpec:
     fn: object
     dfn: object = field(default=None, compare=False)
     dd: object = field(default=None, compare=False)
-    gamma: float = 0.0
     markov_support: tuple = None
     label: str = ""
 
@@ -192,7 +191,7 @@ class FunctionSpec:
         if not 0.0 < gamma < 1.0:
             raise ValueError("inv_power exponent must lie in (0, 1)")
         g = float(gamma)
-        return cls(kind="inv-power", fn=_Power(-g), dfn=_Power(-g - 1.0, -g), gamma=g,
+        return cls(kind="inv-power", fn=_Power(-g), dfn=_Power(-g - 1.0, -g),
                    markov_support=_NEG_AXIS, label=f"z^(-{gamma})")
 
     @classmethod

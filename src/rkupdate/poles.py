@@ -32,7 +32,7 @@ from ._validation import is_infinite_pole
 from .errors import SupportOverlapsSpectrum
 
 __all__ = [
-    "INF", "GONCHAR_RAKHMANOV_RATE", "PolePlan", "IntervalMap", "EllipseMap",
+    "INF", "PolePlan", "IntervalMap", "EllipseMap",
     "markov_single_pole", "quasi_optimal_poles",
     "zolotarev_invsqrt_poles", "zolotarev_sign_poles",
     "exp_single_pole", "extended_plan", "leja_order",
@@ -40,11 +40,6 @@ __all__ = [
 
 #: the distinguished infinite pole (a polynomial step)
 INF = math.inf
-
-#: reference constant: asymptotic rate of best uniform rational approximation
-#: of exp on the negative axis (Gonchar-Rakhmanov / Aptekarev); used in
-#: documentation and bound reports only.
-GONCHAR_RAKHMANOV_RATE = 9.28903
 
 
 def _canon(p):
@@ -97,18 +92,10 @@ class PolePlan:
         return (self.poles * -(-m // k))[:m]
 
     def conjugate_closed(self):
-        """True when the multiset of finite poles is invariant under conjugation."""
+        """True when the multiset of finite poles is invariant under
+        conjugation: every pole that has no conjugate partner is real."""
         finite = [p for p in self.poles if not is_infinite_pole(p)]
-        pool = list(finite)
-        for p in finite:
-            q = complex(p).conjugate()
-            for i, r in enumerate(pool):
-                if r == q:
-                    pool.pop(i)
-                    break
-            else:
-                return False
-        return True
+        return all(q is not None or p.imag == 0 for p, q in _conjugate_partners(finite))
 
     @classmethod
     def from_text(cls, text):

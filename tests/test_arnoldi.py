@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rkupdate.arnoldi as arnoldi
+import rkupdate.updater as updater
 from rkupdate.arnoldi import (
     FactorizationCache,
     KrylovBasis,
@@ -14,7 +17,8 @@ from rkupdate.arnoldi import (
 from rkupdate.dense import _Band, norm2, qr_orthonormalize, shifted_factorize
 from rkupdate.errors import RankDeficient, SingularShift
 from rkupdate.functions import FunctionSpec, PartialFractions
-from rkupdate.poles import INF, PolePlan, extended_plan
+from rkupdate.poles import INF, PolePlan, extended_plan, zolotarev_sign_poles
+from rkupdate.signsylv import SylvesterProblem, sylvester_solve_krylov
 from rkupdate.updater import project_update, run_update
 
 from conftest import BANDS, band_matrix, max_principal_angle, rand_complex, random_hermitian
@@ -430,7 +434,7 @@ class TestConjugatePairs:
         ref = KrylovBasis(_complex_stored(A), seed.astype(complex), adjoint=adjoint)
         for xi, paired in steps:
             if paired:
-                basis.advance_pair(xi)
+                basis.advance(xi, np.conj(xi))
                 ref.advance(xi).advance(np.conj(xi))
             else:
                 basis.advance(xi)
@@ -445,17 +449,63 @@ class TestConjugatePairs:
         assert np.abs(basis.compression - U.T @ Op @ U).max() <= 1e-13 * norm2(A)
         assert np.abs(basis.op_basis - Op @ U).max() <= 1e-13 * norm2(A)
 
-    def test_paired_step_needs_a_real_basis(self, rng):
+    def test_a_complex_basis_takes_a_pair_as_two_single_steps(self, rng):
         A = _real_operators(rng, 20)["dense"]
-        with pytest.raises(ValueError, match="real basis"):
-            KrylovBasis(A, rand_complex(rng, 20, 1)).advance_pair(1.0j)
+        seed = rand_complex(rng, 20, 2)
+        xi = -1.0 + 1.0j
+        for adjoint in (False, True):
+            got, want = (KrylovBasis(A, seed, adjoint=adjoint) for _ in range(2))
+            for basis in (got, want):
+                basis.advance(-2.0)
+            got.advance(xi, np.conj(xi))
+            want.advance(xi).advance(np.conj(xi))
+            _same_bases([got], [want])
+            assert np.array_equal(got.op_basis, want.op_basis) and got.steps == 3
+
+    @pytest.mark.parametrize("poles", [(-1.0 + 1.0j, -1.0 + 1.0j), (-1.0 + 1.0j, 1.0 - 1.0j),
+                                       (-1.0, -1.0), (INF, INF), (1.0j, -1.0j, 2.0), ()])
+    def test_anything_but_one_pole_or_a_conjugate_pair_raises(self, rng, poles):
+        A = _real_operators(rng, 20)["dense"]
+        for seed in (rng.standard_normal((20, 1)), rand_complex(rng, 20, 1)):
+            basis = KrylovBasis(A, seed)
+            with pytest.raises(ValueError, match="conjugate pair"):
+                basis.advance(*poles)
+            assert basis.steps == 0
+
+    @settings(derandomize=True, max_examples=24, deadline=None, database=None)
+    @given(kind=st.sampled_from(["dense", "tridiagonal", "diagonal"]),
+           ell=st.integers(1, 2), adjoint=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.sampled_from([0.0, -1.0, -1.5, INF, -2.0 + 1.0j]),
+                          min_size=1, max_size=5))
+    def test_generated_paired_steps_span_the_single_steps(self, kind, ell, adjoint, seed,
+                                                           steps):
+        # n = 48 keeps the pentadiagonal operator dense-stored and the
+        # tridiagonal and diagonal ones band-stored; at most 6 poles
+        rng = np.random.default_rng(seed)
+        n = 48
+        A = band_matrix(rng, n, *{"dense": (2, 2), "tridiagonal": (1, 1),
+                                  "diagonal": (0, 0)}[kind])
+        steps = [(xi, np.conj(xi)) if np.iscomplex(xi) else (xi,) for xi in steps]
+        while sum(map(len, steps)) > 6:
+            steps.pop()
+        seed = rng.standard_normal((n, ell))
+        basis = KrylovBasis(A, seed, adjoint=adjoint)
+        ref = KrylovBasis(_complex_stored(A), seed.astype(complex), adjoint=adjoint)
+        assert isinstance(basis.cache.A, _Band) == (kind != "dense")
+        for step in steps:
+            basis.advance(*step)
+            for pole in step:
+                ref.advance(pole)
+        assert basis.basis.dtype == np.float64 and basis.poles_used == ref.poles_used
+        assert basis.dimension == ref.dimension <= 12
+        assert max_principal_angle(basis.basis, ref.basis) <= 1e-10
 
     def test_a_lost_pair_leaves_the_basis_unchanged(self, rng):
         # an eigenvector seed: Re W and Im W are both multiples of it
         A = np.diag([1.0, 2.0, 3.0, 4.0])
         basis = KrylovBasis(A, np.eye(4)[:, :1])
         with pytest.raises(RankDeficient) as info:
-            basis.advance_pair(-1.0 + 1.0j)
+            basis.advance(-1.0 + 1.0j, -1.0 - 1.0j)
         assert not info.value.exhausted
         assert basis.dimension == basis.steps == 0
         # no room for two columns, and then none for any
@@ -463,11 +513,11 @@ class TestConjugatePairs:
         basis.advance(-1.0).advance(INF).advance(-2.0)
         U = basis.basis.copy()
         with pytest.raises(RankDeficient) as info:
-            basis.advance_pair(-1.0 + 1.0j)
+            basis.advance(-1.0 + 1.0j, -1.0 - 1.0j)
         assert not info.value.exhausted and np.array_equal(basis.basis, U)
         basis.advance(INF)
         with pytest.raises(RankDeficient) as info:
-            basis.advance_pair(-1.0 + 1.0j)
+            basis.advance(-1.0 + 1.0j, -1.0 - 1.0j)
         assert info.value.exhausted and basis.steps == 4
 
 
@@ -496,7 +546,7 @@ class TestStepRule:
         got, want = self.bases(A, seeds), self.bases(A, seeds)
         assert arnoldi._advance_step(got, poles, 0) == 2
         for basis in want:
-            basis.advance_pair(self.XI)
+            basis.advance(self.XI, np.conj(self.XI))
         _same_bases(got, want)
         assert all(b.basis.dtype == np.float64 and b.dimension == 4 for b in got)
         # the next pole has no conjugate after it: a single step
@@ -526,7 +576,7 @@ class TestStepRule:
         assert arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0) == 2
         for basis in want:
             if basis.basis.dtype == np.float64:
-                basis.advance_pair(self.XI)
+                basis.advance(self.XI, np.conj(self.XI))
             else:
                 basis.advance(self.XI).advance(np.conj(self.XI))
         _same_bases(got, want)
@@ -556,7 +606,7 @@ class TestStepRule:
         seeds = [np.array([[1.0], [1.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [1.0], [1.0]])]
         got, want = self.bases(A, seeds), self.bases(A, seeds)
         assert arnoldi._advance_step(got, (xi, np.conj(xi)), 0) == 2
-        want[0].advance_pair(xi)
+        want[0].advance(xi, np.conj(xi))
         want[1].advance(xi).advance(np.conj(xi))
         _same_bases(got, want)
         assert got[0].basis.dtype == np.float64 and got[1].basis.dtype == np.complex128
@@ -591,6 +641,35 @@ class TestStepRule:
             arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0)
         assert info.value.exhausted and info.value.step == 5
         assert all(b.steps == 4 and b.basis.dtype == np.float64 for b in got)
+
+    def test_a_real_sylvester_run_calls_advance_once_per_basis_and_step(self, rng,
+                                                                        monkeypatch):
+        # Zolotarev sign poles are conjugate pairs i b, -i b: each pair is one
+        # call of advance per basis, as a wrapper of advance sees it
+        calls, counts = [], []
+        advance, advance_step = KrylovBasis.advance, updater._advance_step
+
+        def counted_advance(self, *poles):
+            calls.append(poles)
+            return advance(self, *poles)
+
+        def counted_step(bases, poles, m):
+            before = len(calls)
+            taken = advance_step(bases, poles, m)
+            counts.append((len(calls) - before, taken))
+            return taken
+
+        monkeypatch.setattr(KrylovBasis, "advance", counted_advance)
+        monkeypatch.setattr(updater, "_advance_step", counted_step)
+        n = 16
+        prob = SylvesterProblem.create(rng.standard_normal((n, n)) / n + 4 * np.eye(n),
+                                       rng.standard_normal((n, n)) / n - 4 * np.eye(n),
+                                       rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
+        plan = PolePlan(zolotarev_sign_poles((3.0, 5.0), 4).poles, repetition="cyclic")
+        result, _ = sylvester_solve_krylov(prob, plan, m_max=6, tol=0.0)
+        assert result.left.dtype == result.right.dtype == np.float64
+        assert counts == [(2, 2)] * 3
+        assert all(len(poles) == 2 for poles in calls)
 
 
 def _dense_stored(A):

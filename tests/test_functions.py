@@ -55,7 +55,8 @@ def test_markov_support_catalog():
 
 def test_from_string():
     assert FunctionSpec.from_string("inv-sqrt").kind == "inv-sqrt"
-    assert FunctionSpec.from_string("inv-power:0.25").gamma == 0.25
+    assert FunctionSpec.from_string("inv-power:0.25") == FunctionSpec.inv_power(0.25)
+    assert FunctionSpec.from_string("inv-power:0.25").fn == functions._Power(-0.25)
     assert FunctionSpec.from_string("sign").kind == "sign"
     inverse = FunctionSpec.from_string("inverse")
     assert inverse.label == "1/z"

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkupdate.arnoldi import build_basis
 from rkupdate.bounds import (
@@ -44,6 +47,15 @@ class TestPolePlan:
         assert not PolePlan((1j, 2.0)).conjugate_closed()
         assert PolePlan((1j, 1j, -1j, -1j)).conjugate_closed()
         assert not PolePlan((1j, 1j, -1j)).conjugate_closed()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.sampled_from([2j, -2j, 1 + 2j, 1 - 2j, 1 + 1e-300j, 1 - 1e-300j,
+                                     -3 + 0j, complex(-3, -0.0), 0.0, INF]), max_size=7))
+    def test_conjugate_closed_against_the_multisets(self, poles):
+        # closed when the finite poles and their conjugates are one multiset
+        finite = [complex(p) for p in poles if p != INF]
+        want = Counter(finite) == Counter(z.conjugate() for z in finite)
+        assert PolePlan(tuple(poles)).conjugate_closed() == want
 
     def test_from_text(self):
         text = "# poles\n-3.5\n\ninf\n1.25+0.5j\n1.25-0.5j\n"
