@@ -4,10 +4,14 @@ The realness rule (:func:`real_if_real`): an array is real when its dtype
 is real (bool, integer or float), or when it is complex with no nonzero
 imaginary entry.  Real data are held as ``float64``, all other data as
 ``complex128``.  :func:`as_array` applies the rule to every matrix and
-block that enters the library, once, so the same values give the same
-bits whether they come as ``float64`` or as ``complex128``.  Past the
-entry no module scans for realness again; each follows the dtypes it is
-given:
+block that enters the library, so the same values give the same bits
+whether they come as ``float64`` or as ``complex128``.  The solvers apply
+it once, at their entry.  Two kernels are public entry points too and
+apply it to every call, also from within a run:
+:func:`rkupdate.dense.qr_orthonormalize` to every Krylov block it
+orthonormalizes, and :func:`rkupdate.dense.shifted_factorize` to a dense
+A at every LU.  Otherwise no module scans for realness again; each
+follows the dtypes it is given:
 
 - a factorization cache keeps A as :func:`as_array` left it, and its LU
   at a real shift of a real A is real;

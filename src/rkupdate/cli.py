@@ -44,7 +44,7 @@ CSV_HEADER = "m,error_true,error_estimate,bound"
 @dataclass
 class ExperimentResult:
     name: str
-    rows: list                      # (m, err_true, est, bound); None or NaN: no value
+    rows: list                      # (m, err_true, est, bound); NaN: no value
     report: object
     extras: dict = field(default_factory=dict)
 
@@ -53,8 +53,8 @@ class ExperimentResult:
 
 
 def _fmt(x):
-    """A CSV cell: empty for a step with no value (None or NaN)."""
-    return "" if x is None or math.isnan(x) else f"{float(x):.15e}"
+    """A CSV cell: empty for a step with no value (NaN)."""
+    return "" if math.isnan(x) else f"{float(x):.15e}"
 
 
 def write_csv(path, rows):
@@ -65,19 +65,15 @@ def write_csv(path, rows):
 
 
 def _rows_from_report(report, bounds=None, m_scale=1):
-    """Rows (m, error_true, error_estimate, bound); the m column carries the
-    subspace dimension, which is the step index times the block width."""
-    iters = report.iterations
-    d_lag = iters - len(report.estimates)  # the first d steps have no estimate
-    rows = []
-    for m in range(1, iters + 1):
-        e_true = None
-        if report.true_errors:
-            e_true = report.true_errors[m - 1] if m - 1 < len(report.true_errors) else None
-        est = report.estimates[m - 1 - d_lag] if m > d_lag else None
-        bound = bounds[m - 1] if bounds is not None and m - 1 < len(bounds) else None
-        rows.append((m * m_scale, e_true, est, bound))
-    return rows
+    """Rows (m, error_true, error_estimate, bound), one per step of the
+    report's step-indexed lists, with NaN for a run without a reference or
+    a bound; the m column carries the subspace dimension, which is the step
+    index times the block width."""
+    steps = report.iterations
+    none = [math.nan] * steps
+    return list(zip((m * m_scale for m in range(1, steps + 1)),
+                    none if report.true_errors is None else report.true_errors,
+                    report.estimates, none if bounds is None else bounds, strict=True))
 
 
 # ----------------------------------------------------------------------
@@ -263,34 +259,36 @@ def experiment_custom(args):
         def gap():
             return _gap(np.linalg.eigvalsh(A), np.linalg.eigvalsh(A + D))
 
-    plan = _parse_poles(args.poles, window=window, gap=gap, m_max=args.m_max)
+    stopping = {"m_max": 50, "tol": 1e-10, **_given(args, "m_max", "tol", "d")}
+    plan = _parse_poles(args.poles, window=window, gap=gap, m_max=stopping["m_max"])
     dense = dense_update(A, D, f, hermitian=J is not None) if desk else None
-    state, report = run_update(A, B, C, f=f, plan=plan, m_max=args.m_max,
-                               tol=args.tol, d=args.d, J=J, true_update=dense)
+    state, report = run_update(A, B, C, f=f, plan=plan, J=J, true_update=dense, **stopping)
     rows = _rows_from_report(report)
     if report.iterations == 0:
-        rows = [(0, 0.0 if dense is not None else None, 0.0, None)]
+        rows = [(0, 0.0 if dense is not None else math.nan, 0.0, math.nan)]
     return [ExperimentResult("custom", rows, report)]
 
 
+def _given(args, *names):
+    """The options among ``names`` that were given on the command line; an
+    option left out takes the default of the function that reads it."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _figure_args(args):
-    """Keyword arguments of a figure experiment; without --seed the
-    experiment runs at its frozen default seed."""
-    kwargs = dict(n=args.n, m_max=args.m_max, tol=args.tol, d=args.d)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return kwargs
+    """Keyword arguments of a figure experiment: the options that were
+    given, so that the others take the experiment's own defaults (for
+    --seed its frozen seed)."""
+    return _given(args, "n", "seed", "m_max", "tol", "d")
 
 
-#: experiment -> (run, default m_max, default tol); run takes the parsed
-#: arguments and returns a list of results
+#: experiment -> run, which takes the parsed arguments and returns a list
+#: of results
 EXPERIMENTS = {
-    "fig1-invsqrt-single-pole":
-        (lambda args: [experiment_fig1(**_figure_args(args))], 160, 1e-12),
-    "fig2-invsqrt-quasiopt":
-        (lambda args: [experiment_fig2(**_figure_args(args))], 60, 1e-12),
-    "fig3-sign": (lambda args: experiment_fig3(**_figure_args(args)), 100, 1e-8),
-    "custom": (experiment_custom, 50, 1e-10),
+    "fig1-invsqrt-single-pole": lambda args: [experiment_fig1(**_figure_args(args))],
+    "fig2-invsqrt-quasiopt": lambda args: [experiment_fig2(**_figure_args(args))],
+    "fig3-sign": lambda args: experiment_fig3(**_figure_args(args)),
+    "custom": experiment_custom,
 }
 
 
@@ -301,12 +299,7 @@ def run_experiment(args):
     each, named after the --out stem and the variant."""
     if args.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {args.experiment!r}")
-    run, m_max, tol = EXPERIMENTS[args.experiment]
-    if args.m_max is None:
-        args.m_max = m_max
-    if args.tol is None:
-        args.tol = tol
-    results = run(args)
+    results = EXPERIMENTS[args.experiment](args)
     if len(results) == 1:
         write_csv(args.out, results[0].rows)
         print(results[0].summary())
@@ -347,13 +340,12 @@ def build_parser():
 
     up = sub.add_parser("update", help="run an update experiment")
     up.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
-    up.add_argument("--n", type=int, default=200)
-    up.add_argument("--seed", type=int, default=None,
-                    help="instance seed (frozen per-experiment default if omitted)")
-    up.add_argument("--tol", type=float, default=None,
-                    help="stopping tolerance (per-experiment default if omitted)")
-    up.add_argument("--m-max", type=int, default=None)
-    up.add_argument("--d", type=int, default=2)
+    # an option left out takes the experiment's own default
+    up.add_argument("--n", type=int, help="size of a figure experiment's instance")
+    up.add_argument("--seed", type=int, help="instance seed (frozen per experiment)")
+    up.add_argument("--tol", type=float, help="stopping tolerance")
+    up.add_argument("--m-max", type=int)
+    up.add_argument("--d", type=int)
     up.add_argument("--poles", default="markov-single",
                     help="pole file or strategy[:params]")
     up.add_argument("--function", default="inv-sqrt")

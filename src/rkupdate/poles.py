@@ -176,6 +176,12 @@ class EllipseMap:
         return u1 if abs(u1) >= abs(u2) else u2
 
 
+def _check_interval(window):
+    """Raise ValueError for an ellipse window (a positive half-height)."""
+    if window.half_height > 0:
+        raise ValueError("needs an interval window, got an ellipse (half_height > 0)")
+
+
 def _check_support(window, support):
     alpha, beta = support
     if not alpha < beta:
@@ -194,8 +200,10 @@ def markov_single_pole(window, support):
     positive window this reduces to the closed form -sqrt(lmax*lmin) with
     rate ((lmax/lmin)**(1/4) - 1)/((lmax/lmin)**(1/4) + 1); the general case
     goes through the conformal-map chain, with analytic limit formulas for
-    alpha = -inf rather than a large negative surrogate.
+    alpha = -inf rather than a large negative surrogate.  An ellipse window
+    raises ValueError.
     """
+    _check_interval(window)
     alpha, beta = _check_support(window, support)
     lmin, lmax = window.lmin, window.lmax
     if lmax - lmin <= 1e-15 * max(abs(lmax), 1.0):
@@ -280,8 +288,10 @@ def quasi_optimal_poles(window, support, count):
     used; a finite alpha is reduced to that case by the Mobius transform
     sending (alpha, beta) to (-inf, 0).  All poles are real and lie left of
     the support endpoint; for (-inf, 0] on a positive window they are negative
-    and log-symmetric about -sqrt(lmin*lmax).
+    and log-symmetric about -sqrt(lmin*lmax).  The window must be an
+    interval: an ellipse window raises ValueError.
     """
+    _check_interval(window)
     alpha, beta = _check_support(window, support)
     if count < 1:
         raise ValueError("count must be >= 1")

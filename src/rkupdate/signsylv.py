@@ -45,6 +45,7 @@ from .poles import PolePlan
 from .rng import normal_block
 from .updater import (
     _as_core,
+    _check_hermitian,
     _check_steps,
     _dense_product,
     _hermitian_difference,
@@ -99,7 +100,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     singular one raises :class:`SingularityOnSpectrum`.  A enters only
     through products and shifted LUs of A itself; A^2 is never formed.
     J must be ell x ell for a B of ell columns, and B = 0 gives the exact
-    zero update (no step), as in :func:`rkupdate.updater.run_update`.
+    zero update (no step); A and J are checked to be Hermitian as in the
+    Hermitian mode of :func:`rkupdate.updater.run_update`.
 
     The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
     m_max >= 1 and d >= 1, evaluates only the steps of the checkpoint
@@ -115,10 +117,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     n = cache.A.shape[0]
     B = as_array(B, "B", rows=n)
     J = _as_core(J, B)
+    _check_hermitian(cache.A)
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)
-        return SignUpdateResult(left=empty, right=empty, coupling=np.zeros((0, 0), dtype=complex),
-                                basis=KrylovBasis(cache, np.zeros((n, 1)))), _zero_report()
+        result = SignUpdateResult(left=empty, right=empty, coupling=np.zeros((0, 0), dtype=complex),
+                                  basis=KrylovBasis(cache, np.zeros((n, 1))))
+        return result, _zero_report(true_update is not None)
     ell = B.shape[1]
     BJ = B @ J
 

@@ -43,9 +43,10 @@ import numpy as np
 
 from ._validation import as_array
 from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
-from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
+from .dense import TOL_AXIS, _Band, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
+from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
 
 __all__ = ["project_update", "update_hermitian", "run_update",
@@ -158,13 +159,14 @@ def _dense_product(left, X, right):
 class UpdateReport:
     """Per-step record of a run.
 
-    ``estimates[k]`` is the estimate of step k + 1 + d (the first d steps
-    have none) and ``true_errors[k]`` the true error of step k + 1; a step
-    with no value records NaN in both: a step retried after a singularity
-    of f, the first step of a paired conjugate pair, and, in a run without
-    true errors, a step that the checkpoint schedule skips (see
-    :func:`_schedule`).  An estimate that is recorded has the bits it has
-    in a run that evaluates every step.
+    The lists hold one entry per step: ``estimates[k]`` and
+    ``true_errors[k]`` (None without a reference) are step k + 1's.  NaN is
+    no value: no estimate at the first d steps, and neither value at a step
+    retried after a singularity of f, the first step of a paired conjugate
+    pair, and, in a run without true errors, a step that the checkpoint
+    schedule skips (see :func:`_schedule`).  An estimate that is recorded
+    has the bits it has in a run that evaluates every step.  The exact zero
+    update takes no step, and its summary's final error is 0.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
     """
@@ -180,6 +182,8 @@ class UpdateReport:
 
     def summary(self):
         known = [v for v in (self.true_errors or self.estimates) if not math.isnan(v)]
+        if not self.iterations:
+            known = [0.0]  # the exact zero update
         final = f"{known[-1]:.16e}" if known else "none"
         return (f"converged={str(self.converged).lower()} "
                 f"iterations={self.iterations} final_error={final}")
@@ -274,12 +278,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     def record(step, new):
         """Record a step's solution (None for a gap), true error and estimate,
         over the step's earlier record; returns the estimate (NaN if none)."""
-        del history[step - 1:], errors[step - 1:], estimates[max(step - 1 - d, 0):]
+        del history[step - 1:], errors[step - 1:], estimates[step - 1:]
         history.append(new)
         errors.append(math.nan if new is None or error is None else error(new))
-        if step <= d:
-            return math.nan
-        old = next((h for h in reversed(history[:step - d]) if h is not None), None)
+        old = next((h for h in reversed(history[:max(step - d, 0)]) if h is not None), None)
         estimates.append(math.nan if new is None or old is None else estimate(new, old))
         return estimates[-1]
 
@@ -340,18 +342,40 @@ def _check_steps(m_max, d):
 
 
 def _as_core(J, B):
-    """J as the ell x ell core of D = B J B* for a block B of ell columns."""
+    """J as the ell x ell core of D = B J B* for a block B of ell columns;
+    J must equal J* exactly."""
     J = as_array(J, "J")
     ell = B.shape[1]
     if J.shape != (ell, ell):
         raise ValueError(f"J must be {ell}x{ell}")
+    if not np.array_equal(J, J.conj().T):
+        raise ValueError("J must be Hermitian")
     return J
 
 
-def _zero_report():
-    """The report of a run whose update is exactly zero (B = 0 or C = 0)."""
-    return UpdateReport(final_rank=0, iterations=0, estimates=[0.0], true_errors=[],
-                        converged=True)
+def _check_hermitian(A):
+    """Raise ValueError unless a cache's stored operator A is Hermitian to
+    ``TOL_AXIS`` times its largest entry.  A band needs kl == ku and each
+    superdiagonal equal to the conjugated subdiagonal (the diagonal real);
+    a dense A is checked at desk scale only (n <= ``ORACLE_MAX_N``), where
+    the check's n x n difference is cheap."""
+    if isinstance(A, _Band):
+        n, ab, ku = A.shape[0], A.ab, A.ku
+        hermitian = A.kl == ku and all(
+            np.abs(ab[ku - k, k:] - ab[ku + k, :n - k].conj()).max() <= TOL_AXIS * A.scale
+            for k in range(ku + 1))
+    elif A.shape[0] <= ORACLE_MAX_N:
+        hermitian = np.abs(A - A.conj().T).max() <= TOL_AXIS * np.abs(A).max()
+    else:
+        hermitian = True
+    if not hermitian:
+        raise ValueError("A must be Hermitian")
+
+
+def _zero_report(reference):
+    """The report of the exact zero update (B = 0 or C = 0): no step."""
+    return UpdateReport(final_rank=0, iterations=0, estimates=[],
+                        true_errors=[] if reference else None, converged=True)
 
 
 def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=None):
@@ -362,11 +386,13 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     ell x ell for a B of ell columns, A must be Hermitian, and the pole plan
     must be closed under conjugation); the general mode takes C with
     D = B C*, which must have B's columns; passing both C and J is an error.
-    All of this is checked before any LU, and B = 0 (or C = 0) gives the
-    exact zero update.  ``true_update`` (a dense reference for f(A+D)-f(A))
-    enables per-step true-error tracking for experiments; in the Hermitian
-    mode the error is Hermitian and its norm is taken from its eigenvalues
-    (the lower triangle), not from an SVD.
+    All of this is checked before any LU (J must equal J* exactly, and A is
+    checked as :func:`_check_hermitian` says: a dense A above desk scale is
+    taken as given), and B = 0 (or C = 0) gives the exact zero update.
+    ``true_update`` (a dense reference for f(A+D)-f(A)) enables per-step
+    true-error tracking for experiments; in the Hermitian mode the error is
+    Hermitian and its norm is taken from its eigenvalues (the lower
+    triangle), not from an SVD.
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
@@ -392,6 +418,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         if C is not None:
             raise ValueError("pass C for the general mode or J for the Hermitian mode, not both")
         J = _as_core(J, B)
+        _check_hermitian(cache.A)
         C = B
     else:
         if C is None:
@@ -402,7 +429,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
 
     if not B.any() or (not hermitian_mode and not C.any()):
         left = KrylovBasis(cache, np.zeros((n, 1)))
-        return UpdateState(left, left, np.zeros((0, 0), dtype=complex), []), _zero_report()
+        return (UpdateState(left, left, np.zeros((0, 0), dtype=complex), []),
+                _zero_report(true_update is not None))
 
     plan = PolePlan.of(plan)
     poles = plan.expand(m_max)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ class TestRng:
 class TestCSV:
     def test_format(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, [(1, 0.5, None, 2.0), (2, None, 1e-3, None)])
+        write_csv(path, [(1, 0.5, math.nan, 2.0), (2, math.nan, 1e-3, math.nan)])
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1] == "1,5.000000000000000e-01,,2.000000000000000e+00"
@@ -102,6 +104,23 @@ class TestMainUpdate:
         assert len(lines) == 2  # header + the single zero row
         assert lines[1].startswith("0,0.0")
         assert "converged=true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment, defaults", [
+        ("custom", ["--m-max", "50", "--tol", "1e-10", "--d", "2"]),
+        ("fig2-invsqrt-quasiopt", ["--m-max", "60", "--tol", "1e-12", "--d", "2", "--seed", "6"]),
+    ])
+    def test_left_out_options_take_the_experiments_defaults(self, tmp_path, rng, capsys,
+                                                            experiment, defaults):
+        _write_custom_instance(tmp_path, rng)
+        argv = ["update", "--experiment", experiment, "--n", "40",
+                "--matrix-a", str(tmp_path / "A.mtx"), "--matrix-b", str(tmp_path / "B.mtx"),
+                "--matrix-j", str(tmp_path / "J.mtx"), "--poles", "quasi-optimal:4"]
+        texts = []
+        for given in ([], defaults):
+            out = tmp_path / f"run{len(texts)}.csv"
+            assert main(argv + given + ["--out", str(out)]) == 0
+            texts.append((out.read_text(), capsys.readouterr().out))
+        assert texts[0] == texts[1]
 
     def test_pole_file(self, tmp_path, rng, capsys):
         _write_custom_instance(tmp_path, rng)

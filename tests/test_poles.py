@@ -195,6 +195,15 @@ class TestQuasiOptimalPoles:
             quasi_optimal_poles(SpectralWindow(1.0, 2.0), (-np.inf, 1.0), 3)
 
 
+def test_single_pole_and_quasi_optimal_plans_refuse_an_ellipse_window():
+    # both read only lmin and lmax, and would return the interval's poles
+    window = SpectralWindow(1.0, 3.0, half_height=0.8)
+    with pytest.raises(ValueError, match="interval window"):
+        markov_single_pole(window, (-np.inf, 0.0))
+    with pytest.raises(ValueError, match="interval window"):
+        quasi_optimal_poles(window, (-np.inf, 0.0), 4)
+
+
 class TestZolotarev:
     def test_invsqrt_degree_one_is_geometric_mean(self):
         plan = zolotarev_invsqrt_poles((1e-4, 1.0), 1)

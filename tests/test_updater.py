@@ -266,6 +266,70 @@ class TestRunUpdate:
             run_update(A, B, C, f=FunctionSpec.exp(), plan=[-1.0], m_max=1, tol=0.0, J=J)
 
 
+class TestHermitianChecks:
+    """The Hermitian mode and the sign update refuse a J or an A that is not
+    Hermitian, before any factorization: both would give wrong answers."""
+
+    PLAN = PolePlan((-1.0, -5.0), repetition="cyclic")
+
+    @staticmethod
+    def no_lu(monkeypatch):
+        def no_lu(*args, **kwargs):
+            raise AssertionError("a factorization before the input was checked")
+
+        monkeypatch.setattr(FactorizationCache, "factorization", no_lu)
+
+    def run(self, A, B, J):
+        return run_update(A, B, f=FunctionSpec.inv_sqrt(), plan=self.PLAN, m_max=30,
+                          tol=1e-12, J=J)
+
+    def test_a_non_hermitian_J(self, monkeypatch):
+        # unchecked, J = [[1 + 0.5j]] runs to converged=True 0.116 away from the update
+        A = np.diag(np.linspace(1.0, 10.0, 40))
+        B = np.random.default_rng(0).standard_normal((40, 1))
+        self.no_lu(monkeypatch)
+        with pytest.raises(ValueError, match="^J must be Hermitian$"):
+            self.run(A, B, np.array([[1.0 + 0.5j]]))
+        with pytest.raises(ValueError, match="^J must be Hermitian$"):
+            sign_update(A, B, np.array([[1.0 + 0.5j]]), self.PLAN, m_max=4, tol=0.0)
+
+    def test_a_dense_non_hermitian_A(self, monkeypatch):
+        # unchecked, this A runs to a relative error of 0.53; the two-sided
+        # run of the same update, which takes a general A, is accurate
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((40, 1))
+        A = np.diag(np.linspace(1.0, 10.0, 40)) + 0.5 * np.triu(rng.standard_normal((40, 40)), 1)
+        f = FunctionSpec.inv_sqrt()
+        state, _ = run_update(A, B, B, f=f, plan=self.PLAN, m_max=30, tol=1e-12)
+        exact = dense_update(A, B @ B.T, f)
+        assert norm2(state.materialize() - exact) <= 1e-10 * norm2(exact)
+        self.no_lu(monkeypatch)
+        with pytest.raises(ValueError, match="^A must be Hermitian$"):
+            self.run(A, B, np.eye(1))
+        with pytest.raises(ValueError, match="^A must be Hermitian$"):
+            sign_update(A, B, np.eye(1), self.PLAN, m_max=4, tol=0.0)
+
+    def test_band_stored_operators(self, monkeypatch):
+        # at n = 64 a tridiagonal A is kept in band storage only
+        n = 64
+        B = np.random.default_rng(1).standard_normal((n, 1))
+        diag, upper = np.linspace(1.0, 2.0, n), np.full(n - 1, 0.1)
+        hermitian = [np.diag(diag) + np.diag(upper, 1) + np.diag(upper * (1 + 1e-15), -1),
+                     np.diag(diag) + np.diag(1j * upper, 1) - np.diag(1j * upper, -1)]
+        refused = [np.diag(diag) + np.diag(upper, 1) + np.diag(2 * upper, -1),
+                   np.diag(diag) + np.diag(upper, 1),
+                   np.diag(diag + 1e-3j) + np.diag(upper, 1) + np.diag(upper, -1)]
+        for A in hermitian:
+            _, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(), plan=self.PLAN, m_max=2,
+                                tol=0.0, J=np.eye(1))
+            assert rep.iterations == 2
+        self.no_lu(monkeypatch)
+        for A in refused:
+            assert FactorizationCache(A).A.ab.shape[0] <= 3
+            with pytest.raises(ValueError, match="^A must be Hermitian$"):
+                self.run(A, B, np.eye(1))
+
+
 class TestEstimator:
     def test_stagnation_zero(self):
         X = np.ones((3, 3))
@@ -308,8 +372,9 @@ class TestEstimator:
                                 m_max=10, tol=0.0, d=2, J=np.array([[1.0]]),
                                 true_update=dense)
         # estimate at step m estimates the error at step m-d
-        for k, est in enumerate(rep.estimates):
-            true_prev = rep.true_errors[k]   # step k+1 = (k+1+d) - d
+        d = 2
+        for k, est in enumerate(rep.estimates[d:], start=d):
+            true_prev = rep.true_errors[k - d]   # step k+1-d
             assert est <= 50 * max(true_prev, 1e-14)
             assert est >= 0.01 * min(true_prev, 1.0)
 
@@ -413,9 +478,10 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
     assert raised == [3] and rep.iterations == m_max and len(hist) == m_max
     assert hist[2] is None and state.coupling is hist[-1]
     assert [k for k, e in enumerate(rep.true_errors) if math.isnan(e)] == [2]
-    assert len(rep.estimates) == m_max - d
+    assert len(rep.estimates) == m_max
+    assert all(math.isnan(e) for e in rep.estimates[:d])
     for m in range(d + 1, m_max + 1):
-        est = rep.estimates[m - 1 - d]
+        est = rep.estimates[m - 1]
         if m == 3:   # the retried step
             assert math.isnan(est)
         else:
@@ -433,7 +499,7 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
     assert [int(r[0]) for r in rows] == list(range(1, m_max + 1))
     for m, (_, e_true, est, _) in enumerate(rows, start=1):
         assert e_true == _fmt(rep.true_errors[m - 1])
-        assert est == _fmt(rep.estimates[m - 1 - d] if m > d else None)
+        assert est == _fmt(rep.estimates[m - 1])
     assert rows[2][1] == "" and rows[2][2] == "" and rows[4][2] != ""
 
 
@@ -621,7 +687,7 @@ class TestConjugatePairSteps:
                 for seed in (B, 1j * B)]
         for state, rep in runs:
             assert rep.converged and rep.breakdown_step == 2 and rep.iterations == 1
-            assert rep.estimates == []
+            assert len(rep.estimates) == 1 and math.isnan(rep.estimates[0])
             exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
             assert norm2(state.materialize() - exact) <= 1e-14
         for seed in (B, 1j * B):
@@ -642,8 +708,8 @@ class TestConjugatePairSteps:
         # d = 2: step 3 compares with the gap at step 1 (and has no earlier
         # solution), steps 5 and 6 with step 3, the latest evaluated one at
         # least two steps back
-        assert all(math.isnan(e) for e in rep.estimates[:2])
-        assert rep.estimates[2:] == [padded_difference_norm(hist[m - 1], hist[2], hermitian=True)
+        assert all(math.isnan(e) for e in rep.estimates[:4])
+        assert rep.estimates[4:] == [padded_difference_norm(hist[m - 1], hist[2], hermitian=True)
                                      for m in (5, 6)]
         path = tmp_path / "pairs.csv"
         write_csv(path, _rows_from_report(rep))
@@ -793,7 +859,7 @@ class TestCheckpointSchedule:
                 if X is not None} == scheduled
         assert rep.true_errors is None and rep.iterations == every.iterations == m_max
         for m in range(d + 1, m_max + 1):
-            got, want = rep.estimates[m - 1 - d], every.estimates[m - 1 - d]
+            got, want = rep.estimates[m - 1], every.estimates[m - 1]
             if m in scheduled and m - d in scheduled:
                 assert got == want
             elif m not in scheduled:
@@ -809,17 +875,17 @@ class TestCheckpointSchedule:
         ref = dense_update(A, B @ J @ B.conj().T, f, hermitian=True)
         _, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, J=J,
                               true_update=ref)
-        tol = every.estimates[8 - 1 - d]
+        tol = every.estimates[8 - 1]
         _, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=tol, d=d, J=J)
         scheduled = _schedule(B.shape[0], B.shape[1], 1, m_max, d)
         first = next((m for m in sorted(scheduled)
-                      if m > d and m - d in scheduled and every.estimates[m - 1 - d] <= tol),
+                      if m > d and m - d in scheduled and every.estimates[m - 1] <= tol),
                      None)
         if first is None:
             assert not rep.converged and rep.iterations == m_max
         else:
             assert rep.converged and rep.iterations == first
-            assert rep.estimates[-1] == every.estimates[first - 1 - d]
+            assert rep.estimates[-1] == every.estimates[first - 1]
 
     def test_retry_after_a_skipped_step(self, rng, monkeypatch):
         # n = 40: step 7 is skipped and step 8 scheduled; a singularity at
@@ -845,8 +911,8 @@ class TestCheckpointSchedule:
         assert evaluated == [1, 2, 3, 4, 5, 6, 9, 11, 13, 18, 20] and not failing
         # step 9 compares with step 6, the latest evaluated at least two back
         hist = state.coupling_history
-        assert math.isnan(rep.estimates[8 - 1 - 2])
-        assert rep.estimates[9 - 1 - 2] == padded_difference_norm(hist[8], hist[5], hermitian=True)
+        assert math.isnan(rep.estimates[8 - 1])
+        assert rep.estimates[9 - 1] == padded_difference_norm(hist[8], hist[5], hermitian=True)
         # a second consecutive failure raises with its step
         failing = [8, 9]
         with pytest.raises(SingularityOnSpectrum) as exc:
@@ -916,3 +982,91 @@ class TestCheckpointSchedule:
         assert every_rep.converged and rep.converged
         assert rep.iterations >= every_rep.iterations
         assert norm2(exact - checked) <= 2.0 * norm2(exact - every)
+
+
+@st.composite
+def step_indexed_run(draw):
+    """(run, d): a small run of one of the solvers, a function of no
+    argument that returns (solution, report), and its lag d.  The runs
+    cover both modes of ``run_update`` with and without a reference (at a
+    size where the checkpoint schedule has gaps), ``sign_update``,
+    ``sylvester_solve_krylov`` and the zero update, on plans that mix real
+    poles, INF and conjugate pairs (taken as paired steps on real data)."""
+    solver = draw(st.sampled_from(["hermitian", "two-sided", "sign", "sylvester", "zero"]))
+    reference = draw(st.booleans())
+    real = draw(st.booleans())
+    d = draw(st.integers(1, 3))
+    m_max = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 40 if solver in ("hermitian", "two-sided") else 16
+
+    def block(cols):
+        return rng.standard_normal((n, cols)) if real else rand_complex(rng, n, cols)
+
+    # a Hermitian A with moduli of eigenvalues in [0.5, 4.5], of either sign
+    # for the sign update
+    w = rng.uniform(0.5, 4.5, n) * (rng.choice([-1.0, 1.0], n) if solver == "sign" else 1.0)
+    Q, _ = np.linalg.qr(block(n))
+    A = (Q * w) @ Q.conj().T
+    A = 0.5 * (A + A.conj().T)
+    B = 0.1 * block(1)
+    J, f = np.eye(1), FunctionSpec.inv_sqrt()
+    kwargs = dict(m_max=m_max, tol=0.0, d=d)
+    if solver == "sylvester":
+        plan = draw(st.sampled_from([(2j, -2j), (INF, 1j, -1j), (0.5j, -0.5j, 3j, -3j)]))
+        prob = SylvesterProblem.create(A, -A, B, 0.1 * block(1))
+        return (lambda: sylvester_solve_krylov(prob, PolePlan(plan, repetition="cyclic"),
+                                               **kwargs)), d
+    if solver == "sign":
+        plan = PolePlan(draw(st.sampled_from([(-1.0,), (-0.5, INF, -3.0)])),
+                        repetition="cyclic")
+        ref = dense_update(A, B @ B.conj().T, FunctionSpec.sign(), hermitian=True)
+        return (lambda: sign_update(A, B, J, plan, true_update=ref if reference else None,
+                                    **kwargs)), d
+    plan = PolePlan(draw(st.sampled_from([(-1.0,), (-0.5, INF, -3.0), (-1.0 + 1.5j, -1.0 - 1.5j,
+                                                                       -3.0)])),
+                    repetition="cyclic")
+    if solver == "zero":
+        B = np.zeros_like(B)
+    C = None if solver != "two-sided" else 0.1 * block(1)
+    ref = dense_update(A, B @ B.conj().T if C is None else B @ C.conj().T, f,
+                       hermitian=C is None)
+    return (lambda: run_update(A, B, C, f=f, plan=plan, J=J if C is None else None,
+                               true_update=ref if reference else None, **kwargs)), d
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(step_indexed_run())
+def test_report_lists_are_step_indexed(instance):
+    # the step loop's history shows which steps were evaluated; estimates[k]
+    # is step k + 1's, NaN exactly when that step has no estimate
+    from unittest import mock
+
+    import rkupdate.signsylv as signsylv
+    import rkupdate.updater as updater
+    from rkupdate.cli import _rows_from_report
+
+    run, d = instance
+    loop, seen = updater._rational_krylov, []
+
+    def recording_loop(*args, **kwargs):
+        seen.append(loop(*args, **kwargs))
+        return seen[-1]
+
+    with mock.patch.object(updater, "_rational_krylov", recording_loop), \
+            mock.patch.object(signsylv, "_rational_krylov", recording_loop):
+        _, rep = run()
+    history = seen[0][0] if seen else []
+    steps = rep.iterations
+    assert len(history) == len(rep.estimates) == len(rep.poles) == steps
+    assert rep.true_errors is None or len(rep.true_errors) == steps
+    for k, est in enumerate(rep.estimates):
+        step = k + 1
+        empty = (step <= d or history[k] is None
+                 or all(h is None for h in history[:step - d]))
+        assert math.isnan(est) == empty
+    none = [math.nan] * steps
+    lists = np.column_stack([np.arange(1, steps + 1), rep.true_errors or none,
+                             rep.estimates, none])
+    assert np.array_equal(np.array(_rows_from_report(rep), dtype=float).reshape(-1, 4), lists,
+                          equal_nan=True)
