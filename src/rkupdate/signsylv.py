@@ -117,12 +117,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     n = cache.A.shape[0]
     B = as_array(B, "B", rows=n)
     J = _as_core(J, B)
-    _check_hermitian(cache.A)
+    _check_hermitian(cache.plain_matvec, n)
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)
         result = SignUpdateResult(left=empty, right=empty, coupling=np.zeros((0, 0), dtype=complex),
                                   basis=KrylovBasis(cache, np.zeros((n, 1))))
-        return result, _zero_report(true_update is not None)
+        return result, _zero_report()
     ell = B.shape[1]
     BJ = B @ J
 

@@ -43,11 +43,11 @@ import numpy as np
 
 from ._validation import as_array
 from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
-from .dense import TOL_AXIS, _Band, _coupling_block, funm_small, norm2, norm2_hermitian
+from .dense import TOL_AXIS, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
-from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
+from .rng import SplitMix64
 
 __all__ = ["project_update", "update_hermitian", "run_update",
            "padded_difference_norm",
@@ -166,7 +166,7 @@ class UpdateReport:
     pair, and, in a run without true errors, a step that the checkpoint
     schedule skips (see :func:`_schedule`).  An estimate that is recorded
     has the bits it has in a run that evaluates every step.  The exact zero
-    update takes no step, and its summary's final error is 0.
+    update takes no step (empty lists), and its summary's final error is 0.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
     """
@@ -353,29 +353,21 @@ def _as_core(J, B):
     return J
 
 
-def _check_hermitian(A):
-    """Raise ValueError unless a cache's stored operator A is Hermitian to
-    ``TOL_AXIS`` times its largest entry.  A band needs kl == ku and each
-    superdiagonal equal to the conjugated subdiagonal (the diagonal real);
-    a dense A is checked at desk scale only (n <= ``ORACLE_MAX_N``), where
-    the check's n x n difference is cheap."""
-    if isinstance(A, _Band):
-        n, ab, ku = A.shape[0], A.ab, A.ku
-        hermitian = A.kl == ku and all(
-            np.abs(ab[ku - k, k:] - ab[ku + k, :n - k].conj()).max() <= TOL_AXIS * A.scale
-            for k in range(ku + 1))
-    elif A.shape[0] <= ORACLE_MAX_N:
-        hermitian = np.abs(A - A.conj().T).max() <= TOL_AXIS * np.abs(A).max()
-    else:
-        hermitian = True
-    if not hermitian:
+def _check_hermitian(matvec, n):
+    """Raise ValueError unless the operator A of ``matvec`` (A @ X, and A* @ X
+    with ``adjoint=True``) is Hermitian to ``TOL_AXIS``: for a fixed real
+    standard-normal probe x of n entries, ||A x - A* x|| <= TOL_AXIS ||A x||.
+    Two products, whatever A's storage and size, and no n x n array."""
+    x = SplitMix64(0).normal(n).reshape(n, 1)
+    Ax = matvec(x)
+    if np.linalg.norm(Ax - matvec(x, adjoint=True)) > TOL_AXIS * np.linalg.norm(Ax):
         raise ValueError("A must be Hermitian")
 
 
-def _zero_report(reference):
+def _zero_report():
     """The report of the exact zero update (B = 0 or C = 0): no step."""
-    return UpdateReport(final_rank=0, iterations=0, estimates=[],
-                        true_errors=[] if reference else None, converged=True)
+    return UpdateReport(final_rank=0, iterations=0, estimates=[], true_errors=[],
+                        converged=True)
 
 
 def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=None):
@@ -386,13 +378,12 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     ell x ell for a B of ell columns, A must be Hermitian, and the pole plan
     must be closed under conjugation); the general mode takes C with
     D = B C*, which must have B's columns; passing both C and J is an error.
-    All of this is checked before any LU (J must equal J* exactly, and A is
-    checked as :func:`_check_hermitian` says: a dense A above desk scale is
-    taken as given), and B = 0 (or C = 0) gives the exact zero update.
-    ``true_update`` (a dense reference for f(A+D)-f(A)) enables per-step
-    true-error tracking for experiments; in the Hermitian mode the error is
-    Hermitian and its norm is taken from its eigenvalues (the lower
-    triangle), not from an SVD.
+    All of this is checked before any LU (J must equal J* exactly, A by
+    :func:`_check_hermitian`), and B = 0 (or C = 0) gives the exact zero
+    update.  ``true_update`` (a dense reference for f(A+D)-f(A))
+    enables per-step true-error tracking for experiments; in the Hermitian
+    mode the error is Hermitian and its norm is taken from its eigenvalues
+    (the lower triangle), not from an SVD.
 
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
@@ -418,7 +409,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         if C is not None:
             raise ValueError("pass C for the general mode or J for the Hermitian mode, not both")
         J = _as_core(J, B)
-        _check_hermitian(cache.A)
+        _check_hermitian(cache.matvec, n)
         C = B
     else:
         if C is None:
@@ -429,8 +420,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
 
     if not B.any() or (not hermitian_mode and not C.any()):
         left = KrylovBasis(cache, np.zeros((n, 1)))
-        return (UpdateState(left, left, np.zeros((0, 0), dtype=complex), []),
-                _zero_report(true_update is not None))
+        return UpdateState(left, left, np.zeros((0, 0), dtype=complex), []), _zero_report()
 
     plan = PolePlan.of(plan)
     poles = plan.expand(m_max)

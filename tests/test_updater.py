@@ -148,6 +148,9 @@ class TestRunUpdate:
                                 f=FunctionSpec.exp(), plan=[INF], m_max=4, tol=1e-8)
         assert rep.converged and rep.iterations == 0
         assert norm2(state.coupling) == 0.0
+        # no step, and the exact zero update has no error
+        assert rep.estimates == rep.true_errors == []
+        assert rep.summary() == f"converged=true iterations=0 final_error={0.0:.16e}"
 
     def test_exactness_rational_plan_match(self, rng):
         n, m = 30, 4
@@ -309,13 +312,31 @@ class TestHermitianChecks:
         with pytest.raises(ValueError, match="^A must be Hermitian$"):
             sign_update(A, B, np.eye(1), self.PLAN, m_max=4, tol=0.0)
 
+    def test_a_large_dense_non_hermitian_A(self, monkeypatch):
+        # above the oracles' size limit; unchecked, this A runs to
+        # converged=false at a relative error of 0.078, with no error raised
+        n = 600
+        rng = np.random.default_rng(0)
+        A = (np.diag(np.linspace(1.0, 10.0, n))
+             + 0.5 * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n))
+        B = rng.standard_normal((n, 1))
+        assert isinstance(FactorizationCache(A).A, np.ndarray)
+        self.no_lu(monkeypatch)
+        with pytest.raises(ValueError, match="^A must be Hermitian$"):
+            self.run(A, B, np.eye(1))
+        with pytest.raises(ValueError, match="^A must be Hermitian$"):
+            sign_update(A, B, np.eye(1), self.PLAN, m_max=4, tol=0.0)
+
     def test_band_stored_operators(self, monkeypatch):
         # at n = 64 a tridiagonal A is kept in band storage only
         n = 64
         B = np.random.default_rng(1).standard_normal((n, 1))
         diag, upper = np.linspace(1.0, 2.0, n), np.full(n - 1, 0.1)
         hermitian = [np.diag(diag) + np.diag(upper, 1) + np.diag(upper * (1 + 1e-15), -1),
-                     np.diag(diag) + np.diag(1j * upper, 1) - np.diag(1j * upper, -1)]
+                     np.diag(diag) + np.diag(1j * upper, 1) - np.diag(1j * upper, -1),
+                     # a rounding-level entry in one triangle only (kl != ku)
+                     np.diag(diag) + np.diag(upper, 1) + np.diag(upper, -1)
+                     + np.diag(np.full(n - 2, 1e-18), -2)]
         refused = [np.diag(diag) + np.diag(upper, 1) + np.diag(2 * upper, -1),
                    np.diag(diag) + np.diag(upper, 1),
                    np.diag(diag + 1e-3j) + np.diag(upper, 1) + np.diag(upper, -1)]
@@ -615,10 +636,10 @@ class TestLuckyBreakdown:
 
 
 @pytest.mark.parametrize("estimates,true_errors,final", [
-    ([], None, "none"),
-    ([math.nan], [math.nan, math.nan, math.nan], "none"),
-    ([0.5, math.nan], None, f"{0.5:.16e}"),
-    ([math.nan], [0.25, math.nan, 0.125], f"{0.125:.16e}"),
+    ([math.nan, math.nan, math.nan], None, "none"),
+    ([math.nan, math.nan, math.nan], [math.nan, math.nan, math.nan], "none"),
+    ([math.nan, 0.5, math.nan], None, f"{0.5:.16e}"),
+    ([math.nan, math.nan, math.nan], [0.25, math.nan, 0.125], f"{0.125:.16e}"),
 ])
 def test_summary_final_error(estimates, true_errors, final):
     report = UpdateReport(final_rank=3, iterations=3, estimates=estimates,
