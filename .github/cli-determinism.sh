@@ -9,8 +9,10 @@
 # count.  One more custom update runs above the
 # desk scale (n = 600 > ORACLE_MAX_N): it has no true errors, so the small
 # problem is solved only at the checkpoint schedule's steps, and its CSV
-# has empty estimate cells at the skipped steps.  No file that a run writes
-# may hold "nan".
+# has empty estimate cells at the skipped steps.  A custom update on a
+# dense random symmetric A of n = 60 (no narrow band, so it is stored
+# dense) runs the Hermitian probe and the Hermitian fill of the
+# compression on dense storage.  No file that a run writes may hold "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
@@ -52,6 +54,10 @@ write_matrix(f"{d}/A600.mtx", A)
 write_matrix(f"{d}/B600.mtx", normal_block(4, n, 1))
 # a complex seed for the real A of n = 60
 write_matrix(f"{d}/Bc.mtx", normal_block(5, 60, 1) + 1j * normal_block(6, 60, 1))
+# a dense random symmetric positive definite A of n = 60
+M = normal_block(7, 60, 60).real
+A = M @ M.T / 60 + 0.5 * np.eye(60)
+write_matrix(f"{d}/Adense.mtx", 0.5 * (A + A.T))
 EOF
 printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
 printf '# a pole file with a conjugate pair\n-0.5\ninf\n-1+1j\n-1-1j\n' > "$in/poles-pair.txt"
@@ -75,6 +81,9 @@ for run in 1 2; do
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/Bc.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 30 --tol 0 --out "$out/custom-complex-seed.csv"
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/Adense.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
+    --poles quasi-optimal:4 --m-max 30 --tol 0 --out "$out/custom-dense.csv"
   # a two-sided update (C in place of J): the coupling block of the
   # general mode, from the eigendecompositions of the two diagonal blocks
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \

@@ -13,8 +13,12 @@ orthonormalizes, and :func:`rkupdate.dense.shifted_factorize` to a dense
 A at every LU.  Otherwise no module scans for realness again; each
 follows the dtypes it is given:
 
-- a factorization cache keeps A as :func:`as_array` left it, and its LU
-  at a real shift of a real A is real;
+- a factorization cache takes A in once (``rkupdate.dense._banded``): a
+  narrow band, dense or ``scipy.sparse``, goes into band storage, and the
+  rule and the finiteness check of :func:`as_array` apply to the band,
+  which holds every nonzero, so a narrow sparse band is never densified
+  and a dense one is not copied; any other A is kept as :func:`as_array`
+  gives it.  Its LU at a real shift of a real A is real;
 - a Krylov basis is ``np.result_type`` of its operator and its seed, real
   blocks stay real through products, real LUs, paired steps for conjugate
   pole pairs and the QR, and the first complex block promotes the basis
@@ -28,8 +32,9 @@ follows the dtypes it is given:
 What the solvers return has fixed dtypes: couplings, cores, the results
 of ``funm_small`` and the sign update's factors are ``complex128``; bases,
 and matrices read from a file, are ``float64`` when they are real.
-Hermitian structure is always an explicit caller-supplied flag, never
-detected by scanning entries.
+Hermitian structure is never detected by scanning entries: the Hermitian
+mode is the caller's choice, and a factorization cache learns whether A is
+Hermitian from one product probe (``FactorizationCache.hermitian``).
 """
 
 import numpy as np
@@ -50,7 +55,8 @@ def as_array(A, name="A", *, rows=None, square=False):
     """A as a finite, C-contiguous 2-d array, ``float64`` when it is real by
     :func:`real_if_real` and ``complex128`` otherwise.
 
-    A ``scipy.sparse`` A is densified (``toarray``), and a 1-d A is one
+    A ``scipy.sparse`` A is densified (``toarray``; a factorization cache
+    keeps a narrow sparse band out of this path), and a 1-d A is one
     column.  ``rows`` requires that many rows (a block
     conforming with an operator); ``square`` requires a square matrix.
     """

@@ -6,8 +6,17 @@ Builds orthonormal bases of the rational block Krylov subspace
     q_m(z) = prod over finite poles (z - xi_j),
 
 growing one block per step.  Orthogonalization is classical Gram-Schmidt
-with one unconditional reorthogonalization pass (CGS2).  Compressions
-U* (Op U) are formed by explicit projection and extended incrementally.
+with one unconditional reorthogonalization pass (CGS2).  The compression
+U* (Op U) is extended incrementally: its new block column is projected,
+U* (Op Q) for the new block Q.  On a cache whose A is Hermitian
+(``FactorizationCache.hermitian``, the sign update's A^2 included) the
+compression is Hermitian, so its new rows are the conjugate transpose of
+its new columns and its diagonal block is made exactly Hermitian; on any
+other cache the new rows are projected too, Q* (Op U).  The rule is the
+same for every basis on the cache, the adjoint basis and a general-mode
+run's bases included.  Every basis also keeps U* seed, one product Q* seed
+per appended block, so the small problems that read it make no pass over
+the basis.
 
 Step rules (xi_j = pole of step j), all in :meth:`KrylovBasis.advance`:
 
@@ -19,9 +28,9 @@ Step rules (xi_j = pole of step j), all in :meth:`KrylovBasis.advance`:
 
 The pole-zero step drops the A multiplication because (A - 0)^{-1} A is the
 identity on the previous block; both rules generate the same subspace.
-A U_{j-1} is never recomputed: the products A U of every block are kept
-for the compression, so each step makes one product with A.  Rank loss is
-a hard error (no deflation).
+A U_{j-1} is never recomputed: the products A U of every block are kept,
+so each step makes one product with A.  Rank loss is a hard error (no
+deflation).
 
 A basis grows only through ``advance(*poles)``: one pole, or a conjugate
 pair ``advance(xi, conj(xi))``, which a real basis on a real A takes as one
@@ -63,10 +72,12 @@ followed by its solve applies (A^2 + s^2 I)^{-1}.
 
 A cache stores A real or complex by the realness rule of
 :mod:`rkupdate._validation`, and the adjoint of a real A is its
-transpose.  The cache reads A's band once: a matrix whose band is narrow
-is kept in LAPACK band storage only, and its LUs (``?gbtrf``), solves
-(``?gbtrs``) and products (one diagonal at a time) cost O(n) per band
-row.
+transpose.  The cache reads A once: a matrix whose band is narrow, dense
+or ``scipy.sparse``, goes straight into LAPACK band storage with no n x n
+copy, and its LUs (``?gbtrf``), solves (``?gbtrs``) and products (one
+diagonal at a time) cost O(n) per band row.  The cache then makes the one
+product probe of A that sets ``hermitian``, which the Hermitian mode and
+the sign update require and every basis on the cache reads.
 
 Above the operator there is one code path with a dtype, the result type
 of A and the seed.  Real blocks stay real through the products, the LUs
@@ -82,9 +93,10 @@ into C-order buffers whose capacity doubles, and a step appends into them.
 import numpy as np
 
 from ._validation import as_array, is_infinite_pole
-from .dense import _Band, _banded, _real_product, qr_orthonormalize, shifted_factorize
+from .dense import TOL_AXIS, _Band, _banded, _real_product, qr_orthonormalize, shifted_factorize
 from .errors import RankDeficient
 from .poles import PolePlan
+from .rng import SplitMix64
 
 __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 
@@ -92,14 +104,22 @@ __all__ = ["FactorizationCache", "KrylovBasis", "build_basis", "adjoint_basis"]
 class FactorizationCache:
     """An operator A and its shifted LU factorizations, keyed by pole value.
 
-    ``A`` is kept as :func:`~rkupdate._validation.as_array` gives it: in
-    band storage when its band is narrow, and as a C-contiguous array
-    otherwise.
+    ``A`` is kept as :func:`~rkupdate.dense._banded` gives it: in band
+    storage when its band is narrow (a ``scipy.sparse`` A included), and as
+    a C-contiguous array otherwise.  ``hermitian`` is the result of one
+    product probe of A, made when the cache is made: for a fixed real probe
+    x of n entries, ||A x - A* x|| <= ``TOL_AXIS`` ||A x||.  Two products,
+    whatever A's storage and size, and no n x n array.
     """
 
     def __init__(self, A):
-        self.A = _banded(as_array(A, square=True))
+        self.A = _banded(A)
         self._fac = {}
+        n = self.A.shape[0]
+        x = SplitMix64(0).signed_uniforms(n).reshape(n, 1)
+        Ax = _product(self.A, x)
+        self.hermitian = bool(np.linalg.norm(Ax - _product(self.A, x, adjoint=True))
+                              <= TOL_AXIS * np.linalg.norm(Ax))
 
     def factorization(self, xi):
         """The LU of A - xi I, made on first use.  For a real A the LU at
@@ -118,17 +138,7 @@ class FactorizationCache:
 
     def matvec(self, X, adjoint=False):
         """A @ X, or A* @ X, for a block X; real when A and X are real."""
-        A = self.A
-        if isinstance(A, _Band):
-            def product(Z):
-                return A.dot(Z, adjoint=adjoint)
-        elif A.dtype == np.complex128 and adjoint:
-            # A* X without forming the conjugate transpose of A
-            return (A.T @ X.conj()).conj()
-        else:
-            op = A.T if adjoint else A
-            product = op.__matmul__
-        return _real_product(product, X) if A.dtype == np.float64 else product(X)
+        return _product(self.A, X, adjoint)
 
     def clear(self):
         """Drop every factorization (they are rebuilt on demand)."""
@@ -136,6 +146,20 @@ class FactorizationCache:
 
     def __len__(self):
         return len(self._fac)
+
+
+def _product(A, X, adjoint=False):
+    """A @ X, or A* @ X, for an operator A as a cache stores it."""
+    if isinstance(A, _Band):
+        def product(Z):
+            return A.dot(Z, adjoint=adjoint)
+    elif A.dtype == np.complex128 and adjoint:
+        # A* X without forming the conjugate transpose of A
+        return (A.T @ X.conj()).conj()
+    else:
+        op = A.T if adjoint else A
+        product = op.__matmul__
+    return _real_product(product, X) if A.dtype == np.float64 else product(X)
 
 
 class _ConjugateFactorization:
@@ -156,6 +180,7 @@ class _SquaredCache(FactorizationCache):
     one LU of A - i s I, since A^2 + s^2 I = (A - i s I)* (A - i s I); the
     LUs are keyed by xi.  ``A`` is stored as a cache stores it, so a real
     or band-stored A gets a complex band or dense LU at the shift i s.
+    ``hermitian`` is the probe of A, so it holds for A^2 too.
     """
 
     #: the product with A itself
@@ -193,14 +218,16 @@ class KrylovBasis:
     ``A`` is a matrix or its cache; an ``adjoint`` basis is one of A*.  The
     basis of step m-1 occupies the leading (m-1)*ell columns of the step-m
     basis (bases grow strictly by appending), which the difference
-    estimator of the updater relies on.
+    estimator of the updater relies on.  The basis keeps
+    ``seed_product``, basis* seed, as it grows.
 
     The basis has the result type of the cache's A and the seed; the first
     block that comes back complex (the LU of a complex pole taken alone)
     promotes a real basis, once, with its leading columns unchanged, and a
     conjugate pair keeps it real.  ``basis``, the products
-    ``Op @ basis`` and ``compression`` are views into C-order buffers whose
-    capacity doubles when a block does not fit, so a step appends in place.
+    ``Op @ basis``, ``compression`` and ``seed_product`` are views into
+    C-order buffers whose capacity doubles when a block does not fit, so a
+    step appends in place.
     """
 
     def __init__(self, A, seed, *, adjoint=False):
@@ -217,6 +244,7 @@ class KrylovBasis:
         self._U = np.empty((n, 0), dtype=dtype)
         self._OpU = np.empty((n, 0), dtype=dtype)  # Op @ basis, column-aligned
         self._G = np.empty((0, 0), dtype=dtype)
+        self._US = np.empty((0, self.block_size), dtype=dtype)  # basis* seed
 
     @property
     def n(self):
@@ -240,8 +268,22 @@ class KrylovBasis:
 
     @property
     def op_basis(self):
-        """Op @ basis, Op = A (A* for an adjoint basis), kept for the compression."""
+        """Op @ basis, Op = A (A* for an adjoint basis).  Its last block is
+        the next step's continuation; the compression's new rows read it
+        whole on an operator that is not Hermitian, as the Sylvester
+        residual does."""
         return self._OpU[:, :self._k]
+
+    @property
+    def seed(self):
+        """The seed block, as :func:`~rkupdate._validation.as_array` gave it."""
+        return self._seed
+
+    @property
+    def seed_product(self):
+        """basis* seed, kept as the basis grows: reading it makes no pass
+        over the basis."""
+        return self._US[:self._k]
 
     def _matvec(self, X):
         return self.cache.matvec(X, adjoint=self._adjoint)
@@ -255,10 +297,12 @@ class KrylovBasis:
         U = np.empty((n, cap), dtype=dtype)
         OpU = np.empty((n, cap), dtype=dtype)
         G = np.empty((cap, cap), dtype=dtype)
-        U[:, :k] = self.basis
-        OpU[:, :k] = self.op_basis
-        G[:k, :k] = self.compression
-        self._U, self._OpU, self._G = U, OpU, G
+        US = np.empty((cap, self.block_size), dtype=dtype)
+        U[:, :k] = self._U[:, :k]
+        OpU[:, :k] = self._OpU[:, :k]
+        G[:k, :k] = self._G[:k, :k]
+        US[:k] = self._US[:k]
+        self._U, self._OpU, self._G, self._US = U, OpU, G, US
 
     def advance(self, *poles):
         """Append the step of one pole, or of a conjugate pair (xi, conj(xi)),
@@ -322,30 +366,33 @@ class KrylovBasis:
         return qr_orthonormalize(W, reference_norms=ref, step=step)
 
     def _append(self, Q, poles):
-        """Append the orthonormal block Q, its product with the operator
-        and the compression's new rows and columns; the buffers have room."""
+        """Append the orthonormal block Q, its product with the operator,
+        the compression's new rows and columns and the new rows Q* seed of
+        ``seed_product``; the buffers have room.
+
+        On a Hermitian cache the compression is Hermitian: its new block
+        column is projected, its diagonal block is made exactly Hermitian,
+        and its new rows are the conjugate transpose of its new columns, so
+        Q* op_basis is not formed."""
         k, width = self._k, Q.shape[1]
         OpQ = self._matvec(Q)
         new = slice(k, k + width)
-        self._G[new, :k] = Q.conj().T @ self.op_basis
+        G, hermitian = self._G, self.cache.hermitian
+        if not hermitian:
+            G[new, :k] = Q.conj().T @ self.op_basis
+        self._US[new] = _adjoint_product(Q, self._seed)
         self._U[:, new] = Q
         self._OpU[:, new] = OpQ
         self._k = k + width
-        self._G[:k + width, new] = self.block_product(OpQ)
+        G[:k + width, new] = self.block_product(OpQ)
+        if hermitian:
+            G[new, new] = 0.5 * (G[new, new] + G[new, new].conj().T)
+            G[new, :k] = G[:k, new].conj().T
         self.poles_used = self.poles_used + poles
 
     def block_product(self, X):
-        """basis* X for a conforming tall block.
-
-        A complex basis forms it as conj(basis^T conj(X)), which conjugates
-        the narrow X and the small result but never copies the basis, with
-        the same bits as conj(basis)^T X.  A real basis meets a complex X
-        through X's ``float64`` view, as a real operator does.
-        """
-        U = self.basis
-        if U.dtype == np.float64:
-            return _real_product(U.T.__matmul__, X)
-        return (U.T @ X.conj()).conj()
+        """basis* X for a conforming tall block (see :func:`_adjoint_product`)."""
+        return _adjoint_product(self.basis, X)
 
     def times(self, X):
         """basis @ X for a matrix X of ``dimension`` rows, the counterpart of
@@ -357,24 +404,62 @@ class KrylovBasis:
         return U @ X
 
 
+def _adjoint_product(U, X):
+    """U* X for conforming tall blocks U and X.
+
+    A complex U gives it as conj(U^T conj(X)), which conjugates the narrow
+    X and the small result but never copies U, with the same bits as
+    conj(U)^T X.  A real U meets a complex X through X's ``float64`` view,
+    as a real operator does.
+    """
+    if U.dtype == np.float64:
+        return _real_product(U.T.__matmul__, X)
+    return (U.T @ X.conj()).conj()
+
+
+def _pairs(real, poles, m):
+    """Whether the step of xi = ``poles[m]`` takes conj(xi) with it as one
+    paired step: conj(xi) != xi follows xi, and some basis is ``real``."""
+    xi = poles[m]
+    # a finite pole is a complex (PolePlan holds them so), INF a float
+    return (real and m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
+            and poles[m + 1] == xi.conjugate())
+
+
+def _pair_starts(bases, poles):
+    """The steps, counted from 1, that :func:`_advance_step` takes as the
+    first step of a pair when it steps ``bases`` through ``poles`` from
+    their present dtypes and no pair loses rank.  A complex pole taken
+    alone makes every basis complex, and then no pole pairs."""
+    real = any(basis.basis.dtype == np.float64 for basis in bases)
+    starts, m = set(), 0
+    while m < len(poles):
+        if _pairs(real, poles, m):
+            starts.add(m + 1)
+            m += 2
+            continue
+        if isinstance(poles[m], complex) and poles[m].imag:
+            real = False
+        m += 1
+    return starts
+
+
 def _advance_step(bases, poles, m):
     """Append the step of xi = ``poles[m]`` to each basis (one, or the two
     of a two-sided run); returns the number of poles taken, 1 or 2.
 
-    When conj(xi) != xi follows xi and some basis is real, every basis
-    takes the pair, ``advance(xi, conj(xi))``.  If the real pair block of
-    the first basis loses part of its rank, every basis takes the single
-    step of xi instead; if it loses all of it, the ``exhausted``
-    :class:`RankDeficient` propagates, as from the single step of xi.  If
-    that of another basis loses rank, that basis takes the two single
-    steps.  The error of a complex basis, a single step's, propagates.
-    When every basis is complex, each pole is a single step of its own.
+    When :func:`_pairs` holds (conj(xi) != xi follows xi and some basis is
+    real), every basis takes the pair, ``advance(xi, conj(xi))``.  If the
+    real pair block of the first basis loses part of its rank, every basis
+    takes the single step of xi instead; if it loses all of it, the
+    ``exhausted`` :class:`RankDeficient` propagates, as from the single
+    step of xi.  If that of another basis loses rank, that basis takes the
+    two single steps.  The error of a complex basis, a single step's,
+    propagates.  When every basis is complex, each pole is a single step of
+    its own.
     """
     xi = poles[m]
-    # a finite pole is a complex (PolePlan holds them so), INF a float
-    if (m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
-            and poles[m + 1] == xi.conjugate()
-            and any(basis.basis.dtype == np.float64 for basis in bases)):
+    if _pairs(any(basis.basis.dtype == np.float64 for basis in bases), poles, m):
         try:
             bases[0].advance(xi, xi.conjugate())
         except RankDeficient as exc:

@@ -8,16 +8,18 @@ a shifted factorization of a real operator at a real shift is real, and
 matrix meets a complex block through the block's ``float64`` view, whose
 columns hold the real and imaginary parts side by side
 (:func:`_real_product`); the matrix functions of small matrices return
-complex matrices.  An operator whose band is narrow is held in LAPACK band
-storage (:func:`_banded`, run once per factorization cache), and its
-shifted LUs and products then cost O(n) per band row instead of the dense
-O(n^3) and O(n^2).  Hermitian structure is an explicit flag.  The heavy
-lifting is delegated to LAPACK through numpy/scipy; this module owns the
-contracts (tolerances, error conditions, fallbacks).  What a function is,
-its domain included, is its :class:`~rkupdate.functions.FunctionSpec`'s
-to say (``f.check_spectrum``); the matrix functions here keep only their
-evaluation shortcuts: the identity, rational kinds through partial
-fractions, and scaling-and-squaring for an ill-conditioned exponential.
+complex matrices.  An operator whose band is narrow, dense or
+``scipy.sparse``, is held in LAPACK band storage (:func:`_banded`, run once
+per factorization cache, which builds the band without an n x n array),
+and its shifted LUs and products then cost O(n) per band row instead of
+the dense O(n^3) and O(n^2).  Hermitian structure is an explicit flag.
+The heavy lifting is delegated to LAPACK through numpy/scipy; this module
+owns the contracts (tolerances, error conditions, fallbacks).  What a
+function is, its domain included, is its
+:class:`~rkupdate.functions.FunctionSpec`'s to say (``f.check_spectrum``);
+the matrix functions here keep only their evaluation shortcuts: the
+identity, rational kinds through partial fractions, and
+scaling-and-squaring for an ill-conditioned exponential.
 
 The coupling block of the general mode, the (1,2) block of f of a block
 upper triangular matrix (:func:`_coupling_block`), has two paths.  When f
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse
 
 from ._validation import as_array, real_if_real
 from .errors import IllConditionedEigenbasis, RankDeficient, SingularShift
@@ -155,21 +158,49 @@ class _Band:
 
 
 def _banded(A):
-    """A in band storage when its band is narrow, A itself otherwise; A is a
-    C-contiguous ``float64`` or ``complex128`` square array."""
-    n = A.shape[0]
-    kl, ku = sla.bandwidth(A)
+    """A as a factorization cache holds it: in band storage when its band
+    is narrow, and as :func:`~rkupdate._validation.as_array` gives it
+    otherwise.
+
+    A is read once.  A narrow band goes straight into band storage, from
+    the diagonals of a dense A or the entries of a ``scipy.sparse`` one,
+    with no n x n array: the band holds every nonzero of A, so the realness
+    rule and the finiteness check of ``as_array`` apply to the band alone.
+    A wide band, dense or sparse, takes ``as_array`` (which densifies)."""
+    sparse = scipy.sparse.issparse(A)
+    if sparse:
+        coo = A.tocoo()
+        coo.sum_duplicates()
+        nonzero = coo.data != 0
+        rows, cols, data = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
+        offsets = cols.astype(np.int64) - rows
+        kl, ku = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+    else:
+        A = np.asarray(A)
+        if A.dtype.kind in "biufc":
+            # as_array's dtypes, which sla.bandwidth takes (float16 it refuses)
+            A = np.asarray(A, dtype=np.complex128 if A.dtype.kind == "c" else np.float64)
+        # a matrix that cannot band goes to as_array, which refuses or takes it
+        kl = ku = max(A.shape, default=0)
+        if A.ndim == 2 and A.dtype.kind in "fc":
+            kl, ku = sla.bandwidth(A)
+    n = A.shape[0] if A.ndim == 2 else 0
     # The crossover, measured with one BLAS thread for n = 128..2000 and 4
     # complex columns: while the band LU's 2 kl + ku + 1 rows are at most
     # n / 8, a band solve plus a product costs at most 1.3x the dense pair
     # (less from n = 512 on) and the band LU is 8-50x cheaper; at n / 4 the
     # pair costs 1.03-2.1x the dense one, so wider bands stay dense.  Below
     # n = 8 nothing is banded.
-    if 2 * kl + ku + 1 > n // 8:
-        return A
-    ab = np.zeros((kl + ku + 1, n), dtype=A.dtype)
-    for k in range(-kl, ku + 1):
-        ab[ku - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+    if A.shape != (n, n) or 2 * kl + ku + 1 > n // 8:
+        return as_array(A, square=True)
+    dtype = np.complex128 if A.dtype.kind == "c" else np.float64
+    ab = np.zeros((kl + ku + 1, n), dtype=dtype)
+    if sparse:
+        ab[ku + rows - cols, cols] = data
+    else:
+        for k in range(-kl, ku + 1):
+            ab[ku - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+    ab = as_array(ab, "A")
     # the band holds every nonzero, so its largest entry is A's
     return _Band(ab, int(kl), int(ku), float(np.abs(ab).max()))
 

@@ -45,7 +45,6 @@ from .poles import PolePlan
 from .rng import normal_block
 from .updater import (
     _as_core,
-    _check_hermitian,
     _check_steps,
     _dense_product,
     _hermitian_difference,
@@ -117,7 +116,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     n = cache.A.shape[0]
     B = as_array(B, "B", rows=n)
     J = _as_core(J, B)
-    _check_hermitian(cache.plain_matvec, n)
+    if not cache.hermitian:
+        raise ValueError("A must be Hermitian")
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)
         result = SignUpdateResult(left=empty, right=empty, coupling=np.zeros((0, 0), dtype=complex),
@@ -164,10 +164,10 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     basis = KrylovBasis(cache, W)
 
     def evaluate():
-        """(X, f(G) U*B) of the current basis."""
-        G = 0.5 * (basis.compression + basis.compression.conj().T)
-        UW = basis.block_product(W)
-        X, F_base = _hermitian_difference(G, UW, M_core, f)
+        """(X, f(G) U*B) of the current basis; G is exactly Hermitian (the
+        cache of a Hermitian A fills it so) and U*W is kept by the basis."""
+        UW = basis.seed_product
+        X, F_base = _hermitian_difference(basis.compression, UW, M_core, f)
         return X, F_base @ UW[:, :ell]
 
     def factors(new):
@@ -304,11 +304,10 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     right = KrylovBasis(prob.A2, prob.C2, adjoint=True)
 
     def evaluate():
-        UB = left.block_product(prob.B1)
-        VC = right.block_product(prob.C2)
+        # U*B1 and V*C2 are the bases' kept seed products
         try:
             return sylvester_dense(left.compression, right.compression.conj().T,
-                                   UB @ VC.conj().T)
+                                   left.seed_product @ right.seed_product.conj().T)
         except SpectraIntersect as exc:
             raise CompressedNotSolvable(str(exc)) from exc
 

@@ -8,7 +8,10 @@ padded coupling matrices of nested bases.
 
 In the Hermitian mode (A = A*, D = B J B*, conjugate-closed poles) the
 right basis aliases the left one and X_m(f) collapses to the difference of
-two small Hermitian matrix functions.
+two small Hermitian matrix functions.  Both modes read U*B (and V*C) from
+the bases, which keep them as they grow, and a Hermitian A, which the mode
+requires and a general-mode A may pass as well, has its compressions
+filled Hermitian (see :mod:`rkupdate.arnoldi`).
 
 The step loop is shared with the solvers of :mod:`rkupdate.signsylv`,
 which differ only in what they evaluate each step and how they weigh the
@@ -23,13 +26,14 @@ one evaluated at least d steps before it.
 A run that computes no true error (or residual) evaluates the small problem
 only at the steps of a fixed schedule (:func:`_schedule`): a checkpoint c
 once the Krylov work since the previous one, about n * dim * ell flops per
-step and basis, has reached the small problem's dim**3, and the step c - d
-that its estimate reads.  Every other step is a gap.  Since the estimate of
-a checkpoint compares X_c with X_{c-d}, as without the schedule, it has the
-same bits as in a run that evaluates every step, and a run stops at the
-first checkpoint whose estimate meets the tolerance: with decreasing
-estimates, at most one gap after the step where a run that evaluates every
-step stops.  At n = 1e5 with blocks of 4 columns the schedule holds every
+step and basis, has reached the small problem's dim**3, and the step that
+its estimate reads, c - d or, when c - d opens a paired step, the step
+before it.  Every other step is a gap.  Since the estimate of a checkpoint
+compares X_c with the solution that a run that evaluates every step
+compares it with, it has the same bits as in that run, and a run stops at
+the first evaluated step whose estimate meets the tolerance: with
+decreasing estimates, at most one gap after the step where a run that
+evaluates every step stops.  At n = 1e5 with blocks of 4 columns the schedule holds every
 step up to 150; at desk scale its gaps grow quickly.  A step without a
 value (a gap of the schedule, a pair's first step, a retried step) records
 NaN in the report's estimates and true errors, and None in the history of
@@ -42,44 +46,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import as_array
-from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
-from .dense import TOL_AXIS, _coupling_block, funm_small, norm2, norm2_hermitian
+from .arnoldi import FactorizationCache, KrylovBasis, _advance_step, _pair_starts
+from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from .poles import PolePlan
-from .rng import SplitMix64
 
 __all__ = ["project_update", "update_hermitian", "run_update",
            "padded_difference_norm",
            "UpdateState", "UpdateReport"]
 
 
-def project_update(left, right, B, C, f):
-    """Coupling matrix X_m(f) from a pair of bases (general, two-sided form).
+def project_update(left, right, f):
+    """Coupling matrix X_m(f) from a pair of bases (general, two-sided form):
+    ``left`` of (A, B) and ``right`` of (A*, C), so B and C are their seeds.
 
     X_m(f) is the (1,2) block of f([[G_m, (U*B)(V*C)*],
                                     [0,   H_m* + (V*B)(V*C)*]]).
+
+    U*B and V*C are the bases' kept seed products; V*B is one pass over V.
     """
-    UB = left.block_product(B)
-    VC = right.block_product(C)
-    VB = right.block_product(B)
+    UB = left.seed_product
+    VC = right.seed_product
+    VB = right.block_product(left.seed)
     E12 = UB @ VC.conj().T
     M22 = right.compression.conj().T + VB @ VC.conj().T
     return _coupling_block(left.compression, E12, M22, f)
 
 
-def update_hermitian(left, B, J, f):
+def update_hermitian(left, J, f):
     """Coupling matrix in the Hermitian mode:
-    X_m(f) = f(G_m + (U*B) J (U*B)*) - f(G_m).
+    X_m(f) = f(G_m + (U*B) J (U*B)*) - f(G_m), for the basis ``left`` of a
+    Hermitian A and its seed B.
 
-    For a positive rank-one update the difference is evaluated through the
-    secular (diagonal-plus-rank-one) decomposition in the eigenbasis of G_m,
-    which keeps the difference accurate on badly graded spectra; otherwise
-    the two Hermitian matrix functions are formed and subtracted.
+    The cache of a Hermitian A (``cache.hermitian``) fills the compression
+    G_m exactly Hermitian, and U*B is the basis's kept seed product, so
+    neither makes a pass over the basis.  For a positive rank-one update
+    the difference is evaluated through the secular
+    (diagonal-plus-rank-one) decomposition in the eigenbasis of G_m, which
+    keeps the difference accurate on badly graded spectra; otherwise the
+    two Hermitian matrix functions are formed and subtracted.
     """
-    UB = left.block_product(B)
+    if not left.cache.hermitian:
+        raise ValueError("A must be Hermitian")
+    UB = left.seed_product
     J = np.asarray(J)
-    G = 0.5 * (left.compression + left.compression.conj().T)
+    G = left.compression
     if J.shape == (1, 1) and J[0, 0].real > 0 and abs(J[0, 0].imag) == 0.0 \
             and UB.shape[1] == 1:
         lam, Q = np.linalg.eigh(G)
@@ -164,8 +176,11 @@ class UpdateReport:
     no value: no estimate at the first d steps, and neither value at a step
     retried after a singularity of f, the first step of a paired conjugate
     pair, and, in a run without true errors, a step that the checkpoint
-    schedule skips (see :func:`_schedule`).  An estimate that is recorded
-    has the bits it has in a run that evaluates every step.  The exact zero
+    schedule skips (see :func:`_schedule`).  The estimate of a checkpoint
+    of the schedule, and of any step whose partner is evaluated, has the
+    bits it has in a run that evaluates every step; a step evaluated only
+    as a checkpoint's partner compares with the latest solution evaluated
+    at least d steps before it, which may be older.  The exact zero
     update takes no step (empty lists), and its summary's final error is 0.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
@@ -189,7 +204,7 @@ class UpdateReport:
                 f"iterations={self.iterations} final_error={final}")
 
 
-def _schedule(n, ell, bases, steps, d):
+def _schedule(n, ell, bases, steps, d, pair_starts=frozenset()):
     """The steps whose small problem a run without true errors evaluates.
 
     Step j has the dimension ``dim_j = ell * j`` (a paired step counts as
@@ -198,17 +213,23 @@ def _schedule(n, ell, bases, steps, d):
     against dim_j columns of length n, in each of ``bases`` bases.  A step
     c is a checkpoint once the work of the steps since the previous
     checkpoint reaches ``dim_c**3``, the work of the small problem, and the
-    last step is always one.  Returns the set of every checkpoint c and of
-    the step c - d that its estimate compares with (when c > d).
+    last step is always one.  A checkpoint that is the first step of a
+    pair (one of ``pair_starts``, which has no solution) moves to the
+    pair's end.  Returns the set of every checkpoint c and of its partner:
+    the step whose solution the estimate of c reads in a run that
+    evaluates every step, the latest step at most c - d that is not the
+    first of a pair (when there is one).
     """
-    checkpoints, work = [], 0
+    evaluated, work = set(), 0
     for j in range(1, steps + 1):
         dim = ell * j
         work += bases * n * dim * ell
         if work >= dim ** 3 or j == steps:
-            checkpoints.append(j)
+            c = j + 1 if j in pair_starts else j
+            partner = c - d - 1 if c - d in pair_starts else c - d
+            evaluated.update(s for s in (c, partner) if s >= 1)
             work = 0
-    return {s for c in checkpoints for s in (c, c - d) if s >= 1}
+    return evaluated
 
 
 def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
@@ -222,11 +243,15 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     once an estimate is at most ``tol``.
 
     With ``error``, every step is evaluated.  Without it, only the steps of
-    :func:`_schedule` are: each checkpoint c and the step c - d, so that the
-    estimate of c is the one a run that evaluates every step records.  The
-    other steps are gaps.  A scheduled first step of a paired step (below)
-    moves to the pair's end, and the step after a failed evaluation is
-    always evaluated.
+    :func:`_schedule` are: each checkpoint c and the step whose solution
+    its estimate reads in a run that evaluates every step (c - d, or the
+    step before it when c - d is the first step of a paired step, below),
+    so that the estimate of c is the one that run records.  The other steps
+    are gaps.  A checkpoint that is the first step of a pair moves to the
+    pair's end, and the step after a failed evaluation is always evaluated.
+    The schedule knows the pairs from :func:`~rkupdate.arnoldi._pair_starts`;
+    a pair whose block loses rank and falls back to single steps may leave
+    the estimates after it compared with an earlier solution.
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
@@ -258,7 +283,8 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     bases = (left,) if right is left else (left, right)
     history, estimates, errors = [], [], []
     schedule = None if error is not None else _schedule(
-        max(left.n, right.n), left.block_size, len(bases), len(poles), d)
+        max(left.n, right.n), left.block_size, len(bases), len(poles), d,
+        _pair_starts(bases, poles))
     converged = False
     breakdown = None
     failures = 0
@@ -303,8 +329,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
                 record(m, None)
             m += 1
             new = None
-            # step m + 1 - taken is the pair's first step, or step m itself
-            if schedule is None or failures or m in schedule or m + 1 - taken in schedule:
+            if schedule is None or failures or m in schedule:
                 try:
                     new = solve(m)
                     failures = 0
@@ -353,17 +378,6 @@ def _as_core(J, B):
     return J
 
 
-def _check_hermitian(matvec, n):
-    """Raise ValueError unless the operator A of ``matvec`` (A @ X, and A* @ X
-    with ``adjoint=True``) is Hermitian to ``TOL_AXIS``: for a fixed real
-    standard-normal probe x of n entries, ||A x - A* x|| <= TOL_AXIS ||A x||.
-    Two products, whatever A's storage and size, and no n x n array."""
-    x = SplitMix64(0).normal(n).reshape(n, 1)
-    Ax = matvec(x)
-    if np.linalg.norm(Ax - matvec(x, adjoint=True)) > TOL_AXIS * np.linalg.norm(Ax):
-        raise ValueError("A must be Hermitian")
-
-
 def _zero_report():
     """The report of the exact zero update (B = 0 or C = 0): no step."""
     return UpdateReport(final_rank=0, iterations=0, estimates=[], true_errors=[],
@@ -379,8 +393,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     must be closed under conjugation); the general mode takes C with
     D = B C*, which must have B's columns; passing both C and J is an error.
     All of this is checked before any LU (J must equal J* exactly, A by
-    :func:`_check_hermitian`), and B = 0 (or C = 0) gives the exact zero
-    update.  ``true_update`` (a dense reference for f(A+D)-f(A))
+    the product probe of its cache, ``FactorizationCache.hermitian``), and
+    B = 0 (or C = 0) gives the exact zero update.  ``true_update`` (a dense reference for f(A+D)-f(A))
     enables per-step true-error tracking for experiments; in the Hermitian
     mode the error is Hermitian and its norm is taken from its eigenvalues
     (the lower triangle), not from an SVD.
@@ -409,7 +423,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         if C is not None:
             raise ValueError("pass C for the general mode or J for the Hermitian mode, not both")
         J = _as_core(J, B)
-        _check_hermitian(cache.matvec, n)
+        if not cache.hermitian:
+            raise ValueError("A must be Hermitian")
         C = B
     else:
         if C is None:
@@ -434,8 +449,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
 
     def evaluate():
         if hermitian_mode:
-            return update_hermitian(left, B, J, f)
-        return project_update(left, right, B, C, f)
+            return update_hermitian(left, J, f)
+        return project_update(left, right, f)
 
     def estimate(new, old):
         return padded_difference_norm(new, old, hermitian=hermitian_mode)

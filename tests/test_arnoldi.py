@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -351,7 +353,7 @@ class TestRealOperator:
         assert right.basis.dtype == np.complex128
         for x, y in ((state.right.basis, right.basis), (state.left.basis, left.basis),
                      (state.materialize(),
-                      left.basis @ project_update(left, right, B, C, f) @ right.basis.conj().T)):
+                      left.basis @ project_update(left, right, f) @ right.basis.conj().T)):
             assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
 
     def test_real_shift_on_real_eigenvalue(self):
@@ -831,3 +833,164 @@ class TestSquaredCache:
         assert shifts == [0.5j, 2.0j]
         assert len(cache) == 2
         assert cache.factorization(-4.0).fac.shift == 2.0j
+
+
+def _counted(monkeypatch):
+    """Count a basis's products with the operator and the tall products of
+    its compression: ``columns``, basis* (Op Q) for the new block Q, and
+    ``rows``, the reads of the whole ``op_basis`` that Q* op_basis makes."""
+    counts = {"matvec": 0, "columns": 0, "rows": 0}
+    products = []
+    matvec, block_product = KrylovBasis._matvec, KrylovBasis.block_product
+    op_basis = KrylovBasis.op_basis.fget
+
+    def counted_matvec(self, X):
+        counts["matvec"] += 1
+        products.append(matvec(self, X))
+        return products[-1]
+
+    def counted_block_product(self, X):
+        if any(X is P for P in products):
+            counts["columns"] += 1
+        return block_product(self, X)
+
+    def counted_op_basis(self):
+        counts["rows"] += 1
+        return op_basis(self)
+
+    monkeypatch.setattr(KrylovBasis, "_matvec", counted_matvec)
+    monkeypatch.setattr(KrylovBasis, "block_product", counted_block_product)
+    monkeypatch.setattr(KrylovBasis, "op_basis", property(counted_op_basis))
+    return counts
+
+
+class TestHermitianFill:
+    """A basis on a Hermitian cache takes the new rows of its compression
+    as the conjugate transpose of its new columns; every basis keeps
+    basis* seed as it grows."""
+
+    POLES = [-1.0, INF, -2.0 + 1.0j, -2.0 - 1.0j, 0.5, INF, -1.0]
+
+    @staticmethod
+    def operators(rng, n):
+        dense, _ = random_hermitian(rng, n, 0.2, 3.0)
+        tri = np.diag(rng.uniform(1.0, 3.0, n)) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        return {"dense": 0.5 * (dense + dense.conj().T), "tridiagonal": tri,
+                "real dense": tri + 0.01 * np.ones((n, n))}
+
+    def test_the_cache_probes_a_once(self, rng):
+        ops = self.operators(rng, 40)
+        for A in ops.values():
+            assert FactorizationCache(A).hermitian and _SquaredCache(A).hermitian
+        for A in (band_matrix(rng, 40, 1, 1), rand_complex(rng, 40, 40)):
+            assert not FactorizationCache(A).hermitian and not _SquaredCache(A).hermitian
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_one_compression_product_per_step_on_a_hermitian_cache(self, rng, monkeypatch,
+                                                                   hermitian):
+        n = 40
+        A = self.operators(rng, n)["dense"] if hermitian else rand_complex(rng, n, n)
+        basis = KrylovBasis(A + 4.0 * np.eye(n), rand_complex(rng, n, 2))
+        assert basis.cache.hermitian == hermitian
+        counts = _counted(monkeypatch)
+        for step, xi in enumerate([-1.0, INF, 0.5, INF], start=1):
+            basis.advance(xi)
+            # one product with A, and one (Hermitian) or two tall products
+            # for the compression
+            assert counts == {"matvec": step, "columns": step,
+                              "rows": 0 if hermitian else step}
+        before = dict(counts)
+        UB = basis.seed_product
+        assert counts == before and UB.shape == (basis.dimension, 2)
+
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "real dense"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_the_compression_is_exactly_hermitian(self, rng, kind, adjoint):
+        n = 40
+        A = self.operators(rng, n)[kind]
+        for seed in (rng.standard_normal((n, 2)), rand_complex(rng, n, 1)):
+            basis = KrylovBasis(A, seed, adjoint=adjoint)
+            for xi in self.POLES:
+                basis.advance(xi)
+            U, G = basis.basis, basis.compression
+            assert np.array_equal(G, G.conj().T)
+            assert np.abs(G - U.conj().T @ A @ U).max() <= 1e-14 * norm2(A)
+
+    def test_the_squared_cache_fills_too(self, rng):
+        A = self.operators(rng, 40)["tridiagonal"]
+        basis = KrylovBasis(_SquaredCache(A), rng.standard_normal((40, 2)))
+        for xi in (INF, -0.25, -4.0, INF):
+            basis.advance(xi)
+        U, G = basis.basis, basis.compression
+        assert np.array_equal(G, G.T)
+        assert np.abs(G - U.T @ A @ A @ U).max() <= 1e-14 * norm2(A @ A)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_the_kept_seed_product(self, rng, hermitian):
+        n = 40
+        A = self.operators(rng, n)["dense"] if hermitian else rand_complex(rng, n, n)
+        seed = rand_complex(rng, n, 3)
+        basis = KrylovBasis(A + 4.0 * np.eye(n), seed)
+        for xi in self.POLES:
+            basis.advance(xi)
+            got, ref = basis.seed_product, basis.basis.conj().T @ seed
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert basis.seed is basis._seed
+
+
+class TestOperatorIntake:
+    """A narrow band enters band storage straight from a dense or a sparse
+    A, with no n x n copy."""
+
+    @pytest.mark.parametrize("kind", sorted(BANDS))
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_sparse_and_dense_bands_agree_bitwise(self, rng, kind, complex_entries):
+        A = band_matrix(rng, 64, *BANDS[kind], complex_entries)
+        ref = FactorizationCache(A).A
+        for M in (scipy.sparse.csr_matrix(A), scipy.sparse.dia_array(A), A.astype(complex),
+                  np.asfortranarray(A)):
+            got = FactorizationCache(M).A
+            assert isinstance(got, _Band) and (got.kl, got.ku) == (ref.kl, ref.ku)
+            assert got.dtype == ref.dtype == (complex if complex_entries else np.float64)
+            assert np.array_equal(got.ab, ref.ab) and got.scale == ref.scale
+
+    def test_sparse_duplicates_and_explicit_zeros(self):
+        # a duplicate entry sums, and an explicit zero outside the band does
+        # not widen it
+        rows, cols = [0, 1, 1, 2, 0] + list(range(3, 16)), [0, 1, 1, 2, 15] + list(range(3, 16))
+        data = [1.0, 0.5, 1.5, 3.0, 0.0] + [2.0] * 13
+        A = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(16, 16))
+        band = FactorizationCache(A).A
+        assert isinstance(band, _Band) and (band.kl, band.ku) == (0, 0)
+        assert np.array_equal(band.ab[0], np.diag(A.toarray()))
+
+    def test_wide_sparse_and_bad_input_take_as_array(self, rng):
+        A = band_matrix(rng, 64, 3, 3)
+        cache = FactorizationCache(scipy.sparse.csr_matrix(A))
+        assert isinstance(cache.A, np.ndarray) and np.array_equal(cache.A, A)
+        bad = np.diag(np.ones(64)) + np.diag(np.full(63, 0.5), 1)
+        bad[3, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            FactorizationCache(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            FactorizationCache(scipy.sparse.csr_matrix(bad))
+        with pytest.raises(ValueError, match="square"):
+            FactorizationCache(scipy.sparse.csr_matrix(np.ones((64, 63))))
+        for dtype in (int, bool, np.float16, np.float32, np.complex64):
+            assert FactorizationCache(np.eye(64, dtype=dtype)).A.dtype == np.float64
+
+    def test_a_complex_stored_real_band_makes_no_n_by_n_copy(self):
+        # 256 MB of complex128 whose untouched zero pages are never written
+        n = 4000
+        A = np.zeros((n, n), dtype=complex)
+        i = np.arange(n)
+        A[i, i] = 2.01
+        A[i[1:], i[:-1]] = A[i[:-1], i[1:]] = -1.0
+        tracemalloc.start()
+        try:
+            cache = FactorizationCache(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cache.A, _Band) and cache.A.dtype == np.float64 and cache.hermitian
+        assert peak < n * n * 8 / 4

@@ -22,6 +22,21 @@ class TestRng:
         gen = SplitMix64(0)
         assert gen.next_u64() == 16294208416658607535
 
+    def test_u64_block_is_the_integer_stream(self):
+        gen, ref = SplitMix64(2024), SplitMix64(2024)
+        block = gen.u64_block(10_000)
+        assert block.dtype == np.uint64
+        assert [int(z) for z in block] == [ref.next_u64() for _ in range(10_000)]
+        # the state moves on as the scalar stream's does
+        assert gen.next_u64() == ref.next_u64()
+
+    def test_signed_uniforms(self):
+        x = SplitMix64(0).signed_uniforms(20_000)
+        ref = SplitMix64(0)
+        assert x[0] == (ref.next_u64() >> 11) * 2.0**-52 - 1.0
+        assert x.min() >= -1.0 and x.max() < 1.0
+        assert abs(x.mean()) <= 0.02
+
     def test_normal_block_norm_and_dtype(self):
         W = normal_block(7, 50, 2, norm=100.0)
         assert W.shape == (50, 2)

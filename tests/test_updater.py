@@ -3,15 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
-from rkupdate.dense import norm2
+from rkupdate.bounds import SpectralWindow
+from rkupdate.dense import _Band, norm2
 from rkupdate.errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
 from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import dense_update, sherman_morrison
-from rkupdate.poles import INF, PolePlan, zolotarev_invsqrt_poles
+from rkupdate.poles import INF, PolePlan, markov_single_pole, zolotarev_invsqrt_poles
 from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
 from rkupdate.updater import (
     UpdateReport,
@@ -41,7 +43,7 @@ class TestProjectUpdate:
         ub = build_basis(A, B, [-2.0, INF])
         vb = adjoint_basis(A, C, [-2.0, INF])
         one = FunctionSpec.custom(lambda z: np.ones_like(z), label="1")
-        X = project_update(ub, vb, B, C, one)
+        X = project_update(ub, vb, one)
         assert norm2(X) <= 1e-10
 
     def test_identity_gives_coupling(self, rng):
@@ -50,7 +52,7 @@ class TestProjectUpdate:
         C = rand_complex(rng, 15, 1)
         ub = build_basis(A, B, [-2.0])
         vb = adjoint_basis(A, C, [-2.0])
-        X = project_update(ub, vb, B, C, FunctionSpec.identity())
+        X = project_update(ub, vb, FunctionSpec.identity())
         expect = (ub.basis.conj().T @ B) @ (vb.basis.conj().T @ C).conj().T
         assert np.array_equal(X, expect)
 
@@ -64,7 +66,7 @@ class TestProjectUpdate:
         f = make_rational((0.0,), (xi,), (1,), ((1.0,),))
         ub = build_basis(A, b, [xi])
         vb = adjoint_basis(A, c, [xi])
-        X = project_update(ub, vb, b, c, f)
+        X = project_update(ub, vb, f)
         approx = ub.basis @ X @ vb.basis.conj().T
         I = np.eye(n)
         dense = np.linalg.inv(A + b @ c.conj().T - xi * I) - np.linalg.inv(A - xi * I)
@@ -76,15 +78,22 @@ class TestUpdateHermitian:
         A, _ = random_hermitian(rng, 12, 1.0, 2.0)
         B = rand_complex(rng, 12, 1)
         ub = build_basis(A, B, [-1.0, INF])
-        X = update_hermitian(ub, B, np.zeros((1, 1)), FunctionSpec.inv_sqrt())
+        X = update_hermitian(ub, np.zeros((1, 1)), FunctionSpec.inv_sqrt())
         assert norm2(X) <= 1e-12
+
+    def test_refuses_a_basis_of_a_non_hermitian_A(self, rng):
+        # its compression is not filled Hermitian, and the small problem
+        # would read one triangle of it
+        ub = build_basis(rand_complex(rng, 12, 12), rand_complex(rng, 12, 1), [-1.0, INF])
+        with pytest.raises(ValueError, match="^A must be Hermitian$"):
+            update_hermitian(ub, np.eye(1), FunctionSpec.inv_sqrt())
 
     def test_two_by_two_hand_value(self):
         A = np.diag([1.0, 2.0])
         B = np.eye(2)[:, :1]
         ub = build_basis(A, B, [INF])
         sq = FunctionSpec.custom(lambda z: z**2, dfn=lambda z: 2 * z, label="z^2")
-        X = update_hermitian(ub, B, np.array([[1.0]]), sq)
+        X = update_hermitian(ub, np.array([[1.0]]), sq)
         # U1 = e1, G1 = 1, S = 1: f(2) - f(1) = 3 scaled by (U1* e1)^2 = 1
         assert X.shape == (1, 1)
         assert X[0, 0] == pytest.approx(3.0, abs=1e-12)
@@ -267,6 +276,45 @@ class TestRunUpdate:
         C = None if c_cols is None else rand_complex(rng, 10, c_cols)
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_update(A, B, C, f=FunctionSpec.exp(), plan=[-1.0], m_max=1, tol=0.0, J=J)
+
+
+class TestSparseAboveDeskScale:
+    """A ``scipy.sparse`` path Laplacian at n = 2e5 enters band storage and
+    runs the Hermitian mode without an n x n array."""
+
+    @pytest.fixture
+    def densify_guarded(self, monkeypatch):
+        def guard(*args, **kwargs):
+            raise AssertionError("a sparse A was densified")
+
+        for cls in (scipy.sparse.csr_matrix, scipy.sparse.coo_matrix):
+            for name in ("toarray", "todense"):
+                monkeypatch.setattr(cls, name, guard)
+
+    def test_a_sparse_path_laplacian(self, densify_guarded):
+        n = 200_000
+        degree = np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2
+        off = -np.ones(n - 1)
+        A = scipy.sparse.diags([off, degree, off], [-1, 0, 1], format="csr")
+        B = np.zeros((n, 2))
+        B[[1, n // 3], 0] = 1.0, -1.0
+        B[[n // 2, n - 2], 1] = 1.0, -1.0
+        plan = PolePlan((markov_single_pole(SpectralWindow(1e-2, 5.01), (-np.inf, 0.0))[0],),
+                        repetition="cyclic")
+        tracemalloc.start()
+        try:
+            state, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(), plan=plan, m_max=8,
+                                    tol=0.0, J=0.5 * np.eye(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the basis and its products take 2 x 16 x n x 8 bytes = 51 MB; one
+        # row of a dense A would take 1.6 MB, the whole of it 320 GB
+        assert peak < 200 * 2**20
+        assert isinstance(state.left.cache.A, _Band) and state.left.cache.hermitian
+        assert state.left.basis.dtype == np.float64 and rep.iterations == 8
+        known = [e for e in rep.estimates if not math.isnan(e)]
+        assert known and known[-1] < known[0]
 
 
 class TestHermitianChecks:
@@ -668,7 +716,7 @@ def test_real_path_laplacian_keeps_the_coupling_real():
     left = KrylovBasis(A, B)
     for _ in range(8):
         left.advance(-0.25)  # left of the spectrum [0.01, 4.01]
-        X = update_hermitian(left, B, J, FunctionSpec.inv_sqrt())
+        X = update_hermitian(left, J, FunctionSpec.inv_sqrt())
         assert X.dtype == np.complex128 and not X.imag.any()
 
 
@@ -828,16 +876,37 @@ SCHEDULE_PROPERTIES = settings(derandomize=True, max_examples=10, deadline=None,
 def scheduled_instance(draw):
     """(A, B, J, C, plan, d): a Hermitian A with spectrum in [0.5, 4.5] at a
     size where the checkpoint schedule has gaps, a block of one or two
-    columns, a real pole plan and a lag d."""
+    columns, a pole plan and a lag d.  A plan with a conjugate pair comes
+    with real data, which take the pair as one paired step."""
     n = draw(st.integers(30, 48))
     ell = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A, _ = random_hermitian(rng, n, 0.5, 4.5)
-    B = 0.1 * rand_complex(rng, n, ell)
-    C = 0.1 * rand_complex(rng, n, ell)
+    plan = draw(st.sampled_from([(-1.0,), (-1.0, INF, -3.0), (-0.5, -4.0),
+                                 (-1.0 + 1.0j, -1.0 - 1.0j),
+                                 (-0.5, -1.0 + 0.5j, -1.0 - 0.5j, INF)]))
+    if any(isinstance(xi, complex) for xi in plan) or draw(st.booleans()):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * np.linspace(0.5, 4.5, n)) @ Q.T
+        A = 0.5 * (A + A.T)
+        B, C = 0.1 * rng.standard_normal((n, ell)), 0.1 * rng.standard_normal((n, ell))
+    else:
+        A, _ = random_hermitian(rng, n, 0.5, 4.5)
+        B, C = 0.1 * rand_complex(rng, n, ell), 0.1 * rand_complex(rng, n, ell)
     J = np.diag(rng.uniform(0.5, 1.5, ell))
-    plan = draw(st.sampled_from([(-1.0,), (-1.0, INF, -3.0), (-0.5, -4.0)]))
     return A, B, J, C, PolePlan(plan, repetition="cyclic"), draw(st.integers(1, 3))
+
+
+def _pair_starts_of(history):
+    """The first steps of paired steps: the gaps of a run that evaluates
+    every step and has no failed evaluation."""
+    return {m for m, X in enumerate(history, start=1) if X is None}
+
+
+def _partner(m, d, pair_starts):
+    """The step whose solution the estimate of step m reads in a run that
+    evaluates every step: m - d, or the step before it when m - d is the
+    first step of a pair."""
+    return m - d - 1 if m - d in pair_starts else m - d
 
 
 class TestCheckpointSchedule:
@@ -862,6 +931,38 @@ class TestCheckpointSchedule:
         assert _schedule(40, 1, 1, 20, 2) == {1, 2, 3, 4, 5, 6, 8, 11, 13, 18, 20}
         assert _schedule(40, 1, 1, 1, 2) == {1}
 
+    def test_checkpoints_and_partners_across_conjugate_pairs(self):
+        # every odd step opens a pair: checkpoints 1, 3, 5 and 13 move to the
+        # pair's end, and a partner c - d that opens a pair gives way to the
+        # step before it, whose solution the estimate of c reads
+        odd = set(range(1, 20, 2))
+        assert _schedule(40, 1, 1, 20, 20, odd) == {2, 4, 6, 8, 14, 20}
+        assert _schedule(40, 1, 1, 20, 1, odd) == {2, 4, 6, 8, 12, 14, 18, 20}
+        assert _schedule(40, 1, 1, 20, 3, odd) == {2, 4, 6, 8, 10, 14, 16, 20}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_checkpoint_estimates_across_conjugate_pairs(self, d):
+        # real data and the pair (-1 + 1j, -1 - 1j): before the partner was
+        # chosen by the pairs, step 20 recorded 1.07e-10 against 8.96e-14 at
+        # d = 1 and against 4.0e-12 at d = 3
+        rng = np.random.default_rng(3)
+        n = 40
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * np.linspace(0.5, 4.5, n)) @ Q.T
+        A = 0.5 * (A + A.T)
+        B = 0.1 * rng.standard_normal((n, 1))
+        plan = PolePlan((-1 + 1j, -1 - 1j), repetition="cyclic")
+        f = FunctionSpec.inv_sqrt()
+        ref = dense_update(A, B @ B.T, f, hermitian=True)
+        kwargs = dict(f=f, plan=plan, m_max=20, tol=0.0, d=d, J=np.eye(1))
+        _, every = run_update(A, B, true_update=ref, **kwargs)
+        _, rep = run_update(A, B, **kwargs)
+        odd = set(range(1, 20, 2))
+        for c in _schedule(n, 1, 1, 20, 20, odd):
+            # NaN at a checkpoint whose partner would precede step 1
+            assert np.array_equal(rep.estimates[c - 1], every.estimates[c - 1], equal_nan=True)
+        assert rep.estimates[19] <= 1e-11
+
     @SCHEDULE_PROPERTIES
     @given(scheduled_instance(), st.booleans())
     def test_checkpoint_estimates_keep_their_bits(self, instance, hermitian):
@@ -875,13 +976,21 @@ class TestCheckpointSchedule:
         every_state, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d,
                                         true_update=ref, **kwargs)
         state, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, **kwargs)
-        scheduled = _schedule(n, ell, 1 if hermitian else 2, m_max, d)
+        starts = _pair_starts_of(every_state.coupling_history)
+        bases = 1 if hermitian else 2
+        scheduled = _schedule(n, ell, bases, m_max, d, starts)
         assert {m for m, X in enumerate(state.coupling_history, start=1)
                 if X is not None} == scheduled
         assert rep.true_errors is None and rep.iterations == every.iterations == m_max
+        # with a lag beyond the last step, the schedule is its checkpoints
+        checkpoints = _schedule(n, ell, bases, m_max, m_max, starts)
+        assert checkpoints <= scheduled and not checkpoints & starts
         for m in range(d + 1, m_max + 1):
             got, want = rep.estimates[m - 1], every.estimates[m - 1]
-            if m in scheduled and m - d in scheduled:
+            partner = _partner(m, d, starts)
+            if m in checkpoints and partner >= 1:
+                assert partner in scheduled
+            if m in scheduled and partner in scheduled:
                 assert got == want
             elif m not in scheduled:
                 assert math.isnan(got)
@@ -894,14 +1003,16 @@ class TestCheckpointSchedule:
         m_max = 12
         f = FunctionSpec.inv_sqrt()
         ref = dense_update(A, B @ J @ B.conj().T, f, hermitian=True)
-        _, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, J=J,
-                              true_update=ref)
-        tol = every.estimates[8 - 1]
+        every_state, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d,
+                                        J=J, true_update=ref)
+        starts = _pair_starts_of(every_state.coupling_history)
+        # the latest estimate at or before step 8 (step 8 may open a pair)
+        tol = next(e for e in reversed(every.estimates[:8]) if not math.isnan(e))
         _, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=tol, d=d, J=J)
-        scheduled = _schedule(B.shape[0], B.shape[1], 1, m_max, d)
+        scheduled = _schedule(B.shape[0], B.shape[1], 1, m_max, d, starts)
         first = next((m for m in sorted(scheduled)
-                      if m > d and m - d in scheduled and every.estimates[m - 1] <= tol),
-                     None)
+                      if _partner(m, d, starts) in scheduled
+                      and every.estimates[m - 1] <= tol), None)
         if first is None:
             assert not rep.converged and rep.iterations == m_max
         else:
