@@ -6,13 +6,17 @@
 # inverse square root and sign poles, whose nodes come from SciPy's elliptic
 # functions) and with two pole files, a two-sided custom update of exp
 # (--matrix-c), and the sylvester subcommand at an even and at an odd step
-# count.  One more custom update runs above the
-# desk scale (n = 600 > ORACLE_MAX_N): it has no true errors, so the small
-# problem is solved only at the checkpoint schedule's steps, and its CSV
-# has empty estimate cells at the skipped steps.  A custom update on a
-# dense random symmetric A of n = 60 (no narrow band, so it is stored
-# dense) runs the Hermitian probe and the Hermitian fill of the
-# compression on dense storage.  No file that a run writes may hold "nan".
+# count.  One more custom update and one more sylvester run (the default
+# Zolotarev sign pairs, paired steps on real data) go above the desk
+# scale (n = 600 > ORACLE_MAX_N): they have no true errors or residuals,
+# so a step is evaluated only at a checkpoint of the schedule, and the
+# small problem of the step that its estimate reads is solved again from
+# the leading blocks of the bases when it was not evaluated.  Their CSVs
+# have an empty estimate cell at every step that is not evaluated, the
+# first step of a pair included.  A custom update on a dense random
+# symmetric A of n = 60 (no narrow band, so it is stored dense) runs the
+# Hermitian probe and the Hermitian fill of the compression on dense
+# storage.  No file that a run writes may hold "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
@@ -52,6 +56,12 @@ n = 600
 A = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2) - np.eye(n, k=1) - np.eye(n, k=-1)
 write_matrix(f"{d}/A600.mtx", A)
 write_matrix(f"{d}/B600.mtx", normal_block(4, n, 1))
+# the bidiagonal Sylvester coefficients at n = 600
+lam = np.logspace(-1.0, 1.0, n)
+for name, M in [("A1-600", np.diag(lam) + np.diag(0.3 * lam[:-1], 1)),
+                ("A2-600", -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1)),
+                ("B1-600", normal_block(8, n, 2)), ("C2-600", normal_block(9, n, 2))]:
+    write_matrix(f"{d}/{name}.mtx", M)
 # a complex seed for the real A of n = 60
 write_matrix(f"{d}/Bc.mtx", normal_block(5, 60, 1) + 1j * normal_block(6, 60, 1))
 # a dense random symmetric positive definite A of n = 60
@@ -98,6 +108,9 @@ for run in 1 2; do
       --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1.mtx" --matrix-c2 "$in/C2.mtx" \
       --m-max "$m" --tol 0 --out "$out/sylvester$([ "$m" = 21 ] && echo -odd)"
   done
+  PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1-600.mtx" \
+    --matrix-a2 "$in/A2-600.mtx" --matrix-b1 "$in/B1-600.mtx" --matrix-c2 "$in/C2-600.mtx" \
+    --m-max 40 --tol 0 --out "$out/sylvester-n600"
   # no file written holds "nan": a step without a value is an empty cell
   # (a bare "! grep" would not stop the script: set -e ignores negated commands)
   if grep -il nan "$out"/* >&2; then

@@ -90,6 +90,8 @@ The basis, its products with the operator and the compression are views
 into C-order buffers whose capacity doubles, and a step appends into them.
 """
 
+import copy
+
 import numpy as np
 
 from ._validation import as_array, is_infinite_pole
@@ -217,9 +219,10 @@ class KrylovBasis:
 
     ``A`` is a matrix or its cache; an ``adjoint`` basis is one of A*.  The
     basis of step m-1 occupies the leading (m-1)*ell columns of the step-m
-    basis (bases grow strictly by appending), which the difference
-    estimator of the updater relies on.  The basis keeps
-    ``seed_product``, basis* seed, as it grows.
+    basis (bases grow strictly by appending), so :meth:`leading` gives the
+    basis, compression and seed product of any earlier step, from which the
+    step loop of the updater solves an earlier step's small problem again.
+    The basis keeps ``seed_product``, basis* seed, as it grows.
 
     The basis has the result type of the cache's A and the seed; the first
     block that comes back complex (the LU of a complex pole taken alone)
@@ -284,6 +287,17 @@ class KrylovBasis:
         """basis* seed, kept as the basis grows: reading it makes no pass
         over the basis."""
         return self._US[:self._k]
+
+    def leading(self, k):
+        """The basis of the step of dimension k, the leading k columns of
+        this one (bases grow by appending): a shallow copy whose buffers are
+        views of exactly k columns of these, so advancing it moves it into
+        buffers of its own before it writes, and this basis is unchanged."""
+        lead = copy.copy(self)
+        lead._k, lead.poles_used = k, self.poles_used[:k // self.block_size]
+        lead._U, lead._OpU = self._U[:, :k], self._OpU[:, :k]
+        lead._G, lead._US = self._G[:k, :k], self._US[:k]
+        return lead
 
     def _matvec(self, X):
         return self.cache.matvec(X, adjoint=self._adjoint)
@@ -424,24 +438,6 @@ def _pairs(real, poles, m):
     # a finite pole is a complex (PolePlan holds them so), INF a float
     return (real and m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
             and poles[m + 1] == xi.conjugate())
-
-
-def _pair_starts(bases, poles):
-    """The steps, counted from 1, that :func:`_advance_step` takes as the
-    first step of a pair when it steps ``bases`` through ``poles`` from
-    their present dtypes and no pair loses rank.  A complex pole taken
-    alone makes every basis complex, and then no pole pairs."""
-    real = any(basis.basis.dtype == np.float64 for basis in bases)
-    starts, m = set(), 0
-    while m < len(poles):
-        if _pairs(real, poles, m):
-            starts.add(m + 1)
-            m += 2
-            continue
-        if isinstance(poles[m], complex) and poles[m].imag:
-            real = False
-        m += 1
-    return starts
 
 
 def _advance_step(bases, poles, m):

@@ -163,11 +163,13 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     f = FunctionSpec.inv_sqrt()
     basis = KrylovBasis(cache, W)
 
-    def evaluate():
-        """(X, f(G) U*B) of the current basis; G is exactly Hermitian (the
-        cache of a Hermitian A fills it so) and U*W is kept by the basis."""
-        UW = basis.seed_product
-        X, F_base = _hermitian_difference(basis.compression, UW, M_core, f)
+    def evaluate(k):
+        """(X, f(G) U*B) of the basis of dimension k; G is exactly Hermitian
+        (the cache of a Hermitian A fills it so) and U*W is kept by the
+        basis."""
+        lead = basis.leading(k)
+        UW = lead.seed_product
+        X, F_base = _hermitian_difference(lead.compression, UW, M_core, f)
         return X, F_base @ UW[:, :ell]
 
     def factors(new):
@@ -184,13 +186,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         left, right = factors(new)
         return norm2(true_update - left @ right.conj().T)
 
-    history, report = _rational_krylov(
+    solution, report = _rational_krylov(
         basis, basis, poles, evaluate, estimate, tol=tol, d=d,
         error=true_error if true_update is not None else None)
-    left, right = factors(history[-1])
+    left, right = factors(solution)
     report.final_rank = left.shape[1]
-    return SignUpdateResult(left=left, right=right, coupling=history[-1][0],
-                            basis=basis), report
+    return SignUpdateResult(left=left, right=right, coupling=solution[0], basis=basis), report
 
 
 @dataclass(frozen=True)
@@ -273,14 +274,16 @@ class SylvesterResult:
     """Low-rank solution Z = left @ core @ right*.
 
     ``left`` and ``right`` are the two bases, ``float64`` for real data
-    with real or infinite poles and conjugate pairs; ``core`` is complex."""
+    with real or infinite poles and conjugate pairs; ``core`` is the last
+    step's, complex.  The core of an earlier step is the solution of the
+    compressed equation of the bases' leading blocks
+    (:meth:`~rkupdate.arnoldi.KrylovBasis.leading`)."""
 
     left: np.ndarray
     core: np.ndarray
     right: np.ndarray
     basis_left: KrylovBasis
     basis_right: KrylovBasis
-    core_history: list = None
 
     def materialize(self):
         return _dense_product(self.basis_left, self.core, self.basis_right)
@@ -296,18 +299,26 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     every step is recorded, from low-rank factors; above it the compressed
     equation is solved only at the steps of the checkpoint schedule.  The
     step loop, with its need for m_max >= 1 and d >= 1, is the one of
-    :func:`rkupdate.updater.run_update`.
+    :func:`rkupdate.updater.run_update`.  B1 = 0 or C2 = 0 gives Z = 0 with
+    no step.
     """
     _check_steps(m_max, d)
+    if not prob.B1.any() or not prob.C2.any():
+        left = KrylovBasis(prob.A1, np.zeros((prob.A1.shape[0], 1)))
+        right = KrylovBasis(prob.A2, np.zeros((prob.A2.shape[0], 1)), adjoint=True)
+        return SylvesterResult(left=left.basis, core=np.zeros((0, 0), dtype=complex),
+                               right=right.basis, basis_left=left,
+                               basis_right=right), _zero_report()
     poles = PolePlan.of(plan).expand(m_max)
     left = KrylovBasis(prob.A1, prob.B1)
     right = KrylovBasis(prob.A2, prob.C2, adjoint=True)
 
-    def evaluate():
+    def evaluate(k):
         # U*B1 and V*C2 are the bases' kept seed products
+        U, V = left.leading(k), right.leading(k)
         try:
-            return sylvester_dense(left.compression, right.compression.conj().T,
-                                   left.seed_product @ right.seed_product.conj().T)
+            return sylvester_dense(U.compression, V.compression.conj().T,
+                                   U.seed_product @ V.seed_product.conj().T)
         except SpectraIntersect as exc:
             raise CompressedNotSolvable(str(exc)) from exc
 
@@ -328,8 +339,7 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
         R = np.linalg.qr(P, mode="r") @ M @ np.linalg.qr(Q, mode="r").conj().T
         return norm2(R) / max(scale * norm2(Z_small), 1e-300)
 
-    history, report = _rational_krylov(left, right, poles, evaluate, estimate, tol=tol, d=d,
-                                       error=residual if desk_scale else None)
-    result = SylvesterResult(left=left.basis, core=history[-1], right=right.basis,
-                             basis_left=left, basis_right=right, core_history=history)
-    return result, report
+    core, report = _rational_krylov(left, right, poles, evaluate, estimate, tol=tol, d=d,
+                                    error=residual if desk_scale else None)
+    return SylvesterResult(left=left.basis, core=core, right=right.basis,
+                           basis_left=left, basis_right=right), report

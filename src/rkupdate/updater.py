@@ -14,30 +14,19 @@ requires and a general-mode A may pass as well, has its compressions
 filled Hermitian (see :mod:`rkupdate.arnoldi`).
 
 The step loop is shared with the solvers of :mod:`rkupdate.signsylv`,
-which differ only in what they evaluate each step and how they weigh the
+which differ only in what they evaluate and how they weigh the
 difference of two iterates.  The loop holds no step rule of its own:
 whether a pole takes a single step or, on real data, a paired step with
 its conjugate is decided by :func:`rkupdate.arnoldi._advance_step`, which
-the public basis builders call too.  The loop evaluates the small problem
-at a pair's end only: the pair's first step is a gap in the report, as a
-retried step is, and the estimator compares each iterate with the latest
-one evaluated at least d steps before it.
-
-A run that computes no true error (or residual) evaluates the small problem
-only at the steps of a fixed schedule (:func:`_schedule`): a checkpoint c
-once the Krylov work since the previous one, about n * dim * ell flops per
-step and basis, has reached the small problem's dim**3, and the step that
-its estimate reads, c - d or, when c - d opens a paired step, the step
-before it.  Every other step is a gap.  Since the estimate of a checkpoint
-compares X_c with the solution that a run that evaluates every step
-compares it with, it has the same bits as in that run, and a run stops at
-the first evaluated step whose estimate meets the tolerance: with
-decreasing estimates, at most one gap after the step where a run that
-evaluates every step stops.  At n = 1e5 with blocks of 4 columns the schedule holds every
-step up to 150; at desk scale its gaps grow quickly.  A step without a
-value (a gap of the schedule, a pair's first step, a retried step) records
-NaN in the report's estimates and true errors, and None in the history of
-solutions.
+the public basis builders call too.  Since the bases are nested, an
+earlier step's small problem is that of the leading blocks of the present
+bases, so the loop solves a step's small problem when an estimate first
+needs it and keeps only the solutions that a later estimate can still
+read (:func:`_rational_krylov`).  A run that computes no true error (or
+residual) evaluates only the steps at the checkpoints of a fixed schedule
+(:func:`_schedule`), and every estimate it records has the bits it has in
+a run that evaluates every step.  At n = 1e5 with blocks of 4 columns the
+schedule holds every step up to 150; at desk scale its gaps grow quickly.
 """
 
 import math
@@ -46,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import as_array
-from .arnoldi import FactorizationCache, KrylovBasis, _advance_step, _pair_starts
+from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
 from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
@@ -142,13 +131,14 @@ def padded_difference_norm(X_new, X_old, hermitian=False):
 class UpdateState:
     """Evolving approximation of f(A + BC*) - f(A).
 
-    The coupling is complex; a basis of real data is ``float64``, and so
-    is then the right factor of :meth:`factors`."""
+    ``coupling`` is the last step's X_m, complex; that of an earlier step
+    is the small problem of the bases' leading blocks
+    (:meth:`~rkupdate.arnoldi.KrylovBasis.leading`).  A basis of real data
+    is ``float64``, and so is then the right factor of :meth:`factors`."""
 
     left: KrylovBasis
     right: KrylovBasis
     coupling: np.ndarray
-    coupling_history: list
 
     def materialize(self):
         """Dense U_m X_m V_m* (desk scale only)."""
@@ -175,12 +165,9 @@ class UpdateReport:
     ``true_errors[k]`` (None without a reference) are step k + 1's.  NaN is
     no value: no estimate at the first d steps, and neither value at a step
     retried after a singularity of f, the first step of a paired conjugate
-    pair, and, in a run without true errors, a step that the checkpoint
-    schedule skips (see :func:`_schedule`).  The estimate of a checkpoint
-    of the schedule, and of any step whose partner is evaluated, has the
-    bits it has in a run that evaluates every step; a step evaluated only
-    as a checkpoint's partner compares with the latest solution evaluated
-    at least d steps before it, which may be older.  The exact zero
+    pair, and, in a run without true errors, a step that the step loop
+    does not evaluate (see :func:`_rational_krylov`).  Every estimate has
+    the bits it has in a run that evaluates every step.  The exact zero
     update takes no step (empty lists), and its summary's final error is 0.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
@@ -204,8 +191,8 @@ class UpdateReport:
                 f"iterations={self.iterations} final_error={final}")
 
 
-def _schedule(n, ell, bases, steps, d, pair_starts=frozenset()):
-    """The steps whose small problem a run without true errors evaluates.
+def _schedule(n, ell, bases, steps):
+    """The checkpoints of a run without true errors.
 
     Step j has the dimension ``dim_j = ell * j`` (a paired step counts as
     its two steps), and its Krylov work is about ``bases * n * dim_j * ell``
@@ -213,103 +200,98 @@ def _schedule(n, ell, bases, steps, d, pair_starts=frozenset()):
     against dim_j columns of length n, in each of ``bases`` bases.  A step
     c is a checkpoint once the work of the steps since the previous
     checkpoint reaches ``dim_c**3``, the work of the small problem, and the
-    last step is always one.  A checkpoint that is the first step of a
-    pair (one of ``pair_starts``, which has no solution) moves to the
-    pair's end.  Returns the set of every checkpoint c and of its partner:
-    the step whose solution the estimate of c reads in a run that
-    evaluates every step, the latest step at most c - d that is not the
-    first of a pair (when there is one).
+    last step is always one.
     """
-    evaluated, work = set(), 0
+    checkpoints, work = set(), 0
     for j in range(1, steps + 1):
         dim = ell * j
         work += bases * n * dim * ell
         if work >= dim ** 3 or j == steps:
-            c = j + 1 if j in pair_starts else j
-            partner = c - d - 1 if c - d in pair_starts else c - d
-            evaluated.update(s for s in (c, partner) if s >= 1)
+            checkpoints.add(j)
             work = 0
-    return evaluated
+    return checkpoints
 
 
 def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
     """The step loop shared by every solver: one step per pole.
 
     Each step appends a block for pole xi to ``left`` and, unless ``right``
-    is ``left``, to ``right``; then ``evaluate()``
-    returns the step's small solution, ``error(new)`` (optional) its true
-    error or residual, and ``estimate(new, old)`` the difference between it
-    and the latest solution of at least d steps earlier.  The run stops
-    once an estimate is at most ``tol``.
+    is ``left``, to ``right``.  ``evaluate(k)`` returns the small solution
+    of the step of dimension k, from the leading k columns of the bases
+    (:meth:`~rkupdate.arnoldi.KrylovBasis.leading`), ``error(new)``
+    (optional) the present step's true error or residual, and
+    ``estimate(new, old)`` the difference between the present solution and
+    its partner's: that of the latest step at most d steps earlier that is
+    neither a pair's first step nor a failed evaluation, solved when an
+    estimate first needs it.  Only the solutions that a later estimate can
+    still read are kept.  The run stops once an estimate is at most ``tol``.
 
-    With ``error``, every step is evaluated.  Without it, only the steps of
-    :func:`_schedule` are: each checkpoint c and the step whose solution
-    its estimate reads in a run that evaluates every step (c - d, or the
-    step before it when c - d is the first step of a paired step, below),
-    so that the estimate of c is the one that run records.  The other steps
-    are gaps.  A checkpoint that is the first step of a pair moves to the
-    pair's end, and the step after a failed evaluation is always evaluated.
-    The schedule knows the pairs from :func:`~rkupdate.arnoldi._pair_starts`;
-    a pair whose block loses rank and falls back to single steps may leave
-    the estimates after it compared with an earlier solution.
+    With ``error``, every step is evaluated.  Without it, step m is
+    evaluated when m, or the first step of the pair that ends at m, is a
+    checkpoint of :func:`_schedule`, and after a failed evaluation.  So no
+    small problem is solved twice, and every estimate is the one that a
+    run evaluating every step records.  A step that is not evaluated is a
+    gap, NaN in the estimates and the errors.
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
     consecutive failures, or a failure at the last pole, re-raise with the
-    error's ``step`` set.  A
-    solution with a non-finite entry raises :class:`NonFiniteResult`
-    before any estimate is taken.  The factorization caches of both bases
-    are cleared when the run returns or raises.
+    error's ``step`` set; a partner that hits one counts as a failed
+    evaluation.  A solution with a non-finite entry raises
+    :class:`NonFiniteResult` before any estimate is taken.  The
+    factorization caches of both bases are cleared when the run returns or
+    raises.
 
     A one-basis run (``right is left``) whose whole block at step k > 1
     falls in the span of the basis (an ``exhausted`` :class:`RankDeficient`)
     has hit an invariant subspace that contains the seed, so the solution
     of step k - 1 is exact: the run ends there, converged, with
-    ``breakdown_step = k``; when step k - 1 is a gap of the schedule, its
-    unchanged basis is evaluated first.  Rank loss at step 1, of part of a
-    block, after a failed evaluation, or in a two-basis run re-raises.
+    ``breakdown_step = k`` (a gap at step k - 1 is solved, but records no
+    estimate).  Rank loss at step 1, of part of a block, after a failed
+    evaluation, or in a two-basis run re-raises.
 
     Each step is :func:`~rkupdate.arnoldi._advance_step`, which decides
     whether the bases take the pole alone or, on real data, with its
-    conjugate as one paired step.  The step of xi in a pair is then a gap,
-    and the solution is evaluated at the step of conj(xi) (when it is
-    scheduled).  A complex pole whose conjugate does not follow (a run may
-    end mid-pair) takes a single step, so a run never ends on a gap.  Since
-    the estimate skips gaps, d = 1 has estimates across pairs.
-
-    A gap is None in the history and NaN in the estimates and the errors.
-    Returns (history of solutions, UpdateReport).
+    conjugate as one paired step, whose first step is a gap.  A complex
+    pole whose conjugate does not follow (a run may end mid-pair) takes a
+    single step, so a run never ends on a gap.  Since partners skip gaps,
+    d = 1 has estimates across pairs.  Returns (the last step's solution,
+    UpdateReport).
     """
     bases = (left,) if right is left else (left, right)
-    history, estimates, errors = [], [], []
-    schedule = None if error is not None else _schedule(
-        max(left.n, right.n), left.block_size, len(bases), len(poles), d,
-        _pair_starts(bases, poles))
-    converged = False
-    breakdown = None
-    failures = 0
-    m = 0
+    checkpoints = None if error is not None else _schedule(
+        max(left.n, right.n), left.block_size, len(bases), len(poles))
+    solved, skipped = {}, set()  # kept solutions by step; steps without one
+    estimates, errors = [], []
+    converged, breakdown, failures, m = False, None, 0, 0
 
     def solve(step):
         try:
-            new = evaluate()
+            new = evaluate(left.block_size * step)
         except SingularityOnSpectrum as exc:
             exc.step = step
+            skipped.add(step)
             raise
         if not all(np.isfinite(a).all() for a in (new if isinstance(new, tuple) else (new,))):
             raise NonFiniteResult(
                 f"the small problem of step {step} has non-finite entries", step=step)
+        solved[step] = new
         return new
 
-    def record(step, new):
-        """Record a step's solution (None for a gap), true error and estimate,
-        over the step's earlier record; returns the estimate (NaN if none)."""
-        del history[step - 1:], errors[step - 1:], estimates[step - 1:]
-        history.append(new)
-        errors.append(math.nan if new is None or error is None else error(new))
-        old = next((h for h in reversed(history[:max(step - d, 0)]) if h is not None), None)
-        estimates.append(math.nan if new is None or old is None else estimate(new, old))
-        return estimates[-1]
+    def partner(step):
+        """The solution that the estimate of ``step`` reads, or None; the
+        kept solutions before it are dropped, since no later estimate reads
+        them."""
+        for p in range(step - d, 0, -1):
+            if p not in skipped:
+                try:
+                    old = solved[p] if p in solved else solve(p)
+                except SingularityOnSpectrum:
+                    continue
+                for q in [q for q in solved if q < p]:
+                    del solved[q]
+                return old
+        return None
 
     try:
         while m < len(poles):
@@ -318,28 +300,33 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
             except RankDeficient as exc:
                 if right is not left or m == 0 or not exc.exhausted or failures:
                     raise
-                if history[-1] is None:
-                    # a gap of the schedule; the basis is still that of step m
-                    record(m, solve(m))
                 converged, breakdown = True, m + 1
                 break
+            m += taken
             if taken == 2:
-                # the step of xi is a gap: its solution is not evaluated
-                m += 1
-                record(m, None)
-            m += 1
-            new = None
-            if schedule is None or failures or m in schedule:
+                # the step of xi has no solution
+                skipped.add(m - 1)
+                errors.append(math.nan)
+                estimates.append(math.nan)
+            err = est = math.nan
+            if checkpoints is None or failures or {m + 1 - taken, m} & checkpoints:
                 try:
                     new = solve(m)
-                    failures = 0
                 except SingularityOnSpectrum:
                     failures += 1
                     if failures >= 2 or m == len(poles):
                         raise
-            if record(m, new) <= tol:
+                else:
+                    failures = 0
+                    err = math.nan if error is None else error(new)
+                    old = partner(m)
+                    est = math.nan if old is None else estimate(new, old)
+            errors.append(err)
+            estimates.append(est)
+            if est <= tol:
                 converged = True
                 break
+        final = solved[m] if m in solved else solve(m)  # a lucky breakdown's gap
     finally:
         left.cache.clear()
         right.cache.clear()
@@ -349,15 +336,15 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
                   and known[-2] > 0.95 * known[-3] and known[-1] > 0.95 * known[-2])
     report = UpdateReport(
         final_rank=left.dimension,
-        iterations=len(history),
+        iterations=m,
         estimates=estimates,
         true_errors=errors if error is not None else None,
         converged=converged,
         stagnation_warning=stagnation,
-        poles=tuple(poles[:len(history)]),
+        poles=tuple(poles[:m]),
         breakdown_step=breakdown,
     )
-    return history, report
+    return final, report
 
 
 def _check_steps(m_max, d):
@@ -402,10 +389,10 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     The estimate recorded at step m is ||X_m - padded X_{m-d}||, an estimate
     of the error at step m-d (in the Hermitian mode from the eigenvalues of
     that Hermitian difference), or against the latest iterate before step
-    m-d when step m-d is a gap; it requires nested bases, which the growth
-    by appended blocks guarantees.  Without ``true_update`` the small
-    problem is solved only at the checkpoints of the module's schedule and
-    the steps their estimates read; the other steps record NaN.
+    m-d when step m-d has none (a pair's first step, a failed evaluation);
+    it requires nested bases, which the growth by appended blocks
+    guarantees.  Without ``true_update`` only the steps at the checkpoints
+    of the module's schedule are evaluated, and the other steps record NaN.
     Non-convergence is reported, not raised.
     The step loop is the one :func:`rkupdate.signsylv.sign_update` and
     :func:`rkupdate.signsylv.sylvester_solve_krylov` use, so the three share
@@ -435,7 +422,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
 
     if not B.any() or (not hermitian_mode and not C.any()):
         left = KrylovBasis(cache, np.zeros((n, 1)))
-        return UpdateState(left, left, np.zeros((0, 0), dtype=complex), []), _zero_report()
+        return UpdateState(left, left, np.zeros((0, 0), dtype=complex)), _zero_report()
 
     plan = PolePlan.of(plan)
     poles = plan.expand(m_max)
@@ -447,10 +434,10 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     left = KrylovBasis(cache, B)
     right = left if hermitian_mode else KrylovBasis(cache, C, adjoint=True)
 
-    def evaluate():
+    def evaluate(k):
         if hermitian_mode:
-            return update_hermitian(left, J, f)
-        return project_update(left, right, f)
+            return update_hermitian(left.leading(k), J, f)
+        return project_update(left.leading(k), right.leading(k), f)
 
     def estimate(new, old):
         return padded_difference_norm(new, old, hermitian=hermitian_mode)
@@ -459,7 +446,7 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         E = true_update - _dense_product(left, X, right)
         return norm2_hermitian(E) if hermitian_mode else norm2(E)
 
-    history, report = _rational_krylov(
+    coupling, report = _rational_krylov(
         left, right, poles, evaluate, estimate, tol=tol, d=d,
         error=true_error if true_update is not None else None)
-    return UpdateState(left, right, history[-1], history), report
+    return UpdateState(left, right, coupling), report

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from rkupdate.signsylv import sylvester_dense
+from rkupdate.updater import project_update, update_hermitian
+
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -45,6 +48,25 @@ def path_laplacian_update(n):
     B[[1, n // 3], 0] = 1.0, -1.0
     B[[n // 2, n - 2], 1] = 1.0, -1.0
     return A, B, 0.5 * np.eye(2)
+
+
+def coupling_at(state, m, f, J=None):
+    """X_m of step m of a ``run_update`` state, solved again on the leading
+    blocks of its bases: the Hermitian mode's small problem when J is
+    given, else the two-sided one."""
+    k = state.left.block_size * m
+    if J is not None:
+        return update_hermitian(state.left.leading(k), J, f)
+    return project_update(state.left.leading(k), state.right.leading(k), f)
+
+
+def core_at(result, m):
+    """The core of step m of a ``sylvester_solve_krylov`` result, solved
+    again on the leading blocks of its bases."""
+    k = result.basis_left.block_size * m
+    U, V = result.basis_left.leading(k), result.basis_right.leading(k)
+    return sylvester_dense(U.compression, V.compression.conj().T,
+                           U.seed_product @ V.seed_product.conj().T)
 
 
 def _strip(c):

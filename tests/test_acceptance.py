@@ -19,7 +19,7 @@ from rkupdate.poles import INF, PolePlan, markov_single_pole, zolotarev_sign_pol
 from rkupdate.signsylv import SylvesterProblem, sylvester_dense, sylvester_solve_krylov
 from rkupdate.updater import padded_difference_norm, run_update
 
-from conftest import max_principal_angle, rand_complex, random_hermitian
+from conftest import core_at, coupling_at, max_principal_angle, rand_complex, random_hermitian
 from curves import detect_superlinear_departure, fit_linear_rate
 
 
@@ -198,7 +198,8 @@ def test_criterion_6_sylvester_equivalence():
         ref = max(norm2(Z_dense), 1e-30)
         worst_sol = max(worst_sol, norm2(Z - Z_dense) / ref, norm2(Z - Z_kron) / ref)
         scale = norm2(A1) + norm2(A2)
-        for k, Zk in enumerate(result.core_history, start=1):
+        for k in range(1, report.iterations + 1):
+            Zk = core_at(result, k)
             U = result.basis_left.basis[:, :k]
             V = result.basis_right.basis[:, :k]
             Zfull = U @ Zk @ V.conj().T
@@ -347,7 +348,7 @@ def test_criterion_9_property_floor():
         C = 0.4 * rand_complex(rng, n, 1)
         state, rep = run_update(A, B, C, f=FunctionSpec.exp(),
                                 plan=[-3.0, INF, -2.0], m_max=3, tol=0.0, d=1)
-        X2, X3 = state.coupling_history[1], state.coupling_history[2]
+        X2, X3 = coupling_at(state, 2, FunctionSpec.exp()), state.coupling
         d2 = state.left.basis[:, :2] @ X2 @ state.right.basis[:, :2].conj().T
         d3 = state.left.basis @ X3 @ state.right.basis.conj().T
         gap = abs(padded_difference_norm(X3, X2) - norm2(d3 - d2))

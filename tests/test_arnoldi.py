@@ -134,6 +134,33 @@ class TestInvariants:
         basis.advance(-2.0)
         assert np.array_equal(basis.basis[:, :2], snapshot)
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_leading_is_the_basis_of_an_earlier_step(self, rng, adjoint):
+        # leading(k) is the basis of the step of dimension k, bit for bit,
+        # and advancing it (a single step, a real pair, a complex pole that
+        # promotes it) moves it into buffers of its own: the basis it came
+        # from keeps its basis, compression, products and seed product
+        A = rng.standard_normal((24, 24)) + 6.0 * np.eye(24)
+        basis = KrylovBasis(A, rng.standard_normal((24, 2)), adjoint=adjoint)
+        steps = []
+        for poles in ((-1.0,), (-1.0 + 1.0j, -1.0 - 1.0j), (INF,), (-2.0,), (0.0,)):
+            basis.advance(*poles)
+            steps.append((basis.dimension, basis.poles_used, basis.basis.copy(),
+                          basis.compression.copy(), basis.seed_product.copy()))
+        views = ("basis", "compression", "op_basis", "seed_product")
+        kept = [getattr(basis, v).copy() for v in views]
+        for k, poles_used, U, G, US in steps:
+            lead = basis.leading(k)
+            assert lead.dimension == k and lead.poles_used == poles_used
+            assert np.array_equal(lead.basis, U) and np.array_equal(lead.compression, G)
+            assert np.array_equal(lead.seed_product, US)
+            lead.advance(-3.0).advance(-1.5 + 0.5j, -1.5 - 0.5j).advance(0.5j)
+            assert lead.dimension == k + 8 and lead.basis.dtype == np.complex128
+            assert np.array_equal(lead.basis[:, :k], U)
+            assert basis.basis.dtype == np.float64 and basis.dimension == 12
+            for view, want in zip(views, kept):
+                assert np.array_equal(getattr(basis, view), want)
+
     def test_ritz_containment_hermitian(self, rng):
         A, w = random_hermitian(rng, 30, 0.5, 9.0)
         B = rand_complex(rng, 30, 1)

@@ -22,6 +22,8 @@ from rkupdate.poles import INF, PolePlan
 from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
 from rkupdate.updater import run_update
 
+from conftest import core_at, coupling_at
+
 PROPERTIES = settings(derandomize=True, max_examples=12, deadline=None, database=None)
 PLAN = PolePlan((-1.0, INF, -3.0), repetition="cyclic")
 INV_SQRT = FunctionSpec.inv_sqrt()
@@ -153,15 +155,20 @@ PAIR_STEPS = 6
 EVALUATED = (2, 3, 5, 6)
 
 
-def _iterates(left, right, history):
-    """{m: the dense iterate U_m X_m V_m*} at the steps with a solution."""
+def _iterates(left, right, solve, steps):
+    """{m: the dense iterate U_m X_m V_m*} at the given steps, with X_m =
+    solve(m) from the leading blocks of the bases."""
     ell = left.block_size
-    return {m: left.basis[:, :m * ell] @ X @ right.basis[:, :m * ell].conj().T
-            for m, X in enumerate(history, start=1) if X is not None}
+    return {m: left.basis[:, :m * ell] @ solve(m) @ right.basis[:, :m * ell].conj().T
+            for m in steps}
 
 
-def _agree_at_pair_ends(paired, single, scale):
-    assert sorted(paired) == list(EVALUATED) and sorted(single) == list(range(1, PAIR_STEPS + 1))
+def _agree_at_pair_ends(paired, single, reports, scale):
+    """The paired run evaluates the steps EVALUATED and the single-step run
+    every step (each has a true error there), and their iterates agree."""
+    assert [m for m, e in enumerate(reports[0].true_errors, start=1)
+            if not math.isnan(e)] == list(EVALUATED)
+    assert not any(math.isnan(e) for e in reports[1].true_errors)
     for m in EVALUATED:
         assert norm2(paired[m] - single[m]) <= 1e-12 * scale
 
@@ -187,20 +194,24 @@ def test_conjugate_pairs_in_run_update(instance, theta):
                  for M, Bm, Cm in ((A, B, C), _as_complex(A, B, C))]
     _same_run(*two_sided)
     single = [run_update(A, phase * B, f=INV_SQRT, plan=PAIR_PLAN, m_max=PAIR_STEPS, tol=0.0,
-                         J=J, true_update=ref_h)[0],
+                         J=J, true_update=ref_h),
               run_update(A, phase * B, phase * C, f=INV_SQRT, plan=PAIR_PLAN,
-                         m_max=PAIR_STEPS, tol=0.0, true_update=ref_g)[0]]
+                         m_max=PAIR_STEPS, tol=0.0, true_update=ref_g)]
     # an update f(A + D) - f(A) is a difference of two functions of norm
     # about ||f(A)||, and its rounding is relative to that: two complex runs
     # that differ only in the phase disagree by up to 5.3e-13 ||f(A)|| (and
     # by 6.6e-12 of the update's own norm) over 60 generated instances,
     # a paired and a complex run by up to 3.0e-13 ||f(A)||
     scale = np.linalg.eigvalsh(A)[0] ** -0.5
-    for (paired, _), ref in zip((hermitian[0], two_sided[0]), single):
+    for (paired, rep), (ref, ref_rep), Jm in zip((hermitian[0], two_sided[0]), single, (J, None)):
         assert paired.left.basis.dtype == paired.right.basis.dtype == np.float64
         assert ref.left.basis.dtype == np.complex128
-        _agree_at_pair_ends(_iterates(paired.left, paired.right, paired.coupling_history),
-                            _iterates(ref.left, ref.right, ref.coupling_history), scale)
+        _agree_at_pair_ends(
+            _iterates(paired.left, paired.right,
+                      lambda m: coupling_at(paired, m, INV_SQRT, Jm), EVALUATED),
+            _iterates(ref.left, ref.right, lambda m: coupling_at(ref, m, INV_SQRT, Jm),
+                      range(1, PAIR_STEPS + 1)),
+            (rep, ref_rep), scale)
 
 
 @PROPERTIES
@@ -212,13 +223,14 @@ def test_conjugate_pairs_in_sylvester_solve_krylov(instance, theta):
     runs = [sylvester_solve_krylov(SylvesterProblem.create(*args), PAIR_PLAN,
                                    m_max=PAIR_STEPS, tol=0.0, d=1)
             for args in ((A, A2, B, C), _as_complex(A, A2, B, C), (A, A2, phase * B, phase * C))]
-    (z1, q1), (z2, q2), (z3, _) = runs
+    (z1, q1), (z2, q2), (z3, q3) = runs
     for x, y in ((z1.left, z2.left), (z1.core, z2.core), (z1.right, z2.right)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     assert q1.estimates == q2.estimates and q1.true_errors == q2.true_errors
     assert z1.left.dtype == z1.right.dtype == np.float64 and z3.left.dtype == np.complex128
     # d = 1 has an estimate at every evaluated step after the first
     assert [not math.isnan(e) for e in q1.estimates] == [False, False, True, False, True, True]
-    single = _iterates(z3.basis_left, z3.basis_right, z3.core_history)
-    _agree_at_pair_ends(_iterates(z1.basis_left, z1.basis_right, z1.core_history), single,
-                        norm2(single[PAIR_STEPS]))
+    single = _iterates(z3.basis_left, z3.basis_right, lambda m: core_at(z3, m),
+                       range(1, PAIR_STEPS + 1))
+    paired = _iterates(z1.basis_left, z1.basis_right, lambda m: core_at(z1, m), EVALUATED)
+    _agree_at_pair_ends(paired, single, (q1, q3), norm2(single[PAIR_STEPS]))

@@ -17,7 +17,7 @@ from rkupdate.signsylv import (
 )
 from rkupdate.updater import _hermitian_difference, run_update
 
-from conftest import max_principal_angle, rand_complex, random_hermitian
+from conftest import core_at, max_principal_angle, rand_complex, random_hermitian
 
 
 def dense_sign_update(A, D):
@@ -409,6 +409,25 @@ class TestSylvesterKrylov:
         Z_ref = z.reshape(n, n, order="F")
         assert norm2(result.materialize() - Z_ref) <= 1e-10 * norm2(Z_ref)
 
+    @pytest.mark.parametrize("zero", ["B1", "C2"])
+    @pytest.mark.parametrize("plan", [(2j,), (INF,)])
+    def test_a_zero_right_hand_side_gives_the_zero_solution(self, zero, plan):
+        # Z = 0 with no step, as the zero update of run_update; the first
+        # block of a zero seed used to lose its rank at step 1
+        A1 = np.diag(np.linspace(1.0, 3.0, 20))
+        B1, C2 = np.ones((20, 1)), np.linspace(1.0, 2.0, 20).reshape(20, 1)
+        if zero == "B1":
+            B1 = np.zeros_like(B1)
+        else:
+            C2 = np.zeros_like(C2)
+        prob = SylvesterProblem.create(A1, -A1, B1, C2)
+        result, report = sylvester_solve_krylov(prob, PolePlan(plan, repetition="cyclic"),
+                                                m_max=10, tol=1e-10)
+        Z = result.materialize()
+        assert Z.shape == (20, 20) and not Z.any()
+        assert report.converged and report.iterations == 0 and report.estimates == []
+        assert report.summary() == "converged=true iterations=0 final_error=0.0000000000000000e+00"
+
     def test_galerkin_orthogonality_each_step(self, rng):
         n1, n2 = 14, 11
         A1 = 0.4 * rand_complex(rng, n1, n1) + 4 * np.eye(n1)
@@ -419,7 +438,8 @@ class TestSylvesterKrylov:
         result, report = sylvester_solve_krylov(prob, PolePlan((-4.0,), repetition="cyclic"),
                                                 m_max=6, tol=0.0, d=1)
         scale = norm2(A1) + norm2(A2)
-        for k, Zk in enumerate(result.core_history, start=1):
+        for k in range(1, report.iterations + 1):
+            Zk = core_at(result, k)
             U = result.basis_left.basis[:, :k]
             V = result.basis_right.basis[:, :k]
             Z = U @ Zk @ V.conj().T

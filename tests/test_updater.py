@@ -1,5 +1,8 @@
 import math
 import tracemalloc
+from collections import namedtuple
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from rkupdate.updater import (
     update_hermitian,
 )
 
-from conftest import path_laplacian_update, rand_complex, random_hermitian
+from conftest import coupling_at, path_laplacian_update, rand_complex, random_hermitian
 
 
 def make_rational(poly, poles, mults, coeffs):
@@ -124,7 +127,7 @@ class TestUpdateHermitian:
         U = basis.basis
         assert U.dtype == np.float64 and U.shape == (n, 200)
         X = rand_complex(rng, 200, 200)
-        state = UpdateState(basis, basis, X, [X])
+        state = UpdateState(basis, basis, X)
         tracemalloc.start()
         try:
             UX, V = state.factors()
@@ -416,7 +419,7 @@ class TestEstimator:
         f = FunctionSpec.exp()
         state, rep = run_update(A / norm2(A), B, C, f=f, plan=[-2.0, INF, -3.0],
                                 m_max=3, tol=0.0, d=1)
-        X2, X3 = state.coupling_history[1], state.coupling_history[2]
+        X2, X3 = coupling_at(state, 2, f), state.coupling
         ub, vb = state.left, state.right
         dense2 = ub.basis[:, :2] @ X2 @ vb.basis[:, :2].conj().T
         dense3 = ub.basis @ X3 @ vb.basis.conj().T
@@ -428,8 +431,8 @@ class TestEstimator:
         state, rep = run_update(A, B, f=FunctionSpec.inv_sqrt(),
                                 plan=PolePlan((-2.0,), repetition="cyclic"),
                                 m_max=5, tol=0.0, d=2, J=np.array([[1.0]]))
-        hist = state.coupling_history
-        assert padded_difference_norm(hist[-1], hist[-3], hermitian=True) == rep.estimates[-1]
+        X3 = coupling_at(state, 3, FunctionSpec.inv_sqrt(), np.array([[1.0]]))
+        assert padded_difference_norm(state.coupling, X3, hermitian=True) == rep.estimates[-1]
 
     def test_estimator_tracks_true_error(self, rng):
         A, _ = random_hermitian(rng, 40, 0.5, 8.0)
@@ -519,7 +522,7 @@ class TestRateExamples:
 
 
 def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
-    # a transient singularity at step 3 leaves a gap in the history; every
+    # a transient singularity at step 3 leaves a gap in the report; every
     # later estimate must stay on the row of the step that produced it, and
     # the step whose lag partner is the gap compares with the latest
     # evaluated step before it
@@ -543,9 +546,10 @@ def test_singularity_retry_keeps_rows_aligned(rng, monkeypatch, tmp_path):
                             plan=PolePlan((-2.0,), repetition="cyclic"),
                             m_max=m_max, tol=0.0, d=d, J=np.array([[1.0]]),
                             true_update=dense)
-    hist = state.coupling_history
-    assert raised == [3] and rep.iterations == m_max and len(hist) == m_max
-    assert hist[2] is None and state.coupling is hist[-1]
+    hist = [coupling_at(state, m, FunctionSpec.inv_sqrt(), np.array([[1.0]]))
+            for m in range(1, m_max + 1)]
+    assert raised == [3] and rep.iterations == m_max
+    assert np.array_equal(state.coupling, hist[-1])
     assert [k for k, e in enumerate(rep.true_errors) if math.isnan(e)] == [2]
     assert len(rep.estimates) == m_max
     assert all(math.isnan(e) for e in rep.estimates[:d])
@@ -594,7 +598,7 @@ def test_runs_free_their_factorizations(rng):
     assert all(basis.steps > 1 for basis in bases)
     assert [len(basis.cache) for basis in bases] == [0] * len(bases)
 
-    def singular():
+    def singular(k):
         raise SingularityOnSpectrum("forced")
 
     left = KrylovBasis(A, B)
@@ -615,8 +619,9 @@ def test_true_errors_hermitian_eigvalsh_general_norm2(rng):
     dense = dense_update(A, B @ B.conj().T, f, hermitian=True)
     state, rep = run_update(A, B, f=f, plan=plan, m_max=8, tol=0.0, d=2,
                             J=np.array([[1.0]]), true_update=dense)
-    assert rep.iterations == len(rep.true_errors) == len(state.coupling_history) == 8
-    for err, X in zip(rep.true_errors, state.coupling_history):
+    assert rep.iterations == len(rep.true_errors) == 8
+    for m, err in enumerate(rep.true_errors, start=1):
+        X = coupling_at(state, m, f, np.array([[1.0]]))
         U = np.ascontiguousarray(state.left.basis[:, :X.shape[0]])
         assert abs(err - norm2(dense - U @ X @ U.conj().T)) <= 1e-13 * norm2(dense)
 
@@ -624,8 +629,9 @@ def test_true_errors_hermitian_eigvalsh_general_norm2(rng):
     dense = dense_update(A, B @ C.conj().T, f)
     state, rep = run_update(A, B, C, f=f, plan=plan, m_max=6, tol=0.0, d=2,
                             true_update=dense)
-    assert len(rep.true_errors) == len(state.coupling_history) == 6
-    for err, X in zip(rep.true_errors, state.coupling_history):
+    assert rep.iterations == len(rep.true_errors) == 6
+    for m, err in enumerate(rep.true_errors, start=1):
+        X = coupling_at(state, m, f)
         U = np.ascontiguousarray(state.left.basis[:, :X.shape[0]])
         V = np.ascontiguousarray(state.right.basis[:, :X.shape[1]])
         assert err == norm2(dense - U @ X @ V.conj().T)
@@ -737,9 +743,8 @@ class TestConjugatePairSteps:
         dense = dense_update(A, B @ J @ B.T, f, hermitian=True)
         state, rep = run_update(A, B, f=f, plan=self.PLAN, m_max=4, tol=0.0, J=J,
                                 true_update=dense)
-        hist = state.coupling_history
         assert rep.iterations == 4 and rep.poles == self.PLAN.expand(4)
-        assert [X is None for X in hist] == [True, False, False, False]
+        assert [math.isnan(e) for e in rep.true_errors] == [True, False, False, False]
         assert not math.isnan(rep.true_errors[-1]) and not math.isnan(rep.estimates[-1])
         # the unpaired last pole took a single complex step
         assert state.left.basis.dtype == np.complex128 and state.left.dimension == 4
@@ -771,15 +776,15 @@ class TestConjugatePairSteps:
         dense = dense_update(A, B @ J @ B.T, f, hermitian=True)
         state, rep = run_update(A, B, f=f, plan=self.PLAN, m_max=6, tol=0.0, J=J,
                                 true_update=dense)
-        hist = state.coupling_history
         assert state.left.basis.dtype == np.float64 and state.left.dimension == 6
         assert [math.isnan(e) for e in rep.true_errors] == [True, False, False, True, False, False]
         # d = 2: step 3 compares with the gap at step 1 (and has no earlier
         # solution), steps 5 and 6 with step 3, the latest evaluated one at
         # least two steps back
         assert all(math.isnan(e) for e in rep.estimates[:4])
-        assert rep.estimates[4:] == [padded_difference_norm(hist[m - 1], hist[2], hermitian=True)
-                                     for m in (5, 6)]
+        X3 = coupling_at(state, 3, f, J)
+        assert rep.estimates[4:] == [padded_difference_norm(coupling_at(state, m, f, J), X3,
+                                                            hermitian=True) for m in (5, 6)]
         path = tmp_path / "pairs.csv"
         write_csv(path, _rows_from_report(rep))
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -800,7 +805,8 @@ class TestConjugatePairSteps:
                                 J=np.eye(1))
         assert rep.converged and rep.breakdown_step == 101 and rep.iterations == 100
         assert state.left.dimension == 100 and state.left.basis.dtype == np.float64
-        assert state.coupling is state.coupling_history[-1] is not None
+        assert np.array_equal(state.coupling,
+                              coupling_at(state, 100, FunctionSpec.sign(), np.eye(1)))
 
 
     def test_the_builders_build_the_solvers_bases(self):
@@ -896,76 +902,123 @@ def scheduled_instance(draw):
     return A, B, J, C, PolePlan(plan, repetition="cyclic"), draw(st.integers(1, 3))
 
 
-def _pair_starts_of(history):
-    """The first steps of paired steps: the gaps of a run that evaluates
-    every step and has no failed evaluation."""
-    return {m for m, X in enumerate(history, start=1) if X is None}
+#: a small problem that a step loop solved: its step, whether that step was
+#: the present one (not an earlier step solved again from the leading
+#: blocks of the bases for an estimate), the solution and the loop's
+#: ``evaluate``
+Solve = namedtuple("Solve", "step own new evaluate")
 
 
-def _partner(m, d, pair_starts):
-    """The step whose solution the estimate of step m reads in a run that
-    evaluates every step: m - d, or the step before it when m - d is the
-    first step of a pair."""
-    return m - d - 1 if m - d in pair_starts else m - d
+@contextmanager
+def recorded_solves():
+    """Patch the step loop of the three solvers to record each small problem
+    it solves, in order, as a :data:`Solve`.  A solve that raises is not
+    recorded."""
+    import rkupdate.signsylv as signsylv
+    import rkupdate.updater as updater
+    loop, solves = updater._rational_krylov, []
+
+    def recording_loop(left, right, poles, evaluate, *args, **kwargs):
+        def recorded(k):
+            new = evaluate(k)
+            solves.append(Solve(k // left.block_size, k == left.dimension, new, evaluate))
+            return new
+        return loop(left, right, poles, recorded, *args, **kwargs)
+
+    with mock.patch.object(updater, "_rational_krylov", recording_loop), \
+            mock.patch.object(signsylv, "_rational_krylov", recording_loop):
+        yield solves
+
+
+def _evaluated(checkpoints, pair_starts, steps):
+    """The steps that a run without true errors evaluates: each step that
+    is a checkpoint, or ends a pair whose first step is one."""
+    return {m for m in range(1, steps + 1) if m not in pair_starts
+            and (m in checkpoints or (m - 1 in pair_starts and m - 1 in checkpoints))}
+
+
+def _pair_instance(d):
+    """The real instance of n = 40 with the pair (-1 + 1j, -1 - 1j), every
+    odd step the first of a pair: (its every-step report, the keyword
+    arguments of a run)."""
+    rng = np.random.default_rng(3)
+    n = 40
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * np.linspace(0.5, 4.5, n)) @ Q.T
+    A = 0.5 * (A + A.T)
+    B = 0.1 * rng.standard_normal((n, 1))
+    f = FunctionSpec.inv_sqrt()
+    kwargs = dict(A=A, B=B, f=f, plan=PolePlan((-1 + 1j, -1 - 1j), repetition="cyclic"),
+                  m_max=20, tol=0.0, d=d, J=np.eye(1))
+    ref = dense_update(A, B @ B.T, f, hermitian=True)
+    return run_update(true_update=ref, **kwargs)[1], kwargs
 
 
 class TestCheckpointSchedule:
-    """A run without true errors evaluates the small problem at the steps of
-    ``_schedule`` only, and each checkpoint's estimate keeps its bits."""
+    """A run without true errors evaluates a step when it, or the first step
+    of the pair that ends at it, is a checkpoint of ``_schedule``, solves
+    the partner of an estimate again from the leading blocks of its bases,
+    and records each estimate with the bits of the every-step run's."""
 
     def test_every_step_is_scheduled_at_large_n(self):
         # Krylov work of n = 1e5 outweighs every small problem up to
         # dimension 600; a pure call on step counts, no n-sized array
         tracemalloc.start()
         try:
-            steps = _schedule(100_000, 4, 1, 150, 2)
+            steps = _schedule(100_000, 4, 1, 150)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert steps == set(range(1, 151))
         assert peak < 64 * 1024
 
-    def test_checkpoints_and_their_lag_partners(self):
-        # n = 40, ell = 1: every step to 6, then the gaps grow; the last step
-        # is a checkpoint, and each checkpoint c brings c - d
-        assert _schedule(40, 1, 1, 20, 2) == {1, 2, 3, 4, 5, 6, 8, 11, 13, 18, 20}
-        assert _schedule(40, 1, 1, 1, 2) == {1}
+    def test_checkpoints_and_their_lag_partners(self, rng):
+        # n = 40, ell = 1: every step to 6, then the gaps grow, and the last
+        # step is a checkpoint; at d = 2 a run solves the small problems of
+        # the checkpoints and, for their estimates, of the steps d before
+        # them, each once: steps 11 and 18 again from the leading blocks
+        assert _schedule(40, 1, 1, 20) == {1, 2, 3, 4, 5, 6, 8, 13, 20}
+        assert _schedule(40, 1, 1, 1) == {1}
+        A, _ = random_hermitian(rng, 40, 0.5, 8.0)
+        B = 0.5 * rand_complex(rng, 40, 1)
+        with recorded_solves() as solves:
+            run_update(A, B, f=FunctionSpec.inv_sqrt(), m_max=20, tol=0.0, d=2, J=np.eye(1),
+                       plan=PolePlan((-2.0,), repetition="cyclic"))
+        assert [(s.step, s.own) for s in solves] == [(m, True) for m in range(1, 7)] + [
+            (8, True), (13, True), (11, False), (20, True), (18, False)]
 
     def test_checkpoints_and_partners_across_conjugate_pairs(self):
-        # every odd step opens a pair: checkpoints 1, 3, 5 and 13 move to the
-        # pair's end, and a partner c - d that opens a pair gives way to the
-        # step before it, whose solution the estimate of c reads
-        odd = set(range(1, 20, 2))
-        assert _schedule(40, 1, 1, 20, 20, odd) == {2, 4, 6, 8, 14, 20}
-        assert _schedule(40, 1, 1, 20, 1, odd) == {2, 4, 6, 8, 12, 14, 18, 20}
-        assert _schedule(40, 1, 1, 20, 3, odd) == {2, 4, 6, 8, 10, 14, 16, 20}
+        # every odd step opens a pair: checkpoints 1, 3, 5 and 13 are
+        # evaluated at the pair's end, and a partner c - d that opens a pair
+        # gives way to the step before it
+        for d, partners in ((20, set()), (1, {12, 18}), (3, {10, 16})):
+            every, kwargs = _pair_instance(d)
+            with recorded_solves() as solves:
+                run_update(**kwargs)
+            assert {s.step for s in solves if s.own} == {2, 4, 6, 8, 14, 20}
+            assert {s.step for s in solves if not s.own} == partners
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_checkpoint_estimates_across_conjugate_pairs(self, d):
         # real data and the pair (-1 + 1j, -1 - 1j): before the partner was
         # chosen by the pairs, step 20 recorded 1.07e-10 against 8.96e-14 at
         # d = 1 and against 4.0e-12 at d = 3
-        rng = np.random.default_rng(3)
-        n = 40
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        A = (Q * np.linspace(0.5, 4.5, n)) @ Q.T
-        A = 0.5 * (A + A.T)
-        B = 0.1 * rng.standard_normal((n, 1))
-        plan = PolePlan((-1 + 1j, -1 - 1j), repetition="cyclic")
-        f = FunctionSpec.inv_sqrt()
-        ref = dense_update(A, B @ B.T, f, hermitian=True)
-        kwargs = dict(f=f, plan=plan, m_max=20, tol=0.0, d=d, J=np.eye(1))
-        _, every = run_update(A, B, true_update=ref, **kwargs)
-        _, rep = run_update(A, B, **kwargs)
-        odd = set(range(1, 20, 2))
-        for c in _schedule(n, 1, 1, 20, 20, odd):
-            # NaN at a checkpoint whose partner would precede step 1
-            assert np.array_equal(rep.estimates[c - 1], every.estimates[c - 1], equal_nan=True)
+        every, kwargs = _pair_instance(d)
+        _, rep = run_update(**kwargs)
+        for m in range(1, 21):
+            if m in (2, 4, 6, 8, 14, 20):
+                # NaN at a checkpoint whose partner would precede step 1
+                assert np.array_equal(rep.estimates[m - 1], every.estimates[m - 1],
+                                      equal_nan=True)
+            else:
+                assert math.isnan(rep.estimates[m - 1])
         assert rep.estimates[19] <= 1e-11
 
     @SCHEDULE_PROPERTIES
     @given(scheduled_instance(), st.booleans())
     def test_checkpoint_estimates_keep_their_bits(self, instance, hermitian):
+        # every estimate of a run without a reference is the every-step
+        # run's, bit for bit, and no step's small problem is solved twice
         A, B, J, C, plan, d = instance
         n, ell = B.shape
         m_max = 12
@@ -975,24 +1028,18 @@ class TestCheckpointSchedule:
                            hermitian=hermitian)
         every_state, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d,
                                         true_update=ref, **kwargs)
-        state, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, **kwargs)
-        starts = _pair_starts_of(every_state.coupling_history)
-        bases = 1 if hermitian else 2
-        scheduled = _schedule(n, ell, bases, m_max, d, starts)
-        assert {m for m, X in enumerate(state.coupling_history, start=1)
-                if X is not None} == scheduled
+        with recorded_solves() as solves:
+            state, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, **kwargs)
+        starts = {m for m, e in enumerate(every.true_errors, start=1) if math.isnan(e)}
+        evaluated = _evaluated(_schedule(n, ell, 1 if hermitian else 2, m_max), starts, m_max)
+        solved = [s.step for s in solves]
+        assert len(solved) == len(set(solved)) and not starts & set(solved)
+        assert {s.step for s in solves if s.own} == evaluated
         assert rep.true_errors is None and rep.iterations == every.iterations == m_max
-        # with a lag beyond the last step, the schedule is its checkpoints
-        checkpoints = _schedule(n, ell, bases, m_max, m_max, starts)
-        assert checkpoints <= scheduled and not checkpoints & starts
-        for m in range(d + 1, m_max + 1):
-            got, want = rep.estimates[m - 1], every.estimates[m - 1]
-            partner = _partner(m, d, starts)
-            if m in checkpoints and partner >= 1:
-                assert partner in scheduled
-            if m in scheduled and partner in scheduled:
-                assert got == want
-            elif m not in scheduled:
+        for m, (got, want) in enumerate(zip(rep.estimates, every.estimates), start=1):
+            if m in evaluated:
+                assert np.array_equal(got, want, equal_nan=True)
+            else:
                 assert math.isnan(got)
         assert np.array_equal(state.coupling, every_state.coupling)
 
@@ -1003,16 +1050,14 @@ class TestCheckpointSchedule:
         m_max = 12
         f = FunctionSpec.inv_sqrt()
         ref = dense_update(A, B @ J @ B.conj().T, f, hermitian=True)
-        every_state, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d,
-                                        J=J, true_update=ref)
-        starts = _pair_starts_of(every_state.coupling_history)
+        _, every = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=0.0, d=d, J=J,
+                              true_update=ref)
+        starts = {m for m, e in enumerate(every.true_errors, start=1) if math.isnan(e)}
         # the latest estimate at or before step 8 (step 8 may open a pair)
         tol = next(e for e in reversed(every.estimates[:8]) if not math.isnan(e))
         _, rep = run_update(A, B, f=f, plan=plan, m_max=m_max, tol=tol, d=d, J=J)
-        scheduled = _schedule(B.shape[0], B.shape[1], 1, m_max, d, starts)
-        first = next((m for m in sorted(scheduled)
-                      if _partner(m, d, starts) in scheduled
-                      and every.estimates[m - 1] <= tol), None)
+        evaluated = _evaluated(_schedule(B.shape[0], B.shape[1], 1, m_max), starts, m_max)
+        first = next((m for m in sorted(evaluated) if every.estimates[m - 1] <= tol), None)
         if first is None:
             assert not rep.converged and rep.iterations == m_max
         else:
@@ -1027,24 +1072,33 @@ class TestCheckpointSchedule:
         B = 0.5 * rand_complex(rng, 40, 1)
         plan = PolePlan((-2.0,), repetition="cyclic")
         f = FunctionSpec.inv_sqrt()
-        assert 7 not in _schedule(40, 1, 1, 20, 2) and 9 not in _schedule(40, 1, 1, 20, 2)
+        assert 7 not in _schedule(40, 1, 1, 20) and 9 not in _schedule(40, 1, 1, 20)
         original = updater.update_hermitian
 
         def flaky(left, *args):
+            solves.append(left.steps)
             if left.steps in failing:
                 failing.remove(left.steps)
                 raise SingularityOnSpectrum("transient Ritz value")
             return original(left, *args)
 
         monkeypatch.setattr(updater, "update_hermitian", flaky)
-        failing = [8]
+        failing, solves = [8], []
         state, rep = run_update(A, B, f=f, plan=plan, m_max=20, tol=0.0, J=np.eye(1))
-        evaluated = [m for m, X in enumerate(state.coupling_history, start=1) if X is not None]
-        assert evaluated == [1, 2, 3, 4, 5, 6, 9, 11, 13, 18, 20] and not failing
-        # step 9 compares with step 6, the latest evaluated at least two back
-        hist = state.coupling_history
+        # each estimate solves its partner again from the leading blocks
+        assert solves == [1, 2, 3, 4, 5, 6, 8, 9, 7, 13, 11, 20, 18] and not failing
+        # step 9 compares with step 7, the latest step at least two back
+        # that did not fail
         assert math.isnan(rep.estimates[8 - 1])
-        assert rep.estimates[9 - 1] == padded_difference_norm(hist[8], hist[5], hermitian=True)
+        X9, X7 = (coupling_at(state, m, f, np.eye(1)) for m in (9, 7))
+        assert rep.estimates[9 - 1] == padded_difference_norm(X9, X7, hermitian=True)
+        # a partner that hits a singularity counts as a failed step, as in
+        # a run that evaluates every step: step 13 reads step 10
+        failing, solves = [11], []
+        state, rep = run_update(A, B, f=f, plan=plan, m_max=20, tol=0.0, J=np.eye(1))
+        assert solves == [1, 2, 3, 4, 5, 6, 8, 13, 11, 10, 20, 18] and not failing
+        X13, X10 = (coupling_at(state, m, f, np.eye(1)) for m in (13, 10))
+        assert rep.estimates[13 - 1] == padded_difference_norm(X13, X10, hermitian=True)
         # a second consecutive failure raises with its step
         failing = [8, 9]
         with pytest.raises(SingularityOnSpectrum) as exc:
@@ -1059,11 +1113,11 @@ class TestCheckpointSchedule:
         B = np.random.default_rng(0).standard_normal((12, 4))
         J = 0.5 * np.eye(4)
         f = FunctionSpec.inv_sqrt()
-        assert 2 not in _schedule(12, 4, 1, 10, 2)
+        assert 2 not in _schedule(12, 4, 1, 10)
         state, rep = run_update(A, B, f=f, plan=PolePlan((-1.0,), repetition="cyclic"),
                                 m_max=10, tol=0.0, J=J)
         assert rep.converged and rep.breakdown_step == 3 and rep.iterations == 2
-        assert state.coupling is state.coupling_history[-1] is not None
+        assert np.array_equal(state.coupling, coupling_at(state, 2, f, J))
         exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
         assert norm2(state.materialize() - exact) <= 1e-13 * norm2(exact)
 
@@ -1167,36 +1221,78 @@ def step_indexed_run(draw):
                                true_update=ref if reference else None, **kwargs)), d
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("solver", ["hermitian", "two-sided", "sign", "sylvester"])
+def test_the_leading_blocks_give_each_steps_solution(solver, real):
+    # the small problem of leading(ell * j) of a run's final bases is the
+    # solution that the run solved at step j, bit for bit; the two-sided
+    # coupling only to rounding, since numpy forms V*B with another kernel
+    # when a basis of 1-3 columns fills its buffer
+    rng = np.random.default_rng(11)
+    n = 30
+
+    def block(cols):
+        return rng.standard_normal((n, cols)) if real else rand_complex(rng, n, cols)
+
+    Q, _ = np.linalg.qr(block(n))
+    w = rng.uniform(0.5, 4.5, n) * (rng.choice([-1.0, 1.0], n) if solver == "sign" else 1.0)
+    A = (Q * w) @ Q.conj().T
+    A = 0.5 * (A + A.conj().T)
+    B, C = 0.1 * block(2), 0.1 * block(2)
+    pairs = PolePlan((-1.0 + 1.5j, -1.0 - 1.5j, -3.0, INF), repetition="cyclic")
+    f = FunctionSpec.inv_sqrt()
+    with recorded_solves() as solves:
+        if solver == "sylvester":
+            # desk scale: the residual of every step is recorded
+            sylvester_solve_krylov(SylvesterProblem.create(A, -A, B, C), pairs, m_max=12,
+                                   tol=0.0)
+        elif solver == "sign":
+            # a seed [b, A b] of two columns
+            b = B[:, :1]
+            sign_update(A, b, np.eye(1), PolePlan((-1.0, INF, -0.3), repetition="cyclic"),
+                        m_max=12, tol=0.0, true_update=dense_update(
+                            A, b @ b.conj().T, FunctionSpec.sign(), hermitian=True))
+        else:
+            kwargs = dict(J=np.eye(2)) if solver == "hermitian" else dict(C=C)
+            D = B @ B.conj().T if solver == "hermitian" else B @ C.conj().T
+            run_update(A, B, f=f, plan=pairs, m_max=12, tol=0.0,
+                       true_update=dense_update(A, D, f, hermitian=solver == "hermitian"),
+                       **kwargs)
+    ell = 2
+    assert all(s.own for s in solves) and len(solves) >= 8
+    for s in solves:
+        again = s.evaluate(ell * s.step)
+        for got, want in zip(again if solver == "sign" else (again,),
+                             s.new if solver == "sign" else (s.new,)):
+            if solver == "two-sided":
+                assert norm2(got - want) <= 1e-14 * norm2(want)
+            else:
+                assert np.array_equal(got, want)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(step_indexed_run())
 def test_report_lists_are_step_indexed(instance):
-    # the step loop's history shows which steps were evaluated; estimates[k]
-    # is step k + 1's, NaN exactly when that step has no estimate
-    from unittest import mock
-
-    import rkupdate.signsylv as signsylv
-    import rkupdate.updater as updater
+    # estimates[k] is step k + 1's, NaN exactly when that step has no
+    # estimate: when its own small problem is not solved, or no earlier
+    # one at least d steps back is, or it is the gap that a lucky breakdown
+    # ends on (solved for the solution only); no small problem is solved
+    # twice
     from rkupdate.cli import _rows_from_report
 
     run, d = instance
-    loop, seen = updater._rational_krylov, []
-
-    def recording_loop(*args, **kwargs):
-        seen.append(loop(*args, **kwargs))
-        return seen[-1]
-
-    with mock.patch.object(updater, "_rational_krylov", recording_loop), \
-            mock.patch.object(signsylv, "_rational_krylov", recording_loop):
+    with recorded_solves() as solves:
         _, rep = run()
-    history = seen[0][0] if seen else []
     steps = rep.iterations
-    assert len(history) == len(rep.estimates) == len(rep.poles) == steps
+    assert len(rep.estimates) == len(rep.poles) == steps
     assert rep.true_errors is None or len(rep.true_errors) == steps
+    solved = [s.step for s in solves]
+    own = {s.step for s in solves if s.own}
+    assert len(solved) == len(set(solved))
     for k, est in enumerate(rep.estimates):
         step = k + 1
-        empty = (step <= d or history[k] is None
-                 or all(h is None for h in history[:step - d]))
-        assert math.isnan(est) == empty
+        empty = step not in own or all(m > step - d for m in solved)
+        assert math.isnan(est) == empty or rep.breakdown_step == step + 1 and math.isnan(est)
     none = [math.nan] * steps
     lists = np.column_stack([np.arange(1, steps + 1), rep.true_errors or none,
                              rep.estimates, none])
