@@ -163,13 +163,11 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     f = FunctionSpec.inv_sqrt()
     basis = KrylovBasis(cache, W)
 
-    def evaluate(k):
-        """(X, f(G) U*B) of the basis of dimension k; G is exactly Hermitian
-        (the cache of a Hermitian A fills it so) and U*W is kept by the
-        basis."""
-        lead = basis.leading(k)
-        UW = lead.seed_product
-        X, F_base = _hermitian_difference(lead.compression, UW, M_core, f)
+    def evaluate(U):
+        """(X, f(G) U*B) of a leading basis U; G is exactly Hermitian (the
+        cache of a Hermitian A fills it so) and U*W is kept by the basis."""
+        UW = U.seed_product
+        X, F_base = _hermitian_difference(U.compression, UW, M_core, f)
         return X, F_base @ UW[:, :ell]
 
     def factors(new):
@@ -289,6 +287,17 @@ class SylvesterResult:
         return _dense_product(self.basis_left, self.core, self.basis_right)
 
 
+def _sylvester_core(U, V):
+    """The core Z~ of the compressed equation G Z~ - Z~ H* + (U*B1)(V*C2)* = 0
+    of bases U and V of the two spaces; U*B1 and V*C2 are their kept seed
+    products."""
+    try:
+        return sylvester_dense(U.compression, V.compression.conj().T,
+                               U.seed_product @ V.seed_product.conj().T)
+    except SpectraIntersect as exc:
+        raise CompressedNotSolvable(str(exc)) from exc
+
+
 def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     """Galerkin rational Krylov solver for A1 Z - Z A2 + B1 C2* = 0.
 
@@ -313,15 +322,6 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     left = KrylovBasis(prob.A1, prob.B1)
     right = KrylovBasis(prob.A2, prob.C2, adjoint=True)
 
-    def evaluate(k):
-        # U*B1 and V*C2 are the bases' kept seed products
-        U, V = left.leading(k), right.leading(k)
-        try:
-            return sylvester_dense(U.compression, V.compression.conj().T,
-                                   U.seed_product @ V.seed_product.conj().T)
-        except SpectraIntersect as exc:
-            raise CompressedNotSolvable(str(exc)) from exc
-
     def estimate(Z_small, Z_old):
         return padded_difference_norm(Z_small, Z_old) / max(norm2(Z_small), 1e-300)
 
@@ -339,7 +339,7 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
         R = np.linalg.qr(P, mode="r") @ M @ np.linalg.qr(Q, mode="r").conj().T
         return norm2(R) / max(scale * norm2(Z_small), 1e-300)
 
-    core, report = _rational_krylov(left, right, poles, evaluate, estimate, tol=tol, d=d,
-                                    error=residual if desk_scale else None)
+    core, report = _rational_krylov(left, right, poles, _sylvester_core, estimate,
+                                    tol=tol, d=d, error=residual if desk_scale else None)
     return SylvesterResult(left=left.basis, core=core, right=right.basis,
                            basis_left=left, basis_right=right), report

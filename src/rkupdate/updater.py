@@ -216,9 +216,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     """The step loop shared by every solver: one step per pole.
 
     Each step appends a block for pole xi to ``left`` and, unless ``right``
-    is ``left``, to ``right``.  ``evaluate(k)`` returns the small solution
-    of the step of dimension k, from the leading k columns of the bases
-    (:meth:`~rkupdate.arnoldi.KrylovBasis.leading`), ``error(new)``
+    is ``left``, to ``right``.  ``evaluate(*leading)`` returns the small
+    solution of a step from the bases of that step, the leading blocks of
+    the present ones (:meth:`~rkupdate.arnoldi.KrylovBasis.leading`; one
+    basis for a one-basis run, else two), ``error(new)``
     (optional) the present step's true error or residual, and
     ``estimate(new, old)`` the difference between the present solution and
     its partner's: that of the latest step at most d steps earlier that is
@@ -246,7 +247,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     falls in the span of the basis (an ``exhausted`` :class:`RankDeficient`)
     has hit an invariant subspace that contains the seed, so the solution
     of step k - 1 is exact: the run ends there, converged, with
-    ``breakdown_step = k`` (a gap at step k - 1 is solved, but records no
+    ``breakdown_step = k`` (a gap at step k - 1 is solved then, with its
     estimate).  Rank loss at step 1, of part of a block, after a failed
     evaluation, or in a two-basis run re-raises.
 
@@ -267,7 +268,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     def solve(step):
         try:
-            new = evaluate(left.block_size * step)
+            new = evaluate(*(b.leading(left.block_size * step) for b in bases))
         except SingularityOnSpectrum as exc:
             exc.step = step
             skipped.add(step)
@@ -326,7 +327,11 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
             if est <= tol:
                 converged = True
                 break
-        final = solved[m] if m in solved else solve(m)  # a lucky breakdown's gap
+        if m not in solved:
+            # a lucky breakdown after a gap; the basis is still that of step m
+            new, old = solve(m), partner(m)
+            estimates[-1] = math.nan if old is None else estimate(new, old)
+        final = solved[m]
     finally:
         left.cache.clear()
         right.cache.clear()
@@ -434,10 +439,10 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     left = KrylovBasis(cache, B)
     right = left if hermitian_mode else KrylovBasis(cache, C, adjoint=True)
 
-    def evaluate(k):
+    def evaluate(U, V=None):
         if hermitian_mode:
-            return update_hermitian(left.leading(k), J, f)
-        return project_update(left.leading(k), right.leading(k), f)
+            return update_hermitian(U, J, f)
+        return project_update(U, V, f)
 
     def estimate(new, old):
         return padded_difference_norm(new, old, hermitian=hermitian_mode)

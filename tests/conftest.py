@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from rkupdate.signsylv import sylvester_dense
+from rkupdate.signsylv import _sylvester_core
 from rkupdate.updater import project_update, update_hermitian
 
 
@@ -64,9 +64,7 @@ def core_at(result, m):
     """The core of step m of a ``sylvester_solve_krylov`` result, solved
     again on the leading blocks of its bases."""
     k = result.basis_left.block_size * m
-    U, V = result.basis_left.leading(k), result.basis_right.leading(k)
-    return sylvester_dense(U.compression, V.compression.conj().T,
-                           U.seed_product @ V.seed_product.conj().T)
+    return _sylvester_core(result.basis_left.leading(k), result.basis_right.leading(k))
 
 
 def _strip(c):

@@ -598,7 +598,7 @@ def test_runs_free_their_factorizations(rng):
     assert all(basis.steps > 1 for basis in bases)
     assert [len(basis.cache) for basis in bases] == [0] * len(bases)
 
-    def singular(k):
+    def singular(*leading):
         raise SingularityOnSpectrum("forced")
 
     left = KrylovBasis(A, B)
@@ -904,9 +904,9 @@ def scheduled_instance(draw):
 
 #: a small problem that a step loop solved: its step, whether that step was
 #: the present one (not an earlier step solved again from the leading
-#: blocks of the bases for an estimate), the solution and the loop's
-#: ``evaluate``
-Solve = namedtuple("Solve", "step own new evaluate")
+#: blocks of the bases for an estimate), the solution, the loop's
+#: ``evaluate`` and its bases
+Solve = namedtuple("Solve", "step own new evaluate bases")
 
 
 @contextmanager
@@ -919,9 +919,11 @@ def recorded_solves():
     loop, solves = updater._rational_krylov, []
 
     def recording_loop(left, right, poles, evaluate, *args, **kwargs):
-        def recorded(k):
-            new = evaluate(k)
-            solves.append(Solve(k // left.block_size, k == left.dimension, new, evaluate))
+        def recorded(*leading):
+            new = evaluate(*leading)
+            k = leading[0].dimension
+            solves.append(Solve(k // left.block_size, k == left.dimension, new, evaluate,
+                                (left,) if right is left else (left, right)))
             return new
         return loop(left, right, poles, recorded, *args, **kwargs)
 
@@ -1108,18 +1110,26 @@ class TestCheckpointSchedule:
     def test_lucky_breakdown_after_a_skipped_step(self):
         # two eigenvalues of multiplicity 6 and a block of 4 columns: the
         # basis is invariant at step 2 (dimension 8), which the schedule
-        # skips, and step 3 loses its whole block; step 2 is then evaluated
+        # skips, and step 3 loses its whole block; step 2 is then evaluated,
+        # with the estimate that a run evaluating every step records
         A = np.diag([1.0] * 6 + [2.0] * 6)
         B = np.random.default_rng(0).standard_normal((12, 4))
         J = 0.5 * np.eye(4)
         f = FunctionSpec.inv_sqrt()
+        exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
         assert 2 not in _schedule(12, 4, 1, 10)
-        state, rep = run_update(A, B, f=f, plan=PolePlan((-1.0,), repetition="cyclic"),
-                                m_max=10, tol=0.0, J=J)
+        kwargs = dict(f=f, plan=PolePlan((-1.0,), repetition="cyclic"), m_max=10, tol=0.0,
+                      J=J)
+        state, rep = run_update(A, B, **kwargs)
         assert rep.converged and rep.breakdown_step == 3 and rep.iterations == 2
         assert np.array_equal(state.coupling, coupling_at(state, 2, f, J))
-        exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
         assert norm2(state.materialize() - exact) <= 1e-13 * norm2(exact)
+        # at d = 1 step 2 reads step 1
+        _, every = run_update(A, B, d=1, true_update=exact, **kwargs)
+        _, rep = run_update(A, B, d=1, **kwargs)
+        assert rep.breakdown_step == every.breakdown_step == 3
+        assert np.array_equal(rep.estimates, every.estimates, equal_nan=True)
+        assert rep.estimates[1] > 0
 
     @pytest.mark.parametrize("variant", ["fig1", "fig2", "fig3-alg3", "fig3-alg4"])
     def test_checkpointed_error_within_twice_the_every_step_error(self, variant):
@@ -1261,7 +1271,7 @@ def test_the_leading_blocks_give_each_steps_solution(solver, real):
     ell = 2
     assert all(s.own for s in solves) and len(solves) >= 8
     for s in solves:
-        again = s.evaluate(ell * s.step)
+        again = s.evaluate(*(b.leading(ell * s.step) for b in s.bases))
         for got, want in zip(again if solver == "sign" else (again,),
                              s.new if solver == "sign" else (s.new,)):
             if solver == "two-sided":
@@ -1275,9 +1285,7 @@ def test_the_leading_blocks_give_each_steps_solution(solver, real):
 def test_report_lists_are_step_indexed(instance):
     # estimates[k] is step k + 1's, NaN exactly when that step has no
     # estimate: when its own small problem is not solved, or no earlier
-    # one at least d steps back is, or it is the gap that a lucky breakdown
-    # ends on (solved for the solution only); no small problem is solved
-    # twice
+    # one at least d steps back is; no small problem is solved twice
     from rkupdate.cli import _rows_from_report
 
     run, d = instance
@@ -1292,7 +1300,7 @@ def test_report_lists_are_step_indexed(instance):
     for k, est in enumerate(rep.estimates):
         step = k + 1
         empty = step not in own or all(m > step - d for m in solved)
-        assert math.isnan(est) == empty or rep.breakdown_step == step + 1 and math.isnan(est)
+        assert math.isnan(est) == empty
     none = [math.nan] * steps
     lists = np.column_stack([np.arange(1, steps + 1), rep.true_errors or none,
                              rep.estimates, none])
