@@ -16,7 +16,9 @@
 # first step of a pair included.  A custom update on a dense random
 # symmetric A of n = 60 (no narrow band, so it is stored dense) runs the
 # Hermitian probe and the Hermitian fill of the compression on dense
-# storage.  No file that a run writes may hold "nan".
+# storage, and a two-sided custom update on a dense random non-symmetric A
+# of n = 60 takes the compression's new rows from products with A* on
+# dense storage.  No file that a run writes may hold "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
@@ -68,6 +70,9 @@ write_matrix(f"{d}/Bc.mtx", normal_block(5, 60, 1) + 1j * normal_block(6, 60, 1)
 M = normal_block(7, 60, 60).real
 A = M @ M.T / 60 + 0.5 * np.eye(60)
 write_matrix(f"{d}/Adense.mtx", 0.5 * (A + A.T))
+# a dense random non-symmetric A of n = 60, its spectrum in the disk of
+# radius about 1 around 3
+write_matrix(f"{d}/Anonsym.mtx", normal_block(10, 60, 60).real / np.sqrt(60) + 3.0 * np.eye(60))
 EOF
 printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
 printf '# a pole file with a conjugate pair\n-0.5\ninf\n-1+1j\n-1-1j\n' > "$in/poles-pair.txt"
@@ -100,6 +105,10 @@ for run in 1 2; do
     --matrix-a "$in/A1.mtx" --matrix-b "$in/B1.mtx" --matrix-c "$in/C2.mtx" \
     --function exp --poles "$in/poles.txt" --m-max 20 --tol 0 \
     --out "$out/custom-two-sided-exp.csv"
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/Anonsym.mtx" --matrix-b "$in/B1.mtx" --matrix-c "$in/C2.mtx" \
+    --function exp --poles "$in/poles.txt" --m-max 20 --tol 0 \
+    --out "$out/custom-two-sided-dense.csv"
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A600.mtx" --matrix-b "$in/B600.mtx" --matrix-j "$in/J.mtx" \
     --poles extended --m-max 80 --tol 1e-10 --out "$out/custom-n600.csv"

@@ -12,11 +12,11 @@ U* (Op Q) for the new block Q.  On a cache whose A is Hermitian
 (``FactorizationCache.hermitian``, the sign update's A^2 included) the
 compression is Hermitian, so its new rows are the conjugate transpose of
 its new columns and its diagonal block is made exactly Hermitian; on any
-other cache the new rows are projected too, Q* (Op U).  The rule is the
-same for every basis on the cache, the adjoint basis and a general-mode
-run's bases included.  Every basis also keeps U* seed, one product Q* seed
-per appended block, so the small problems that read it make no pass over
-the basis.
+other cache the new rows are projected too, from one product with the
+adjoint: (U* (Op* Q))*.  The rule is the same for every basis on the
+cache, the adjoint basis and a general-mode run's bases included.  Every
+basis also keeps U* seed, one product Q* seed per appended block, so the
+small problems that read it make no pass over the basis.
 
 Step rules (xi_j = pole of step j), all in :meth:`KrylovBasis.advance`:
 
@@ -28,9 +28,10 @@ Step rules (xi_j = pole of step j), all in :meth:`KrylovBasis.advance`:
 
 The pole-zero step drops the A multiplication because (A - 0)^{-1} A is the
 identity on the previous block; both rules generate the same subspace.
-A U_{j-1} is never recomputed: the products A U of every block are kept,
-so each step makes one product with A.  Rank loss is a hard error (no
-deflation).
+A U_{j-1} is never recomputed: the basis keeps the product A Q of its
+last block Q, which the next step continues from, so each step makes one
+product with A on a Hermitian cache, and one with A and one with A* on
+any other.  Rank loss is a hard error (no deflation).
 
 A basis grows only through ``advance(*poles)``: one pole, or a conjugate
 pair ``advance(xi, conj(xi))``, which a real basis on a real A takes as one
@@ -86,8 +87,8 @@ Hermitian A), the paired steps and the QR, so real data with real or
 infinite poles and conjugate pairs run in real arithmetic end to end; the
 first block that comes back complex (the LU of a complex pole taken
 alone) promotes the basis to ``complex128`` once, in place.
-The basis, its products with the operator and the compression are views
-into C-order buffers whose capacity doubles, and a step appends into them.
+The basis, the compression and U* seed are views into C-order buffers
+whose capacity doubles, and a step appends into them.
 """
 
 import copy
@@ -227,10 +228,11 @@ class KrylovBasis:
     The basis has the result type of the cache's A and the seed; the first
     block that comes back complex (the LU of a complex pole taken alone)
     promotes a real basis, once, with its leading columns unchanged, and a
-    conjugate pair keeps it real.  ``basis``, the products
-    ``Op @ basis``, ``compression`` and ``seed_product`` are views into
-    C-order buffers whose capacity doubles when a block does not fit, so a
-    step appends in place.
+    conjugate pair keeps it real.  ``basis``, ``compression`` and
+    ``seed_product`` are views into C-order buffers whose capacity doubles
+    when a block does not fit, so a step appends in place.  Of the
+    products with the operator Op (A, or A* for an adjoint basis) the basis
+    keeps only that of its last block, the next step's continuation.
     """
 
     def __init__(self, A, seed, *, adjoint=False):
@@ -245,7 +247,7 @@ class KrylovBasis:
         # capacity 0: the first step allocates one block
         dtype = np.result_type(self.cache.A.dtype, seed.dtype)
         self._U = np.empty((n, 0), dtype=dtype)
-        self._OpU = np.empty((n, 0), dtype=dtype)  # Op @ basis, column-aligned
+        self._OpQ = None  # Op @ the last block
         self._G = np.empty((0, 0), dtype=dtype)
         self._US = np.empty((0, self.block_size), dtype=dtype)  # basis* seed
 
@@ -270,14 +272,6 @@ class KrylovBasis:
         return self._G[:self._k, :self._k]
 
     @property
-    def op_basis(self):
-        """Op @ basis, Op = A (A* for an adjoint basis).  Its last block is
-        the next step's continuation; the compression's new rows read it
-        whole on an operator that is not Hermitian, as the Sylvester
-        residual does."""
-        return self._OpU[:, :self._k]
-
-    @property
     def seed(self):
         """The seed block, as :func:`~rkupdate._validation.as_array` gave it."""
         return self._seed
@@ -292,15 +286,18 @@ class KrylovBasis:
         """The basis of the step of dimension k, the leading k columns of
         this one (bases grow by appending): a shallow copy whose buffers are
         views of exactly k columns of these, so advancing it moves it into
-        buffers of its own before it writes, and this basis is unchanged."""
+        buffers of its own before it writes, and this basis is unchanged.
+        For k below the dimension it keeps no product with the operator, so
+        advancing it makes the product of its last block once."""
         lead = copy.copy(self)
         lead._k, lead.poles_used = k, self.poles_used[:k // self.block_size]
-        lead._U, lead._OpU = self._U[:, :k], self._OpU[:, :k]
-        lead._G, lead._US = self._G[:k, :k], self._US[:k]
+        lead._U, lead._G, lead._US = self._U[:, :k], self._G[:k, :k], self._US[:k]
+        lead._OpQ = self._OpQ if k == self._k else None
         return lead
 
-    def _matvec(self, X):
-        return self.cache.matvec(X, adjoint=self._adjoint)
+    def _matvec(self, X, adjoint=False):
+        """Op @ X, or Op* @ X."""
+        return self.cache.matvec(X, adjoint=self._adjoint != adjoint)
 
     def _solve(self, xi, Y):
         return self.cache.factorization(xi).solve(Y, adjoint=self._adjoint)
@@ -309,14 +306,12 @@ class KrylovBasis:
         """Move the basis into buffers of ``cap`` columns and the given dtype."""
         k, n = self._k, self.n
         U = np.empty((n, cap), dtype=dtype)
-        OpU = np.empty((n, cap), dtype=dtype)
         G = np.empty((cap, cap), dtype=dtype)
         US = np.empty((cap, self.block_size), dtype=dtype)
         U[:, :k] = self._U[:, :k]
-        OpU[:, :k] = self._OpU[:, :k]
         G[:k, :k] = self._G[:k, :k]
         US[:k] = self._US[:k]
-        self._U, self._OpU, self._G, self._US = U, OpU, G, US
+        self._U, self._G, self._US = U, G, US
 
     def advance(self, *poles):
         """Append the step of one pole, or of a conjugate pair (xi, conj(xi)),
@@ -354,15 +349,18 @@ class KrylovBasis:
 
     def _block(self, xi):
         """W of the step rule for xi (``np.inf`` or a complex), from the seed
-        at step 1, else from the last block of ``op_basis`` or, for the pole
-        0, of ``basis``."""
+        at step 1, else from the last ell columns of the kept product Op Q
+        or, for the pole 0, of ``basis``.  A leading basis, which keeps no
+        product, makes that of its last ell columns here."""
         k, ell = self._k, self.block_size
         if not self.steps:
             X = self._seed
         elif xi == 0:
             X = self._U[:, k - ell:k]
         else:
-            X = self._OpU[:, k - ell:k]
+            if self._OpQ is None:
+                self._OpQ = self._matvec(self._U[:, k - ell:k])
+            X = self._OpQ[:, -ell:]
         return X.copy() if xi == np.inf else self._solve(xi, X)
 
     def _reserve(self, cols, dtype):
@@ -380,23 +378,24 @@ class KrylovBasis:
         return qr_orthonormalize(W, reference_norms=ref, step=step)
 
     def _append(self, Q, poles):
-        """Append the orthonormal block Q, its product with the operator,
-        the compression's new rows and columns and the new rows Q* seed of
-        ``seed_product``; the buffers have room.
+        """Append the orthonormal block Q, the compression's new rows and
+        columns and the new rows Q* seed of ``seed_product``, and keep Op Q
+        in place of the last block's product; the buffers have room.
 
         On a Hermitian cache the compression is Hermitian: its new block
         column is projected, its diagonal block is made exactly Hermitian,
-        and its new rows are the conjugate transpose of its new columns, so
-        Q* op_basis is not formed."""
+        and its new rows are the conjugate transpose of its new columns.  On
+        any other cache the new rows are (U* (Op* Q))*, one product with
+        Op* and one tall product over the basis."""
         k, width = self._k, Q.shape[1]
         OpQ = self._matvec(Q)
         new = slice(k, k + width)
         G, hermitian = self._G, self.cache.hermitian
-        if not hermitian:
-            G[new, :k] = Q.conj().T @ self.op_basis
+        if not hermitian and k:
+            G[new, :k] = self.block_product(self._matvec(Q, adjoint=True)).conj().T
         self._US[new] = _adjoint_product(Q, self._seed)
         self._U[:, new] = Q
-        self._OpU[:, new] = OpQ
+        self._OpQ = OpQ
         self._k = k + width
         G[:k + width, new] = self.block_product(OpQ)
         if hermitian:

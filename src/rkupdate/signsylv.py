@@ -330,11 +330,11 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
 
     def residual(Z_small):
         # with Z = U Z~ V*, A1 Z - Z A2 + B1 C2* = P M Q* for P = [A1 U, U, B1],
-        # M = diag(Z~, -Z~, I) and Q = [V, A2* V, C2]; A1 U and A2* V are the
-        # bases' stored products, and the norm is ||R_P M R_Q*|| from two
+        # M = diag(Z~, -Z~, I) and Q = [V, A2* V, C2]; A1 U and A2* V are one
+        # product with each cache, and the norm is ||R_P M R_Q*|| from two
         # thin QRs, so no n x n array is formed
-        P = np.hstack([left.op_basis, left.basis, prob.B1])
-        Q = np.hstack([right.basis, right.op_basis, prob.C2])
+        P = np.hstack([left.cache.matvec(left.basis), left.basis, prob.B1])
+        Q = np.hstack([right.basis, right.cache.matvec(right.basis, adjoint=True), prob.C2])
         M = sla.block_diag(Z_small, -Z_small, np.eye(prob.B1.shape[1]))
         R = np.linalg.qr(P, mode="r") @ M @ np.linalg.qr(Q, mode="r").conj().T
         return norm2(R) / max(scale * norm2(Z_small), 1e-300)

@@ -124,6 +124,27 @@ class TestInvariants:
         assert len(sizes) <= math.ceil(math.log2(55)) + 1
         assert sizes[-1] >= basis.dimension
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_growth_is_lean(self, rng, hermitian):
+        # the basis keeps U, its compression and U* seed, and of its
+        # products with A only that of its last block: while it grows, the
+        # peak of the memory it allocates stays within 3x the final basis
+        n = 20000
+        sub = np.full(n - 1, -1.0)
+        A = scipy.sparse.diags([sub, np.full(n, 2.5), sub if hermitian else 0.5 * sub],
+                               [-1, 0, 1], format="csr")
+        basis = KrylovBasis(A, rng.standard_normal((n, 4)))
+        assert basis.cache.hermitian == hermitian
+        tracemalloc.start()
+        try:
+            for step in range(40):
+                basis.advance(INF if step % 2 else -0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.dimension == 160 and basis.basis.dtype == np.float64
+        assert peak <= 3 * basis.basis.nbytes
+
     def test_nested_prefix_bitwise(self, rng):
         A = rand_complex(rng, 20, 20)
         B = rand_complex(rng, 20, 1)
@@ -135,26 +156,41 @@ class TestInvariants:
         assert np.array_equal(basis.basis[:, :2], snapshot)
 
     @pytest.mark.parametrize("adjoint", [False, True])
-    def test_leading_is_the_basis_of_an_earlier_step(self, rng, adjoint):
+    def test_leading_is_the_basis_of_an_earlier_step(self, rng, monkeypatch, adjoint):
         # leading(k) is the basis of the step of dimension k, bit for bit,
         # and advancing it (a single step, a real pair, a complex pole that
         # promotes it) moves it into buffers of its own: the basis it came
-        # from keeps its basis, compression, products and seed product
+        # from keeps its basis, compression and seed product.  Below the
+        # dimension it keeps no product with A, so its first step makes one
+        # more, that of its last block
+        calls = []
+        matvec = KrylovBasis._matvec
+
+        def counted(self, X, adjoint=False):
+            calls.append(adjoint)
+            return matvec(self, X, adjoint)
+
+        monkeypatch.setattr(KrylovBasis, "_matvec", counted)
         A = rng.standard_normal((24, 24)) + 6.0 * np.eye(24)
         basis = KrylovBasis(A, rng.standard_normal((24, 2)), adjoint=adjoint)
+        assert not basis.cache.hermitian
         steps = []
         for poles in ((-1.0,), (-1.0 + 1.0j, -1.0 - 1.0j), (INF,), (-2.0,), (0.0,)):
             basis.advance(*poles)
             steps.append((basis.dimension, basis.poles_used, basis.basis.copy(),
                           basis.compression.copy(), basis.seed_product.copy()))
-        views = ("basis", "compression", "op_basis", "seed_product")
+        views = ("basis", "compression", "seed_product")
         kept = [getattr(basis, v).copy() for v in views]
         for k, poles_used, U, G, US in steps:
             lead = basis.leading(k)
             assert lead.dimension == k and lead.poles_used == poles_used
             assert np.array_equal(lead.basis, U) and np.array_equal(lead.compression, G)
             assert np.array_equal(lead.seed_product, US)
-            lead.advance(-3.0).advance(-1.5 + 0.5j, -1.5 - 0.5j).advance(0.5j)
+            calls.clear()
+            lead.advance(-3.0)
+            # a product with A and one with A* for the compression's rows
+            assert calls == [False] * (k < basis.dimension) + [False, True]
+            lead.advance(-1.5 + 0.5j, -1.5 - 0.5j).advance(0.5j)
             assert lead.dimension == k + 8 and lead.basis.dtype == np.complex128
             assert np.array_equal(lead.basis[:, :k], U)
             assert basis.basis.dtype == np.float64 and basis.dimension == 12
@@ -256,17 +292,17 @@ class TestBreakdown:
 
 def _hstack_basis(A, seed, poles, adjoint=False):
     """(basis, compression) of the poles, grown by np.hstack in complex128:
-    the reference for the preallocated buffers."""
+    the reference for the preallocated buffers.  On a cache that is not
+    Hermitian the compression's new rows are (U* (Op* Q))*."""
     cache = FactorizationCache(A)
     n, ell = seed.shape
     U = np.zeros((n, 0), dtype=complex)
-    OpU = np.zeros((n, 0), dtype=complex)
     G = np.zeros((0, 0), dtype=complex)
     for j, xi in enumerate(poles, start=1):
         if xi == INF:
-            W = seed.copy() if j == 1 else OpU[:, -ell:].copy()
+            W = seed.copy() if j == 1 else OpQ[:, -ell:].copy()
         else:
-            Y = seed if j == 1 else U[:, -ell:] if xi == 0 else OpU[:, -ell:]
+            Y = seed if j == 1 else U[:, -ell:] if xi == 0 else OpQ[:, -ell:]
             W = cache.factorization(xi).solve(Y, adjoint=adjoint)
         ref = np.linalg.norm(W, axis=0)
         if U.shape[1]:
@@ -278,9 +314,9 @@ def _hstack_basis(A, seed, poles, adjoint=False):
         new = np.zeros((k + ell, k + ell), dtype=complex)
         new[:k, :k] = G
         new[:k, k:] = (U.T @ OpQ.conj()).conj()
-        new[k:, :k] = Q.conj().T @ OpU
+        new[k:, :k] = (U.T @ cache.matvec(Q, not adjoint).conj()).T
         new[k:, k:] = Q.conj().T @ OpQ
-        U, OpU, G = np.hstack([U, Q]), np.hstack([OpU, OpQ]), new
+        U, G = np.hstack([U, Q]), new
     return U, G
 
 
@@ -396,9 +432,9 @@ class TestRealOperator:
         calls = []
         matvec = KrylovBasis._matvec
 
-        def counted(self, X):
-            calls.append(X.shape[1])
-            return matvec(self, X)
+        def counted(self, X, adjoint=False):
+            calls.append((X.shape[1], adjoint))
+            return matvec(self, X, adjoint)
 
         monkeypatch.setattr(KrylovBasis, "_matvec", counted)
         A = _real_operators(rng, 40)["dense"]
@@ -406,7 +442,10 @@ class TestRealOperator:
         basis = KrylovBasis(A, rand_complex(rng, 40, 2), adjoint=adjoint)
         for xi in poles:
             basis.advance(xi)
-        assert calls == [2] * len(poles)
+        # one product with A per step, and from step 2 on one with A* for
+        # the compression's rows, since A is not Hermitian
+        assert not basis.cache.hermitian
+        assert calls == [(2, False)] + [(2, False), (2, True)] * (len(poles) - 1)
 
 
 class TestConjugatePairs:
@@ -476,7 +515,6 @@ class TestConjugatePairs:
         Op = A.T if adjoint else A
         assert norm2(U.T @ U - np.eye(k)) <= 1e-13
         assert np.abs(basis.compression - U.T @ Op @ U).max() <= 1e-13 * norm2(A)
-        assert np.abs(basis.op_basis - Op @ U).max() <= 1e-13 * norm2(A)
 
     def test_a_complex_basis_takes_a_pair_as_two_single_steps(self, rng):
         A = _real_operators(rng, 20)["dense"]
@@ -489,7 +527,7 @@ class TestConjugatePairs:
             got.advance(xi, np.conj(xi))
             want.advance(xi).advance(np.conj(xi))
             _same_bases([got], [want])
-            assert np.array_equal(got.op_basis, want.op_basis) and got.steps == 3
+            assert got.steps == 3
 
     @pytest.mark.parametrize("poles", [(-1.0 + 1.0j, -1.0 + 1.0j), (-1.0 + 1.0j, 1.0 - 1.0j),
                                        (-1.0, -1.0), (INF, INF), (1.0j, -1.0j, 2.0), ()])
@@ -750,9 +788,9 @@ class TestBandOperator:
         calls = []
         matvec = KrylovBasis._matvec
 
-        def counted(self, X):
-            calls.append(X.shape[1])
-            return matvec(self, X)
+        def counted(self, X, adjoint=False):
+            calls.append((X.shape[1], adjoint))
+            return matvec(self, X, adjoint)
 
         monkeypatch.setattr(KrylovBasis, "_matvec", counted)
         A = band_matrix(rng, 40, 1, 1, complex_entries)
@@ -761,7 +799,10 @@ class TestBandOperator:
         assert isinstance(basis.cache.A, _Band)
         for xi in poles:
             basis.advance(xi)
-        assert calls == [2] * len(poles)
+        # one product with A per step, and from step 2 on one with A* for
+        # the compression's rows, since A is not Hermitian
+        assert not basis.cache.hermitian
+        assert calls == [(2, False)] + [(2, False), (2, True)] * (len(poles) - 1)
 
     def test_singular_shift_on_band_operator(self):
         A = np.diag(np.arange(1.0, 41.0)) + np.diag(np.full(39, 0.5), 1)
@@ -863,31 +904,25 @@ class TestSquaredCache:
 
 
 def _counted(monkeypatch):
-    """Count a basis's products with the operator and the tall products of
-    its compression: ``columns``, basis* (Op Q) for the new block Q, and
-    ``rows``, the reads of the whole ``op_basis`` that Q* op_basis makes."""
-    counts = {"matvec": 0, "columns": 0, "rows": 0}
+    """Count a basis's products with the operator, ``Op`` and ``Op*``, and
+    the tall products of its compression, basis* (Op Q) for its new columns
+    and basis* (Op* Q) for its new rows, Q the new block."""
+    counts = {"Op": 0, "Op*": 0, "compression": 0}
     products = []
     matvec, block_product = KrylovBasis._matvec, KrylovBasis.block_product
-    op_basis = KrylovBasis.op_basis.fget
 
-    def counted_matvec(self, X):
-        counts["matvec"] += 1
-        products.append(matvec(self, X))
+    def counted_matvec(self, X, adjoint=False):
+        counts["Op*" if adjoint else "Op"] += 1
+        products.append(matvec(self, X, adjoint))
         return products[-1]
 
     def counted_block_product(self, X):
         if any(X is P for P in products):
-            counts["columns"] += 1
+            counts["compression"] += 1
         return block_product(self, X)
-
-    def counted_op_basis(self):
-        counts["rows"] += 1
-        return op_basis(self)
 
     monkeypatch.setattr(KrylovBasis, "_matvec", counted_matvec)
     monkeypatch.setattr(KrylovBasis, "block_product", counted_block_product)
-    monkeypatch.setattr(KrylovBasis, "op_basis", property(counted_op_basis))
     return counts
 
 
@@ -922,10 +957,11 @@ class TestHermitianFill:
         counts = _counted(monkeypatch)
         for step, xi in enumerate([-1.0, INF, 0.5, INF], start=1):
             basis.advance(xi)
-            # one product with A, and one (Hermitian) or two tall products
-            # for the compression
-            assert counts == {"matvec": step, "columns": step,
-                              "rows": 0 if hermitian else step}
+            # one product with A and one tall product for the compression;
+            # from step 2 on, on a cache that is not Hermitian, one product
+            # with A* and one more tall product for the compression's rows
+            rows = 0 if hermitian else step - 1
+            assert counts == {"Op": step, "Op*": rows, "compression": step + rows}
         before = dict(counts)
         UB = basis.seed_product
         assert counts == before and UB.shape == (basis.dimension, 2)

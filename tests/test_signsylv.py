@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 import rkupdate.signsylv as signsylv
 from rkupdate.arnoldi import FactorizationCache
-from rkupdate.dense import funm_block_triangular, funm_small, norm2
+from rkupdate.dense import _Band, funm_block_triangular, funm_small, norm2
 from rkupdate.errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
 from rkupdate.functions import FunctionSpec
 from rkupdate.oracles import ORACLE_MAX_N
@@ -446,6 +446,47 @@ class TestSylvesterKrylov:
             R = A1 @ Z - Z @ A2 + B1 @ C2.conj().T
             g = norm2(U.conj().T @ R @ V)
             assert g <= 1e-11 * scale * max(norm2(Zk), 1.0)
+
+    @pytest.mark.parametrize("plan", [(-2.0, INF, -5.0), (-1.0 + 1.0j, -1.0 - 1.0j, -3.0)])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("kind", ["band", "dense"])
+    def test_recorded_residual_is_the_dense_one(self, rng, kind, complex_data, plan):
+        # each evaluated step's residual, from low-rank factors, is
+        # ||A1 Z_k - Z_k A2 + B1 C2*|| / ((||A1|| + ||A2||) ||Z~_k||) of the
+        # dense Z_k = U_k Z~_k V_k*; on real data the conjugate pair is one
+        # paired step, whose first step is a gap
+        def coefficient(n, sign):
+            if kind == "band":
+                lam = np.logspace(-1.0, 1.0, n)
+                M = np.diag(lam) + np.diag(0.3 * lam[:-1], 1)
+                return sign * (M + 0.2j * np.diag(lam[:-1], -1) if complex_data else M)
+            R = rand_complex(rng, n, n) if complex_data else rng.standard_normal((n, n))
+            return sign * (R / np.sqrt(n) + 3.0 * np.eye(n))
+
+        def block(n):
+            return rand_complex(rng, n, 2) if complex_data else rng.standard_normal((n, 2))
+
+        n1, n2 = 40, 36
+        prob = SylvesterProblem.create(coefficient(n1, 1.0), coefficient(n2, -1.0),
+                                       block(n1), block(n2))
+        result, report = sylvester_solve_krylov(prob, PolePlan(plan, repetition="cyclic"),
+                                                m_max=8, tol=0.0)
+        left, right = result.basis_left, result.basis_right
+        assert isinstance(left.cache.A, _Band) == (kind == "band")
+        assert left.basis.dtype == (np.complex128 if complex_data else np.float64)
+        paired = not complex_data and plan[1] == np.conj(plan[0])
+        assert np.isnan(report.true_errors).sum() == (3 if paired else 0)
+        scale = norm2(prob.A1) + norm2(prob.A2)
+        for k, got in enumerate(report.true_errors, start=1):
+            if np.isnan(got):
+                continue
+            Zk = core_at(result, k)
+            U = left.leading(left.block_size * k).basis
+            V = right.leading(right.block_size * k).basis
+            Z = U @ Zk @ V.conj().T
+            R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
+            want = norm2(R) / (scale * norm2(Zk))
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_equivalence_with_sign_embedding(self, rng):
         # Z from the Galerkin solver equals half the coupling block of the
