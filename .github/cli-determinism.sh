@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Runs every CLI path that turns a pole plan into poles twice and checks
 # that the second run writes the same bytes (bitwise determinism per seed):
-# the three figure experiments at n = 100, a custom update with the
-# extended plan, with the three Zolotarev strategies (quasi-optimal,
-# inverse square root and sign poles, whose nodes come from SciPy's elliptic
-# functions) and with two pole files, a two-sided custom update of exp
-# (--matrix-c), and the sylvester subcommand at an even and at an odd step
-# count.  One more custom update and one more sylvester run (the default
+# the three figure experiments at n = 100, the sign experiment once more at
+# its default tolerance 1e-8 (fig3-tol*.csv: the runs stop where the
+# estimates first reach it, so the stopping rule runs, not only the
+# recorded estimates), a custom update with the extended plan, with the
+# three Zolotarev strategies (quasi-optimal, inverse square root and sign
+# poles, whose nodes come from SciPy's elliptic functions) and with two
+# pole files, a two-sided custom update of exp (--matrix-c), and the
+# sylvester subcommand at an even and at an odd step count.  One more custom update and one more sylvester run (the default
 # Zolotarev sign pairs, paired steps on real data) go above the desk
 # scale (n = 600 > ORACLE_MAX_N): they have no true errors or residuals,
 # so a step is evaluated only at a checkpoint of the schedule, and the
@@ -83,6 +85,8 @@ for run in 1 2; do
     PYTHONPATH=src python -m rkupdate.cli update --experiment "$experiment" \
       --n 100 --tol 0 --out "$out/$experiment.csv"
   done
+  PYTHONPATH=src python -m rkupdate.cli update --experiment fig3-sign --n 100 \
+    --out "$out/fig3-tol.csv"
   for poles in extended quasi-optimal:4 zolotarev-invsqrt:4 zolotarev-sign:4 \
       "$in/poles.txt" "$in/poles-pair.txt"; do
     name="$(basename "$poles" .txt)"

@@ -24,7 +24,12 @@ __all__ = [
 
 
 class RKUpdateError(Exception):
-    """Base class for all rkupdate errors."""
+    """Base class for all rkupdate errors; ``step`` is the step of the run
+    that raised it (set by the step loop), None outside a run."""
+
+    def __init__(self, msg, step=None):
+        super().__init__(msg)
+        self.step = step
 
 
 class RankDeficient(RKUpdateError):
@@ -37,18 +42,13 @@ class RankDeficient(RKUpdateError):
     """
 
     def __init__(self, msg, step=None, exhausted=False):
-        super().__init__(msg)
-        self.step = step
+        super().__init__(msg, step)
         self.exhausted = exhausted
 
 
 class NonFiniteResult(RKUpdateError):
     """The small projected problem of a step returned a non-finite entry
-    (f overflowed on the spectrum of the compression); carries the step."""
-
-    def __init__(self, msg, step=None):
-        super().__init__(msg)
-        self.step = step
+    (f overflowed on the spectrum of the compression)."""
 
 
 class SingularShift(RKUpdateError):
@@ -57,12 +57,7 @@ class SingularShift(RKUpdateError):
 
 class SingularityOnSpectrum(RKUpdateError):
     """The requested scalar function has a singularity on (or too close to)
-    the spectrum of the matrix it is applied to; a run that ends on it sets
-    the step."""
-
-    def __init__(self, msg, step=None):
-        super().__init__(msg)
-        self.step = step
+    the spectrum of the matrix it is applied to."""
 
 
 class IllConditionedEigenbasis(RKUpdateError):

@@ -16,8 +16,8 @@ A^2 + s^2 I = (A - i s I)* (A - i s I), so a solve with the adjoint of that
 LU followed by a solve with the LU itself applies (A^2 + s^2 I)^{-1}.  A
 real or band-stored A thus keeps its storage, and its LUs are complex at
 the shift i s.  The dense A + D is formed only for the invertibility
-check at desk scale (n <= ``ORACLE_MAX_N``); above it ||A + D|| comes from
-``eigsh`` on the product x -> A x + B J (B* x).
+check at desk scale (n <= ``ORACLE_MAX_N``), and the stopping estimate
+takes no product with A: it comes from the small matrices of the steps.
 
 The same projection applied to the block-diagonal sign embedding of a
 Sylvester equation A1 Z - Z A2 + B1 C2* = 0 reduces to a Galerkin method
@@ -33,16 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._validation import as_array, is_infinite_pole
+from ._validation import as_array, is_infinite_pole, real_if_real
 from .arnoldi import KrylovBasis, _SquaredCache
-from .dense import TOL_AXIS, norm2
+from .dense import TOL_AXIS, norm2, norm2_hermitian
 from .errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
 from .functions import FunctionSpec
 from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
-from .rng import normal_block
 from .updater import (
     _as_core,
     _check_steps,
@@ -93,8 +91,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     which returns the coupling X and f(G) for the inverse square root f.
     The update is left @ right* with left = [(A + D) U X, B J] and
     right = [U, U f(G) U*B], and a step's true error (when ``true_update``
-    is given) is measured on these same factors.  The run stops when
-    ||A+D|| * ||dX|| + ||BJ|| * ||d(f(G) U*B)|| falls below tol.
+    is given) is measured on these same factors.  The run stops when the
+    norm of the difference of two steps' updates left @ right* is below tol.
     Invertibility of A and A + D is verified at desk scale; a numerically
     singular one raises :class:`SingularityOnSpectrum`.  A enters only
     through products and shifted LUs of A itself; A^2 is never formed.
@@ -134,51 +132,43 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     if n <= ORACLE_MAX_N:
         # the desk checks take the dense A + D
         A = as_array(A, square=True)
-        w_ApD = np.linalg.eigvalsh(A + BJ @ B.conj().T)
-        for w, name in ((np.linalg.eigvalsh(A), "A"), (w_ApD, "A + D")):
-            if np.abs(w).min() < TOL_AXIS * max(np.abs(w).max(), 1e-300):
+        for name, M in (("A", A), ("A + D", A + BJ @ B.conj().T)):
+            w = np.abs(np.linalg.eigvalsh(M))
+            if w.min() < TOL_AXIS * max(w.max(), 1e-300):
                 raise SingularityOnSpectrum(f"{name} is numerically singular; sign undefined")
-        norm_ApD = float(np.abs(w_ApD).max())      # A + D is Hermitian
-    else:
-        # For a float64 operator ARPACK runs its symmetric Lanczos, for a
-        # complex one its nonsymmetric Arnoldi, which takes about twice as
-        # long for the same products (0.010 s against 0.018 s on the
-        # bench's sign instance at n = 700, one BLAS thread).
-        ApD_op = LinearOperator((n, n), matvec=apply_ApD,
-                               dtype=np.result_type(cache.A.dtype, BJ))
-        # A seeded start vector keeps the run's bits fixed.  A Hermitian
-        # Ritz value errs by about the square of its residual, so the
-        # residual bound 1e-8 leaves the norm right to rounding level (to
-        # 7e-15 on that instance, with 201 products against 381 for a
-        # bound at machine precision).
-        v0 = normal_block(0, n)[:, 0]
-        w = eigsh(ApD_op, k=1, v0=v0.real if ApD_op.dtype == np.float64 else v0, tol=1e-8,
-                  return_eigenvectors=False)
-        norm_ApD = abs(float(w[0]))
 
     W = np.hstack([B, cache.plain_matvec(B)])
     BtB = B.conj().T @ B
     M_core = np.block([[J @ BtB @ J, J], [J, np.zeros_like(J)]])
-    norm_BJ = norm2(BJ)
     f = FunctionSpec.inv_sqrt()
     basis = KrylovBasis(cache, W)
 
     def evaluate(U):
-        """(X, f(G) U*B) of a leading basis U; G is exactly Hermitian (the
-        cache of a Hermitian A fills it so) and U*W is kept by the basis."""
+        """(X, f(G) U*B, K) of a leading basis U; G is exactly Hermitian (the
+        cache of a Hermitian A fills it so) and U*W is kept by the basis.
+        K = [[G + S, P], [P*, B*B]], S = (U*W) M (U*W)*, P = U*(A + D) B."""
         UW = U.seed_product
         X, F_base = _hermitian_difference(U.compression, UW, M_core, f)
-        return X, F_base @ UW[:, :ell]
+        P = UW[:, ell:] + UW[:, :ell] @ J @ BtB
+        K = np.block([[U.compression + UW @ M_core @ UW.conj().T, P], [P.conj().T, BtB]])
+        return X, F_base @ UW[:, :ell], K
 
     def factors(new):
         """([(A + D) U X, B J], [U, U f(G) U*B]) of a step's solution."""
-        X, fUB = new
+        X, fUB, _ = new
         return (np.hstack([apply_ApD(basis.times(X)), BJ]),
                 np.hstack([basis.basis, basis.times(fUB)]))
 
     def estimate(new, old):
-        return (norm_ApD * padded_difference_norm(new[0], old[0], hermitian=True)
-                + norm_BJ * padded_difference_norm(new[1], old[1]))
+        """||left right* - left_old right_old*|| = ||[(A + D) U, B] C U*||
+        with C = [dX; J dY*] for the padded differences of X and f(G) U*B;
+        its square is the largest eigenvalue of C* K C, K the Gram matrix."""
+        (X, fUB, K), (X_old, fUB_old, _) = new, old
+        dX, dY = X.copy(), fUB.copy()
+        dX[:X_old.shape[0], :X_old.shape[1]] -= X_old
+        dY[:fUB_old.shape[0]] -= fUB_old
+        C = real_if_real(np.vstack([dX, J @ dY.conj().T]))
+        return norm2_hermitian(C.conj().T @ (real_if_real(K) @ C)) ** 0.5
 
     def true_error(new):
         left, right = factors(new)

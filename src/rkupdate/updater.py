@@ -38,7 +38,7 @@ from ._validation import as_array
 from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
 from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
-from .errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
+from .errors import NonFiniteResult, RankDeficient, RKUpdateError, SingularityOnSpectrum
 from .poles import PolePlan
 
 __all__ = ["project_update", "update_hermitian", "run_update",
@@ -236,10 +236,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
-    consecutive failures, or a failure at the last pole, re-raise with the
-    error's ``step`` set; a partner that hits one counts as a failed
-    evaluation.  A solution with a non-finite entry raises
-    :class:`NonFiniteResult` before any estimate is taken.  The
+    consecutive failures, or a failure at the last pole, re-raise; a
+    partner that hits one counts as a failed evaluation.  A solution with a
+    non-finite entry raises :class:`NonFiniteResult` before any estimate is
+    taken.  A typed error that leaves the run names its step.  The
     factorization caches of both bases are cleared when the run returns or
     raises.
 
@@ -269,8 +269,9 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     def solve(step):
         try:
             new = evaluate(*(b.leading(left.block_size * step) for b in bases))
-        except SingularityOnSpectrum as exc:
-            exc.step = step
+        except RKUpdateError as exc:
+            # no solution; only a singularity of f lets the run go on
+            exc.step = exc.step or step
             skipped.add(step)
             raise
         if not all(np.isfinite(a).all() for a in (new if isinstance(new, tuple) else (new,))):
@@ -332,6 +333,10 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
             new, old = solve(m), partner(m)
             estimates[-1] = math.nan if old is None else estimate(new, old)
         final = solved[m]
+    except RKUpdateError as exc:
+        # a small problem has named its step; this is the step being taken
+        exc.step = exc.step or m + 1
+        raise
     finally:
         left.cache.clear()
         right.cache.clear()

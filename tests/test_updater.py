@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
 from rkupdate.bounds import SpectralWindow
 from rkupdate.dense import _Band, norm2
-from rkupdate.errors import NonFiniteResult, RankDeficient, SingularityOnSpectrum
+from rkupdate.errors import (
+    CompressedNotSolvable,
+    NonFiniteResult,
+    RankDeficient,
+    SingularityOnSpectrum,
+    SingularShift,
+)
 from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import dense_update, sherman_morrison
 from rkupdate.poles import INF, PolePlan, markov_single_pole, zolotarev_invsqrt_poles
@@ -713,6 +719,21 @@ def test_non_finite_small_problem_is_a_typed_error(hermitian):
     with pytest.raises(NonFiniteResult) as exc:
         run_update(A, b, f=FunctionSpec.exp(), plan=plan, m_max=20, tol=1e-12, **kwargs)
     assert exc.value.step == 2
+
+
+def test_every_typed_error_of_a_run_names_its_step():
+    # the pole 2 is an eigenvalue of A: the LU of step 2 is singular
+    with pytest.raises(SingularShift) as exc:
+        run_update(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones((4, 1)), f=FunctionSpec.inv_sqrt(),
+                   plan=[-1.0, 2.0, -3.0], m_max=3, tol=0, J=np.eye(1))
+    assert exc.value.step == 2
+    # a small problem that raises: the compressed spectra of step 1 touch
+    A = np.diag([1.0, 3.0]).astype(complex)
+    ones = np.ones((2, 1), dtype=complex)
+    with pytest.raises(CompressedNotSolvable) as exc:
+        sylvester_solve_krylov(SylvesterProblem(A1=A, A2=A, B1=ones, C2=ones), [INF, INF],
+                               m_max=2, tol=0.0, d=1)
+    assert exc.value.step == 1
 
 
 def test_real_path_laplacian_keeps_the_coupling_real():
