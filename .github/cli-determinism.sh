@@ -8,14 +8,16 @@
 # three Zolotarev strategies (quasi-optimal, inverse square root and sign
 # poles, whose nodes come from SciPy's elliptic functions) and with two
 # pole files, a two-sided custom update of exp (--matrix-c), and the
-# sylvester subcommand at an even and at an odd step count.  One more custom update and one more sylvester run (the default
-# Zolotarev sign pairs, paired steps on real data) go above the desk
-# scale (n = 600 > ORACLE_MAX_N): they have no true errors or residuals,
-# so a step is evaluated only at a checkpoint of the schedule, and the
-# small problem of the step that its estimate reads is solved again from
-# the leading blocks of the bases when it was not evaluated.  Their CSVs
-# have an empty estimate cell at every step that is not evaluated, the
-# first step of a pair included.  A custom update on a dense random
+# sylvester subcommand at an even and at an odd step count.  One more
+# custom update and one more sylvester run (the default Zolotarev sign
+# pairs, paired steps on real data) go above the desk scale
+# (n = 600 > ORACLE_MAX_N).  The custom update has no true errors there,
+# and a sylvester run, at every n, evaluates a step only at a checkpoint
+# of the schedule, where it records the step's residual; the n = 600 run
+# must record at least one.  In these runs the small problem of the step
+# that an estimate reads is solved again from the leading blocks of the
+# bases when it was not evaluated, and the CSVs have empty cells at every
+# step that is not evaluated, the first step of a pair included.  A custom update on a dense random
 # symmetric A of n = 60 (no narrow band, so it is stored dense) runs the
 # Hermitian probe and the Hermitian fill of the compression on dense
 # storage, and a two-sided custom update on a dense random non-symmetric A
@@ -134,3 +136,9 @@ done
 for f in "$work"/run1/*; do
   cmp "$f" "$work/run2/${f##*/}"
 done
+# the residual column of the n = 600 sylvester run holds a value
+if ! awk -F, 'NR > 1 && $2 != "" {found = 1} END {exit !found}' \
+    "$work/run1/sylvester-n600-residuals.csv"; then
+  echo "sylvester-n600-residuals.csv holds no residual" >&2
+  exit 1
+fi

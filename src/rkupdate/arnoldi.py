@@ -403,6 +403,18 @@ class KrylovBasis:
             G[new, :k] = G[:k, new].conj().T
         self.poles_used = self.poles_used + poles
 
+    def _next_directions(self):
+        """(q, basis* (Op* q), q* seed) for the directions q of a next step
+        with an infinite pole, which holds Op basis and the seed."""
+        # [Op Q, seed] for the last ell columns Q, which the step rule of an
+        # infinite pole continues from, after CGS2 against the basis, has
+        # the rank of those directions: ell, or n - k where less is left
+        W = np.hstack([self._OpQ[:, -self.block_size:], self._seed])
+        for _ in range(2):
+            W -= self.basis @ self.block_product(W)
+        q = np.linalg.svd(W, full_matrices=False)[0][:, :min(self.block_size, self.n - self._k)]
+        return q, self.block_product(self._matvec(q, adjoint=True)), _adjoint_product(q, self._seed)
+
     def block_product(self, X):
         """basis* X for a conforming tall block (see :func:`_adjoint_product`)."""
         return _adjoint_product(self.basis, X)

@@ -242,6 +242,20 @@ class ShiftedFactorization:
         return X.reshape(Y.shape)
 
 
+def _rcond(A, fac):
+    """1 / (||A||_1 ||A^{-1}||_1) for a dense or band-stored A, estimated from its LU at 0."""
+    # two steps of Hager's estimate of ||A^{-1}||_1, the estimator inside
+    # LAPACK's ?gecon and ?gbcon, written out since ?gbcon is not known to
+    # be wrapped by every SciPy release that the package supports: from
+    # x = (1, ..., 1) / n, and then from the unit vector e_j that the
+    # adjoint solve with the signs of A^{-1} x points to
+    y = fac.solve(np.full((A.shape[0], 1), 1.0 / A.shape[0]))
+    z = fac.solve(y / np.maximum(np.abs(y), np.finfo(float).tiny), adjoint=True)
+    y_j = fac.solve(np.eye(len(y), 1, -int(np.abs(z).argmax())))
+    norm1 = np.abs(A.ab if isinstance(A, _Band) else A).sum(axis=0).max()
+    return 1.0 / max(norm1 * max(np.abs(y).sum(), np.abs(y_j).sum()), 1e-300)
+
+
 def shifted_factorize(A, xi):
     """Factor A - xi*I; raises :class:`SingularShift` when xi is (numerically)
     an eigenvalue.

@@ -15,9 +15,8 @@ xi = -s^2 takes one LU of A - i s I: for Hermitian A,
 A^2 + s^2 I = (A - i s I)* (A - i s I), so a solve with the adjoint of that
 LU followed by a solve with the LU itself applies (A^2 + s^2 I)^{-1}.  A
 real or band-stored A thus keeps its storage, and its LUs are complex at
-the shift i s.  The dense A + D is formed only for the invertibility
-check at desk scale (n <= ``ORACLE_MAX_N``), and the stopping estimate
-takes no product with A: it comes from the small matrices of the steps.
+the shift i s.  A + D is never formed, and the stopping estimate takes
+no product with A: it comes from the small matrices of the steps.
 
 The same projection applied to the block-diagonal sign embedding of a
 Sylvester equation A1 Z - Z A2 + B1 C2* = 0 reduces to a Galerkin method
@@ -36,11 +35,11 @@ import scipy.linalg as sla
 
 from ._validation import as_array, is_infinite_pole, real_if_real
 from .arnoldi import KrylovBasis, _SquaredCache
-from .dense import TOL_AXIS, norm2, norm2_hermitian
-from .errors import CompressedNotSolvable, SingularityOnSpectrum, SpectraIntersect
+from .dense import TOL_AXIS, _Band, _banded, _rcond, norm2, norm2_hermitian, shifted_factorize
+from .errors import CompressedNotSolvable, SingularityOnSpectrum, SingularShift, SpectraIntersect
 from .functions import FunctionSpec
-from .oracles import ORACLE_MAX_N
 from .poles import PolePlan
+from .rng import SplitMix64
 from .updater import (
     _as_core,
     _check_steps,
@@ -93,9 +92,9 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     right = [U, U f(G) U*B], and a step's true error (when ``true_update``
     is given) is measured on these same factors.  The run stops when the
     norm of the difference of two steps' updates left @ right* is below tol.
-    Invertibility of A and A + D is verified at desk scale; a numerically
-    singular one raises :class:`SingularityOnSpectrum`.  A enters only
-    through products and shifted LUs of A itself; A^2 is never formed.
+    A numerically singular A or A + D raises :class:`SingularityOnSpectrum`,
+    at every n.  A enters only through products and shifted LUs of A
+    itself; A^2 and A + D are never formed.
     J must be ell x ell for a B of ell columns, and B = 0 gives the exact
     zero update (no step); A and J are checked to be Hermitian as in the
     Hermitian mode of :func:`rkupdate.updater.run_update`.
@@ -129,13 +128,19 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         X = np.asarray(X).reshape(n, -1)
         return cache.plain_matvec(X) + BJ @ (B.conj().T @ X)
 
-    if n <= ORACLE_MAX_N:
-        # the desk checks take the dense A + D
-        A = as_array(A, square=True)
-        for name, M in (("A", A), ("A + D", A + BJ @ B.conj().T)):
-            w = np.abs(np.linalg.eigvalsh(M))
-            if w.min() < TOL_AXIS * max(w.max(), 1e-300):
-                raise SingularityOnSpectrum(f"{name} is numerically singular; sign undefined")
+    # A: no tiny pivot of its LU at 0, and a 1-norm condition estimate
+    # below 1 / TOL_AXIS from that LU
+    try:
+        fac = shifted_factorize(cache.A, 0.0)
+    except SingularShift:
+        fac = None
+    if fac is None or _rcond(cache.A, fac) < TOL_AXIS:
+        raise SingularityOnSpectrum("A is numerically singular; sign undefined")
+    # A + D = A (I + A^{-1} B J B*) is singular exactly when the capacitance
+    # matrix I + J B* A^{-1} B is: one solve with ell columns
+    s = np.linalg.svd(np.eye(ell) + J @ (B.conj().T @ fac.solve(B)), compute_uv=False)
+    if s[-1] <= TOL_AXIS * s[0]:
+        raise SingularityOnSpectrum("A + D is numerically singular; sign undefined")
 
     W = np.hstack([B, cache.plain_matvec(B)])
     BtB = B.conj().T @ B
@@ -148,9 +153,10 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         cache of a Hermitian A fills it so) and U*W is kept by the basis.
         K = [[G + S, P], [P*, B*B]], S = (U*W) M (U*W)*, P = U*(A + D) B."""
         UW = U.seed_product
-        X, F_base = _hermitian_difference(U.compression, UW, M_core, f)
+        S = UW @ M_core @ UW.conj().T
+        X, F_base = _hermitian_difference(U.compression, S, f)
         P = UW[:, ell:] + UW[:, :ell] @ J @ BtB
-        K = np.block([[U.compression + UW @ M_core @ UW.conj().T, P], [P.conj().T, BtB]])
+        K = np.block([[U.compression + S, P], [P.conj().T, BtB]])
         return X, F_base @ UW[:, :ell], K
 
     def factors(new):
@@ -176,7 +182,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
 
     solution, report = _rational_krylov(
         basis, basis, poles, evaluate, estimate, tol=tol, d=d,
-        error=true_error if true_update is not None else None)
+        error=true_error if true_update is not None else None,
+        every_step=true_update is not None)
     left, right = factors(solution)
     report.final_rank = left.shape[1]
     return SignUpdateResult(left=left, right=right, coupling=solution[0], basis=basis), report
@@ -187,7 +194,7 @@ class SylvesterProblem:
     """A1 Z - Z A2 + B1 C2* = 0 with W(A1), W(-A2) in the open right half-plane.
 
     ``create`` coerces each matrix by the realness rule of
-    :mod:`rkupdate._validation`."""
+    :mod:`rkupdate._validation` and checks the numerical ranges, at every n."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -202,11 +209,15 @@ class SylvesterProblem:
         C2 = as_array(C2, "C2", rows=A2.shape[0])
         if B1.shape[1] != C2.shape[1]:
             raise ValueError("B1 and C2 must have the same number of columns")
-        if max(A1.shape[0], A2.shape[0]) <= ORACLE_MAX_N:
-            h1 = np.linalg.eigvalsh(0.5 * (A1 + A1.conj().T))
-            h2 = np.linalg.eigvalsh(0.5 * (A2 + A2.conj().T))
-            if h1[0] <= 0.0 or h2[-1] >= 0.0:
-                raise ValueError("numerical ranges must satisfy W(A1), W(-A2) in RHP")
+        for M in (A1, -A2):
+            # W(M) is in the open right half-plane when the Hermitian part H
+            # of M has a Cholesky factor: in band storage, whose upper rows
+            # are H's upper band storage, when H has a narrow band
+            H = _banded(0.5 * (M + M.conj().T))
+            try:
+                sla.cholesky_banded(H.ab[:H.ku + 1]) if isinstance(H, _Band) else sla.cholesky(H)
+            except np.linalg.LinAlgError:
+                raise ValueError("numerical ranges must satisfy W(A1), W(-A2) in RHP") from None
         return cls(A1=A1, A2=A2, B1=B1, C2=C2)
 
 
@@ -278,14 +289,24 @@ class SylvesterResult:
 
 
 def _sylvester_core(U, V):
-    """The core Z~ of the compressed equation G Z~ - Z~ H* + (U*B1)(V*C2)* = 0
-    of bases U and V of the two spaces; U*B1 and V*C2 are their kept seed
-    products."""
+    """(Z~, ||Z~||) for the core Z~ of G Z~ - Z~ H* + (U*B1)(V*C2)* = 0, the
+    compressed equation of bases U and V, whose seed products they keep."""
     try:
-        return sylvester_dense(U.compression, V.compression.conj().T,
+        core = sylvester_dense(U.compression, V.compression.conj().T,
                                U.seed_product @ V.seed_product.conj().T)
     except SpectraIntersect as exc:
         raise CompressedNotSolvable(str(exc)) from exc
+    return core, norm2(core)
+
+
+def _norm_estimate(cache):
+    """A lower estimate of ||A||_2 for the operator of a cache: eight power
+    steps on A* A from a fixed probe."""
+    x = SplitMix64(0).signed_uniforms(cache.A.shape[0])[:, None]
+    for _ in range(8):
+        x = cache.matvec(cache.matvec(x), adjoint=True)
+        x /= max(np.linalg.norm(x), 1e-300)
+    return float(np.linalg.norm(cache.matvec(x)))
 
 
 def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
@@ -293,13 +314,12 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
 
     Grows bases of q_m(A1)^{-1} K_m(A1, B1) and of the adjoint space of A2
     with the same pole plan, solves the compressed Sylvester equation
-    G Z~ - Z~ H* + (U*B1)(V*C2)* = 0 each step, and stops on the relative
-    change of padded Z~ iterates.  At desk scale the relative residual of
-    every step is recorded, from low-rank factors; above it the compressed
-    equation is solved only at the steps of the checkpoint schedule.  The
-    step loop, with its need for m_max >= 1 and d >= 1, is the one of
-    :func:`rkupdate.updater.run_update`.  B1 = 0 or C2 = 0 gives Z = 0 with
-    no step.
+    G Z~ - Z~ H* + (U*B1)(V*C2)* = 0 at the steps of the checkpoint
+    schedule, at every n, and stops on the relative change of padded Z~
+    iterates.  Those steps record ||A1 Z - Z A2 + B1 C2*|| / (s ||Z~||), s a
+    power-step estimate of ||A1|| + ||A2||, in O(n k ell).  The step loop,
+    with its need for m_max >= 1 and d >= 1, is the one of
+    :func:`rkupdate.updater.run_update`.  B1 = 0 or C2 = 0 gives Z = 0.
     """
     _check_steps(m_max, d)
     if not prob.B1.any() or not prob.C2.any():
@@ -312,24 +332,28 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     left = KrylovBasis(prob.A1, prob.B1)
     right = KrylovBasis(prob.A2, prob.C2, adjoint=True)
 
-    def estimate(Z_small, Z_old):
-        return padded_difference_norm(Z_small, Z_old) / max(norm2(Z_small), 1e-300)
+    def estimate(new, old):
+        return padded_difference_norm(new[0], old[0]) / max(new[1], 1e-300)
 
-    desk_scale = max(prob.A1.shape[0], prob.A2.shape[0]) <= ORACLE_MAX_N
-    scale = norm2(prob.A1) + norm2(prob.A2) if desk_scale else None
+    scale = _norm_estimate(left.cache) + _norm_estimate(right.cache)
 
-    def residual(Z_small):
-        # with Z = U Z~ V*, A1 Z - Z A2 + B1 C2* = P M Q* for P = [A1 U, U, B1],
-        # M = diag(Z~, -Z~, I) and Q = [V, A2* V, C2]; A1 U and A2* V are one
-        # product with each cache, and the norm is ||R_P M R_Q*|| from two
-        # thin QRs, so no n x n array is formed
-        P = np.hstack([left.cache.matvec(left.basis), left.basis, prob.B1])
-        Q = np.hstack([right.basis, right.cache.matvec(right.basis, adjoint=True), prob.C2])
-        M = sla.block_diag(Z_small, -Z_small, np.eye(prob.B1.shape[1]))
-        R = np.linalg.qr(P, mode="r") @ M @ np.linalg.qr(Q, mode="r").conj().T
-        return norm2(R) / max(scale * norm2(Z_small), 1e-300)
+    def residual(new):
+        # The rational Arnoldi relation (Beckermann, SINUM 2011; Druskin and
+        # Simoncini, Systems & Control Letters 2011): the next space with an
+        # infinite pole holds A1 U and B1, so A1 U = U G + q1 T1* and
+        # B1 = U (U*B1) + q1 S1 for the directions q1 that it appends to U,
+        # and likewise A2* V = V H + q2 T2* and C2 = V (V*C2) + q2 S2.  Then
+        # the residual is [U, q1] M [V, q2]* with M[:k, :k] = 0 (Galerkin),
+        # so its norm is that of M, taken down to 2 ell by two thin QRs.
+        Z, norm = new
+        (q1, T1, S1), (q2, T2, S2) = left._next_directions(), right._next_directions()
+        M12 = left.seed_product @ S2.conj().T - Z @ T2
+        M21 = T1.conj().T @ Z + S1 @ right.seed_product.conj().T
+        R12, R21 = np.linalg.qr(M12, mode="r"), np.linalg.qr(M21.conj().T, mode="r")
+        return norm2(np.block([[np.zeros((R12.shape[0], R21.shape[0])), R12],
+                               [R21.conj().T, S1 @ S2.conj().T]])) / max(scale * norm, 1e-300)
 
-    core, report = _rational_krylov(left, right, poles, _sylvester_core, estimate,
-                                    tol=tol, d=d, error=residual if desk_scale else None)
+    (core, _), report = _rational_krylov(left, right, poles, _sylvester_core, estimate,
+                                         tol=tol, d=d, error=residual)
     return SylvesterResult(left=left.basis, core=core, right=right.basis,
                            basis_left=left, basis_right=right), report

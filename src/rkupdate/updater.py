@@ -22,11 +22,11 @@ the public basis builders call too.  Since the bases are nested, an
 earlier step's small problem is that of the leading blocks of the present
 bases, so the loop solves a step's small problem when an estimate first
 needs it and keeps only the solutions that a later estimate can still
-read (:func:`_rational_krylov`).  A run that computes no true error (or
-residual) evaluates only the steps at the checkpoints of a fixed schedule
-(:func:`_schedule`), and every estimate it records has the bits it has in
-a run that evaluates every step.  At n = 1e5 with blocks of 4 columns the
-schedule holds every step up to 150; at desk scale its gaps grow quickly.
+read (:func:`_rational_krylov`).  A run without a dense reference (the
+Sylvester solver's, at every n) evaluates only the steps at the checkpoints
+of a fixed schedule (:func:`_schedule`), and every estimate it records has
+the bits of a run that evaluates every step.  At n = 1e5 with blocks of 4
+columns the schedule holds every step up to 150; at desk scale its gaps grow quickly.
 """
 
 import math
@@ -100,14 +100,12 @@ def update_hermitian(left, J, f):
             return Q @ core @ Q.conj().T
         except ValueError:
             pass
-    return _hermitian_difference(G, UB, J, f)[0]
+    return _hermitian_difference(G, UB @ J @ UB.conj().T, f)[0]
 
 
-def _hermitian_difference(G, UB, J, f):
-    """(f(G + S) - f(G), f(G)) for Hermitian G and S = UB J UB*, from two
-    Hermitian matrix functions; a spectrum outside the domain of f raises
-    :class:`SingularityOnSpectrum`."""
-    S = UB @ J @ UB.conj().T
+def _hermitian_difference(G, S, f):
+    """(f(G + S) - f(G), f(G)) for Hermitian G and S (S is symmetrized here);
+    a spectrum outside the domain of f raises :class:`SingularityOnSpectrum`."""
     S = 0.5 * (S + S.conj().T)
     F_plus = funm_small(G + S, f, hermitian=True)
     F_base = funm_small(G, f, hermitian=True)
@@ -165,9 +163,9 @@ class UpdateReport:
     ``true_errors[k]`` (None without a reference) are step k + 1's.  NaN is
     no value: no estimate at the first d steps, and neither value at a step
     retried after a singularity of f, the first step of a paired conjugate
-    pair, and, in a run without true errors, a step that the step loop
-    does not evaluate (see :func:`_rational_krylov`).  Every estimate has
-    the bits it has in a run that evaluates every step.  The exact zero
+    pair, and, in a run without a dense reference, a step that the step
+    loop does not evaluate (see :func:`_rational_krylov`).  Every estimate
+    has the bits it has in a run that evaluates every step.  The exact zero
     update takes no step (empty lists), and its summary's final error is 0.
     ``breakdown_step`` is the step whose basis lost rank when a one-basis
     run ended on a lucky breakdown, and None otherwise.
@@ -200,19 +198,21 @@ def _schedule(n, ell, bases, steps):
     against dim_j columns of length n, in each of ``bases`` bases.  A step
     c is a checkpoint once the work of the steps since the previous
     checkpoint reaches ``dim_c**3``, the work of the small problem, and the
-    last step is always one.
+    last step is always one: ``steps``, or n // ell if that fills the bases.
     """
     checkpoints, work = set(), 0
-    for j in range(1, steps + 1):
+    last = min(steps, n // ell)
+    for j in range(1, last + 1):
         dim = ell * j
         work += bases * n * dim * ell
-        if work >= dim ** 3 or j == steps:
+        if work >= dim ** 3 or j == last:
             checkpoints.add(j)
             work = 0
     return checkpoints
 
 
-def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None):
+def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=None,
+                     every_step=False):
     """The step loop shared by every solver: one step per pole.
 
     Each step appends a block for pole xi to ``left`` and, unless ``right``
@@ -220,19 +220,19 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     solution of a step from the bases of that step, the leading blocks of
     the present ones (:meth:`~rkupdate.arnoldi.KrylovBasis.leading`; one
     basis for a one-basis run, else two), ``error(new)``
-    (optional) the present step's true error or residual, and
+    (optional) the true error or residual of each evaluated step, and
     ``estimate(new, old)`` the difference between the present solution and
     its partner's: that of the latest step at most d steps earlier that is
     neither a pair's first step nor a failed evaluation, solved when an
     estimate first needs it.  Only the solutions that a later estimate can
     still read are kept.  The run stops once an estimate is at most ``tol``.
 
-    With ``error``, every step is evaluated.  Without it, step m is
-    evaluated when m, or the first step of the pair that ends at m, is a
-    checkpoint of :func:`_schedule`, and after a failed evaluation.  So no
-    small problem is solved twice, and every estimate is the one that a
-    run evaluating every step records.  A step that is not evaluated is a
-    gap, NaN in the estimates and the errors.
+    With ``every_step`` (a run with a dense reference), every step is
+    evaluated.  Otherwise step m is evaluated when m, or the first step of
+    the pair that ends at m, is a checkpoint of :func:`_schedule`, and after
+    a failed evaluation.  So no small problem is solved twice, and every
+    estimate is the one that a run evaluating every step records.  A step
+    that is not evaluated is a gap, NaN in the estimates and the errors.
 
     When ``evaluate`` hits a singularity of f (transient Ritz values), the
     step is recorded as a gap and the run goes on with one more step; two
@@ -260,8 +260,8 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     UpdateReport).
     """
     bases = (left,) if right is left else (left, right)
-    checkpoints = None if error is not None else _schedule(
-        max(left.n, right.n), left.block_size, len(bases), len(poles))
+    checkpoints = None if every_step else _schedule(
+        min(left.n, right.n), left.block_size, len(bases), len(poles))
     solved, skipped = {}, set()  # kept solutions by step; steps without one
     estimates, errors = [], []
     converged, breakdown, failures, m = False, None, 0, 0
@@ -458,5 +458,6 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
 
     coupling, report = _rational_krylov(
         left, right, poles, evaluate, estimate, tol=tol, d=d,
-        error=true_error if true_update is not None else None)
+        error=true_error if true_update is not None else None,
+        every_step=true_update is not None)
     return UpdateState(left, right, coupling), report

@@ -64,7 +64,7 @@ def core_at(result, m):
     """The core of step m of a ``sylvester_solve_krylov`` result, solved
     again on the leading blocks of its bases."""
     k = result.basis_left.block_size * m
-    return _sylvester_core(result.basis_left.leading(k), result.basis_right.leading(k))
+    return _sylvester_core(result.basis_left.leading(k), result.basis_right.leading(k))[0]
 
 
 def _strip(c):

@@ -268,8 +268,9 @@ class TestMainSylvester:
         assert np.linalg.norm(Z - Z_ref, 2) <= 1e-8 * np.linalg.norm(Z_ref, 2)
         res_lines = (tmp_path / "sylv-residuals.csv").read_text().splitlines()
         assert res_lines[0] == "m,residual,estimate"
-        # residuals decrease to the stagnation floor
-        res = [float(l.split(",")[1]) for l in res_lines[1:]]
+        # residuals decrease to the stagnation floor; a step that the
+        # checkpoint schedule does not evaluate has an empty cell
+        res = [float(cell) for l in res_lines[1:] if (cell := l.split(",")[1])]
         assert min(res) <= 1e-8
 
 

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rkupdate.signsylv as signsylv
 from rkupdate.arnoldi import FactorizationCache
@@ -120,8 +125,8 @@ class TestSignUpdate:
         for m_max in range(1, 5):
             res, _ = sign_update(A, B, J, plan, m_max=m_max, tol=0.0, d=1)
             G = 0.5 * (res.basis.compression + res.basis.compression.conj().T)
-            X, _ = _hermitian_difference(G, res.basis.block_product(W), M_core,
-                                         FunctionSpec.inv_sqrt())
+            UW = res.basis.block_product(W)
+            X, _ = _hermitian_difference(G, UW @ M_core @ UW.conj().T, FunctionSpec.inv_sqrt())
             assert np.array_equal(res.coupling, X)
 
     def test_true_error_is_taken_from_the_returned_factors(self, rng):
@@ -268,6 +273,35 @@ class TestSignUpdateAboveDeskScale:
         res, rep = sign_update(A.real.copy(), B.real.copy(), J, plan, m_max=6, tol=1e-8)
         assert rep.iterations > 2 and res.basis.basis.dtype == np.float64
         assert not np.isnan(rep.estimates[-1])
+
+    @pytest.mark.parametrize("case", ["zero pivot", "tiny eigenvalue", "A + D"])
+    def test_a_singular_A_or_A_plus_D_is_refused_at_n_2e5(self, case,
+                                                           dense_eigensolvers_guarded):
+        # a band-stored tridiagonal A whose row and column k hold only the
+        # diagonal entry a: a = 0 leaves a zero pivot in the LU of A, and
+        # a = 1e-13 passes the pivot check but not the condition estimate;
+        # with a = 0.5, B = e_k and J = -a, A + D is singular, and so is the
+        # 1 x 1 capacitance matrix 1 + J B* A^{-1} B
+        n, k = 200_000, 1234
+        d = np.where(np.arange(n) % 2, 1.0, -1.5)
+        d[k] = {"zero pivot": 0.0, "tiny eigenvalue": 1e-13, "A + D": 0.5}[case]
+        off = np.full(n - 1, 0.1)
+        off[[k - 1, k]] = 0.0
+        A = scipy.sparse.diags([off, d, off], [-1, 0, 1], format="csr")
+        B = np.zeros((n, 1))
+        B[k] = 1.0
+        J = np.array([[-0.5 if case == "A + D" else 1.0]])
+        name = "A \\+ D" if case == "A + D" else "A"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SingularityOnSpectrum, match=f"^{name} is numerically singular"):
+                sign_update(A, B, J, PolePlan((-1.0,), repetition="cyclic"), m_max=2, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the band and its LU take a few n x 8 bytes; one row of a dense A
+        # would take 1.6 MB, the whole of it 320 GB
+        assert peak < 64 * 2**20
 
     def test_left_factor_applies_A_plus_D(self, rng, dense_eigensolvers_guarded):
         # left = [(A + D) U X, B J] without the dense A + D
@@ -455,10 +489,12 @@ class TestSylvesterKrylov:
     @pytest.mark.parametrize("complex_data", [False, True])
     @pytest.mark.parametrize("kind", ["band", "dense"])
     def test_recorded_residual_is_the_dense_one(self, rng, kind, complex_data, plan):
-        # each evaluated step's residual, from low-rank factors, is
-        # ||A1 Z_k - Z_k A2 + B1 C2*|| / ((||A1|| + ||A2||) ||Z~_k||) of the
-        # dense Z_k = U_k Z~_k V_k*; on real data the conjugate pair is one
-        # paired step, whose first step is a gap
+        # each evaluated step's residual, from the rational Arnoldi
+        # relation, is ||A1 Z_k - Z_k A2 + B1 C2*|| / (scale ||Z~_k||) of
+        # the dense Z_k = U_k Z~_k V_k*, with the solver's power-step
+        # estimate of ||A1|| + ||A2|| as the scale; the steps evaluated are
+        # the checkpoints of the schedule (step 7 is none), and on real data
+        # the conjugate pair is one paired step, whose first step is a gap
         def coefficient(n, sign):
             if kind == "band":
                 lam = np.logspace(-1.0, 1.0, n)
@@ -479,8 +515,10 @@ class TestSylvesterKrylov:
         assert isinstance(left.cache.A, _Band) == (kind == "band")
         assert left.basis.dtype == (np.complex128 if complex_data else np.float64)
         paired = not complex_data and plan[1] == np.conj(plan[0])
-        assert np.isnan(report.true_errors).sum() == (3 if paired else 0)
-        scale = norm2(prob.A1) + norm2(prob.A2)
+        gaps = [m for m, e in enumerate(report.true_errors, start=1) if np.isnan(e)]
+        assert gaps == ([1, 4, 7] if paired else [7])
+        scale = signsylv._norm_estimate(left.cache) + signsylv._norm_estimate(right.cache)
+        assert 0.9 <= scale / (norm2(prob.A1) + norm2(prob.A2)) <= 1.0 + 1e-12
         for k, got in enumerate(report.true_errors, start=1):
             if np.isnan(got):
                 continue
@@ -553,6 +591,87 @@ class TestSylvesterKrylov:
         with pytest.raises(ValueError):
             SylvesterProblem.create(np.diag([-1.0, 2.0]), np.diag([-1.0]),
                                     np.ones((2, 1)), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("indefinite", ["A1", "-A2"])
+    def test_band_numerical_ranges_are_checked_above_desk_scale(self, monkeypatch, indefinite):
+        # n = 600: the Hermitian parts of the bidiagonal coefficients are
+        # tridiagonal and take the band Cholesky (a dense one is refused
+        # here), at every n; a negative diagonal entry of A1, or a positive
+        # one of A2, makes one of them indefinite
+        def refused(*args, **kwargs):
+            raise AssertionError("dense Cholesky of a band Hermitian part")
+
+        monkeypatch.setattr(signsylv.sla, "cholesky", refused)
+        n = 600
+        lam = np.logspace(-1.0, 1.0, n)
+        A1 = np.diag(lam) + np.diag(0.3 * lam[:-1], 1)
+        A2 = -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1)
+        B1, C2 = np.ones((n, 1)), np.ones((n, 1))
+        SylvesterProblem.create(A1, A2, B1, C2)
+        if indefinite == "A1":
+            A1[n // 2, n // 2] = -1.0
+        else:
+            A2[n // 2, n // 2] = 1.0
+        with pytest.raises(ValueError, match="^numerical ranges must satisfy"):
+            SylvesterProblem.create(A1, A2, B1, C2)
+
+
+@st.composite
+def sylvester_instance(draw):
+    """(problem, plan, m_max): coefficients of orders n1, n2 <= 200 with
+    their numerical ranges in the right and in the left half-plane, real or
+    complex, band-stored (bidiagonal and tridiagonal) or dense, a right-hand
+    side of rank 1 or 2, and poles away from both spectra: single real or
+    infinite ones, or conjugate pairs on the imaginary axis, which real
+    data take as paired steps.  At most six steps keep the residual above
+    1e-6, well above its rounding."""
+    n1, n2 = draw(st.integers(20, 200)), draw(st.integers(20, 200))
+    ell = draw(st.integers(1, 2))
+    band, complex_data = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coefficient(n, sign):
+        if band:
+            lam = np.logspace(-1.0, 1.0, n) * rng.uniform(0.8, 1.2, n)
+            M = np.diag(lam) + np.diag(0.3 * lam[:-1], 1)
+            return sign * (M + 0.2j * np.diag(lam[:-1], -1) if complex_data else M)
+        R = rand_complex(rng, n, n) if complex_data else rng.standard_normal((n, n))
+        return sign * (R / np.sqrt(n) + 3.0 * np.eye(n))
+
+    def block(n):
+        return rand_complex(rng, n, ell) if complex_data else rng.standard_normal((n, ell))
+
+    prob = SylvesterProblem.create(coefficient(n1, 1.0), coefficient(n2, -1.0),
+                                   block(n1), block(n2))
+    if draw(st.booleans()):
+        w = draw(st.floats(0.5, 5.0))
+        plan = (1j * w, -1j * w, INF)
+    else:
+        plan = (0.0, INF, draw(st.sampled_from([-30.0, 30.0])))
+    return prob, PolePlan(plan, repetition="cyclic"), draw(st.integers(3, 6))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(sylvester_instance())
+def test_recorded_residual_over_generated_problems(instance):
+    # each step that the checkpoint schedule evaluates, the last one
+    # included, records a residual from the rational Arnoldi relation that,
+    # times the solver's scale, is ||A1 Z_k - Z_k A2 + B1 C2*|| / ||Z~_k||
+    # of the dense Z_k = U_k Z~_k V_k*
+    prob, plan, m_max = instance
+    result, report = sylvester_solve_krylov(prob, plan, m_max=m_max, tol=0.0)
+    left, right = result.basis_left, result.basis_right
+    scale = signsylv._norm_estimate(left.cache) + signsylv._norm_estimate(right.cache)
+    assert not np.isnan(report.true_errors[-1])
+    for k, got in enumerate(report.true_errors, start=1):
+        if np.isnan(got):
+            continue
+        Zk = core_at(result, k)
+        U = left.leading(left.block_size * k).basis
+        V = right.leading(right.block_size * k).basis
+        Z = U @ Zk @ V.conj().T
+        R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
+        assert got * scale == pytest.approx(norm2(R) / norm2(Zk), rel=1e-10)
 
 
 def test_sign_convergence_bound_dominates(rng):

@@ -22,7 +22,14 @@ from rkupdate.errors import (
 )
 from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import dense_update, sherman_morrison
-from rkupdate.poles import INF, PolePlan, markov_single_pole, zolotarev_invsqrt_poles
+from rkupdate.poles import (
+    INF,
+    PolePlan,
+    markov_single_pole,
+    zolotarev_invsqrt_poles,
+    zolotarev_sign_poles,
+)
+from rkupdate.rng import normal_block
 from rkupdate.signsylv import SylvesterProblem, sign_update, sylvester_solve_krylov
 from rkupdate.updater import (
     UpdateReport,
@@ -144,6 +151,15 @@ class TestUpdateHermitian:
         assert peak - UX.nbytes < U.size * np.dtype(complex).itemsize
         ref = U.astype(complex) @ X
         assert np.linalg.norm(UX - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_the_secular_branch_keeps_the_graded_fig2_update_accurate(self):
+        # fig2's instance: eigenvalues log-spaced on [1e-3, 1e3] and a
+        # rank-one update of norm 1e4.  Through the secular (DPR1) branch
+        # its final true error is 5.7e-10 at both BLAS thread counts; through
+        # two Hermitian matrix functions it would be 1.3e-9
+        from rkupdate.cli import experiment_fig2
+
+        assert experiment_fig2().rows[-1][1] <= 8e-10
 
     def test_block_J_path(self, rng):
         # ell = 2 exercises the generic Hermitian difference (no rank-one shortcut)
@@ -995,6 +1011,25 @@ class TestCheckpointSchedule:
         assert steps == set(range(1, 151))
         assert peak < 64 * 1024
 
+    def test_the_step_that_fills_the_bases_is_a_checkpoint(self):
+        # at n = 120 with blocks of 2 columns and two bases, the small
+        # problem outweighs the Krylov work from step 30 on, so no step up
+        # to the last one would be a checkpoint; the bases are full at step
+        # 60, where the bidiagonal Sylvester run of n = 120, whose estimate
+        # meets 1e-10 between checkpoints 29 and 60, ends converged, and not
+        # on its missing room for step 61
+        assert max(_schedule(120, 2, 2, 80)) == 60 and 29 in _schedule(120, 2, 2, 80)
+        assert max(_schedule(120, 2, 2, 50)) == 50
+        n = 120
+        lam = np.logspace(-1.0, 1.0, n)
+        prob = SylvesterProblem.create(np.diag(lam) + np.diag(0.3 * lam[:-1], 1),
+                                       -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1),
+                                       normal_block(2, n, 2), normal_block(3, n, 2))
+        plan = PolePlan(zolotarev_sign_poles((0.05, 30.0), 8).poles, repetition="cyclic",
+                        ordering="leja")
+        _, rep = sylvester_solve_krylov(prob, plan, m_max=80, tol=1e-10)
+        assert rep.converged and rep.iterations == 60 and rep.estimates[-1] <= 1e-10
+
     def test_checkpoints_and_their_lag_partners(self, rng):
         # n = 40, ell = 1: every step to 6, then the gaps grow, and the last
         # step is a checkpoint; at d = 2 a run solves the small problems of
@@ -1260,7 +1295,9 @@ def test_the_leading_blocks_give_each_steps_solution(solver, real):
     # coupling only to rounding, since numpy forms V*B with another kernel
     # when a basis of 1-3 columns fills its buffer
     rng = np.random.default_rng(11)
-    n = 30
+    # the Sylvester solver evaluates the steps of the checkpoint schedule,
+    # which holds every one of its 12 steps of two bases from n = 121 on
+    n = 150 if solver == "sylvester" else 30
 
     def block(cols):
         return rng.standard_normal((n, cols)) if real else rand_complex(rng, n, cols)
@@ -1274,7 +1311,6 @@ def test_the_leading_blocks_give_each_steps_solution(solver, real):
     f = FunctionSpec.inv_sqrt()
     with recorded_solves() as solves:
         if solver == "sylvester":
-            # desk scale: the residual of every step is recorded
             sylvester_solve_krylov(SylvesterProblem.create(A, -A, B, C), pairs, m_max=12,
                                    tol=0.0)
         elif solver == "sign":
@@ -1293,8 +1329,8 @@ def test_the_leading_blocks_give_each_steps_solution(solver, real):
     assert all(s.own for s in solves) and len(solves) >= 8
     for s in solves:
         again = s.evaluate(*(b.leading(ell * s.step) for b in s.bases))
-        for got, want in zip(again if solver == "sign" else (again,),
-                             s.new if solver == "sign" else (s.new,)):
+        tuples = solver in ("sign", "sylvester")
+        for got, want in zip(again if tuples else (again,), s.new if tuples else (s.new,)):
             if solver == "two-sided":
                 assert norm2(got - want) <= 1e-14 * norm2(want)
             else:
