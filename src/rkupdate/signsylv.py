@@ -137,9 +137,10 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     if fac is None or _rcond(cache.A, fac) < TOL_AXIS:
         raise SingularityOnSpectrum("A is numerically singular; sign undefined")
     # A + D = A (I + A^{-1} B J B*) is singular exactly when the capacitance
-    # matrix I + J B* A^{-1} B is: one solve with ell columns
-    s = np.linalg.svd(np.eye(ell) + J @ (B.conj().T @ fac.solve(B)), compute_uv=False)
-    if s[-1] <= TOL_AXIS * s[0]:
+    # matrix I + C, C = J B* A^{-1} B, is: one solve with ell columns, and
+    # the smallest singular value of I + C against the norms of its terms
+    C = J @ (B.conj().T @ fac.solve(B))
+    if np.linalg.svd(np.eye(ell) + C, compute_uv=False)[-1] <= TOL_AXIS * (1 + norm2(C)):
         raise SingularityOnSpectrum("A + D is numerically singular; sign undefined")
 
     W = np.hstack([B, cache.plain_matvec(B)])

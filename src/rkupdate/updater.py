@@ -26,7 +26,7 @@ read (:func:`_rational_krylov`).  A run without a dense reference (the
 Sylvester solver's, at every n) evaluates only the steps at the checkpoints
 of a fixed schedule (:func:`_schedule`), and every estimate it records has
 the bits of a run that evaluates every step.  At n = 1e5 with blocks of 4
-columns the schedule holds every step up to 150; at desk scale its gaps grow quickly.
+columns the schedule holds every step up to 150; a gap is at most about n / 6 columns.
 """
 
 import math
@@ -197,17 +197,17 @@ def _schedule(n, ell, bases, steps):
     flops: a block of ell columns solved, multiplied and orthogonalized
     against dim_j columns of length n, in each of ``bases`` bases.  A step
     c is a checkpoint once the work of the steps since the previous
-    checkpoint reaches ``dim_c**3``, the work of the small problem, and the
-    last step is always one: ``steps``, or n // ell if that fills the bases.
+    checkpoint reaches ``dim_c**3``, the work of the small problem, or the
+    bases have grown by n / 6 columns since it, which at desk scale keeps a
+    run from going on to where they fill the space; the last step is one.
     """
-    checkpoints, work = set(), 0
-    last = min(steps, n // ell)
-    for j in range(1, last + 1):
+    checkpoints, work, prev = set(), 0, 0
+    for j in range(1, steps + 1):
         dim = ell * j
         work += bases * n * dim * ell
-        if work >= dim ** 3 or j == last:
+        if work >= dim ** 3 or 6 * (dim - prev) >= n or j == steps:
             checkpoints.add(j)
-            work = 0
+            work, prev = 0, dim
     return checkpoints
 
 
@@ -260,8 +260,11 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     UpdateReport).
     """
     bases = (left,) if right is left else (left, right)
+    # the last checkpoint is at latest the step that fills the smaller basis,
+    # past which a run has no room
     checkpoints = None if every_step else _schedule(
-        min(left.n, right.n), left.block_size, len(bases), len(poles))
+        max(left.n, right.n), left.block_size, len(bases),
+        min(len(poles), min(left.n, right.n) // left.block_size))
     solved, skipped = {}, set()  # kept solutions by step; steps without one
     estimates, errors = [], []
     converged, breakdown, failures, m = False, None, 0, 0

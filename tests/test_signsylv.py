@@ -198,11 +198,16 @@ class TestSignUpdate:
         with pytest.raises(SingularityOnSpectrum, match="^A is numerically singular"):
             sign_update(A, np.ones((3, 1)), np.eye(1), [-1.0], m_max=1, tol=0.0)
 
-    def test_singular_update_rejected(self, rng):
-        # B = e2 makes A + D = diag(1, 0, 2)
-        A = np.diag([1.0, -1.0, 2.0])
+    @pytest.mark.parametrize("ell, j", [(1, 1.0), (1, 1 - 1e-14), (2, 1 - 1e-14)],
+                             ids=["singular", "nearly-singular", "small-throughout"])
+    def test_singular_update_rejected(self, ell, j):
+        # A = diag(1, -1, -1, 2) and B = e2, or [e2, e3]: J = 1 makes A + D
+        # = diag(1, 0, -1, 2), and J = (1 - 1e-14) I a capacitance matrix
+        # 1e-14 I, not exactly singular, and for ell = 2 small throughout,
+        # so that its smallest singular value is its largest
+        A = np.diag([1.0, -1.0, -1.0, 2.0])
         with pytest.raises(SingularityOnSpectrum, match="^A \\+ D is numerically singular"):
-            sign_update(A, np.eye(3)[:, 1:2], np.eye(1), [-1.0], m_max=1, tol=0.0)
+            sign_update(A, np.eye(4)[:, 1:1 + ell], j * np.eye(ell), [-1.0], m_max=1, tol=0.0)
 
     def test_subspace_identity_order_2m(self, rng):
         # q_m(A^2)^{-1} K_m(A^2, [B, AB]) == q_m(A^2)^{-1} K_{2m}(A, B)

@@ -1011,24 +1011,40 @@ class TestCheckpointSchedule:
         assert steps == set(range(1, 151))
         assert peak < 64 * 1024
 
-    def test_the_step_that_fills_the_bases_is_a_checkpoint(self):
-        # at n = 120 with blocks of 2 columns and two bases, the small
-        # problem outweighs the Krylov work from step 30 on, so no step up
-        # to the last one would be a checkpoint; the bases are full at step
-        # 60, where the bidiagonal Sylvester run of n = 120, whose estimate
-        # meets 1e-10 between checkpoints 29 and 60, ends converged, and not
-        # on its missing room for step 61
-        assert max(_schedule(120, 2, 2, 80)) == 60 and 29 in _schedule(120, 2, 2, 80)
-        assert max(_schedule(120, 2, 2, 50)) == 50
-        n = 120
+    @staticmethod
+    def _bidiagonal_sylvester(n, m_max, **kwargs):
         lam = np.logspace(-1.0, 1.0, n)
         prob = SylvesterProblem.create(np.diag(lam) + np.diag(0.3 * lam[:-1], 1),
                                        -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1),
                                        normal_block(2, n, 2), normal_block(3, n, 2))
         plan = PolePlan(zolotarev_sign_poles((0.05, 30.0), 8).poles, repetition="cyclic",
                         ordering="leja")
-        _, rep = sylvester_solve_krylov(prob, plan, m_max=80, tol=1e-10)
-        assert rep.converged and rep.iterations == 60 and rep.estimates[-1] <= 1e-10
+        return sylvester_solve_krylov(prob, plan, m_max=m_max, **kwargs)[1]
+
+    def test_a_desk_scale_run_stops_near_the_every_step_run(self, monkeypatch):
+        # at n = 120 with blocks of 2 columns and two bases, the small
+        # problem outweighs the Krylov work of any number of steps from step
+        # 30 on; the checkpoints then come every n / 6 = 20 columns, so the
+        # run stops within 10 steps of the run that evaluates every step,
+        # and not at step 60, where its bases fill the space
+        import rkupdate.updater as updater
+        assert sorted(_schedule(120, 2, 2, 60))[-6:] == [21, 29, 39, 49, 59, 60]
+        rep = self._bidiagonal_sylvester(120, 80, tol=1e-10)
+        monkeypatch.setattr(updater, "_schedule", lambda n, ell, bases, steps:
+                            set(range(1, steps + 1)))
+        every = self._bidiagonal_sylvester(120, 80, tol=1e-10)
+        assert rep.converged and every.converged
+        assert every.iterations <= rep.iterations <= every.iterations + 10
+        assert rep.iterations < 60
+
+    def test_the_step_that_fills_the_bases_is_a_checkpoint(self):
+        # at n = 60 the estimate first meets 1e-10 at step 30, where the
+        # bases fill the space and which the schedule of 80 steps would
+        # skip; the run ends converged there, and not on its missing room
+        # for step 31
+        assert not {29, 30} & _schedule(60, 2, 2, 80)
+        rep = self._bidiagonal_sylvester(60, 80, tol=1e-10)
+        assert rep.converged and rep.iterations == 30 and rep.estimates[-1] <= 1e-10
 
     def test_checkpoints_and_their_lag_partners(self, rng):
         # n = 40, ell = 1: every step to 6, then the gaps grow, and the last
@@ -1164,28 +1180,28 @@ class TestCheckpointSchedule:
         assert exc.value.step == 9
 
     def test_lucky_breakdown_after_a_skipped_step(self):
-        # two eigenvalues of multiplicity 6 and a block of 4 columns: the
-        # basis is invariant at step 2 (dimension 8), which the schedule
-        # skips, and step 3 loses its whole block; step 2 is then evaluated,
+        # three eigenvalues of multiplicity 5 or 6 and a block of 2 columns:
+        # the basis is invariant at step 3 (dimension 6), which the schedule
+        # skips, and step 4 loses its whole block; step 3 is then evaluated,
         # with the estimate that a run evaluating every step records
-        A = np.diag([1.0] * 6 + [2.0] * 6)
-        B = np.random.default_rng(0).standard_normal((12, 4))
-        J = 0.5 * np.eye(4)
+        A = np.diag([1.0] * 6 + [2.0] * 5 + [3.0] * 5)
+        B = np.random.default_rng(0).standard_normal((16, 2))
+        J = 0.5 * np.eye(2)
         f = FunctionSpec.inv_sqrt()
         exact = dense_update(A, B @ J @ B.T, f, hermitian=True)
-        assert 2 not in _schedule(12, 4, 1, 10)
+        assert 3 not in _schedule(16, 2, 1, 8)
         kwargs = dict(f=f, plan=PolePlan((-1.0,), repetition="cyclic"), m_max=10, tol=0.0,
                       J=J)
         state, rep = run_update(A, B, **kwargs)
-        assert rep.converged and rep.breakdown_step == 3 and rep.iterations == 2
-        assert np.array_equal(state.coupling, coupling_at(state, 2, f, J))
+        assert rep.converged and rep.breakdown_step == 4 and rep.iterations == 3
+        assert np.array_equal(state.coupling, coupling_at(state, 3, f, J))
         assert norm2(state.materialize() - exact) <= 1e-13 * norm2(exact)
-        # at d = 1 step 2 reads step 1
+        # at d = 1 step 3 reads step 2
         _, every = run_update(A, B, d=1, true_update=exact, **kwargs)
         _, rep = run_update(A, B, d=1, **kwargs)
-        assert rep.breakdown_step == every.breakdown_step == 3
+        assert rep.breakdown_step == every.breakdown_step == 4
         assert np.array_equal(rep.estimates, every.estimates, equal_nan=True)
-        assert rep.estimates[1] > 0
+        assert rep.estimates[2] > 0
 
     @pytest.mark.parametrize("variant", ["fig1", "fig2", "fig3-alg3", "fig3-alg4"])
     def test_checkpointed_error_within_twice_the_every_step_error(self, variant):
