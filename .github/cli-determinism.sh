@@ -23,17 +23,20 @@
 # storage, and a two-sided custom update on a dense random non-symmetric A
 # of n = 60 takes the compression's new rows from products with A* on
 # dense storage.  The custom updates of the plan loop also write their
-# summary lines, and one more on B scaled by 2^-100 and J by 2^200, whose
-# D = B J B* is the unscaled one bit for bit, must write the CSV and the
-# summary of the unscaled run with the same pole file: the rank test of
-# the orthonormalization is scale-free.  No file that a run writes may
+# summary lines, as do the figure experiments, and one more on B scaled
+# by 2^-100 and J by 2^200, whose D = B J B* is the unscaled one bit for
+# bit, must write the CSV and the summary of the unscaled run with the
+# same pole file: the rank test of the orthonormalization is scale-free.  No file that a run writes may
 # hold "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
 # Run from the repository root.  At n = 100 the figure bases fill C^n
 # before the default m_max: the lucky-breakdown path, and the band LUs and
-# solves of diagonal operators.  The second pole file ends in a complex
+# solves of diagonal operators.  The squared basis of each fig3 alg4 run
+# (two columns per step) fills C^n at step 50 and ends converged on its
+# breakdown at step 51: both alg4 summary lines must read
+# "converged=true iterations=50".  The second pole file ends in a complex
 # conjugate pair, which the real basis of the custom update takes as one
 # paired step; its run at --m-max 31 ends on the first pole of a pair,
 # which takes a single complex step, and so does the sylvester run at
@@ -97,7 +100,7 @@ for run in 1 2; do
   mkdir -p "$out"
   for experiment in fig1-invsqrt-single-pole fig2-invsqrt-quasiopt fig3-sign; do
     PYTHONPATH=src python -m rkupdate.cli update --experiment "$experiment" \
-      --n 100 --tol 0 --out "$out/$experiment.csv"
+      --n 100 --tol 0 --out "$out/$experiment.csv" > "$out/$experiment.txt"
   done
   PYTHONPATH=src python -m rkupdate.cli update --experiment fig3-sign --n 100 \
     --out "$out/fig3-tol.csv"
@@ -155,6 +158,14 @@ for run in 1 2; do
 done
 for f in "$work"/run1/*; do
   cmp "$f" "$work/run2/${f##*/}"
+done
+# both fig3 alg4 runs reach the full space and end on its breakdown
+for degree in 10 2; do
+  if ! grep -q "^fig3-sign-alg4-deg$degree: converged=true iterations=50 " \
+      "$work/run1/fig3-sign.txt"; then
+    echo "fig3-sign-alg4-deg$degree does not end converged at step 50" >&2
+    exit 1
+  fi
 done
 # the residual column of the n = 600 sylvester run holds a value
 if ! awk -F, 'NR > 1 && $2 != "" {found = 1} END {exit !found}' \

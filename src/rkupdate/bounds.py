@@ -314,11 +314,17 @@ def markov_bound_hermitian(window, plan, f, m):
     plan's cycle must be closed under conjugation; its first m poles need
     not be (a cyclic run may stop mid-pair).
     """
+    lead, etas, rate = _markov_etas(window, _conjugate_closed(plan), f, m)
+    return BoundReport(values=4.0 * lead * etas, rate=rate)
+
+
+def _conjugate_closed(plan):
+    """The plan as a :class:`PolePlan`, whose cycle a Hermitian bound asks
+    to be closed under conjugation."""
     plan = PolePlan.of(plan)
     if not plan.conjugate_closed():
         raise ValueError("Hermitian Markov bound requires a conjugate-closed plan")
-    lead, etas, rate = _markov_etas(window, plan, f, m)
-    return BoundReport(values=4.0 * lead * etas, rate=rate)
+    return plan
 
 
 def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
@@ -335,9 +341,6 @@ def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
 def _cheb_best_proxy(df, a, b, degree):
     """Chebyshev-interpolation proxy for inf over polynomials of given degree
     of ||f' - p|| on [a, b]; within (1 + Lebesgue constant) of the true inf."""
-    if degree < 0:
-        x = np.linspace(a, b, _PROXY_SAMPLES)
-        return float(np.abs(df(x)).max())
     k = np.arange(degree + 1)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * (degree + 1)))
     xn = 0.5 * (a + b) + 0.5 * (b - a) * nodes
@@ -362,7 +365,7 @@ def poly_update_bound(window, f, m, normD_F):
     for k in range(1, m + 1):
         inf_proxy = _cheb_best_proxy(df, a, b, k - 1)
         values.append(2.0 * _CK * normD_F * inf_proxy)
-    values = np.array(values if values else [2.0 * _CK * normD_F * _cheb_best_proxy(df, a, b, -1)])
+    values = np.array(values or [2.0 * frechet_perturbation_bound(window, f, normD_F)])
     if m > 1 and values[0] > 0:
         rate = float((values[-1] / values[0]) ** (1.0 / (m - 1)))
     else:
@@ -372,9 +375,10 @@ def poly_update_bound(window, f, m, normD_F):
 
 
 def frechet_perturbation_bound(window, f, normD_F):
-    """Global bound (1+sqrt2)^2 sup|f'| ||D||_F for ||f(A+D) - f(A)||_F."""
-    sup_df = f.sup_abs_derivative_on_interval(window.lmin, window.lmax)
-    return _CK * sup_df * float(normD_F)
+    """Global bound (1+sqrt2)^2 sup|f'| ||D||_F for ||f(A+D) - f(A)||_F,
+    sup|f'| taken on the grid of the Chebyshev proxy."""
+    x = np.linspace(window.lmin, window.lmax, _PROXY_SAMPLES)
+    return _CK * float(np.abs(f.derivative(x)).max()) * float(normD_F)
 
 
 def markov_modified_bound(window, plan, f_hat, m):
@@ -385,11 +389,9 @@ def markov_modified_bound(window, plan, f_hat, m):
     if not is_infinite_pole(plan.expand(m)[-1]):
         raise LastPoleNotInfinite("the modification trick fixes the last pole at infinity")
     sup_p1 = max(abs(window.lmin), abs(window.lmax))
-    if m == 1:
-        lead, _, rate = _markov_etas(window, plan, f_hat, 0)
-        return BoundReport(values=np.array([sup_p1 * (4.0 * lead)]), rate=rate)
-    inner = markov_bound_hermitian(window, plan, f_hat, m - 1)
-    return BoundReport(values=sup_p1 * inner.values, rate=inner.rate)
+    # at m = 1 the Hermitian bound of no step: its lead, eta = 1
+    lead, etas, rate = _markov_etas(window, _conjugate_closed(plan), f_hat, m - 1)
+    return BoundReport(values=sup_p1 * (4.0 * lead * (etas if m > 1 else np.ones(1))), rate=rate)
 
 
 def sign_update_bound(window_squared, plan, m, norm_A_plus_D, norm_BJ, norm_B, inv_sqrt):

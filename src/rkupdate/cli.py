@@ -107,9 +107,7 @@ def _invsqrt_instance(n, seed):
     window of A and A + b b*."""
     lam, b = _logspace_instance(n, seed)
     A = np.diag(lam)
-    lam_plus = np.linalg.eigvalsh(A + np.outer(b.real.ravel(), b.real.ravel()))
-    window = SpectralWindow(float(min(lam[0], lam_plus[0])),
-                            float(max(lam[-1], lam_plus[-1])))
+    window = SpectralWindow.from_matrices(A, A + np.outer(b.real.ravel(), b.real.ravel()))
     return lam, b, A, window
 
 
@@ -166,11 +164,10 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2):
     window2 = SpectralWindow(float(sq.min()), float(sq.max()))
     J = np.array([[1.0]])
     norm_bj, norm_b = norm2(b @ J), norm2(b)
-    m_max4 = min(m_max, (n - 2) // 2)  # the squared basis grows by 2 columns per step
     results = []
     for degree in (10, 2):
         plan4 = _cyclic(zolotarev_invsqrt_poles((window2.lmin, window2.lmax), degree).poles)
-        res4, rep4 = sign_update(A, b, J, plan4, m_max=m_max4, tol=tol, d=d,
+        res4, rep4 = sign_update(A, b, J, plan4, m_max=m_max, tol=tol, d=d,
                                  true_update=dense)
         bnd = sign_update_bound(window2, plan4, rep4.iterations, norm_plus, norm_bj,
                                 norm_b, FunctionSpec.inv_sqrt()).values

@@ -383,8 +383,6 @@ def _coupling_block(A11, A12, A22, f):
     rational kinds, spectral calculus otherwise, with the expm fallback) for
     an f without ``dd`` and when an eigenvector condition of V1 or V2
     exceeds ``COND_CAP``."""
-    if f.kind == "identity":
-        return A12.astype(complex)
     if not A12.any():
         return np.zeros(A12.shape, dtype=complex)
     if f.dd is not None:

@@ -260,7 +260,3 @@ class FunctionSpec:
         tol = TOL_AXIS * max(scale, 1e-300)
         if margin(np.asarray(w)).min(initial=np.inf) < side * tol:
             raise SingularityOnSpectrum(message)
-
-    def sup_abs_derivative_on_interval(self, a, b):
-        x = np.linspace(a, b, 257)
-        return float(np.abs(self.derivative(x)).max())

@@ -6,7 +6,6 @@ from the Krylov machinery so they can serve as oracles; they are
 size-guarded so they cannot be misused at scale.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ from .errors import DenominatorZero, MSingular
 
 __all__ = ["dense_update", "sherman_morrison", "bvl_update",
            "HankelCoefficients", "ORACLE_MAX_N"]
-
-logger = logging.getLogger(__name__)
 
 ORACLE_MAX_N = 512
 
@@ -103,7 +100,7 @@ def bvl_update(A, b, c, coeffs):
     Returns factors (X, Y) with X Y* = r(A + b c*) - r(A) for
     r = p/q given by ``coeffs``.  Uses the non-orthogonal Krylov bases
     K_m = [b, Ab, ...] and L_m = [c, (A* + c b*) c, ...]; their conditioning
-    degrades quickly with m, which is logged.
+    degrades quickly with m.
     """
     A = as_array(A, square=True)
     n = A.shape[0]
@@ -124,7 +121,6 @@ def bvl_update(A, b, c, coeffs):
     L[:, 0:1] = c
     for j in range(1, m):
         L[:, j:j + 1] = ApH @ L[:, j - 1:j]
-    logger.debug("bvl_update: cond(K_m) = %.3e", np.linalg.cond(K))
 
     Y_alpha = L @ coeffs.H_alpha.conj().T
     Y_beta = L @ coeffs.H_beta.conj().T

@@ -3,9 +3,10 @@
 The experiment CLI promises bitwise-identical output for identical
 config+seed, so random data comes from this tiny fixed-algorithm generator
 rather than from numpy's (version-dependent) bit generators.  The integer
-stream also comes in blocks, in numpy ``uint64`` arithmetic with the same
-bits; its uniforms on [-1, 1) take integer and exact scaling steps only.
-The normals stay a Python loop: ``np.log`` and ``math.log`` differ in the
+stream comes in blocks, in numpy ``uint64`` arithmetic with the same bits
+as :meth:`SplitMix64.next_u64`; its uniforms, on [-1, 1) and on (0, 1],
+take integer and exact scaling steps only.  The Box-Muller step of the
+normals stays a Python loop: ``np.log`` and ``math.log`` differ in the
 last bit for some draws, and the normals make the CLI's instances.
 """
 
@@ -49,22 +50,17 @@ class SplitMix64:
         53 bits of :meth:`u64_block`."""
         return (self.u64_block(count) >> np.uint64(11)) * 2.0**-52 - 1.0
 
-    def uniform(self):
-        """Double in (0, 1]."""
-        return ((self.next_u64() >> 11) + 1) * 2.0**-53
-
     def normal(self, count):
-        """Standard normals via Box-Muller."""
+        """Standard normals via Box-Muller, a pair per two uniforms on (0, 1]
+        from :meth:`u64_block`; an odd count drops the last pair's sine."""
+        one = np.uint64(1)
+        u = (((self.u64_block(count + count % 2) >> np.uint64(11)) + one) * 2.0**-53).tolist()
         out = np.empty(count)
-        i = 0
-        while i < count:
-            u1 = self.uniform()
-            u2 = self.uniform()
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(2.0 * math.pi * u2)
+        for i in range(0, count, 2):
+            r = math.sqrt(-2.0 * math.log(u[i]))
+            out[i] = r * math.cos(2.0 * math.pi * u[i + 1])
             if i + 1 < count:
-                out[i + 1] = r * math.sin(2.0 * math.pi * u2)
-            i += 2
+                out[i + 1] = r * math.sin(2.0 * math.pi * u[i + 1])
         return out
 
 

@@ -45,6 +45,7 @@ from .updater import (
     _check_steps,
     _dense_product,
     _hermitian_difference,
+    _padded_difference,
     _rational_krylov,
     _zero_report,
     padded_difference_norm,
@@ -96,7 +97,7 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     at every n.  A enters only through products and shifted LUs of A
     itself; A^2 and A + D are never formed.
     J must be ell x ell for a B of ell columns, and B = 0 gives the exact
-    zero update (no step); A and J are checked to be Hermitian as in the
+    zero update (no step); A, J and ``true_update`` are checked as in the
     Hermitian mode of :func:`rkupdate.updater.run_update`.
 
     The step loop is the one of :func:`rkupdate.updater.run_update`: it needs
@@ -111,15 +112,14 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     _validate_sign_plan(poles)
     cache = _SquaredCache(A)
     n = cache.A.shape[0]
+    if true_update is not None:
+        true_update = as_array(true_update, "true_update", rows=n, square=True)
     B = as_array(B, "B", rows=n)
-    J = _as_core(J, B)
-    if not cache.hermitian:
-        raise ValueError("A must be Hermitian")
+    J = _as_core(J, B, cache)
+    basis = KrylovBasis(cache, np.hstack([B, cache.plain_matvec(B)]))
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)
-        result = SignUpdateResult(left=empty, right=empty, coupling=np.zeros((0, 0), dtype=complex),
-                                  basis=KrylovBasis(cache, np.zeros((n, 1))))
-        return result, _zero_report()
+        return SignUpdateResult(empty, empty, np.zeros((0, 0), dtype=complex), basis), _zero_report()
     ell = B.shape[1]
     BJ = B @ J
 
@@ -143,11 +143,9 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     if np.linalg.svd(np.eye(ell) + C, compute_uv=False)[-1] <= TOL_AXIS * (1 + norm2(C)):
         raise SingularityOnSpectrum("A + D is numerically singular; sign undefined")
 
-    W = np.hstack([B, cache.plain_matvec(B)])
     BtB = B.conj().T @ B
     M_core = np.block([[J @ BtB @ J, J], [J, np.zeros_like(J)]])
     f = FunctionSpec.inv_sqrt()
-    basis = KrylovBasis(cache, W)
 
     def evaluate(U):
         """(X, f(G) U*B, K) of a leading basis U; G is exactly Hermitian (the
@@ -171,10 +169,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         with C = [dX; J dY*] for the padded differences of X and f(G) U*B;
         its square is the largest eigenvalue of C* K C, K the Gram matrix."""
         (X, fUB, K), (X_old, fUB_old, _) = new, old
-        dX, dY = X.copy(), fUB.copy()
-        dX[:X_old.shape[0], :X_old.shape[1]] -= X_old
-        dY[:fUB_old.shape[0]] -= fUB_old
-        C = real_if_real(np.vstack([dX, J @ dY.conj().T]))
+        dY = _padded_difference(fUB, fUB_old)
+        C = real_if_real(np.vstack([_padded_difference(X, X_old), J @ dY.conj().T]))
         return norm2_hermitian(C.conj().T @ (real_if_real(K) @ C)) ** 0.5
 
     def true_error(new):
@@ -323,15 +319,12 @@ def sylvester_solve_krylov(prob, plan, m_max, tol, d=1):
     :func:`rkupdate.updater.run_update`.  B1 = 0 or C2 = 0 gives Z = 0.
     """
     _check_steps(m_max, d)
-    if not prob.B1.any() or not prob.C2.any():
-        left = KrylovBasis(prob.A1, np.zeros((prob.A1.shape[0], 1)))
-        right = KrylovBasis(prob.A2, np.zeros((prob.A2.shape[0], 1)), adjoint=True)
-        return SylvesterResult(left=left.basis, core=np.zeros((0, 0), dtype=complex),
-                               right=right.basis, basis_left=left,
-                               basis_right=right), _zero_report()
-    poles = PolePlan.of(plan).expand(m_max)
     left = KrylovBasis(prob.A1, prob.B1)
     right = KrylovBasis(prob.A2, prob.C2, adjoint=True)
+    if not prob.B1.any() or not prob.C2.any():
+        return SylvesterResult(left.basis, np.zeros((0, 0), dtype=complex), right.basis,
+                               left, right), _zero_report()
+    poles = PolePlan.of(plan).expand(m_max)
 
     def estimate(new, old):
         return padded_difference_norm(new[0], old[0]) / max(new[1], 1e-300)

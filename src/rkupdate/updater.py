@@ -112,17 +112,21 @@ def _hermitian_difference(G, S, f):
     return F_plus - F_base, F_base
 
 
+def _padded_difference(new, old):
+    """new - [[old, 0], [0, 0]] for iterates of nested bases; old may be None."""
+    D = np.array(new)
+    if old is not None and old.size:
+        r, c = old.shape
+        D[:r, :c] -= old
+    return D
+
+
 def padded_difference_norm(X_new, X_old, hermitian=False):
     """Spectral norm of X_new - [[X_old, 0], [0, 0]] (nested-basis identity).
 
     With ``hermitian=True`` (square Hermitian iterates) the norm comes from
     the eigenvalues of the difference, not from an SVD."""
-    X_new = np.asarray(X_new)
-    D = X_new.copy()
-    if X_old is not None and X_old.size:
-        r, c = X_old.shape
-        D[:r, :c] -= X_old
-    return norm2_hermitian(D) if hermitian else norm2(D)
+    return (norm2_hermitian if hermitian else norm2)(_padded_difference(X_new, X_old))
 
 
 @dataclass
@@ -367,15 +371,17 @@ def _check_steps(m_max, d):
         raise ValueError("need m_max >= 1 and d >= 1")
 
 
-def _as_core(J, B):
-    """J as the ell x ell core of D = B J B* for a block B of ell columns;
-    J must equal J* exactly."""
+def _as_core(J, B, cache):
+    """J as the ell x ell core of D = B J B* for a block B of ell columns
+    and a Hermitian A (``cache.hermitian``); J must equal J* exactly."""
     J = as_array(J, "J")
     ell = B.shape[1]
     if J.shape != (ell, ell):
         raise ValueError(f"J must be {ell}x{ell}")
     if not np.array_equal(J, J.conj().T):
         raise ValueError("J must be Hermitian")
+    if not cache.hermitian:
+        raise ValueError("A must be Hermitian")
     return J
 
 
@@ -395,7 +401,8 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     D = B C*, which must have B's columns; passing both C and J is an error.
     All of this is checked before any LU (J must equal J* exactly, A by
     the product probe of its cache, ``FactorizationCache.hermitian``), and
-    B = 0 (or C = 0) gives the exact zero update.  ``true_update`` (a dense reference for f(A+D)-f(A))
+    B = 0 (or C = 0) gives the exact zero update.  ``true_update``, a finite
+    n x n dense reference for f(A+D)-f(A) (checked before any LU too),
     enables per-step true-error tracking for experiments; in the Hermitian
     mode the error is Hermitian and its norm is taken from its eigenvalues
     (the lower triangle), not from an SVD.
@@ -418,14 +425,14 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     _check_steps(m_max, d)
     cache = FactorizationCache(A)
     n = cache.A.shape[0]
+    if true_update is not None:
+        true_update = as_array(true_update, "true_update", rows=n, square=True)
     B = as_array(B, "B", rows=n)
     hermitian_mode = J is not None
     if hermitian_mode:
         if C is not None:
             raise ValueError("pass C for the general mode or J for the Hermitian mode, not both")
-        J = _as_core(J, B)
-        if not cache.hermitian:
-            raise ValueError("A must be Hermitian")
+        J = _as_core(J, B, cache)
         C = B
     else:
         if C is None:
@@ -433,10 +440,10 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
         C = as_array(C, "C", rows=n)
         if C.shape[1] != B.shape[1]:
             raise ValueError("B and C must have the same number of columns")
-
-    if not B.any() or (not hermitian_mode and not C.any()):
-        left = KrylovBasis(cache, np.zeros((n, 1)))
-        return UpdateState(left, left, np.zeros((0, 0), dtype=complex)), _zero_report()
+    left = KrylovBasis(cache, B)
+    right = left if hermitian_mode else KrylovBasis(cache, C, adjoint=True)
+    if not (B.any() and C.any()):
+        return UpdateState(left, right, np.zeros((0, 0), dtype=complex)), _zero_report()
 
     plan = PolePlan.of(plan)
     poles = plan.expand(m_max)
@@ -444,9 +451,6 @@ def run_update(A, B, C=None, *, f, plan, m_max, tol, d=2, J=None, true_update=No
     # a cyclic sweep may stop mid-pair without invalidating the mode
     if hermitian_mode and not plan.conjugate_closed():
         raise ValueError("Hermitian mode requires a conjugate-closed pole plan")
-
-    left = KrylovBasis(cache, B)
-    right = left if hermitian_mode else KrylovBasis(cache, C, adjoint=True)
 
     def evaluate(U, V=None):
         if hermitian_mode:

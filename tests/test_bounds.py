@@ -129,6 +129,11 @@ class TestMarkovHermitian:
         mixed = PolePlan((-1.0 + 1.0j, INF, -1.0 - 1.0j, INF), repetition="cyclic")
         inner = markov_bound_hermitian(w, mixed, f, 1).values
         assert np.array_equal(markov_modified_bound(w, mixed, f, 2).values, 4.0 * inner)
+        # at m = 1, where it reads no eta, as at m = 3
+        open_plan = PolePlan((INF, -1.0 + 1.0j), repetition="cyclic")
+        for m in (1, 3):
+            with pytest.raises(ValueError, match="conjugate-closed"):
+                markov_modified_bound(SpectralWindow(1e-2, 1e2), open_plan, f, m)
 
     def test_dominates_measured_error(self, rng):
         A, _ = random_hermitian(rng, 40, 0.5, 30.0)
@@ -211,8 +216,7 @@ class TestPolyBound:
         w = SpectralWindow(-2.0, 0.0)
         f = FunctionSpec.exp()
         rep = poly_update_bound(w, f, 0, 1.5)
-        assert rep.final == pytest.approx(2.0 * frechet_perturbation_bound(w, f, 1.5),
-                                          rel=1e-9)
+        assert rep.final == 2.0 * frechet_perturbation_bound(w, f, 1.5)
 
 
 class TestFrechetBound:

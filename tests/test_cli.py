@@ -322,6 +322,26 @@ class TestExitSemantics:
         assert len(lines) == 101 and "nan" not in out.read_text().lower()
         assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",") if v)
 
+    def test_several_results_go_to_one_csv_each(self, tmp_path, capsys):
+        # fig3 returns four variants: each is written next to --out, named
+        # after its stem and the variant, with its own summary line
+        assert main(["update", "--experiment", "fig3-sign", "--n", "20",
+                     "--out", str(tmp_path / "fig3.csv")]) == 0
+        variants = ["alg4-deg10", "alg3-deg10", "alg4-deg2", "alg3-deg2"]
+        summaries = capsys.readouterr().out.splitlines()
+        assert [s.split(": ")[0] for s in summaries] == [f"fig3-sign-{v}" for v in variants]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"fig3-{v}.csv" for v in variants)
+        for v, summary in zip(variants, summaries):
+            lines = (tmp_path / f"fig3-{v}.csv").read_text().splitlines()
+            assert lines[0] == CSV_HEADER
+            # the m column is the subspace dimension: two columns per step of
+            # the squared basis; the last row is the summary's step
+            step = 2 if v.startswith("alg4") else 1
+            steps = int(summary.split("iterations=")[1].split()[0])
+            assert [int(line.split(",")[0]) for line in lines[1:]] == list(
+                range(step, step * steps + 1, step))
+
     def test_cli_determinism_bitwise(self, tmp_path, rng, capsys):
         _write_custom_instance(tmp_path, rng)
         argsets = []

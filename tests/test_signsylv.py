@@ -193,6 +193,15 @@ class TestSignUpdate:
         with pytest.raises(ValueError):
             sign_update(A, B, np.array([[1.0]]), [2.0], m_max=2, tol=0.0)
 
+    @pytest.mark.parametrize("pole", [2.0, 0.0, -1.0 + 1.0j])
+    def test_a_pole_off_the_negative_axis_is_refused(self, rng, pole):
+        # a cyclic plan gives m_max poles, so the sign plan's own check
+        # refuses it (a raw [2.0] is refused earlier, for holding one pole)
+        A, B, _ = indefinite_instance(rng, 10)
+        with pytest.raises(ValueError, match="must be negative real or infinite, got"):
+            sign_update(A, B, np.array([[1.0]]), PolePlan((pole,), repetition="cyclic"),
+                        m_max=2, tol=0.0)
+
     def test_singular_matrix_rejected(self, rng):
         A = np.diag([0.0, 1.0, -1.0])
         with pytest.raises(SingularityOnSpectrum, match="^A is numerically singular"):
@@ -596,6 +605,10 @@ class TestSylvesterKrylov:
         with pytest.raises(ValueError):
             SylvesterProblem.create(np.diag([-1.0, 2.0]), np.diag([-1.0]),
                                     np.ones((2, 1)), np.ones((1, 1)))
+
+    def test_seed_columns_must_agree(self):
+        with pytest.raises(ValueError, match="^B1 and C2 must have the same number of columns$"):
+            SylvesterProblem.create(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((2, 2)))
 
     @pytest.mark.parametrize("indefinite", ["A1", "-A2"])
     def test_band_numerical_ranges_are_checked_above_desk_scale(self, monkeypatch, indefinite):

@@ -10,9 +10,11 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rkupdate.arnoldi as arnoldi
+import rkupdate.signsylv as signsylv
 from rkupdate.arnoldi import FactorizationCache, KrylovBasis, adjoint_basis, build_basis
 from rkupdate.bounds import SpectralWindow
-from rkupdate.dense import _Band, norm2
+from rkupdate.dense import _Band, norm2, shifted_factorize
 from rkupdate.errors import (
     CompressedNotSolvable,
     NonFiniteResult,
@@ -289,7 +291,8 @@ class TestRunUpdate:
         (np.eye(3), None, "J must be 2x2"),
         (None, 3, "B and C must have the same number of columns"),
         (np.eye(2), 2, "pass C for the general mode or J for the Hermitian mode, not both"),
-    ], ids=["J-1x1", "J-3x3", "C-3-columns", "J-and-C"])
+        (None, None, r"general mode needs C \(or pass J for the Hermitian mode\)"),
+    ], ids=["J-1x1", "J-3x3", "C-3-columns", "J-and-C", "neither-C-nor-J"])
     def test_shapes_checked_before_any_factorization(self, rng, monkeypatch, J, c_cols,
                                                      message):
         def no_lu(*args, **kwargs):
@@ -422,6 +425,44 @@ class TestHermitianChecks:
             assert FactorizationCache(A).A.ab.shape[0] <= 3
             with pytest.raises(ValueError, match="^A must be Hermitian$"):
                 self.run(A, B, np.eye(1))
+
+
+@pytest.mark.parametrize("solver", ["run_update", "sign_update"])
+@pytest.mark.parametrize("reference, message", [
+    (np.zeros((19, 19)), "true_update has 19 rows, expected 20"),
+    (np.zeros((20, 19)), r"true_update must be square, got shape \(20, 19\)"),
+    (np.full((20, 20), np.inf), "true_update contains non-finite entries"),
+    (np.full((20, 20), np.nan), "true_update contains non-finite entries"),
+], ids=["19x19", "20x19", "inf", "nan"])
+def test_the_reference_is_checked_before_any_lu(monkeypatch, solver, reference, message):
+    # unchecked, a non-finite reference ended the run in numpy's
+    # LinAlgError, and a 19 x 19 one in its broadcast ValueError, at the
+    # first true error, after the first LUs
+    lus = []
+
+    def counted(*args, **kwargs):
+        lus.append(args[1])
+        return shifted_factorize(*args, **kwargs)
+
+    for module in (arnoldi, signsylv):
+        monkeypatch.setattr(module, "shifted_factorize", counted)
+    n = 20
+    A = np.diag(np.linspace(1.0, 2.0, n))
+    B, J = normal_block(3, n, 1), np.array([[1.0]])
+    plan = PolePlan((-1.0,), repetition="cyclic")
+
+    def run(true_update):
+        if solver == "run_update":
+            return run_update(A, B, f=FunctionSpec.inv_sqrt(), plan=plan, m_max=3, tol=0.0,
+                              J=J, true_update=true_update)
+        return sign_update(A, B, J, plan, m_max=3, tol=0.0, true_update=true_update)
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(reference)
+    assert lus == []
+    # a finite n x n reference runs, and its LUs are counted
+    run(np.zeros((n, n)))
+    assert lus
 
 
 class TestEstimator:
