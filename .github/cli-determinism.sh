@@ -23,11 +23,13 @@
 # storage, and a two-sided custom update on a dense random non-symmetric A
 # of n = 60 takes the compression's new rows from products with A* on
 # dense storage.  The custom updates of the plan loop also write their
-# summary lines, as do the figure experiments, and one more on B scaled
-# by 2^-100 and J by 2^200, whose D = B J B* is the unscaled one bit for
-# bit, must write the CSV and the summary of the unscaled run with the
-# same pole file: the rank test of the orthonormalization is scale-free.  No file that a run writes may
-# hold "nan".
+# summary lines, as do the figure experiments.  Two more, on B scaled by
+# 2^-100 and J by 2^200 and on B scaled by 2^510 and J by 2^-1020, whose
+# D = B J B* is the unscaled one bit for bit, must each write the CSV and
+# the summary of the unscaled run with the same pole file: the rank test of
+# the orthonormalization is scale-free, and no norm of a seed of large norm
+# overflows (the sums of squares of 2^510 B's blocks would).  No file that a
+# run writes may hold "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
@@ -65,13 +67,15 @@ for name, M in [("A", A), ("B", normal_block(1, n, 1)), ("J", np.eye(1)),
                 ("A2", -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1)),
                 ("B1", normal_block(2, n, 2)), ("C2", normal_block(3, n, 2))]:
     write_matrix(f"{d}/{name}.mtx", M)
-# B scaled by 2**-100 and J by 2**200, which leave D = B J B* as it is bit
-# for bit; the files must hold the scaled entries exactly (a writer that
-# kept fewer than 17 significant digits would not)
-for name, scale in [("B", 2.0**-100), ("J", 2.0**200)]:
+# B scaled by 2**-100 and J by 2**200, and B by 2**510 and J by 2**-1020,
+# which leave D = B J B* as it is bit for bit; the files must hold the
+# scaled entries exactly (a writer that kept fewer than 17 significant
+# digits would not)
+for name, scale, tag in [("B", 2.0**-100, "scaled"), ("J", 2.0**200, "scaled"),
+                         ("B", 2.0**510, "scaled-up"), ("J", 2.0**-1020, "scaled-up")]:
     M = scale * read_matrix(f"{d}/{name}.mtx")
-    write_matrix(f"{d}/{name}-scaled.mtx", M)
-    assert np.array_equal(read_matrix(f"{d}/{name}-scaled.mtx"), M), f"{name}-scaled.mtx"
+    write_matrix(f"{d}/{name}-{tag}.mtx", M)
+    assert np.array_equal(read_matrix(f"{d}/{name}-{tag}.mtx"), M), f"{name}-{tag}.mtx"
 # the same Laplacian at n = 600, above the desk scale
 n = 600
 A = np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0] + 1e-2) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -112,13 +116,15 @@ for run in 1 2; do
       --poles "$poles" --m-max 30 --tol 0 --out "$out/custom-${name/:/-}.csv" \
       > "$out/custom-${name/:/-}.txt"
   done
-  # the scaled B and J: the same CSV and summary as the unscaled run
-  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
-    --matrix-a "$in/A.mtx" --matrix-b "$in/B-scaled.mtx" --matrix-j "$in/J-scaled.mtx" \
-    --poles "$in/poles-pair.txt" --m-max 30 --tol 0 --out "$out/custom-scaled.csv" \
-    > "$out/custom-scaled.txt"
-  cmp "$out/custom-poles-pair.csv" "$out/custom-scaled.csv"
-  cmp "$out/custom-poles-pair.txt" "$out/custom-scaled.txt"
+  # each scaled B and J: the same CSV and summary as the unscaled run
+  for tag in scaled scaled-up; do
+    PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+      --matrix-a "$in/A.mtx" --matrix-b "$in/B-$tag.mtx" --matrix-j "$in/J-$tag.mtx" \
+      --poles "$in/poles-pair.txt" --m-max 30 --tol 0 --out "$out/custom-$tag.csv" \
+      > "$out/custom-$tag.txt"
+    cmp "$out/custom-poles-pair.csv" "$out/custom-$tag.csv"
+    cmp "$out/custom-poles-pair.txt" "$out/custom-$tag.txt"
+  done
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 31 --tol 0 --out "$out/custom-poles-pair-31.csv"

@@ -24,7 +24,7 @@ follows the dtypes it is given:
   pole pairs and the QR, and the first complex block promotes the basis
   once (see :mod:`rkupdate.arnoldi`);
 - a real operator or basis meets a complex block through the block's
-  ``float64`` view (``rkupdate.dense._real_product``) and is never cast;
+  ``float64`` view (``rkupdate.dense._product``) and is never cast;
 - the dense kernels apply the rule to the small matrices they compute and
   decompose (:func:`rkupdate.dense.funm_small`, ``norm2``,
   ``norm2_hermitian``).

@@ -73,13 +73,13 @@ A, and its pole xi = -s^2 takes one LU of A - i s I, whose adjoint solve
 followed by its solve applies (A^2 + s^2 I)^{-1}.
 
 A cache stores A real or complex by the realness rule of
-:mod:`rkupdate._validation`, and the adjoint of a real A is its
-transpose.  The cache reads A once: a matrix whose band is narrow, dense
-or ``scipy.sparse``, goes straight into LAPACK band storage with no n x n
-copy, and its LUs (``?gbtrf``), solves (``?gbtrs``) and products (one
-diagonal at a time) cost O(n) per band row.  The cache then makes the one
-product probe of A that sets ``hermitian``, which the Hermitian mode and
-the sign update require and every basis on the cache reads.
+:mod:`rkupdate._validation`; the adjoint of a real A is its transpose.
+It reads A once, into the storage that :mod:`rkupdate.dense` chooses (a
+narrow band, dense or ``scipy.sparse``, goes into band storage with no
+n x n copy), and every product of a stored matrix with a block, the
+operator's and a basis's, is ``dense._product``.  The cache then makes
+the one product probe of A that sets ``hermitian``, which the Hermitian
+mode and the sign update require and every basis on the cache reads.
 
 Above the operator there is one code path with a dtype, the result type
 of A and the seed.  Real blocks stay real through the products, the LUs
@@ -97,7 +97,7 @@ import copy
 import numpy as np
 
 from ._validation import as_array, is_infinite_pole
-from .dense import TOL_AXIS, _Band, _banded, _real_product, qr_orthonormalize, shifted_factorize
+from .dense import TOL_AXIS, _banded, _column_norms, _product, qr_orthonormalize, shifted_factorize
 from .errors import RankDeficient
 from .poles import PolePlan
 from .rng import SplitMix64
@@ -150,20 +150,6 @@ class FactorizationCache:
 
     def __len__(self):
         return len(self._fac)
-
-
-def _product(A, X, adjoint=False):
-    """A @ X, or A* @ X, for an operator A as a cache stores it."""
-    if isinstance(A, _Band):
-        def product(Z):
-            return A.dot(Z, adjoint=adjoint)
-    elif A.dtype == np.complex128 and adjoint:
-        # A* X without forming the conjugate transpose of A
-        return (A.T @ X.conj()).conj()
-    else:
-        op = A.T if adjoint else A
-        product = op.__matmul__
-    return _real_product(product, X) if A.dtype == np.float64 else product(X)
 
 
 class _ConjugateFactorization:
@@ -339,7 +325,7 @@ class KrylovBasis:
                 # its products read the basis there, and their bits set fig2's floor
                 self._reserve(width, np.result_type(self._U, W))
             try:
-                Q = qr_orthonormalize(self._project_out(W), np.linalg.norm(W, axis=0), j)
+                Q = qr_orthonormalize(self._project_out(W), _column_norms(W), j)
             except RankDeficient as exc:
                 # a block that does not fit but is all lost is a lucky breakdown
                 if exc.exhausted or width <= room:
@@ -375,7 +361,7 @@ class KrylovBasis:
     def _project_out(self, W):
         """W with its components in the basis taken out twice (CGS2)."""
         for _ in range(2):
-            W = W - self.basis @ self.block_product(W)
+            W = W - self.times(self.block_product(W))
         return W
 
     def _append(self, Q, poles):
@@ -394,7 +380,7 @@ class KrylovBasis:
         G, hermitian = self._G, self.cache.hermitian
         if not hermitian and k:
             G[new, :k] = self.block_product(self._matvec(Q, adjoint=True)).conj().T
-        self._US[new] = _adjoint_product(Q, self._seed)
+        self._US[new] = _product(Q, self._seed, adjoint=True)
         self._U[:, new] = Q
         self._OpQ = OpQ
         self._k = k + width
@@ -412,33 +398,18 @@ class KrylovBasis:
         # the rank of those directions: ell, or n - k where less is left
         W = self._project_out(np.hstack([self._OpQ[:, -self.block_size:], self._seed]))
         q = np.linalg.svd(W, full_matrices=False)[0][:, :min(self.block_size, self.n - self._k)]
-        return q, self.block_product(self._matvec(q, adjoint=True)), _adjoint_product(q, self._seed)
+        return (q, self.block_product(self._matvec(q, adjoint=True)),
+                _product(q, self._seed, adjoint=True))
 
     def block_product(self, X):
-        """basis* X for a conforming tall block (see :func:`_adjoint_product`)."""
-        return _adjoint_product(self.basis, X)
+        """basis* X for a conforming tall block, by
+        :func:`~rkupdate.dense._product`: the basis is never copied."""
+        return _product(self.basis, X, adjoint=True)
 
     def times(self, X):
         """basis @ X for a matrix X of ``dimension`` rows, the counterpart of
-        :meth:`block_product`; a real basis meets a complex X through X's
-        ``float64`` view."""
-        U = self.basis
-        if U.dtype == np.float64:
-            return _real_product(U.__matmul__, X)
-        return U @ X
-
-
-def _adjoint_product(U, X):
-    """U* X for conforming tall blocks U and X.
-
-    A complex U gives it as conj(U^T conj(X)), which conjugates the narrow
-    X and the small result but never copies U, with the same bits as
-    conj(U)^T X.  A real U meets a complex X through X's ``float64`` view,
-    as a real operator does.
-    """
-    if U.dtype == np.float64:
-        return _real_product(U.T.__matmul__, X)
-    return (U.T @ X.conj()).conj()
+        :meth:`block_product`."""
+        return _product(self.basis, X)
 
 
 def _pairs(real, poles, m):

@@ -1,25 +1,26 @@
-"""Dense linear algebra kernels.
+"""Dense linear algebra kernels, and the storage of matrices.
 
 Factorizations, orthonormalization, spectral decompositions and matrix
 functions of small matrices.  Everything is double precision and dense,
 and real or complex by the realness rule of :mod:`rkupdate._validation`:
 a shifted factorization of a real operator at a real shift is real, and
-:func:`qr_orthonormalize` returns a real Q for a real block.  A real
-matrix meets a complex block through the block's ``float64`` view, whose
-columns hold the real and imaginary parts side by side
-(:func:`_real_product`); the matrix functions of small matrices return
-complex matrices.  An operator whose band is narrow, dense or
-``scipy.sparse``, is held in LAPACK band storage (:func:`_banded`, run once
-per factorization cache, which builds the band without an n x n array),
-and its shifted LUs and products then cost O(n) per band row instead of
-the dense O(n^3) and O(n^2).  Hermitian structure is an explicit flag.
-The heavy lifting is delegated to LAPACK through numpy/scipy; this module
-owns the contracts (tolerances, error conditions, fallbacks).  What a
-function is, its domain included, is its
-:class:`~rkupdate.functions.FunctionSpec`'s to say (``f.check_spectrum``);
-the matrix functions here keep only their evaluation shortcuts: the
-identity, rational kinds through partial fractions, and
-scaling-and-squaring for an ill-conditioned exponential.
+:func:`qr_orthonormalize` returns a real Q for a real block; the matrix
+functions of small matrices return complex matrices.  Only this module
+knows how a matrix is stored: an operator whose band is narrow, dense or
+``scipy.sparse``, is held in LAPACK band storage (:func:`_banded`, with no
+n x n array), where its LUs, products and Cholesky test cost O(n) per
+band row.  Every product of a stored matrix (the operator, a Krylov
+basis) or its adjoint with a block is :func:`_product`, which never casts
+a real matrix.  Norms that a seed of large norm could overflow are taken
+on the vector scaled by a power of two (:func:`_binary_scaled`).
+Hermitian structure is an explicit flag.  The heavy lifting is delegated
+to LAPACK through numpy/scipy; this module owns the contracts
+(tolerances, error conditions, fallbacks).  What a function is, its
+domain included, is its :class:`~rkupdate.functions.FunctionSpec`'s to
+say (``f.check_spectrum``); the matrix functions here keep only their
+evaluation shortcuts: rational kinds (the identity among them) through
+partial fractions, and scaling-and-squaring for an ill-conditioned
+exponential.
 
 The coupling block of the general mode, the (1,2) block of f of a block
 upper triangular matrix (:func:`_coupling_block`), has two paths.  When f
@@ -68,6 +69,25 @@ def _real_product(apply, X):
     return np.ascontiguousarray(Y).view(complex)
 
 
+def _binary_scaled(X, axis=None):
+    """(Y, e) with Y = X 2^-e, where e is the binary exponent of the largest
+    |entry| of X (of each column for ``axis=0``), which lies in [1/2, 1) in
+    Y.  The scaling is exact but for entries far below the largest, which
+    may underflow.  So a norm of Y neither overflows nor underflows, and
+    2^e times it has the bits of the norm of X wherever that one neither
+    overflows nor underflows."""
+    # a floor keeps 2^-e finite: a subnormal largest entry goes to at least 2^-53
+    e = np.maximum(np.frexp(np.abs(X).max(axis=axis, initial=0.0))[1], -1021)
+    return X * np.ldexp(1.0, -e), e
+
+
+def _column_norms(W):
+    """np.linalg.norm(W, axis=0) through :func:`_binary_scaled`: finite for
+    every finite W."""
+    Y, e = _binary_scaled(W, axis=0)
+    return np.ldexp(np.linalg.norm(Y, axis=0), e)
+
+
 def norm2(M):
     """Spectral norm; zero for empty matrices."""
     M = np.asarray(M)
@@ -101,7 +121,7 @@ def qr_orthonormalize(W, reference_norms=None, step=None):
     if k > n:
         raise ValueError("more columns than rows; cannot orthonormalize")
     if reference_norms is None:
-        reference_norms = np.linalg.norm(W, axis=0)
+        reference_norms = _column_norms(W)
     reference_norms = np.asarray(reference_norms, dtype=float)
     # the bound is at least the least normal number: a subnormal column is lost
     floor = max(np.finfo(float).tiny / TOL_DEFLATE,
@@ -114,7 +134,7 @@ def qr_orthonormalize(W, reference_norms=None, step=None):
         raise RankDeficient(
             f"column {int(np.nonzero(bad)[0][0])} lost rank during orthonormalization",
             step=step,
-            exhausted=bool(np.all(np.linalg.norm(W, axis=0) < cutoff)),
+            exhausted=bool(np.all(_column_norms(W) < cutoff)),
         )
     # normalize so that R has a real positive diagonal
     phases = np.diagonal(R) / rdiag
@@ -158,6 +178,22 @@ class _Band:
             else:
                 Y[-s:] += d * X[:s]
         return Y
+
+
+def _product(A, X, adjoint=False):
+    """A @ X, or A* @ X, for a stored matrix A (a ``float64`` or
+    ``complex128`` array, or a :class:`_Band`) and a conforming block X.
+    A real A meets a complex X through X's ``float64`` view
+    (:func:`_real_product`), and its adjoint is its transpose; a complex A
+    takes A* X as conj(A^T conj(X)), which never copies A."""
+    if isinstance(A, _Band):
+        def product(Z):
+            return A.dot(Z, adjoint=adjoint)
+    elif A.dtype == np.complex128 and adjoint:
+        return (A.T @ X.conj()).conj()
+    else:
+        product = (A.T if adjoint else A).__matmul__
+    return _real_product(product, X) if A.dtype == np.float64 else product(X)
 
 
 def _banded(A):
@@ -206,6 +242,17 @@ def _banded(A):
     ab = as_array(ab, "A")
     # the band holds every nonzero, so its largest entry is A's
     return _Band(ab, int(kl), int(ku), float(np.abs(ab).max()))
+
+
+def _positive_definite(H):
+    """Whether the Hermitian H has a Cholesky factor, a band one (whose
+    upper rows are H's upper band storage) for a narrow band."""
+    H = _banded(H)
+    try:
+        sla.cholesky_banded(H.ab[:H.ku + 1]) if isinstance(H, _Band) else sla.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -330,8 +377,6 @@ def funm_small(A, f, hermitian=False):
     :class:`IllConditionedEigenbasis`.
     """
     A = as_array(A, square=True)
-    if f.kind == "identity":
-        return A.astype(complex)
     if f.kind == "rational":
         return eval_rational_pf(A, f.fn)
     scale = np.abs(A).max(initial=0.0)

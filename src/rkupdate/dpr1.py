@@ -25,6 +25,8 @@ exactly of this form; this module provides their reference decompositions.
 import numpy as np
 from scipy.linalg.lapack import dlasd4
 
+from .dense import _binary_scaled
+
 __all__ = ["eigh_dpr1", "funm_dpr1"]
 
 
@@ -47,9 +49,12 @@ def eigh_dpr1(d, z, rho=1.0):
         raise ValueError("rho must be positive")
     if np.any(z == 0.0):
         raise ValueError("z must have no zero components (deflation unsupported)")
-    znorm = np.linalg.norm(z)
-    w = z / znorm
-    rho_eff = rho * znorm**2
+    # ||z|| = 2^e ||y|| for z scaled by 2^-e, which keeps the bits of w and
+    # rho_eff where nothing overflows or underflows
+    y, e = _binary_scaled(z)
+    ynorm = np.linalg.norm(y)
+    w = y / ynorm
+    rho_eff = np.ldexp(rho, 2 * e) * ynorm**2
     D = np.sqrt(d - min(d[0], 0.0))
     if np.any(np.diff(D) <= 0):
         raise ValueError("d collapses under the shift to a nonnegative spectrum")

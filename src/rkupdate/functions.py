@@ -70,6 +70,7 @@ class PartialFractions:
 
 
 _INVERSE = PartialFractions((0.0,), (0.0,), (1,), ((1.0,),))
+_IDENTITY = PartialFractions((0.0, 1.0), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,6 @@ class _Power:
 
     def __call__(self, z):
         return z ** self.p if self.coef is None else self.coef * z ** self.p
-
-
-def _identity(z):
-    return z
 
 
 def _sign(z):
@@ -204,7 +201,7 @@ class FunctionSpec:
 
     @classmethod
     def identity(cls):
-        return cls(kind="identity", fn=_identity, dfn=np.ones_like, label="z")
+        return cls(kind="rational", fn=_IDENTITY, dfn=_IDENTITY.derivative, label="z")
 
     @classmethod
     def rational(cls, pf):

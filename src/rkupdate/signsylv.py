@@ -35,7 +35,7 @@ import scipy.linalg as sla
 
 from ._validation import as_array, is_infinite_pole, real_if_real
 from .arnoldi import KrylovBasis, _SquaredCache
-from .dense import TOL_AXIS, _Band, _banded, _rcond, norm2, norm2_hermitian, shifted_factorize
+from .dense import TOL_AXIS, _positive_definite, _rcond, norm2, norm2_hermitian, shifted_factorize
 from .errors import CompressedNotSolvable, SingularityOnSpectrum, SingularShift, SpectraIntersect
 from .functions import FunctionSpec
 from .poles import PolePlan
@@ -207,14 +207,10 @@ class SylvesterProblem:
         if B1.shape[1] != C2.shape[1]:
             raise ValueError("B1 and C2 must have the same number of columns")
         for M in (A1, -A2):
-            # W(M) is in the open right half-plane when the Hermitian part H
-            # of M has a Cholesky factor: in band storage, whose upper rows
-            # are H's upper band storage, when H has a narrow band
-            H = _banded(0.5 * (M + M.conj().T))
-            try:
-                sla.cholesky_banded(H.ab[:H.ku + 1]) if isinstance(H, _Band) else sla.cholesky(H)
-            except np.linalg.LinAlgError:
-                raise ValueError("numerical ranges must satisfy W(A1), W(-A2) in RHP") from None
+            # W(M) is in the open right half-plane when the Hermitian part
+            # of M has a Cholesky factor
+            if not _positive_definite(0.5 * (M + M.conj().T)):
+                raise ValueError("numerical ranges must satisfy W(A1), W(-A2) in RHP")
         return cls(A1=A1, A2=A2, B1=B1, C2=C2)
 
 

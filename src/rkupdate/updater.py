@@ -36,7 +36,7 @@ import numpy as np
 
 from ._validation import as_array
 from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
-from .dense import _coupling_block, funm_small, norm2, norm2_hermitian
+from .dense import _binary_scaled, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, RKUpdateError, SingularityOnSpectrum
 from .poles import PolePlan
@@ -85,7 +85,10 @@ def update_hermitian(left, J, f):
             and UB.shape[1] == 1:
         lam, Q = np.linalg.eigh(G)
         w = Q.conj().T @ UB[:, 0]
-        scale = max(np.abs(G).max(initial=0.0), float(J[0, 0].real) * norm2(UB) ** 2)
+        # J ||U*B||^2 from U*B scaled by 2^-e, so that a seed of large norm
+        # (D unchanged) gives the scale of the unscaled one, not an overflow
+        Y, e = _binary_scaled(UB)
+        scale = max(np.abs(G).max(initial=0.0), np.ldexp(J[0, 0].real, 2 * e) * norm2(Y) ** 2)
 
         def checked_f(z):
             # the secular solver maps the base and the updated spectra; where

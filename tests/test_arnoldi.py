@@ -399,6 +399,27 @@ class TestRealOperator:
         assert np.array_equal(basis.compression[:k, :k], G)
         assert basis.basis.imag.any() and basis.compression.imag.any()
 
+    def test_a_real_basis_meets_a_complex_block_without_a_complex_copy(self, rng):
+        # times and block_product take a complex block through its float64
+        # view (dense._product): numpy would cast the whole basis to
+        # complex128 instead
+        n = 4000
+        A = scipy.sparse.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        basis = build_basis(A, rng.standard_normal((n, 4)), [-1.0, INF] * 5)
+        U = basis.basis
+        assert U.dtype == np.float64 and U.shape == (n, 40)
+        X, Y = rand_complex(rng, 40, 2), rand_complex(rng, n, 2)
+        tracemalloc.start()
+        try:
+            UX, UY = basis.times(X), basis.block_product(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * U.size
+        for got, want in ((UX, U.astype(complex) @ X), (UY, U.T.astype(complex) @ Y)):
+            assert got.dtype == np.complex128
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_two_sided_run_keeps_a_real_right_basis(self, rng):
         # a complex B makes the left basis complex; the real C keeps the
         # right one real, and the update is the one of complex storage

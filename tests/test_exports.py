@@ -119,6 +119,20 @@ def test_dead_definition_check_catches_leftovers():
                                    "def g():\n    return a.f()\n"}) == []
 
 
+#: band storage, its fields, and the real view of a complex block in products
+BAND_NAMES = {"_Band", "_real_product", "ab", "kl", "ku"}
+
+
+def test_only_dense_knows_band_storage():
+    # every other module multiplies, factors and checks a stored matrix
+    # through dense's functions (dense._product among them)
+    package = Path(rkupdate.__file__).parent
+    found = {name: sorted(_referenced_names(ast.parse((package / f"{name}.py").read_text()))
+                          & BAND_NAMES)
+             for name in MODULES if name != "dense"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_every_typed_error_is_tested():
     tests = Path(__file__).parent
     text = "".join(p.read_text() for p in tests.rglob("*.py") if p != Path(__file__))

@@ -188,10 +188,12 @@ class TestSignUpdate:
         S = funm_small(A, FunctionSpec.sign(), hermitian=True) + res.materialize()
         assert norm2(S @ S - np.eye(30)) <= 10 * max(tol, 1e-7)
 
-    def test_positive_pole_rejected(self, rng):
+    def test_a_raw_plan_shorter_than_m_max_is_refused(self, rng):
+        # PolePlan.expand refuses a raw plan of fewer poles than m_max
+        # before the sign plan's own check runs
         A, B, _ = indefinite_instance(rng, 10)
-        with pytest.raises(ValueError):
-            sign_update(A, B, np.array([[1.0]]), [2.0], m_max=2, tol=0.0)
+        with pytest.raises(ValueError, match="plan has 1 poles, 2 requested"):
+            sign_update(A, B, np.array([[1.0]]), [-1.0], m_max=2, tol=0.0)
 
     @pytest.mark.parametrize("pole", [2.0, 0.0, -1.0 + 1.0j])
     def test_a_pole_off_the_negative_axis_is_refused(self, rng, pole):

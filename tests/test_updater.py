@@ -752,22 +752,33 @@ class TestLuckyBreakdown:
         assert report.breakdown_step is None
 
 
-@pytest.mark.parametrize("mode", ["hermitian", "general", "sign"])
-def test_seeds_scaled_by_a_power_of_two_give_the_same_bits(mode):
-    # (t B)(J / t^2)(t B)* and (t B)(C / t)* are D bit for bit; with a bound
-    # floored at an absolute 2e-28, the rank test lost every block at step 1
+@pytest.mark.parametrize("columns", [2, 1])
+@pytest.mark.parametrize("mode, t", [
+    ("hermitian", 2.0**-100), ("hermitian", 2.0**520),
+    ("general", 2.0**-100), ("general", 2.0**520),
+    ("sign", 2.0**-100),
+], ids=["hermitian-down", "hermitian-up", "general-down", "general-up", "sign-down"])
+def test_seeds_scaled_by_a_power_of_two_give_the_same_bits(mode, t, columns):
+    # (t B)(J / t / t)(t B)* and (t B)(C / t)* are D bit for bit: J = 0.5 I
+    # keeps J / t / t exact (t**2 overflows at 2^520).  Down-scaled, with a
+    # bound floored at an absolute 2e-28, the rank test lost every block at
+    # step 1; up-scaled, the rank test's column norms overflowed (a false
+    # rank loss at step 1), and one column overflowed J ||U*B||^2 and the
+    # secular solver's ||z||.  The sign update takes only the down-scale:
+    # its B* B overflows past t = 2^511
     A, B, J = path_laplacian_update(60)
+    B, J = B[:, :columns], J[:columns, :columns]
     S = np.diag(np.r_[-np.linspace(1.0, 0.1, 30), np.linspace(0.1, 1.0, 30)])
     S += 0.02 * (np.eye(60, k=1) + np.eye(60, k=-1))
     f, plan = FunctionSpec.inv_sqrt(), PolePlan((-1.0, -5.0), repetition="cyclic")
     sign_plan = PolePlan(zolotarev_invsqrt_poles((1e-2, 1.2), 4).poles, repetition="cyclic")
     run = {
         "hermitian": lambda t: run_update(A, t * B, f=f, plan=plan, m_max=12, tol=0.0,
-                                          J=J / t**2),
+                                          J=J / t / t),
         "general": lambda t: run_update(A, t * B, B @ J / t, f=f, plan=plan, m_max=12, tol=0.0),
-        "sign": lambda t: sign_update(S, 0.05 * t * B, J / t**2, sign_plan, m_max=8, tol=0.0),
+        "sign": lambda t: sign_update(S, 0.05 * t * B, J / t / t, sign_plan, m_max=8, tol=0.0),
     }[mode]
-    (state, report), (scaled, scaled_report) = run(1.0), run(2.0**-100)
+    (state, report), (scaled, scaled_report) = run(1.0), run(t)
     assert np.array_equal(scaled.coupling, state.coupling)
     assert np.array_equal(scaled_report.estimates, report.estimates, equal_nan=True)
     assert scaled_report.iterations == report.iterations > 0
