@@ -6,7 +6,7 @@
 # estimates first reach it, so the stopping rule runs, not only the
 # recorded estimates), a custom update with the extended plan, with the
 # three Zolotarev strategies (quasi-optimal, inverse square root and sign
-# poles, whose nodes come from SciPy's elliptic functions) and with two
+# poles, whose nodes come from SciPy's elliptic functions) and with three
 # pole files, a two-sided custom update of exp (--matrix-c), and the
 # sylvester subcommand at an even and at an odd step count.  One more
 # custom update and one more sylvester run (the default Zolotarev sign
@@ -42,7 +42,10 @@
 # conjugate pair, which the real basis of the custom update takes as one
 # paired step; its run at --m-max 31 ends on the first pole of a pair,
 # which takes a single complex step, and so does the sylvester run at
-# --m-max 21 (Leja-ordered Zolotarev sign pairs).  A complex seed (Bc) on
+# --m-max 21 (Leja-ordered Zolotarev sign pairs).  The third pole file
+# (-0.5 and the pair -1 +- 1j) pairs at the odd offsets 1, 4, 7, ... of
+# its cyclic plan, and its run at --m-max 29 ends on the single complex
+# step 29; its CSV must show exactly those pairs.  A complex seed (Bc) on
 # the real A gives a complex basis, which takes each pole of a pair as a
 # single step, the second through the LU of the first, conjugated.
 set -euo pipefail
@@ -99,6 +102,7 @@ write_matrix(f"{d}/Anonsym.mtx", normal_block(10, 60, 60).real / np.sqrt(60) + 3
 EOF
 printf '# a pole file\n-0.05\n-0.5\n-2.0\ninf\n' > "$in/poles.txt"
 printf '# a pole file with a conjugate pair\n-0.5\ninf\n-1+1j\n-1-1j\n' > "$in/poles-pair.txt"
+printf '# a pole file whose pairs start at odd offsets\n-0.5\n-1+1j\n-1-1j\n' > "$in/poles-odd.txt"
 for run in 1 2; do
   out="$work/run$run"
   mkdir -p "$out"
@@ -128,6 +132,9 @@ for run in 1 2; do
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 31 --tol 0 --out "$out/custom-poles-pair-31.csv"
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/A.mtx" --matrix-b "$in/B.mtx" --matrix-j "$in/J.mtx" \
+    --poles "$in/poles-odd.txt" --m-max 29 --tol 0 --out "$out/custom-poles-odd-29.csv"
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A.mtx" --matrix-b "$in/Bc.mtx" --matrix-j "$in/J.mtx" \
     --poles "$in/poles-pair.txt" --m-max 30 --tol 0 --out "$out/custom-complex-seed.csv"
@@ -173,6 +180,14 @@ for degree in 10 2; do
     exit 1
   fi
 done
+# the three-pole file pairs at offsets 1, 4, 7, ...: the pairs' first
+# steps 2, 5, ..., 26 are the only rows without a true error, and the run
+# ends on the single complex step 29
+if [ "$(awk -F, 'NR > 1 && $2 == "" {gaps = gaps $1 " "} END {print gaps $1}' \
+    "$work/run1/custom-poles-odd-29.csv")" != "2 5 8 11 14 17 20 23 26 29" ]; then
+  echo "custom-poles-odd-29.csv does not pair at offsets 1, 4, 7, ..." >&2
+  exit 1
+fi
 # the residual column of the n = 600 sylvester run holds a value
 if ! awk -F, 'NR > 1 && $2 != "" {found = 1} END {exit !found}' \
     "$work/run1/sylvester-n600-residuals.csv"; then

@@ -48,12 +48,13 @@ recorded, and the next step continues from the last ell columns.  The
 basis stays real and spans what the two single steps span, which a
 complex basis takes instead.
 
-One function, :func:`_advance_step`, decides for the bases of a run
-together whether a pole and its conjugate after it are a pair.  Each basis
+One generator, :func:`_steps`, walks a pole tuple for the bases of a run
+together: it decides whether a pole and its conjugate after it are a pair,
+advances every basis, and yields the poles of each step.  Each basis
 takes the pair by its own dtype, so in a two-sided run whose other basis
 is complex (a complex seed, or a pair that it had to take as two single
 steps) the real basis still takes the real step.  The solvers' step loop
-and the builders :func:`build_basis` and :func:`adjoint_basis` all call
+and the builders :func:`build_basis` and :func:`adjoint_basis` all run
 it, so the builders pair on real data and build the solvers' bases.
 
 The operator lives in a :class:`FactorizationCache` with its shifted LUs, one
@@ -268,15 +269,16 @@ class KrylovBasis:
         over the basis."""
         return self._US[:self._k]
 
-    def leading(self, k):
-        """The basis of the step of dimension k, the leading k columns of
-        this one (bases grow by appending): a shallow copy whose buffers are
-        views of exactly k columns of these, so advancing it moves it into
-        buffers of its own before it writes, and this basis is unchanged.
-        For k below the dimension it keeps no product with the operator, so
-        advancing it makes the product of its last block once."""
+    def leading(self, step):
+        """The basis of step ``step``, the leading k = ``step * block_size``
+        columns of this one (bases grow by appending): a shallow copy whose
+        buffers are views of exactly k columns of these, so advancing it
+        moves it into buffers of its own before it writes, and this basis is
+        unchanged.  Below the dimension it keeps no product with the
+        operator, so advancing it makes the product of its last block once."""
         lead = copy.copy(self)
-        lead._k, lead.poles_used = k, self.poles_used[:k // self.block_size]
+        k = step * self.block_size
+        lead._k, lead.poles_used = k, self.poles_used[:step]
         lead._U, lead._G, lead._US = self._U[:, :k], self._G[:k, :k], self._US[:k]
         lead._OpQ = self._OpQ if k == self._k else None
         return lead
@@ -412,64 +414,49 @@ class KrylovBasis:
         return _product(self.basis, X)
 
 
-def _pairs(real, poles, m):
-    """Whether the step of xi = ``poles[m]`` takes conj(xi) with it as one
-    paired step: conj(xi) != xi follows xi, and some basis is ``real``."""
-    xi = poles[m]
-    # a finite pole is a complex (PolePlan holds them so), INF a float
-    return (real and m + 1 < len(poles) and isinstance(xi, complex) and xi.imag != 0
-            and poles[m + 1] == xi.conjugate())
+def _steps(bases, poles):
+    """Walk the pole tuple ``poles``, stepping each basis of a run (one, or
+    two), and yield the poles of each step: ``(xi, conj(xi))`` when
+    conj(xi) != xi follows xi and some basis is real, else ``(xi,)``.
 
-
-def _advance_step(bases, poles, m):
-    """Append the step of xi = ``poles[m]`` to each basis (one, or the two
-    of a two-sided run); returns the number of poles taken, 1 or 2.
-
-    When :func:`_pairs` holds (conj(xi) != xi follows xi and some basis is
-    real), every basis takes the pair, ``advance(xi, conj(xi))``.  If the
-    real pair block of the first basis loses part of its rank, every basis
-    takes the single step of xi instead; if it loses all of it, the
-    ``exhausted`` :class:`RankDeficient` propagates, as from the single
-    step of xi.  If that of another basis loses rank, that basis takes the
-    two single steps.  The error of a complex basis, a single step's,
-    propagates.  When every basis is complex, each pole is a single step of
-    its own.
-    """
-    xi = poles[m]
-    if _pairs(any(basis.basis.dtype == np.float64 for basis in bases), poles, m):
-        try:
-            bases[0].advance(xi, xi.conjugate())
-        except RankDeficient as exc:
-            # a real basis stays real through a failed pair
-            if exc.exhausted or bases[0].basis.dtype != np.float64:
-                raise
-        else:
-            for basis in bases[1:]:
-                try:
-                    basis.advance(xi, xi.conjugate())
-                except RankDeficient:
-                    if basis.basis.dtype != np.float64:
-                        raise
-                    basis.advance(xi).advance(xi.conjugate())
-            return 2
-    for basis in bases:
-        basis.advance(xi)
-    return 1
-
-
-def _grow(basis, plan, m):
-    """``basis`` stepped by :func:`_advance_step` through ``PolePlan.of(plan).expand(m)``."""
-    poles = PolePlan.of(plan).expand(m)
-    while basis.steps < len(poles):
-        _advance_step((basis,), poles, basis.steps)
-    return basis
+    A pair is ``advance(xi, conj(xi))`` on every basis.  If the real pair
+    block of the first basis loses part of its rank, every basis takes the
+    single step of xi instead; if that of another basis does, that basis
+    takes the two single steps.  Any other :class:`RankDeficient`
+    propagates: an ``exhausted`` pair (as from the single step of xi), a
+    complex basis's, and a single step's."""
+    m = 0
+    while m < len(poles):
+        xi = poles[m]
+        step, rest = (xi,), bases
+        if (xi.imag and m + 1 < len(poles) and poles[m + 1] == xi.conjugate()
+                and any(basis.basis.dtype == np.float64 for basis in bases)):
+            try:
+                bases[0].advance(xi, xi.conjugate())
+            except RankDeficient as exc:
+                # a real basis stays real through a failed pair
+                if exc.exhausted or bases[0].basis.dtype != np.float64:
+                    raise
+            else:
+                step, rest = (xi, xi.conjugate()), bases[1:]
+        for basis in rest:
+            try:
+                basis.advance(*step)
+            except RankDeficient:
+                if len(step) == 1 or basis.basis.dtype != np.float64:
+                    raise
+                basis.advance(xi).advance(xi.conjugate())
+        m += len(step)
+        yield step
 
 
 def build_basis(A, B, plan, m=None):
     """Orthonormal basis of q_m(A)^{-1} K_m(A, B) with compression U* A U,
     for the poles ``PolePlan.of(plan).expand(m)`` (one cycle when m is None),
     stepped as the solvers step (real data pair conjugate poles)."""
-    return _grow(KrylovBasis(A, B), plan, m)
+    basis = KrylovBasis(A, B)
+    list(_steps((basis,), PolePlan.of(plan).expand(m)))
+    return basis
 
 
 def adjoint_basis(A, C, plan, m=None):
@@ -479,4 +466,6 @@ def adjoint_basis(A, C, plan, m=None):
     Takes and records the *same* pole plan as the primal side; each shifted
     solve reuses the primal LU of A - xi I through its adjoint.
     """
-    return _grow(KrylovBasis(A, C, adjoint=True), plan, m)
+    basis = KrylovBasis(A, C, adjoint=True)
+    list(_steps((basis,), PolePlan.of(plan).expand(m)))
+    return basis

@@ -116,6 +116,14 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
         true_update = as_array(true_update, "true_update", rows=n, square=True)
     B = as_array(B, "B", rows=n)
     J = _as_core(J, B, cache)
+    # a seed with entries of 2^256 or more goes down by a power of two 2^e,
+    # and J up by 2^2e: D = B J B* keeps its bits, and so do the scale-free
+    # basis, the coupling and the estimates, while B* B, B* A^{-1} B and the
+    # estimate's Gram matrix do not overflow; the factors are then those of
+    # the scaled seed, whose product keeps its bits
+    e = max(int(np.frexp(np.abs(B).max(initial=0.0))[1]) - 256, 0)
+    if e:
+        B, J = B * np.ldexp(1.0, -e), J * np.ldexp(1.0, e) * np.ldexp(1.0, e)
     basis = KrylovBasis(cache, np.hstack([B, cache.plain_matvec(B)]))
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)

@@ -17,12 +17,12 @@ The step loop is shared with the solvers of :mod:`rkupdate.signsylv`,
 which differ only in what they evaluate and how they weigh the
 difference of two iterates.  The loop holds no step rule of its own:
 whether a pole takes a single step or, on real data, a paired step with
-its conjugate is decided by :func:`rkupdate.arnoldi._advance_step`, which
-the public basis builders call too.  Since the bases are nested, an
-earlier step's small problem is that of the leading blocks of the present
-bases, so the loop solves a step's small problem when an estimate first
-needs it and keeps only the solutions that a later estimate can still
-read (:func:`_rational_krylov`).  A run without a dense reference (the
+its conjugate is decided by :func:`rkupdate.arnoldi._steps`, which walks
+the pole tuple for the loop and for the public basis builders alike.
+Since the bases are nested, an earlier step's small problem is that of
+the leading blocks of the present bases, so the loop solves a step's
+small problem when an estimate first needs it and keeps only the
+solutions that a later estimate can still read (:func:`_rational_krylov`).  A run without a dense reference (the
 Sylvester solver's, at every n) evaluates only the steps at the checkpoints
 of a fixed schedule (:func:`_schedule`), and every estimate it records has
 the bits of a run that evaluates every step.  At n = 1e5 with blocks of 4
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import as_array
-from .arnoldi import FactorizationCache, KrylovBasis, _advance_step
+from .arnoldi import FactorizationCache, KrylovBasis, _steps
 from .dense import _binary_scaled, _coupling_block, funm_small, norm2, norm2_hermitian
 from .dpr1 import funm_diff_rank1
 from .errors import NonFiniteResult, RankDeficient, RKUpdateError, SingularityOnSpectrum
@@ -259,7 +259,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     evaluation, or in a two-basis run re-raises, as does "no room" for a
     block wider than the space left, unless none is left.
 
-    Each step is :func:`~rkupdate.arnoldi._advance_step`, which decides
+    The steps are those of :func:`~rkupdate.arnoldi._steps`, which decides
     whether the bases take the pole alone or, on real data, with its
     conjugate as one paired step, whose first step is a gap.  A complex
     pole whose conjugate does not follow (a run may end mid-pair) takes a
@@ -268,6 +268,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     UpdateReport).
     """
     bases = (left,) if right is left else (left, right)
+    steps = _steps(bases, poles)
     # the last checkpoint is at latest the step that fills the smaller basis,
     # past which a run has no room
     checkpoints = None if every_step else _schedule(
@@ -279,7 +280,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
 
     def solve(step):
         try:
-            new = evaluate(*(b.leading(left.block_size * step) for b in bases))
+            new = evaluate(*(b.leading(step) for b in bases))
         except RKUpdateError as exc:
             # no solution; only a singularity of f lets the run go on
             exc.step = exc.step or step
@@ -309,7 +310,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
     try:
         while m < len(poles):
             try:
-                taken = _advance_step(bases, poles, m)
+                taken = len(next(steps))
             except RankDeficient as exc:
                 if right is not left or m == 0 or not exc.exhausted or failures:
                     raise
@@ -362,7 +363,7 @@ def _rational_krylov(left, right, poles, evaluate, estimate, *, tol, d, error=No
         true_errors=errors if error is not None else None,
         converged=converged,
         stagnation_warning=stagnation,
-        poles=tuple(poles[:m]),
+        poles=left.poles_used,
         breakdown_step=breakdown,
     )
     return final, report

@@ -54,17 +54,15 @@ def coupling_at(state, m, f, J=None):
     """X_m of step m of a ``run_update`` state, solved again on the leading
     blocks of its bases: the Hermitian mode's small problem when J is
     given, else the two-sided one."""
-    k = state.left.block_size * m
     if J is not None:
-        return update_hermitian(state.left.leading(k), J, f)
-    return project_update(state.left.leading(k), state.right.leading(k), f)
+        return update_hermitian(state.left.leading(m), J, f)
+    return project_update(state.left.leading(m), state.right.leading(m), f)
 
 
 def core_at(result, m):
     """The core of step m of a ``sylvester_solve_krylov`` result, solved
     again on the leading blocks of its bases."""
-    k = result.basis_left.block_size * m
-    return _sylvester_core(result.basis_left.leading(k), result.basis_right.leading(k))[0]
+    return _sylvester_core(result.basis_left.leading(m), result.basis_right.leading(m))[0]
 
 
 def _strip(c):

@@ -157,12 +157,12 @@ class TestInvariants:
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_leading_is_the_basis_of_an_earlier_step(self, rng, monkeypatch, adjoint):
-        # leading(k) is the basis of the step of dimension k, bit for bit,
-        # and advancing it (a single step, a real pair, a complex pole that
-        # promotes it) moves it into buffers of its own: the basis it came
-        # from keeps its basis, compression and seed product.  Below the
-        # dimension it keeps no product with A, so its first step makes one
-        # more, that of its last block
+        # leading(step) is the basis of that step, bit for bit, and advancing
+        # it (a single step, a real pair, a complex pole that promotes it)
+        # moves it into buffers of its own: the basis it came from keeps its
+        # basis, compression and seed product.  Below the dimension it keeps
+        # no product with A, so its first step makes one more, that of its
+        # last block
         calls = []
         matvec = KrylovBasis._matvec
 
@@ -177,13 +177,13 @@ class TestInvariants:
         steps = []
         for poles in ((-1.0,), (-1.0 + 1.0j, -1.0 - 1.0j), (INF,), (-2.0,), (0.0,)):
             basis.advance(*poles)
-            steps.append((basis.dimension, basis.poles_used, basis.basis.copy(),
+            steps.append((basis.steps, basis.dimension, basis.poles_used, basis.basis.copy(),
                           basis.compression.copy(), basis.seed_product.copy()))
         views = ("basis", "compression", "seed_product")
         kept = [getattr(basis, v).copy() for v in views]
-        for k, poles_used, U, G, US in steps:
-            lead = basis.leading(k)
-            assert lead.dimension == k and lead.poles_used == poles_used
+        for step, k, poles_used, U, G, US in steps:
+            lead = basis.leading(step)
+            assert lead.steps == step and lead.dimension == k and lead.poles_used == poles_used
             assert np.array_equal(lead.basis, U) and np.array_equal(lead.compression, G)
             assert np.array_equal(lead.seed_product, US)
             calls.clear()
@@ -658,8 +658,8 @@ def _same_bases(got, want):
 
 
 class TestStepRule:
-    """Each branch of ``_advance_step``, the one rule that decides single and
-    paired steps, against the steps of the bases it stands for."""
+    """Each branch of ``_steps``, the one walk of a pole tuple that decides
+    single and paired steps, against the steps of the bases it stands for."""
 
     XI = -1.0 + 1.5j
 
@@ -674,13 +674,14 @@ class TestStepRule:
         seeds = rng.standard_normal((2, 20, 2))
         poles = (self.XI, np.conj(self.XI), INF)
         got, want = self.bases(A, seeds), self.bases(A, seeds)
-        assert arnoldi._advance_step(got, poles, 0) == 2
+        steps = arnoldi._steps(got, poles)
+        assert next(steps) == (self.XI, np.conj(self.XI))
         for basis in want:
             basis.advance(self.XI, np.conj(self.XI))
         _same_bases(got, want)
         assert all(b.basis.dtype == np.float64 and b.dimension == 4 for b in got)
-        # the next pole has no conjugate after it: a single step
-        assert arnoldi._advance_step(got, poles, 2) == 1
+        # the next pole has no conjugate after it: a single step, the last
+        assert next(steps) == (INF,) and list(steps) == []
         assert all(b.steps == 3 and b.dimension == 6 for b in got)
 
     def test_a_complex_basis_or_a_missing_conjugate_takes_single_steps(self, rng):
@@ -689,7 +690,7 @@ class TestStepRule:
                               (self.XI, np.conj(self.XI))),
                              ([rng.standard_normal((20, 1))] * 2, (self.XI, self.XI))):
             got, want = self.bases(A, seeds), self.bases(A, seeds)
-            assert arnoldi._advance_step(got, poles, 0) == 1
+            assert next(arnoldi._steps(got, poles)) == (self.XI,)
             for basis in want:
                 basis.advance(self.XI)
             _same_bases(got, want)
@@ -703,16 +704,16 @@ class TestStepRule:
         if complex_first:
             seeds.reverse()
         got, want = self.bases(A, seeds), self.bases(A, seeds)
-        assert arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0) == 2
+        pair = (self.XI, np.conj(self.XI))
+        assert list(arnoldi._steps(got, pair)) == [pair]
         for basis in want:
             if basis.basis.dtype == np.float64:
-                basis.advance(self.XI, np.conj(self.XI))
+                basis.advance(*pair)
             else:
                 basis.advance(self.XI).advance(np.conj(self.XI))
         _same_bases(got, want)
         assert [b.basis.dtype == np.float64 for b in got] == [not complex_first, complex_first]
-        assert all(b.dimension == 2 and b.poles_used == (self.XI, np.conj(self.XI))
-                   for b in got)
+        assert all(b.dimension == 2 and b.poles_used == pair for b in got)
 
     def test_partial_loss_in_the_first_basis_takes_the_single_step_of_xi(self):
         # an eigenvector seed: Re W and Im W are multiples of it; the other
@@ -720,7 +721,7 @@ class TestStepRule:
         A = np.diag(np.linspace(1.0, 5.0, 12))
         seeds = [np.eye(12)[:, :1], np.ones((12, 1))]
         got, want = self.bases(A, seeds), self.bases(A, seeds)
-        assert arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0) == 1
+        assert next(arnoldi._steps(got, (self.XI, np.conj(self.XI)))) == (self.XI,)
         for basis in want:
             basis.advance(self.XI)
         _same_bases(got, want)
@@ -735,7 +736,7 @@ class TestStepRule:
         A = np.diag([-1.0 + 1e-4, -1.0 + 2e-4, 1e5, 2e5])
         seeds = [np.array([[1.0], [1.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [1.0], [1.0]])]
         got, want = self.bases(A, seeds), self.bases(A, seeds)
-        assert arnoldi._advance_step(got, (xi, np.conj(xi)), 0) == 2
+        assert list(arnoldi._steps(got, (xi, np.conj(xi)))) == [(xi, np.conj(xi))]
         want[0].advance(xi, np.conj(xi))
         want[1].advance(xi).advance(np.conj(xi))
         _same_bases(got, want)
@@ -751,8 +752,8 @@ class TestStepRule:
         poles = (xi, np.conj(xi), -2.0 + 1.0j, -2.0 - 1.0j)
         seeds = [np.r_[np.ones(4), np.zeros(4)][:, None], np.r_[np.zeros(4), np.ones(4)][:, None]]
         got = self.bases(A, seeds)
-        for m in (0, 2):
-            assert arnoldi._advance_step(got, poles, m) == 2
+        for step, want in zip(arnoldi._steps(got, poles), (poles[:2], poles[2:]), strict=True):
+            assert step == want
             assert got[0].basis.dtype == np.float64 and got[1].basis.dtype == np.complex128
         _same_bases(got[:1], [build_basis(A, seeds[0], poles)])
         want = KrylovBasis(A, seeds[1], adjoint=True)
@@ -765,32 +766,51 @@ class TestStepRule:
         # step of xi, exhausted, and no basis moves
         A = np.diag([1.0, 2.0, 3.0, 4.0])
         got = self.bases(A, [np.ones((4, 1))] * 2)
-        for xi in (-1.0, INF, -2.0, INF):
-            arnoldi._advance_step(got, (xi,), 0)
+        assert len(list(arnoldi._steps(got, (-1.0, INF, -2.0, INF)))) == 4
         with pytest.raises(RankDeficient) as info:
-            arnoldi._advance_step(got, (self.XI, np.conj(self.XI)), 0)
+            next(arnoldi._steps(got, (self.XI, np.conj(self.XI))))
         assert info.value.exhausted and info.value.step == 5
         assert all(b.steps == 4 and b.basis.dtype == np.float64 for b in got)
+
+    @pytest.mark.parametrize("m", [7, 5])
+    def test_pairs_after_a_single_pole_start_at_odd_offsets(self, rng, m):
+        # the cyclic plan (-0.5, xi, conj(xi)) pairs at offsets 1 and 4, as
+        # real bases take the steps one by one; cut at m = 5, it ends on xi
+        # without its conjugate: a single complex step
+        A = _real_operators(rng, 20)["dense"]
+        seeds = rng.standard_normal((2, 20, 2))
+        poles = PolePlan((-0.5, self.XI, np.conj(self.XI)), repetition="cyclic").expand(m)
+        got, want = self.bases(A, seeds), self.bases(A, seeds)
+        steps = list(arnoldi._steps(got, poles))
+        pair = (self.XI, np.conj(self.XI))
+        assert steps == [(-0.5,), pair, (-0.5,)] + ([pair, (-0.5,)] if m == 7 else [(self.XI,)])
+        for step in steps:
+            for basis in want:
+                basis.advance(*step)
+        _same_bases(got, want)
+        dtype = np.float64 if m == 7 else np.complex128
+        assert all(b.basis.dtype == dtype and b.poles_used == poles for b in got)
 
     def test_a_real_sylvester_run_calls_advance_once_per_basis_and_step(self, rng,
                                                                         monkeypatch):
         # Zolotarev sign poles are conjugate pairs i b, -i b: each pair is one
         # call of advance per basis, as a wrapper of advance sees it
         calls, counts = [], []
-        advance, advance_step = KrylovBasis.advance, updater._advance_step
+        advance, steps = KrylovBasis.advance, updater._steps
 
         def counted_advance(self, *poles):
             calls.append(poles)
             return advance(self, *poles)
 
-        def counted_step(bases, poles, m):
-            before = len(calls)
-            taken = advance_step(bases, poles, m)
-            counts.append((len(calls) - before, taken))
-            return taken
+        def counted_steps(bases, poles):
+            walk, before = steps(bases, poles), len(calls)
+            for step in walk:
+                counts.append((len(calls) - before, len(step)))
+                yield step
+                before = len(calls)
 
         monkeypatch.setattr(KrylovBasis, "advance", counted_advance)
-        monkeypatch.setattr(updater, "_advance_step", counted_step)
+        monkeypatch.setattr(updater, "_steps", counted_steps)
         n = 16
         prob = SylvesterProblem.create(rng.standard_normal((n, n)) / n + 4 * np.eye(n),
                                        rng.standard_normal((n, n)) / n - 4 * np.eye(n),

@@ -133,6 +133,19 @@ def test_only_dense_knows_band_storage():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def test_only_arnoldi_takes_steps():
+    # the step rule lives in arnoldi: no other module calls advance, and
+    # only the one step loop (updater._rational_krylov) runs the walk of a
+    # pole tuple, _steps, that arnoldi's builders run too
+    package = Path(rkupdate.__file__).parent
+    trees = {name: ast.parse((package / f"{name}.py").read_text()) for name in MODULES}
+    advancing = [name for name, tree in trees.items()
+                 if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "advance" for node in ast.walk(tree))]
+    walking = [name for name, tree in trees.items() if "_steps" in _referenced_names(tree)]
+    assert advancing == ["arnoldi"] and walking == ["arnoldi", "updater"]
+
+
 def test_every_typed_error_is_tested():
     tests = Path(__file__).parent
     text = "".join(p.read_text() for p in tests.rglob("*.py") if p != Path(__file__))

@@ -539,8 +539,8 @@ class TestSylvesterKrylov:
             if np.isnan(got):
                 continue
             Zk = core_at(result, k)
-            U = left.leading(left.block_size * k).basis
-            V = right.leading(right.block_size * k).basis
+            U = left.leading(k).basis
+            V = right.leading(k).basis
             Z = U @ Zk @ V.conj().T
             R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
             want = norm2(R) / (scale * norm2(Zk))
@@ -687,8 +687,8 @@ def test_recorded_residual_over_generated_problems(instance):
         if np.isnan(got):
             continue
         Zk = core_at(result, k)
-        U = left.leading(left.block_size * k).basis
-        V = right.leading(right.block_size * k).basis
+        U = left.leading(k).basis
+        V = right.leading(k).basis
         Z = U @ Zk @ V.conj().T
         R = prob.A1 @ Z - Z @ prob.A2 + prob.B1 @ prob.C2.conj().T
         assert got * scale == pytest.approx(norm2(R) / norm2(Zk), rel=1e-10)

@@ -756,16 +756,16 @@ class TestLuckyBreakdown:
 @pytest.mark.parametrize("mode, t", [
     ("hermitian", 2.0**-100), ("hermitian", 2.0**520),
     ("general", 2.0**-100), ("general", 2.0**520),
-    ("sign", 2.0**-100),
-], ids=["hermitian-down", "hermitian-up", "general-down", "general-up", "sign-down"])
+    ("sign", 2.0**-100), ("sign", 2.0**520),
+], ids=["hermitian-down", "hermitian-up", "general-down", "general-up", "sign-down", "sign-up"])
 def test_seeds_scaled_by_a_power_of_two_give_the_same_bits(mode, t, columns):
     # (t B)(J / t / t)(t B)* and (t B)(C / t)* are D bit for bit: J = 0.5 I
     # keeps J / t / t exact (t**2 overflows at 2^520).  Down-scaled, with a
     # bound floored at an absolute 2e-28, the rank test lost every block at
     # step 1; up-scaled, the rank test's column norms overflowed (a false
-    # rank loss at step 1), and one column overflowed J ||U*B||^2 and the
-    # secular solver's ||z||.  The sign update takes only the down-scale:
-    # its B* B overflows past t = 2^511
+    # rank loss at step 1), one column overflowed J ||U*B||^2 and the
+    # secular solver's ||z||, and the sign update's B* B and B* A^{-1} B
+    # overflowed (numpy's "SVD did not converge")
     A, B, J = path_laplacian_update(60)
     B, J = B[:, :columns], J[:columns, :columns]
     S = np.diag(np.r_[-np.linspace(1.0, 0.1, 30), np.linspace(0.1, 1.0, 30)])
@@ -1031,8 +1031,8 @@ def recorded_solves():
     def recording_loop(left, right, poles, evaluate, *args, **kwargs):
         def recorded(*leading):
             new = evaluate(*leading)
-            k = leading[0].dimension
-            solves.append(Solve(k // left.block_size, k == left.dimension, new, evaluate,
+            step = leading[0].steps
+            solves.append(Solve(step, step == left.steps, new, evaluate,
                                 (left,) if right is left else (left, right)))
             return new
         return loop(left, right, poles, recorded, *args, **kwargs)
@@ -1379,7 +1379,7 @@ def step_indexed_run(draw):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("solver", ["hermitian", "two-sided", "sign", "sylvester"])
 def test_the_leading_blocks_give_each_steps_solution(solver, real):
-    # the small problem of leading(ell * j) of a run's final bases is the
+    # the small problem of leading(j) of a run's final bases is the
     # solution that the run solved at step j, bit for bit; the two-sided
     # coupling only to rounding, since numpy forms V*B with another kernel
     # when a basis of 1-3 columns fills its buffer
@@ -1414,10 +1414,9 @@ def test_the_leading_blocks_give_each_steps_solution(solver, real):
             run_update(A, B, f=f, plan=pairs, m_max=12, tol=0.0,
                        true_update=dense_update(A, D, f, hermitian=solver == "hermitian"),
                        **kwargs)
-    ell = 2
     assert all(s.own for s in solves) and len(solves) >= 8
     for s in solves:
-        again = s.evaluate(*(b.leading(ell * s.step) for b in s.bases))
+        again = s.evaluate(*(b.leading(s.step) for b in s.bases))
         tuples = solver in ("sign", "sylvester")
         for got, want in zip(again if tuples else (again,), s.new if tuples else (s.new,)):
             if solver == "two-sided":
