@@ -7,8 +7,9 @@
 # recorded estimates), a custom update with the extended plan, with the
 # three Zolotarev strategies (quasi-optimal, inverse square root and sign
 # poles, whose nodes come from SciPy's elliptic functions) and with three
-# pole files, a two-sided custom update of exp (--matrix-c), and the
-# sylvester subcommand at an even and at an odd step count.  One more
+# pole files, two two-sided custom updates of exp (--matrix-c), one with
+# the exp-single strategy, and the sylvester subcommand at an even and at
+# an odd step count.  One more
 # custom update and one more sylvester run (the default Zolotarev sign
 # pairs, paired steps on real data) go above the desk scale
 # (n = 600 > ORACLE_MAX_N).  The custom update has no true errors there,
@@ -28,8 +29,10 @@
 # D = B J B* is the unscaled one bit for bit, must each write the CSV and
 # the summary of the unscaled run with the same pole file: the rank test of
 # the orthonormalization is scale-free, and no norm of a seed of large norm
-# overflows (the sums of squares of 2^510 B's blocks would).  No file that a
-# run writes may hold "nan".
+# overflows (the sums of squares of 2^510 B's blocks would).  A sylvester
+# run on B1 scaled by 2^-100 and C2 by 2^100 must write the unscaled run's
+# two factors, residuals and summary: the directions that the residual
+# reads are scale-free too.  No file that a run writes may hold "nan".
 #
 #   bash .github/cli-determinism.sh WORKDIR
 #
@@ -71,11 +74,13 @@ for name, M in [("A", A), ("B", normal_block(1, n, 1)), ("J", np.eye(1)),
                 ("B1", normal_block(2, n, 2)), ("C2", normal_block(3, n, 2))]:
     write_matrix(f"{d}/{name}.mtx", M)
 # B scaled by 2**-100 and J by 2**200, and B by 2**510 and J by 2**-1020,
-# which leave D = B J B* as it is bit for bit; the files must hold the
-# scaled entries exactly (a writer that kept fewer than 17 significant
-# digits would not)
+# which leave D = B J B* as it is bit for bit, and B1 scaled by 2**-100 and
+# C2 by 2**100, which leave B1 C2* as it is; the files must hold the scaled
+# entries exactly (a writer that kept fewer than 17 significant digits
+# would not)
 for name, scale, tag in [("B", 2.0**-100, "scaled"), ("J", 2.0**200, "scaled"),
-                         ("B", 2.0**510, "scaled-up"), ("J", 2.0**-1020, "scaled-up")]:
+                         ("B", 2.0**510, "scaled-up"), ("J", 2.0**-1020, "scaled-up"),
+                         ("B1", 2.0**-100, "scaled"), ("C2", 2.0**100, "scaled")]:
     M = scale * read_matrix(f"{d}/{name}.mtx")
     write_matrix(f"{d}/{name}-{tag}.mtx", M)
     assert np.array_equal(read_matrix(f"{d}/{name}-{tag}.mtx"), M), f"{name}-{tag}.mtx"
@@ -151,13 +156,25 @@ for run in 1 2; do
     --matrix-a "$in/Anonsym.mtx" --matrix-b "$in/B1.mtx" --matrix-c "$in/C2.mtx" \
     --function exp --poles "$in/poles.txt" --m-max 20 --tol 0 \
     --out "$out/custom-two-sided-dense.csv"
+  # the single repeated pole of exp, on A2, whose numerical range is left of 0
+  PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
+    --matrix-a "$in/A2.mtx" --matrix-b "$in/B1.mtx" --matrix-c "$in/C2.mtx" \
+    --function exp --poles exp-single --m-max 20 --tol 0 \
+    --out "$out/custom-exp-single.csv"
   PYTHONPATH=src python -m rkupdate.cli update --experiment custom \
     --matrix-a "$in/A600.mtx" --matrix-b "$in/B600.mtx" --matrix-j "$in/J.mtx" \
     --poles extended --m-max 80 --tol 1e-10 --out "$out/custom-n600.csv"
-  for m in 20 21; do
+  for run_m in sylvester:20 sylvester-odd:21; do
     PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1.mtx" \
       --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1.mtx" --matrix-c2 "$in/C2.mtx" \
-      --m-max "$m" --tol 0 --out "$out/sylvester$([ "$m" = 21 ] && echo -odd)"
+      --m-max "${run_m#*:}" --tol 0 --out "$out/${run_m%:*}" > "$out/${run_m%:*}.txt"
+  done
+  # the scaled B1 and C2: the same solution factors, residuals and summary
+  PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1.mtx" \
+    --matrix-a2 "$in/A2.mtx" --matrix-b1 "$in/B1-scaled.mtx" --matrix-c2 "$in/C2-scaled.mtx" \
+    --m-max 20 --tol 0 --out "$out/sylvester-scaled" > "$out/sylvester-scaled.txt"
+  for part in -left.mtx -right.mtx -residuals.csv .txt; do
+    cmp "$out/sylvester$part" "$out/sylvester-scaled$part"
   done
   PYTHONPATH=src python -m rkupdate.cli sylvester --matrix-a1 "$in/A1-600.mtx" \
     --matrix-a2 "$in/A2-600.mtx" --matrix-b1 "$in/B1-600.mtx" --matrix-c2 "$in/C2-600.mtx" \

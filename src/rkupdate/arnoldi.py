@@ -98,7 +98,8 @@ import copy
 import numpy as np
 
 from ._validation import as_array, is_infinite_pole
-from .dense import TOL_AXIS, _banded, _column_norms, _product, qr_orthonormalize, shifted_factorize
+from .dense import (TOL_AXIS, _banded, _binary_scaled, _column_norms, _product, qr_orthonormalize,
+                    shifted_factorize)
 from .errors import RankDeficient
 from .poles import PolePlan
 from .rng import SplitMix64
@@ -174,11 +175,8 @@ class _SquaredCache(FactorizationCache):
     ``hermitian`` is the probe of A, so it holds for A^2 too.
     """
 
-    #: the product with A itself
-    plain_matvec = FactorizationCache.matvec
-
     def matvec(self, X, adjoint=False):
-        return self.plain_matvec(self.plain_matvec(X, adjoint), adjoint)
+        return _product(self.A, _product(self.A, X, adjoint), adjoint)
 
     def _factor(self, xi):
         return _SquaredFactorization(shifted_factorize(self.A, 1j * np.sqrt(-xi.real)),
@@ -397,8 +395,11 @@ class KrylovBasis:
         with an infinite pole, which holds Op basis and the seed."""
         # [Op Q, seed] for the last ell columns Q, which the step rule of an
         # infinite pole continues from, after CGS2 against the basis, has
-        # the rank of those directions: ell, or n - k where less is left
-        W = self._project_out(np.hstack([self._OpQ[:, -self.block_size:], self._seed]))
+        # the rank of those directions: ell, or n - k where less is left.
+        # Each column is scaled by a power of two first, so that the
+        # directions kept do not depend on the seed's scale against Op Q
+        W = _binary_scaled(np.hstack([self._OpQ[:, -self.block_size:], self._seed]), axis=0)[0]
+        W = self._project_out(W)
         q = np.linalg.svd(W, full_matrices=False)[0][:, :min(self.block_size, self.n - self._k)]
         return (q, self.block_product(self._matvec(q, adjoint=True)),
                 _product(q, self._seed, adjoint=True))

@@ -59,7 +59,7 @@ class SpectralWindow:
 
     ``lmin``/``lmax`` are the real extent; a positive ``half_height`` turns
     the window into the axis-symmetric ellipse stub used for non-Hermitian
-    problems (any other convex set is rejected).  ``omega`` is the leftmost
+    problems (any other convex set is rejected).  ``lmin`` is the leftmost
     real point in either case.
     """
 
@@ -72,10 +72,6 @@ class SpectralWindow:
             raise ValueError("window needs lmin <= lmax")
         if self.half_height < 0:
             raise ValueError("half_height must be nonnegative")
-
-    @property
-    def omega(self):
-        return self.lmin
 
     @classmethod
     def from_matrices(cls, A, A_plus):
@@ -287,7 +283,7 @@ def _markov_lead(f, window, imap, support):
     """2 sup|f| / |phi(beta)|, the Markov factor in front of eta; Markov
     functions are monotone on the window, so sup|f| sits at the endpoint
     nearest the support."""
-    sup_f = float(abs(f.scalar(np.array([window.omega]))[0]))
+    sup_f = float(abs(f.scalar(np.array([window.lmin]))[0]))
     return 2.0 * sup_f / abs(imap.phi(support[1]))
 
 
@@ -328,11 +324,11 @@ def _conjugate_closed(plan):
 
 
 def markov_bound_nonhermitian(window, plan, f, m, normB, normC):
-    """Bound 8 |f'(omega)| * eta/(1-eta) * ||B|| ||C|| (non-Hermitian update)."""
+    """Bound 8 |f'(lmin)| * eta/(1-eta) * ||B|| ||C|| (non-Hermitian update)."""
     _, etas, rate = _markov_etas(window, plan, f, m)
     if etas[-1] >= 1.0:
         raise EtaNotContracting(f"eta = {etas[-1]:.3e} >= 1; bound is void")
-    fprime = float(abs(f.derivative(np.array([window.omega + 0j]))[0]))
+    fprime = float(abs(f.derivative(np.array([window.lmin + 0j]))[0]))
     with np.errstate(divide="ignore"):
         values = 8.0 * fprime * (etas / np.maximum(1.0 - etas, 1e-300)) * normB * normC
     return BoundReport(values=values, rate=rate)

@@ -11,12 +11,12 @@ standard output; identical config+seed gives bitwise-identical files.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import SpectralWindow, markov_bound_hermitian, sign_update_bound
-from .dense import norm2, norm2_hermitian
+from .dense import norm2
 from .dpr1 import funm_dpr1
 from .errors import RKUpdateError
 from .functions import FunctionSpec
@@ -46,10 +46,6 @@ class ExperimentResult:
     name: str
     rows: list                      # (m, err_true, est, bound); NaN: no value
     report: object
-    extras: dict = field(default_factory=dict)
-
-    def summary(self):
-        return self.report.summary()
 
 
 def _fmt(x):
@@ -67,8 +63,8 @@ def write_csv(path, rows):
 def _rows_from_report(report, bounds=None, m_scale=1):
     """Rows (m, error_true, error_estimate, bound), one per step of the
     report's step-indexed lists, with NaN for a run without a reference or
-    a bound; the m column carries the subspace dimension, which is the step
-    index times the block width."""
+    a bound.  m is the step times ``m_scale``: only the squared-operator runs
+    (fig3 alg4, ``m_scale=2``) count the dimension, two columns per step."""
     steps = report.iterations
     none = [math.nan] * steps
     return list(zip((m * m_scale for m in range(1, steps + 1)),
@@ -111,7 +107,7 @@ def _invsqrt_instance(n, seed):
     return lam, b, A, window
 
 
-def _invsqrt_run(name, lam, b, A, window, plan, m_max, tol, d, **extras):
+def _invsqrt_run(name, lam, b, A, window, plan, m_max, tol, d):
     """The inverse square root update of a fig1/fig2 instance with its true
     errors and the Hermitian Markov bound."""
     f = FunctionSpec.inv_sqrt()
@@ -119,26 +115,22 @@ def _invsqrt_run(name, lam, b, A, window, plan, m_max, tol, d, **extras):
     state, report = run_update(A, b, f=f, plan=plan, m_max=m_max, tol=tol, d=d,
                                J=np.array([[1.0]]), true_update=dense)
     bounds = markov_bound_hermitian(window, plan, f, report.iterations).values
-    rows = _rows_from_report(report, bounds=bounds)
-    return ExperimentResult(name, rows, report,
-                            dict(window=window, norm_update=norm2_hermitian(dense), **extras))
+    return ExperimentResult(name, _rows_from_report(report, bounds=bounds), report)
 
 
 def experiment_fig1(n=200, seed=1, m_max=160, tol=1e-12, d=2):
     """Single repeated asymptotically optimal pole for the inverse square root."""
     lam, b, A, window = _invsqrt_instance(n, seed)
-    pole, rate = markov_single_pole(window, (-np.inf, 0.0))
+    pole, _ = markov_single_pole(window, (-np.inf, 0.0))
     plan = _cyclic((pole,))
-    return _invsqrt_run("fig1-invsqrt-single-pole", lam, b, A, window, plan, m_max, tol, d,
-                        pole=pole, rate=rate, norm_fA=float(np.max(lam ** -0.5)))
+    return _invsqrt_run("fig1-invsqrt-single-pole", lam, b, A, window, plan, m_max, tol, d)
 
 
 def experiment_fig2(n=200, seed=6, m_max=60, tol=1e-12, d=2):
     """Ten cyclically repeated quasi-optimal poles in Leja ordering."""
     lam, b, A, window = _invsqrt_instance(n, seed)
     plan = _cyclic(quasi_optimal_poles(window, (-np.inf, 0.0), 10).poles)
-    return _invsqrt_run("fig2-invsqrt-quasiopt", lam, b, A, window, plan, m_max, tol, d,
-                        poles=plan.poles)
+    return _invsqrt_run("fig2-invsqrt-quasiopt", lam, b, A, window, plan, m_max, tol, d)
 
 
 def _sign_instance(n, seed):
@@ -171,17 +163,14 @@ def experiment_fig3(n=200, seed=1, m_max=100, tol=1e-8, d=2):
                                  true_update=dense)
         bnd = sign_update_bound(window2, plan4, rep4.iterations, norm_plus, norm_bj,
                                 norm_b, FunctionSpec.inv_sqrt()).values
-        results.append(ExperimentResult(
-            f"fig3-sign-alg4-deg{degree}",
-            _rows_from_report(rep4, bounds=bnd, m_scale=2), rep4,
-            dict(window2=window2, gap=gap, poles=plan4.poles)))
+        results.append(ExperimentResult(f"fig3-sign-alg4-deg{degree}",
+                                        _rows_from_report(rep4, bounds=bnd, m_scale=2), rep4))
 
         plan3 = _cyclic(zolotarev_sign_poles(gap, degree).poles)
         state3, rep3 = run_update(A, b, f=FunctionSpec.sign(), plan=plan3,
                                   m_max=m_max, tol=tol, d=d, J=J, true_update=dense)
-        results.append(ExperimentResult(
-            f"fig3-sign-alg3-deg{degree}", _rows_from_report(rep3), rep3,
-            dict(gap=gap, poles=plan3.poles)))
+        results.append(ExperimentResult(f"fig3-sign-alg3-deg{degree}",
+                                        _rows_from_report(rep3), rep3))
     return results
 
 
@@ -299,13 +288,13 @@ def run_experiment(args):
     results = EXPERIMENTS[args.experiment](args)
     if len(results) == 1:
         write_csv(args.out, results[0].rows)
-        print(results[0].summary())
+        print(results[0].report.summary())
         return 0
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     for res in results:
         suffix = res.name.replace(args.experiment, "")
         write_csv(f"{stem}{suffix}.csv", res.rows)
-        print(f"{res.name}: {res.summary()}")
+        print(f"{res.name}: {res.report.summary()}")
     return 0
 
 

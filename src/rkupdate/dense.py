@@ -11,16 +11,16 @@ knows how a matrix is stored: an operator whose band is narrow, dense or
 n x n array), where its LUs, products and Cholesky test cost O(n) per
 band row.  Every product of a stored matrix (the operator, a Krylov
 basis) or its adjoint with a block is :func:`_product`, which never casts
-a real matrix.  Norms that a seed of large norm could overflow are taken
-on the vector scaled by a power of two (:func:`_binary_scaled`).
-Hermitian structure is an explicit flag.  The heavy lifting is delegated
-to LAPACK through numpy/scipy; this module owns the contracts
-(tolerances, error conditions, fallbacks).  What a function is, its
-domain included, is its :class:`~rkupdate.functions.FunctionSpec`'s to
-say (``f.check_spectrum``); the matrix functions here keep only their
-evaluation shortcuts: rational kinds (the identity among them) through
-partial fractions, and scaling-and-squaring for an ill-conditioned
-exponential.
+a real matrix.  Column norms are BLAS ``nrm2``'s, which do not overflow;
+other norms that a seed of large norm could overflow are taken on the
+vector scaled by a power of two (:func:`_binary_scaled`).  Hermitian
+structure is an explicit flag.  The heavy lifting is delegated to LAPACK
+through numpy/scipy; this module owns the contracts (tolerances, error
+conditions, fallbacks).  What a function is, its domain included, is its
+:class:`~rkupdate.functions.FunctionSpec`'s to say (``f.check_spectrum``);
+the matrix functions here keep only their evaluation shortcuts: rational
+kinds (the identity among them) through partial fractions, and
+scaling-and-squaring for an ill-conditioned exponential.
 
 The coupling block of the general mode, the (1,2) block of f of a block
 upper triangular matrix (:func:`_coupling_block`), has two paths.  When f
@@ -82,10 +82,10 @@ def _binary_scaled(X, axis=None):
 
 
 def _column_norms(W):
-    """np.linalg.norm(W, axis=0) through :func:`_binary_scaled`: finite for
-    every finite W."""
-    Y, e = _binary_scaled(W, axis=0)
-    return np.ldexp(np.linalg.norm(Y, axis=0), e)
+    """The 2-norms of W's columns by BLAS ``nrm2``, which scales as it sums:
+    finite for every finite W."""
+    nrm2 = sla.get_blas_funcs("nrm2", (W,))
+    return np.array([nrm2(W[:, j]) for j in range(W.shape[1])], dtype=float)
 
 
 def norm2(M):

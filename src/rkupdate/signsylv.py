@@ -35,7 +35,8 @@ import scipy.linalg as sla
 
 from ._validation import as_array, is_infinite_pole, real_if_real
 from .arnoldi import KrylovBasis, _SquaredCache
-from .dense import TOL_AXIS, _positive_definite, _rcond, norm2, norm2_hermitian, shifted_factorize
+from .dense import (TOL_AXIS, _positive_definite, _product, _rcond, norm2, norm2_hermitian,
+                    shifted_factorize)
 from .errors import CompressedNotSolvable, SingularityOnSpectrum, SingularShift, SpectraIntersect
 from .functions import FunctionSpec
 from .poles import PolePlan
@@ -124,17 +125,12 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     e = max(int(np.frexp(np.abs(B).max(initial=0.0))[1]) - 256, 0)
     if e:
         B, J = B * np.ldexp(1.0, -e), J * np.ldexp(1.0, e) * np.ldexp(1.0, e)
-    basis = KrylovBasis(cache, np.hstack([B, cache.plain_matvec(B)]))
+    basis = KrylovBasis(cache, np.hstack([B, _product(cache.A, B)]))
     if not B.any():
         empty = np.zeros((n, 0), dtype=complex)
         return SignUpdateResult(empty, empty, np.zeros((0, 0), dtype=complex), basis), _zero_report()
     ell = B.shape[1]
     BJ = B @ J
-
-    def apply_ApD(X):
-        """(A + D) X, through products with A; real for real data and X."""
-        X = np.asarray(X).reshape(n, -1)
-        return cache.plain_matvec(X) + BJ @ (B.conj().T @ X)
 
     # A: no tiny pivot of its LU at 0, and a 1-norm condition estimate
     # below 1 / TOL_AXIS from that LU
@@ -169,7 +165,8 @@ def sign_update(A, B, J, plan, m_max, tol, d=2, true_update=None):
     def factors(new):
         """([(A + D) U X, B J], [U, U f(G) U*B]) of a step's solution."""
         X, fUB, _ = new
-        return (np.hstack([apply_ApD(basis.times(X)), BJ]),
+        UX = basis.times(X)
+        return (np.hstack([_product(cache.A, UX) + BJ @ (B.conj().T @ UX), BJ]),
                 np.hstack([basis.basis, basis.times(fUB)]))
 
     def estimate(new, old):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from rkupdate.bounds import SpectralWindow, markov_bound_hermitian
-from rkupdate.cli import experiment_fig1, experiment_fig2, experiment_fig3
-from rkupdate.dense import funm_block_triangular, funm_small, norm2
+from rkupdate.cli import (_invsqrt_instance, _invsqrt_reference, experiment_fig1, experiment_fig2,
+                          experiment_fig3)
+from rkupdate.dense import funm_block_triangular, funm_small, norm2, norm2_hermitian
 from rkupdate.functions import FunctionSpec, PartialFractions
 from rkupdate.oracles import dense_update, sherman_morrison
 from rkupdate.poles import INF, PolePlan, markov_single_pole, zolotarev_sign_poles
@@ -116,9 +117,10 @@ def test_criterion_3_fig1_reproduction():
     elapsed = time.monotonic() - t0
     errs = np.array([r[1] for r in res.rows])
     bounds = np.array([r[3] for r in res.rows])
-    rate = res.extras["rate"]
+    lam, _, _, window = _invsqrt_instance(200, 1)
+    _, rate = markov_single_pole(window, (-np.inf, 0.0))
     rate_ref = 0.9651
-    fitted = fit_linear_rate(errs, res.extras["norm_fA"])
+    fitted = fit_linear_rate(errs, float(np.max(lam ** -0.5)))
     dep = detect_superlinear_departure(errs, rate)
     ok_rate = abs(fitted - rate_ref) <= 0.10 * rate_ref
     ok_env = bool(np.all(errs <= bounds))
@@ -132,12 +134,12 @@ def test_criterion_3_fig1_reproduction():
 
 def test_criterion_4_fig2_reproduction():
     res = experiment_fig2(n=200, seed=6, m_max=60, tol=0.0)
-    errs = np.array([r[1] for r in res.rows]) / res.extras["norm_update"]
+    lam, b, _, w = _invsqrt_instance(200, 6)
+    errs = np.array([r[1] for r in res.rows]) / norm2_hermitian(_invsqrt_reference(lam, b))
     run_min = np.minimum.accumulate(errs)
     first = next((m for m in range(1, len(errs) + 1) if errs[m - 1] <= 1e-10), None)
     ok_cross = first is not None and first <= 60
     ok_monotone = bool(np.all(np.diff(run_min) <= 0))
-    w = res.extras["window"]
     ratio = w.lmax / w.lmin
     per_cycle_bound = 2.0 * math.exp(-10 * math.pi**2 / math.log(16.0 * ratio))
     measured = (run_min[39] / run_min[9]) ** (1.0 / 3.0)

@@ -172,7 +172,7 @@ class TestMarkovNonHermitian:
     def test_eta_at_one_is_void(self):
         # the windows [lmin, 1] map the support end 0 onto the unit circle
         # (phi(0) rounds to -1), so eta = 1 and the bound is void; the check
-        # comes before f' is taken at omega = lmin, where f' of 1e-300
+        # comes before f' is taken at lmin, where f' of 1e-300
         # overflows
         for lmin in (1e-20, 1e-300):
             w = SpectralWindow(lmin, 1.0)
@@ -286,7 +286,6 @@ def test_spectral_window_construction(rng):
     wD = np.linalg.eigvalsh(A + D)
     assert win.lmin == pytest.approx(min(wA.min(), wD.min()))
     assert win.lmax == pytest.approx(max(wA.max(), wD.max()))
-    assert win.omega == win.lmin
 
 
 class TestEllipseWindow:
@@ -330,6 +329,13 @@ class TestEllipseWindow:
             x /= np.linalg.norm(x)
             z = (x.conj().T @ A @ x)[0, 0]
             assert ((z.real - c) / rx) ** 2 + (z.imag / ry) ** 2 <= 1.0 + 1e-9
+        # Hermitian matrices have real numerical ranges: the window is their
+        # eigenvalues' interval
+        H, wH = random_hermitian(rng, 20, 1.0, 5.0)
+        H = 0.5 * (H + H.conj().T)
+        w = SpectralWindow.enclosing_ranges(H, H + np.eye(20))
+        assert w.half_height == 0.0
+        assert w.lmin == pytest.approx(wH.min()) and w.lmax == pytest.approx(wH.max() + 1.0)
 
     def test_nonhermitian_bound_dominates_measured(self, rng):
         # mildly non-normal instance: the ellipse-window Markov bound must

@@ -197,15 +197,16 @@ class TestMainUpdate:
         for name, M in [("A", A), ("B", B), ("C", C)]:
             write_matrix(tmp_path / f"{name}.mtx", M)
         (tmp_path / "poles.txt").write_text("inf\n")
-        status = main(["update", "--experiment", "custom",
-                       "--matrix-a", str(tmp_path / "A.mtx"),
-                       "--matrix-b", str(tmp_path / "B.mtx"),
-                       "--matrix-c", str(tmp_path / "C.mtx"),
-                       "--function", "exp",
-                       "--poles", str(tmp_path / "poles.txt"),
-                       "--m-max", "6", "--tol", "1e-8",
-                       "--out", str(tmp_path / "o.csv")])
-        assert status == 0
+        # a pole file, and the single repeated pole of exp
+        for poles in (str(tmp_path / "poles.txt"), "exp-single"):
+            status = main(["update", "--experiment", "custom",
+                           "--matrix-a", str(tmp_path / "A.mtx"),
+                           "--matrix-b", str(tmp_path / "B.mtx"),
+                           "--matrix-c", str(tmp_path / "C.mtx"),
+                           "--function", "exp", "--poles", poles,
+                           "--m-max", "6", "--tol", "1e-8",
+                           "--out", str(tmp_path / "o.csv")])
+            assert status == 0
 
     def test_c_and_j_together_is_error_exit(self, tmp_path, rng, capsys):
         n = 12

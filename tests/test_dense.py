@@ -370,6 +370,7 @@ class TestRealKernels:
             assert abs(norm2(G.astype(complex)) - ref) <= 1e-15 * ref
             ref = np.abs(np.linalg.eigvalsh(H.astype(complex))).max()
             assert abs(norm2_hermitian(H.astype(complex)) - ref) <= 1e-15 * ref
+        assert norm2(np.zeros((0, 3))) == norm2_hermitian(np.zeros((0, 0))) == 0.0
 
     def test_real_run_hands_eigh_float64(self, monkeypatch):
         dtypes = []

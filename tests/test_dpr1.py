@@ -205,6 +205,8 @@ def test_funm_diff_rank1_zero_components(rng):
     S = np.diag(d) + np.outer(z.real, z.real)
     ref = np.linalg.inv(S) - np.diag(1.0 / d)
     assert norm2(D.real - ref) <= 1e-12 * norm2(ref)
+    # z = 0 decouples every coordinate: the difference is zero
+    assert not funm_diff_rank1(d, np.zeros(4), 1.0, lambda x: 1.0 / x).any()
 
 
 def test_guards():

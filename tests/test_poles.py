@@ -37,6 +37,8 @@ class TestPolePlan:
     def test_cyclic_expand(self):
         plan = PolePlan((-1.0, INF), repetition="cyclic")
         assert plan.expand(5) == (-1.0, INF, -1.0, INF, -1.0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            plan.expand(0)
 
     def test_as_given_requires_enough(self):
         with pytest.raises(ValueError):
@@ -117,7 +119,7 @@ class TestIntervalMap:
 
     def test_normalization_at_infinity(self):
         imap = IntervalMap(1.0, 3.0)
-        assert imap.psi(INF) == INF
+        assert imap.psi(INF) == INF and imap.phi(INF) == INF
         u = 1e9
         assert imap.psi(u).real / u == pytest.approx(imap.halfwidth / 2, rel=1e-6)
 
@@ -132,6 +134,7 @@ class TestEllipseMap:
         emap = EllipseMap(2.0, 3.0, 1.0)
         for x in [-4.0, 9.0, 2.0 + 5.0j]:
             assert abs(emap.psi(emap.phi(x)) - x) <= 1e-12 * max(1.0, abs(x))
+        assert emap.psi(INF) == INF and emap.phi(INF) == INF
 
 
 class TestMarkovSinglePole:
@@ -208,6 +211,8 @@ class TestZolotarev:
     def test_invsqrt_degree_one_is_geometric_mean(self):
         plan = zolotarev_invsqrt_poles((1e-4, 1.0), 1)
         assert plan.poles[0].real == pytest.approx(-1e-2, rel=1e-10)
+        # on a one-point interval every pole is minus that point
+        assert zolotarev_invsqrt_poles((2.0, 2.0), 3).poles == (-2.0,) * 3
 
     def test_sign_degree_one_two_point_limit(self):
         plan = zolotarev_sign_poles((1.0, 1.0), 1)

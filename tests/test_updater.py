@@ -757,30 +757,46 @@ class TestLuckyBreakdown:
     ("hermitian", 2.0**-100), ("hermitian", 2.0**520),
     ("general", 2.0**-100), ("general", 2.0**520),
     ("sign", 2.0**-100), ("sign", 2.0**520),
-], ids=["hermitian-down", "hermitian-up", "general-down", "general-up", "sign-down", "sign-up"])
+    ("sylvester", 2.0**-100), ("sylvester", 2.0**520),
+], ids=["hermitian-down", "hermitian-up", "general-down", "general-up", "sign-down", "sign-up",
+        "sylvester-down", "sylvester-up"])
 def test_seeds_scaled_by_a_power_of_two_give_the_same_bits(mode, t, columns):
-    # (t B)(J / t / t)(t B)* and (t B)(C / t)* are D bit for bit: J = 0.5 I
-    # keeps J / t / t exact (t**2 overflows at 2^520).  Down-scaled, with a
-    # bound floored at an absolute 2e-28, the rank test lost every block at
-    # step 1; up-scaled, the rank test's column norms overflowed (a false
-    # rank loss at step 1), one column overflowed J ||U*B||^2 and the
-    # secular solver's ||z||, and the sign update's B* B and B* A^{-1} B
-    # overflowed (numpy's "SVD did not converge")
+    # (t B)(J / t / t)(t B)*, (t B)(C / t)* and (t B1)(C2 / t)* are D and
+    # B1 C2* bit for bit: J = 0.5 I keeps J / t / t exact (t**2 overflows at
+    # 2^520).  Down-scaled, with a bound floored at an absolute 2e-28, the
+    # rank test lost every block at step 1; up-scaled, the rank test's
+    # column norms overflowed (a false rank loss at step 1), one column
+    # overflowed J ||U*B||^2 and the secular solver's ||z||, and the sign
+    # update's B* B and B* A^{-1} B overflowed (numpy's "SVD did not
+    # converge"); the Sylvester residual's next directions, from the SVD of
+    # [A1 Q, t B1], followed the larger of the two and read up to 10x low
     A, B, J = path_laplacian_update(60)
     B, J = B[:, :columns], J[:columns, :columns]
     S = np.diag(np.r_[-np.linspace(1.0, 0.1, 30), np.linspace(0.1, 1.0, 30)])
     S += 0.02 * (np.eye(60, k=1) + np.eye(60, k=-1))
     f, plan = FunctionSpec.inv_sqrt(), PolePlan((-1.0, -5.0), repetition="cyclic")
     sign_plan = PolePlan(zolotarev_invsqrt_poles((1e-2, 1.2), 4).poles, repetition="cyclic")
+    lam = np.logspace(-1.0, 1.0, 60)
+    A1 = np.diag(lam) + np.diag(0.3 * lam[:-1], 1)
+    A2 = -np.diag(1.37 * lam) - np.diag(0.3 * lam[:-1], -1)
+    B1 = np.random.default_rng(0).standard_normal((60, columns))
+    C2 = np.random.default_rng(1).standard_normal((60, columns))
+    sylvester_plan = PolePlan((-1.0, INF), repetition="cyclic")
     run = {
         "hermitian": lambda t: run_update(A, t * B, f=f, plan=plan, m_max=12, tol=0.0,
                                           J=J / t / t),
         "general": lambda t: run_update(A, t * B, B @ J / t, f=f, plan=plan, m_max=12, tol=0.0),
         "sign": lambda t: sign_update(S, 0.05 * t * B, J / t / t, sign_plan, m_max=8, tol=0.0),
+        "sylvester": lambda t: sylvester_solve_krylov(
+            SylvesterProblem.create(A1, A2, t * B1, C2 / t), sylvester_plan, m_max=12, tol=0.0),
     }[mode]
     (state, report), (scaled, scaled_report) = run(1.0), run(t)
-    assert np.array_equal(scaled.coupling, state.coupling)
+    core = "core" if mode == "sylvester" else "coupling"
+    assert np.array_equal(getattr(scaled, core), getattr(state, core))
     assert np.array_equal(scaled_report.estimates, report.estimates, equal_nan=True)
+    # the Sylvester residuals; the other runs record no true errors
+    assert np.array_equal(scaled_report.true_errors or [], report.true_errors or [],
+                          equal_nan=True)
     assert scaled_report.iterations == report.iterations > 0
 
 
